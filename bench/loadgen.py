@@ -40,9 +40,10 @@ from streams import (
 
 #: Seconds to wait for any one future before calling the run broken.
 RESULT_TIMEOUT = 60.0
-#: serve_mix paced phase: fixed offered rate (about half the saturated
-#: capacity measured on a 2-core machine) and its validity guard.
-PACED_RATE = 400.0
+#: serve_mix paced phase: fixed offered rate (about a third of the
+#: saturated capacity measured on a 2-core machine, so a slower host
+#: still keeps up) and the guard that makes a window valid.
+PACED_RATE = 300.0
 LAG_BOUND_MS = 100.0
 MIN_OFFERED_SHARE = 0.95
 #: serve_mix saturated phase: closed-loop clients and in-flight window.
