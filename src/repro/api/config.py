@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..backends.registry import AUTO_BACKEND, get_backend
+from ..backends.registry import AUTO_BACKEND, resolve_backend
 from ..errors import ArraySizeError
 from ..iterative.criteria import ConvergenceCriteria
 from ..matrices.padding import validate_array_size
@@ -63,16 +63,14 @@ class ExecutionOptions:
 
     backend
         Execution engine streaming values through a compiled plan (all
-        kinds): ``"simulate"`` for the cycle-accurate simulators,
-        ``"vectorized"`` for the NumPy diagonal-sweep engines (identical
-        values and metrics, no cycle-level artifacts), ``"compiled"``
-        for the ahead-of-time lowered fused kernels of
-        :mod:`repro.compiled` (same bit-identity contract, optional
-        Numba acceleration, epilogue fusion at graph-compile time), or
-        ``"auto"`` (the default) which picks the vectorized engine
-        unless a data-flow trace is requested — never ``compiled``;
-        promoting the compiled backend to the default is deliberately
-        left as its own future change.
+        kinds): ``"simulate"`` for the cycle-accurate simulators (the
+        oracle), ``"vectorized"`` for the NumPy diagonal-sweep engines
+        (bit-identical values and metrics, no cycle-level artifacts;
+        graph compilation also fuses NN epilogue chains under it), or
+        ``"auto"`` (the default) which picks the simulator when a
+        data-flow trace is requested and the vectorized engine
+        otherwise.  Unknown names raise
+        :class:`~repro.errors.BackendError`.
     record_trace
         Record the cycle-by-cycle data-flow trace (matvec; forces the
         simulator backend under ``backend="auto"``).
@@ -117,8 +115,7 @@ class ExecutionOptions:
     dtype_mode: str = "float64"
 
     def __post_init__(self) -> None:
-        if self.backend != AUTO_BACKEND:
-            get_backend(self.backend)  # raises BackendError for unknown names
+        resolve_backend(self.backend)  # raises BackendError for unknown names
         if self.sparse_tolerance < 0.0:
             raise ValueError(
                 f"sparse_tolerance must be >= 0, got {self.sparse_tolerance}"

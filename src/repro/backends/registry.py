@@ -1,64 +1,40 @@
-"""The execution-backend registry.
+"""The execution engines and the ``auto`` resolution rule.
 
-The package can *execute* a compiled plan in more than one way:
+The package can *execute* a compiled plan in two ways:
 
 ``simulate``
     The register-level / cycle-faithful simulators in
     :mod:`repro.systolic`.  Authoritative for anything cycle-level —
     data-flow traces, output streams, per-cell activity — and the
-    reference the other backends are checked against.
+    oracle the fast engine is checked against.
 
 ``vectorized``
     The NumPy diagonal-sweep engines in
-    :mod:`repro.backends.vectorized`.  They replay the *same* sequence
-    of multiply-accumulates each array cell would perform — one shifted
-    multiply/add sweep per band diagonal, partial results carried
-    between sweeps exactly as the feedback hardware carries them — so
-    the recovered values are bit-identical to the simulator's, and the
-    step/utilization metrics are produced from the same structural
-    quantities.  No per-cycle state is kept, which makes large-``N``
-    solves orders of magnitude faster.
-
-``compiled``
-    The ahead-of-time lowered kernels in :mod:`repro.compiled`.  Every
-    cached plan is a perfect compilation unit — the gather/feedback
-    schedule depends only on ``(kind, shapes, w, options)`` — so the
-    compiled backend lowers a plan's geometry once into fused
-    strided-view/einsum kernels (optionally Numba-jitted when Numba is
-    importable) that replay the simulator's exact fold order without the
-    vectorized backend's per-sweep Python loop.  Values and metrics stay
-    bit-identical to both other backends.
+    :mod:`repro.backends.vectorized`.  Every cached plan's sweep schedule
+    depends only on ``(kind, shapes, w, options)``, so it is lowered once
+    at plan build into a value-independent skeleton — for mat-vec, one
+    lane-rotated multiply plus one sequential prefix sum — that replays
+    the *same* multiply-accumulate order each array cell would perform.
+    Values are bit-identical to the simulator's and the step/utilization
+    metrics come from the same structural quantities; no per-cycle state
+    is kept, which makes large-``N`` solves orders of magnitude faster.
 
 ``auto``
-    Resolution rule, not an engine: ``vectorized`` when only values and
-    metrics are needed, ``simulate`` when a cycle-level artifact (a
-    data-flow trace) was requested.  ``auto`` deliberately does *not*
-    resolve to ``compiled`` yet: the compiled backend is explicit opt-in
-    (``backend="compiled"``) until it is soak-proven, at which point the
-    rule flips in one place here.
-
-Backends are registered as :class:`BackendSpec` descriptors so that new
-engines (a GPU sweep, a distributed executor) plug in without touching
-the plan code: register a spec, teach the plans to dispatch on its name.
+    Resolution rule, not an engine: ``simulate`` when a cycle-level
+    artifact (a data-flow trace) was requested, ``vectorized`` otherwise.
 """
 
 from __future__ import annotations
 
 import difflib
-import threading
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from ..errors import BackendError
 
 __all__ = [
-    "BackendSpec",
     "AUTO_BACKEND",
     "SIMULATE",
     "VECTORIZED",
-    "COMPILED",
-    "register_backend",
-    "get_backend",
     "available_backends",
     "resolve_backend",
 ]
@@ -69,107 +45,37 @@ AUTO_BACKEND = "auto"
 SIMULATE = "simulate"
 #: Name of the NumPy diagonal-sweep backend.
 VECTORIZED = "vectorized"
-#: Name of the ahead-of-time lowered kernel backend.
-COMPILED = "compiled"
 
-
-@dataclass(frozen=True)
-class BackendSpec:
-    """Descriptor of one execution backend.
-
-    ``supports_trace`` declares whether the backend can produce the
-    cycle-by-cycle data-flow artifacts (:class:`~repro.systolic.trace.DataFlowTrace`,
-    tagged output streams); ``auto`` resolution falls back to a
-    trace-capable backend whenever a trace is requested.
-    """
-
-    name: str
-    description: str
-    supports_trace: bool = False
-
-
-_REGISTRY: Dict[str, BackendSpec] = {}
-# Registration can race with option validation / plan builds once the
-# service layer's shard threads are running; one lock keeps the registry
-# consistent without slowing the (dict-read) lookup hot path.
-_REGISTRY_LOCK = threading.Lock()
-
-
-def register_backend(spec: BackendSpec) -> BackendSpec:
-    """Register a backend descriptor under its name (last one wins).
-
-    Thread-safe: a custom engine may be registered while service shard
-    workers are already executing plans.
-    """
-    if not spec.name or spec.name == AUTO_BACKEND:
-        raise BackendError(f"invalid backend name {spec.name!r}")
-    with _REGISTRY_LOCK:
-        _REGISTRY[spec.name] = spec
-    return spec
-
-
-def get_backend(name: str) -> BackendSpec:
-    """The descriptor for ``name``; raises :class:`BackendError` if unknown."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        with _REGISTRY_LOCK:
-            names = sorted(_REGISTRY) + [AUTO_BACKEND]
-        message = f"unknown execution backend {name!r}; available: {', '.join(names)}"
-        close = difflib.get_close_matches(str(name), names, n=1)
-        if close:
-            message += f"; did you mean {close[0]!r}?"
-        raise BackendError(message) from None
+_BACKENDS = (SIMULATE, VECTORIZED)
 
 
 def available_backends() -> Tuple[str, ...]:
-    """All registered backend names, sorted (``auto`` is a rule, not a backend)."""
-    with _REGISTRY_LOCK:
-        return tuple(sorted(_REGISTRY))
+    """The engine names, sorted (``auto`` is a rule, not a backend)."""
+    return _BACKENDS
 
 
 def resolve_backend(name: str = AUTO_BACKEND, record_trace: bool = False) -> str:
     """Resolve a requested backend name into a concrete engine name.
 
     ``auto`` picks ``vectorized`` for plain value/metric execution and
-    ``simulate`` when a data-flow trace is requested.  An explicit
-    backend that cannot produce a requested trace raises
-    :class:`~repro.errors.BackendError` instead of silently dropping the
-    trace.
+    ``simulate`` when a data-flow trace is requested.  Unknown names
+    raise :class:`~repro.errors.BackendError` with a did-you-mean hint,
+    and so does ``vectorized`` with a requested trace, instead of
+    silently dropping the trace.
     """
     if name == AUTO_BACKEND:
         return SIMULATE if record_trace else VECTORIZED
-    spec = get_backend(name)
-    if record_trace and not spec.supports_trace:
+    if name not in _BACKENDS:
+        names = _BACKENDS + (AUTO_BACKEND,)
+        message = f"unknown execution backend {name!r}; available: {', '.join(names)}"
+        close = difflib.get_close_matches(str(name), names, n=1)
+        if close:
+            message += f"; did you mean {close[0]!r}?"
+        raise BackendError(message)
+    if record_trace and name != SIMULATE:
         raise BackendError(
             f"backend {name!r} cannot record a data-flow trace; use "
             f"backend={SIMULATE!r} (or backend={AUTO_BACKEND!r}) when "
             f"record_trace is set"
         )
-    return spec.name
-
-
-register_backend(
-    BackendSpec(
-        name=SIMULATE,
-        description="register-level cycle-accurate array simulators",
-        supports_trace=True,
-    )
-)
-register_backend(
-    BackendSpec(
-        name=VECTORIZED,
-        description="NumPy diagonal-sweep engines (bit-identical values, no cycle state)",
-        supports_trace=False,
-    )
-)
-register_backend(
-    BackendSpec(
-        name=COMPILED,
-        description=(
-            "ahead-of-time lowered sweep kernels with cross-stage fusion "
-            "(bit-identical values, optional Numba specialization)"
-        ),
-        supports_trace=False,
-    )
-)
+    return name

@@ -10,11 +10,12 @@ all others.  The engines here exploit that:
   one original (padded) row ``i`` — upper triangle of pass ``s``, lower
   triangle of pass ``s``, upper triangle of pass ``s + 1``, ... — visits
   the padded columns *cyclically starting at* ``i mod w``.  So the whole
-  execution is ``M_pad`` shifted multiply/add sweeps over the padded
-  operands, with a snapshot after every ``w`` sweeps reproducing the
-  band-row outputs (the values the simulator's feedback registers carry).
-  Because each row folds its terms in exactly the simulator's cell order,
-  the results are bit-identical, signed zeros included.
+  execution is one lane-rotated multiply of the padded operands into a
+  ``b``-seeded accumulator followed by one in-place sequential prefix
+  sum, whose every ``w``-th column is a band-row output (the values the
+  simulator's feedback registers carry).  Because each row folds its
+  terms in exactly the simulator's cell order, the results are
+  bit-identical, signed zeros included.
 
 * **Hexagonal array (DBT mat-mul).**  Every result-band position
   accumulates its products in increasing inner-index order, and the
@@ -42,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..matrices.banded import BandMatrix
-from ..matrices.padding import pad_matrix, pad_vector
+from ..matrices.padding import pad_matrix
 from ..systolic.hex_array import HexRunResult
 from ..systolic.linear_array import LinearRunResult
 from ..systolic.metrics import UtilizationReport
@@ -65,6 +66,37 @@ def _linear_alpha(w: int) -> int:
     return max(0, w - 1)
 
 
+def _padded(
+    values: np.ndarray, shape: Tuple[int, ...], dtype=np.float64
+) -> np.ndarray:
+    """``values`` as ``dtype`` zero-padded to ``shape``; no copy when aligned.
+
+    The sweeps only read their operands, so an aligned input (any
+    layout, read-only included) is used as is.
+    """
+    values = np.asarray(values, dtype=dtype)
+    if values.shape == shape:
+        return values
+    out = np.zeros(shape, dtype=values.dtype)
+    out[tuple(slice(0, size) for size in values.shape)] = values
+    return out
+
+
+def _rotated_products(a3: np.ndarray, x_pad: np.ndarray, out: np.ndarray) -> None:
+    """Write row ``r``'s products, rotated left by ``r mod w``, into ``out``.
+
+    ``a3`` and ``out`` are ``(N_bar, w, M_pad)`` views.  Rows with equal
+    ``r mod w`` share a lane, so the rotation is two slice products per
+    lane straight into place: no gather, no intermediate product array.
+    """
+    w, m_pad = a3.shape[1], a3.shape[2]
+    np.multiply(a3[:, 0], x_pad, out=out[:, 0])
+    for lane in range(1, w):
+        split = m_pad - lane
+        np.multiply(a3[:, lane, lane:], x_pad[lane:], out=out[:, lane, :split])
+        np.multiply(a3[:, lane, :lane], x_pad[:lane], out=out[:, lane, split:])
+
+
 def linear_total_cycles(w: int, band_rows: int, offset: int = 0) -> int:
     """Steps of one upper-band problem on the ``w``-cell linear array.
 
@@ -81,10 +113,12 @@ def linear_total_cycles(w: int, band_rows: int, offset: int = 0) -> int:
 class LinearSweepPlan:
     """Value-independent skeleton of the diagonal-sweep mat-vec execution.
 
-    Precomputes the cyclic column order (row ``i`` of the padded problem
-    consumes padded columns ``i mod w, i mod w + 1, ...`` wrapping modulo
-    ``M_pad``) plus the structural metric ingredients.  :meth:`sweep`
-    only streams values.
+    Row ``i`` of the padded problem consumes padded columns ``i mod w,
+    i mod w + 1, ...`` wrapping modulo ``M_pad``; rows with equal
+    ``i mod w`` share a lane of the ``(N_bar, w, M_pad)`` view, so that
+    order is ``w`` strided slice pairs, not a gather table.  The plan
+    holds only geometry and the structural metric ingredients (so it
+    pickles small); :meth:`sweep` only streams values.
     """
 
     def __init__(self, w: int, n: int, m: int, n_bar: int, m_bar: int,
@@ -97,11 +131,6 @@ class LinearSweepPlan:
         self._n_pad = self._n_bar * self._w
         self._m_pad = self._m_bar * self._w
         self._band_rows = self._n_bar * self._m_bar * self._w
-        start = np.arange(self._n_pad) % self._w
-        self._col_idx = (
-            start[:, None] + np.arange(self._m_pad)[None, :]
-        ) % self._m_pad
-        self._row_idx = np.arange(self._n_pad)[:, None]
         self._useful = int(useful_operations)
         self._events_cache: Dict[int, List[Tuple[int, int, int]]] = {}
 
@@ -152,30 +181,32 @@ class LinearSweepPlan:
         x: np.ndarray,
         b: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Run the ``M_pad`` shifted multiply/add sweeps for one operand set.
+        """Fold one operand set through the sweep: multiply, rotate, prefix sum.
+
+        The products are written *already rotated* into columns
+        ``1..M_pad`` of an accumulator whose column 0 holds ``b``
+        (:func:`_rotated_products`).  ``np.add.accumulate`` is a
+        sequential accumulate — each output is the previous output plus
+        the next input, never a pairwise tree — so one in-place prefix
+        sum along the contiguous axis is the simulator's per-row fold
+        ``((b + p_0) + p_1) + ...`` verbatim, and column ``(j + 1) w`` is
+        exactly the pass-``j`` partial snapshot.
 
         Returns ``(band_outputs, y_padded)``: the per-band-row outputs (one
         partial snapshot per pass, ordered exactly like the simulator's
         ``y_per_problem`` entries) and the final padded result vector.
         """
-        w = self._w
-        a_pad = pad_matrix(matrix, w)
-        x_pad = pad_vector(x, w)
-        b_pad = pad_vector(b if b is not None else np.zeros(self._n), w)
-        cols = self._col_idx
-        products = a_pad[self._row_idx, cols] * x_pad[cols]
-        y = b_pad.copy()
-        partials = np.empty((self._m_bar, self._n_pad), dtype=float)
-        for t in range(self._m_pad):
-            y += products[:, t]
-            if (t + 1) % w == 0:
-                partials[(t + 1) // w - 1] = y
+        w, n_bar, m_bar, m_pad = self._w, self._n_bar, self._m_bar, self._m_pad
+        a3 = _padded(matrix, (self._n_pad, m_pad)).reshape(n_bar, w, m_pad)
+        x_pad = _padded(x, (m_pad,))
+        acc = np.empty((self._n_pad, m_pad + 1))
+        acc[:, 0] = 0.0 if b is None else _padded(b, (self._n_pad,))
+        _rotated_products(a3, x_pad, acc.reshape(n_bar, w, m_pad + 1)[:, :, 1:])
+        np.add.accumulate(acc, axis=1, out=acc)
         band_outputs = (
-            partials.reshape(self._m_bar, self._n_bar, w)
-            .transpose(1, 0, 2)
-            .reshape(-1)
+            acc[:, w::w].T.reshape(m_bar, n_bar, w).transpose(1, 0, 2).reshape(-1)
         )
-        return band_outputs, y
+        return band_outputs, acc[:, -1].copy()
 
     def int_sweep(
         self,
@@ -186,16 +217,13 @@ class LinearSweepPlan:
         """Integer-datapath variant of :meth:`sweep` (int32-accumulate).
 
         Integer addition is exactly associative, so the pass-by-pass
-        accumulation doesn't need the float path's cyclic gather and
-        timestep loop at all: every partial is a contiguous cyclic range
-        sum recoverable from one elementwise product and one row-wise
-        prefix sum (plus an O(N_pad * M_bar) snapshot gather) — the same
-        integers the simulator's cells accumulate, reached in O(n m)
-        straight-line arithmetic.  That is what makes the int8 path
-        faster than the float one rather than a dtype-recolored copy of
-        it.  Operands must be integer arrays (the caller quantizes and
-        zero-point-shifts); the whole datapath runs in int32, the
-        accumulator width of the quantized hardware.  The caller
+        accumulation doesn't need the float path's strictly sequential
+        fold: every partial is a contiguous cyclic range sum recoverable
+        from one elementwise product, one blocked reduction and one small
+        row-wise prefix sum — the same integers the simulator's cells
+        accumulate.  Operands must be integer arrays (the caller
+        quantizes and zero-point-shifts); the whole datapath runs in
+        int32, the accumulator width of the quantized hardware.  The caller
         guarantees operands and true accumulators fit int32 — int8-range
         operands stay exact up to ~2^16 columns.
         """
@@ -207,40 +235,27 @@ class LinearSweepPlan:
                     f"int_sweep needs integer operands, got {name} of dtype "
                     f"{np.asarray(operand).dtype}"
                 )
-        a_pad = np.zeros((self._n_pad, self._m_pad), dtype=np.int32)
-        a_pad[: self._n, : self._m] = matrix
-        x_pad = np.zeros(self._m_pad, dtype=np.int32)
-        x_pad[: self._m] = x
-        b_pad = np.zeros(self._n_pad, dtype=np.int32)
-        if b is not None:
-            b_pad[: self._n] = b
-        # Row r consumes padded columns cyclically from s_r = r mod w, so
-        # after rotating each row's products left by s_r, pass j is just
-        # the contiguous column block [j w, (j+1) w): one blocked reduce
-        # plus a small prefix sum reproduces every snapshot.  Rows with
-        # equal s_r sit on a fixed lane of the (n_bar, w, M_pad) view,
-        # so the rotation is w - 1 contiguous copies, not a gather.
-        products = (a_pad * x_pad[None, :]).reshape(
-            self._n_bar, self._w, self._m_pad
-        )
-        shifted = np.empty_like(products)
-        shifted[:, 0] = products[:, 0]
-        for lane in range(1, self._w):
-            shifted[:, lane, : -lane] = products[:, lane, lane:]
-            shifted[:, lane, -lane:] = products[:, lane, :lane]
-        pass_sums = shifted.reshape(self._n_pad, self._m_bar, self._w).sum(
-            axis=2, dtype=np.int32
+        w, n_bar, m_bar, m_pad = self._w, self._n_bar, self._m_bar, self._m_pad
+        # Narrow codes (int8) multiply straight into the int32 products;
+        # wider integers are cast to the int32 datapath first.
+        a = np.asarray(matrix)
+        dtype = a.dtype if np.can_cast(a.dtype, np.int32) else np.int32
+        a3 = _padded(a, (self._n_pad, m_pad), dtype).reshape(n_bar, w, m_pad)
+        # After the rotation pass j of every row is the contiguous column
+        # block [j w, (j+1) w): one blocked einsum reduce plus a small
+        # prefix sum reproduces every snapshot.
+        products = np.empty((n_bar, w, m_pad), dtype=np.int32)
+        _rotated_products(a3, _padded(x, (m_pad,), np.int32), products)
+        pass_sums = np.einsum(
+            "rjt->rj", products.reshape(self._n_pad, m_bar, w), dtype=np.int32
         )
         partials = np.cumsum(pass_sums, axis=1, dtype=np.int32)
-        partials += b_pad[:, None]
-        y = partials[:, -1].copy()
+        if b is not None:
+            partials += _padded(b, (self._n_pad,), np.int32)[:, None]
         band_outputs = (
-            partials.T.reshape(self._m_bar, self._n_bar, self._w)
-            .transpose(1, 0, 2)
-            .reshape(-1)
-            .copy()
+            partials.T.reshape(m_bar, n_bar, w).transpose(1, 0, 2).reshape(-1)
         )
-        return band_outputs, y
+        return band_outputs, partials[:, -1].copy()
 
 
 def build_linear_run(

@@ -27,7 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..backends.registry import COMPILED, VECTORIZED, resolve_backend
+from ..backends.registry import VECTORIZED, resolve_backend
 from ..backends.vectorized import LinearSweepPlan, linear_total_cycles
 from ..errors import ShapeError
 from ..matrices.blocks import BlockGrid
@@ -68,13 +68,6 @@ class BlockPartitionedMatVec:
         self._sweep: Optional[LinearSweepPlan] = None
         if self._backend == VECTORIZED:
             self._sweep = LinearSweepPlan(
-                w=self._w, n=self._w, m=self._w, n_bar=1, m_bar=1,
-                useful_operations=self._w * self._w,
-            )
-        elif self._backend == COMPILED:
-            from ..compiled.lowering import lower_linear_plan
-
-            self._sweep = lower_linear_plan(
                 w=self._w, n=self._w, m=self._w, n_bar=1, m_bar=1,
                 useful_operations=self._w * self._w,
             )

@@ -35,6 +35,9 @@ Pieces:
   through the solver's plan cache (shared stages dedup to one plan),
   same-plan matvec stage pairing onto overlapped array runs, and the
   opt-in matmul→matvec associativity rewrite (``fuse=True``).
+* :mod:`~repro.graph.fusion` — the value-exact head→epilogue chain
+  rewrite into single ``fused`` stages, applied whenever the base
+  options resolve to the ``vectorized`` backend.
 * :mod:`~repro.graph.program` — :class:`PipelineProgram` (the reusable
   compiled artifact), :class:`ProgramSegment` (its level-aligned
   partition units) and :class:`PipelineResult` (per-stage solutions,

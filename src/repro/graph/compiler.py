@@ -21,12 +21,11 @@ into a :class:`~repro.graph.program.PipelineProgram`:
   accumulator term;
 * head→epilogue chains (``dense → bias → relu``, the quantized
   ``dense → dequantize → bias → relu → quantize``) collapse into single
-  ``fused`` stages via
-  :func:`repro.compiled.fusion.fuse_epilogue_chains`.  This rewrite is
-  *value-exact* (the same elementwise transforms run on the same head
-  output, in order) and applies by default when the base options
-  resolve to the ``compiled`` backend; ``fuse_epilogues=True/False``
-  forces it on or off for any backend.
+  ``fused`` stages via :func:`repro.graph.fusion.fuse_epilogue_chains`.
+  This rewrite is *value-exact* (the same elementwise transforms run on
+  the same head output, in order) and applies whenever the base options
+  resolve to the ``vectorized`` backend; ``simulate`` compilations —
+  the oracle, and the only traced path — run stage by stage.
 
 The emitted program is *partitionable*: because stages carry their
 dependency levels and resolved plans, :meth:`PipelineProgram.segments`
@@ -42,7 +41,9 @@ import copy
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..api.config import ExecutionOptions
+from ..backends.registry import VECTORIZED, resolve_backend
 from ..instrumentation import counters
+from .fusion import fuse_epilogue_chains
 from .graph import Graph, as_graph
 from .problems import MatMul, MatVec, Problem, Ref
 from .program import Binding, PipelineProgram, PipelineResult, PipelineStage
@@ -68,11 +69,6 @@ class GraphCompiler:
     pair:
         Pair independent same-plan matvec stages onto shared overlapped
         array runs (bit-identical values; on by default).
-    fuse_epilogues:
-        Collapse head→epilogue chains into single fused stages
-        (value-exact).  ``None`` (default) enables the rewrite exactly
-        when the base options resolve to the ``compiled`` backend and no
-        data-flow trace was requested; ``True``/``False`` forces it.
     options:
         Base :class:`~repro.api.config.ExecutionOptions` the stages'
         per-problem overrides merge into; defaults to the solver's own
@@ -87,13 +83,11 @@ class GraphCompiler:
         *,
         fuse: bool = False,
         pair: bool = True,
-        fuse_epilogues: Optional[bool] = None,
         options: Optional[ExecutionOptions] = None,
     ):
         self._solver = solver
         self._fuse = bool(fuse)
         self._pair = bool(pair)
-        self._fuse_epilogues = fuse_epilogues
         self._options = options
 
     @property
@@ -103,15 +97,6 @@ class GraphCompiler:
     @property
     def fuse(self) -> bool:
         return self._fuse
-
-    def _epilogues_enabled(self, base_options: ExecutionOptions) -> bool:
-        if self._fuse_epilogues is not None:
-            return self._fuse_epilogues
-        if base_options.record_trace:
-            return False  # fused epilogues never record data-flow traces
-        from ..backends.registry import COMPILED, resolve_backend
-
-        return resolve_backend(base_options.backend) == COMPILED
 
     def compile(self, graph: "Graph | Problem") -> PipelineProgram:
         """Lower a graph (or a single problem) to a pipeline program."""
@@ -124,11 +109,10 @@ class GraphCompiler:
         if self._fuse:
             graph, rewrites = _fuse_matmul_chains(graph)
         epilogues = 0
-        if self._epilogues_enabled(base_options):
-            # Lazy: the fused kind's handler registers on first use and
-            # trace-mode simulate compilations never pay the import.
-            from ..compiled.fusion import fuse_epilogue_chains
-
+        if (
+            not base_options.record_trace
+            and resolve_backend(base_options.backend) == VECTORIZED
+        ):
             graph, epilogues = fuse_epilogue_chains(graph, base_options)
         stages: List[PipelineStage] = []
         for index, node in enumerate(graph.nodes):

@@ -14,10 +14,10 @@ The rewrite is *value-exact*: every epilogue applies the identical
 elementwise computation (:class:`~repro.nn.engine.ElementwisePlan`) to
 the identical head output, in the identical order, so fused results are
 bit-for-bit equal to the unfused pipeline — unlike the opt-in
-matmul→matvec associativity rewrite, nothing is reassociated.  It is
-applied by :class:`~repro.graph.compiler.GraphCompiler` by default under
-the ``compiled`` backend and available on request for the others
-(``fuse_epilogues=True``).
+matmul→matvec associativity rewrite, nothing is reassociated.
+:class:`~repro.graph.compiler.GraphCompiler` applies it whenever the
+base options resolve to the ``vectorized`` backend; ``simulate``
+compilations run stage by stage, so the oracle path never fuses.
 
 A chain fuses only when it is *exclusively linear*:
 
@@ -33,11 +33,16 @@ A chain fuses only when it is *exclusively linear*:
   fused node, preserving the int8 datapath);
 * the value flows through each epilogue's *first* operand; a stage that
   consumes the running value anywhere else (for example as a bias
-  vector) terminates the chain before itself.
+  vector) terminates the chain before itself;
+* fusion never adds a dependency: an epilogue whose other inputs (a
+  bias vector produced by another stage, a ``.then`` edge) are not
+  already ancestors of the head terminates the chain before itself.
+  Otherwise the fused stage would wait on a branch the head runs
+  beside, serializing stages that were independent.
 
 Fused stages execute their epilogues inline, outside the cycle-level
-machinery, so they never record data-flow traces; the compiler's default
-policy therefore only fuses when no trace was requested.
+machinery, so they never record data-flow traces — which the
+``vectorized`` backend cannot record anyway.
 """
 
 from __future__ import annotations
@@ -51,9 +56,9 @@ from ..api.solution import FeedbackStats, Solution
 from ..backends.registry import SIMULATE
 from ..core.plans import MatVecPlan
 from ..errors import ShapeError
-from ..graph.graph import Graph
-from ..graph.problems import Problem, Ref, ShapeOf
 from ..nn.engine import DensePlan, ElementwisePlan
+from .graph import Graph
+from .problems import Problem, Ref, ShapeOf
 
 __all__ = [
     "EPILOGUE_KINDS",
@@ -334,6 +339,18 @@ def _clean_epilogue(node: Problem) -> bool:
     )
 
 
+def _ancestors(graph: Graph, index: int) -> set:
+    """Indices of every node that node ``index`` transitively depends on."""
+    seen: set = set()
+    stack = list(graph.dependencies(index))
+    while stack:
+        dep = stack.pop()
+        if dep not in seen:
+            seen.add(dep)
+            stack.extend(graph.dependencies(dep))
+    return seen
+
+
 def fuse_epilogue_chains(
     graph: Graph, base_options: Optional[ExecutionOptions] = None
 ) -> Tuple[Graph, int]:
@@ -367,6 +384,7 @@ def fuse_epilogue_chains(
             continue
         chain = [node]
         current = node
+        head_ancestors: Optional[set] = None
         while True:
             # The running tail may be an output or an ordering target
             # (its replacement is remapped); members *before* it cannot
@@ -387,6 +405,15 @@ def fuse_epilogue_chains(
             # chain before itself.
             if not operands or operands[0] is not ref:
                 break
+            # Every other input must already precede the head, so the
+            # fused node depends on nothing the head did not.
+            extra = set(graph.dependencies(graph.index_of(consumer)))
+            extra.discard(graph.index_of(current))
+            if extra:
+                if head_ancestors is None:
+                    head_ancestors = _ancestors(graph, graph.index_of(node))
+                if not extra <= head_ancestors:
+                    break
             chain.append(consumer)
             current = consumer
         if len(chain) >= 2:

@@ -264,10 +264,13 @@ class Graph:
     ) -> Tuple[Tuple, ...]:
         """Per-node ``(kind, shapes, w, options)`` keys, in topological order.
 
-        These are exactly the keys a :class:`~repro.api.solver.Solver` of
-        array size ``w`` with default ``options`` would compute for each
-        stage, so they double as the service routing key of the whole
-        pipeline.
+        These are the keys a :class:`~repro.api.solver.Solver` of array
+        size ``w`` with default ``options`` would compute for each node
+        solved on its own.  They are per node, not per compiled stage:
+        under ``vectorized`` options the compiler fuses head→epilogue
+        chains into single ``fused`` stages with keys of their own.  The
+        tuple depends only on the graph, so it doubles as the service
+        routing key of the whole pipeline.
         """
         from ..api.plan import make_plan_key
         from ..api.registry import get_handler

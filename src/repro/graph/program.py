@@ -205,7 +205,7 @@ class PipelineProgram:
     ``fused_rewrites`` counts matmul→matvec associativity rewrites the
     compiler applied (only under ``fuse=True``); ``fused_epilogues``
     counts head→epilogue chains collapsed into single ``fused`` stages
-    (value-exact; applied by default under the compiled backend).
+    (value-exact; applied whenever options resolve to ``vectorized``).
     """
 
     def __init__(

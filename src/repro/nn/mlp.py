@@ -211,8 +211,10 @@ class QuantizedMLP:
         Stage names per layer ``i``: ``dense_i`` (int32 accumulator),
         ``dequant_i``, ``bias_i`` (the last layer's is ``"logits"``),
         ``relu_i``, ``quant_i``; plus the entry stage ``x_q``.  A
-        3-layer network is a 14-stage graph that compiles to one
-        :class:`~repro.graph.program.PipelineProgram`.
+        3-layer network is a 14-node graph that compiles to one
+        :class:`~repro.graph.program.PipelineProgram`: 14 stages on
+        ``simulate``, 4 on ``vectorized``, where each layer's chain
+        fuses into one stage named after its last node.
         """
         x = self.mlp._check_input(x)
         node = Quantize(x, self.input_params, name="x_q")
@@ -287,22 +289,29 @@ class QuantizedMLP:
         return bounds
 
     def float_outputs(self, result) -> Dict[str, np.ndarray]:
-        """Float-domain values of every bounded stage of one pipeline run.
+        """Float-domain values of the bounded stages one pipeline run kept.
 
         Maps a :class:`~repro.graph.program.PipelineResult` of
         :meth:`graph` to arrays directly comparable against
         :meth:`error_bounds` (the ``quant_i`` codes are dequantized with
         their own parameters; stages already in the float domain pass
         through).
+
+        Every layer's last stage — ``quant_i``, and ``logits`` — is always
+        present.  ``dequant_i``, ``bias_i`` and ``relu_i`` are present when
+        the graph ran stage by stage (``backend="simulate"``); on the
+        ``vectorized`` backend they are fused into their layer's last
+        stage, leave no values of their own, and are omitted.
         """
+        kept = set(result.names)
         outputs: Dict[str, np.ndarray] = {}
         last = self.mlp.n_layers - 1
         for index in range(self.mlp.n_layers):
-            outputs[f"dequant_{index}"] = result[f"dequant_{index}"].values
             name = OUTPUT_NAME if index == last else f"bias_{index}"
-            outputs[name] = result[name].values
+            for stage in (f"dequant_{index}", name, f"relu_{index}"):
+                if stage in kept or stage == OUTPUT_NAME:
+                    outputs[stage] = result[stage].values
             if index != last:
-                outputs[f"relu_{index}"] = result[f"relu_{index}"].values
                 outputs[f"quant_{index}"] = self.activation_params[
                     index
                 ].dequantize(result[f"quant_{index}"].values)

@@ -449,7 +449,7 @@ class SolverService:
             trace = RequestTrace(
                 tracer=self._tracer,
                 root=self._tracer.start_trace(
-                    "request graph", kind="graph", stages=len(stage_keys),
+                    "request graph", kind="graph", nodes=len(stage_keys),
                     priority=priority_name(level),
                 ),
             )

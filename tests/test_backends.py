@@ -1,12 +1,12 @@
-"""Cross-backend equivalence: vectorized and compiled against the simulator.
+"""Cross-backend equivalence: the vectorized engine against the simulator.
 
-The contract of the ``vectorized`` and ``compiled`` backends is
-*bit-identical outputs and identical structural metrics* — not
-approximate agreement.  These tests sweep (shape, w, seed) grids over
-all six primary problem kinds plus the baselines, solving each instance
-on every backend and asserting exact equality of values, step counts,
-utilizations and feedback statistics (``both()`` checks the compiled
-backend inline, so every grid built on it covers all three).
+The contract of the ``vectorized`` backend is *bit-identical outputs and
+identical structural metrics* — not approximate agreement.  These tests
+sweep (shape, w, seed) grids over all six primary problem kinds plus the
+baselines, solving each instance on both backends and asserting exact
+equality of values, step counts, utilizations and feedback statistics,
+and feed the mat-vec sweep hostile operands (odd layouts, NaN/Inf,
+signed zeros, degenerate shapes, integer dtypes).
 """
 
 from __future__ import annotations
@@ -15,15 +15,9 @@ import numpy as np
 import pytest
 
 from repro.api import ArraySpec, ExecutionOptions, Solver
-from repro.backends import (
-    BackendSpec,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
+from repro.backends import available_backends, resolve_backend
 from repro.core.plans import CachedMatVec, MatVecPlan
-from repro.errors import BackendError
+from repro.errors import BackendError, ShapeError
 
 
 def solver_for(w: int, backend: str, **overrides) -> Solver:
@@ -33,28 +27,62 @@ def solver_for(w: int, backend: str, **overrides) -> Solver:
 
 
 def both(kind: str, w: int, operands, **overrides):
-    """Solve one instance on all three backends; returns (simulated, vectorized).
-
-    The compiled solution is asserted bit-identical to the vectorized
-    one inline — values, dtype, metrics, stats and feedback — so the
-    historical two-backend call sites extend the contract to the
-    compiled backend without touching their own assertions.
-    """
+    """Solve one instance on both backends; returns (simulated, vectorized)."""
     simulated = solver_for(w, "simulate", **overrides).solve(kind, *operands)
     vectorized = solver_for(w, "vectorized", **overrides).solve(kind, *operands)
-    compiled = solver_for(w, "compiled", **overrides).solve(kind, *operands)
-    assert np.array_equal(compiled.values, vectorized.values)
-    assert np.asarray(compiled.values).dtype == np.asarray(vectorized.values).dtype
-    assert compiled.measured_steps == vectorized.measured_steps
-    assert compiled.predicted_steps == vectorized.predicted_steps
-    assert compiled.measured_utilization == vectorized.measured_utilization
-    assert compiled.predicted_utilization == vectorized.predicted_utilization
-    assert compiled.stats == vectorized.stats
-    if vectorized.feedback is not None:
-        assert compiled.feedback.count == vectorized.feedback.count
-        assert compiled.feedback.min_delay == vectorized.feedback.min_delay
-        assert compiled.feedback.max_delay == vectorized.feedback.max_delay
     return simulated, vectorized
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _non_finite(rng):
+    a, x = rng.normal(size=(8, 8)), rng.normal(size=8)
+    a[1, 2], a[3, 4], a[5, 6] = np.nan, np.inf, -np.inf
+    a[0, 7], x[7] = 0.0, np.inf  # 0 * inf
+    return a, x, rng.normal(size=8)
+
+
+def _signed_zeros(rng):
+    a, x, b = rng.normal(size=(8, 8)), rng.normal(size=8), rng.normal(size=8)
+    a[2, :], a[4, :3] = -0.0, 0.0
+    x[::3] = -0.0
+    b[2] = b[4] = -0.0
+    return a, x, b
+
+
+#: Mat-vec operands the fast sweep must treat exactly like the simulator:
+#: layouts it might be tempted to use without a copy, non-finite values,
+#: signed zeros, shapes at or below the array size, integer dtypes.
+HOSTILE = {
+    "fortran": lambda rng: (
+        np.asfortranarray(rng.normal(size=(8, 8))), rng.normal(size=8),
+        rng.normal(size=8),
+    ),
+    "strided": lambda rng: (
+        rng.normal(size=(16, 16))[::2, ::2], rng.normal(size=16)[::2],
+        rng.normal(size=16)[::2],
+    ),
+    "read_only": lambda rng: _read_only(
+        rng.normal(size=(8, 8)), rng.normal(size=8), rng.normal(size=8)
+    ),
+    "nan_inf": _non_finite,
+    "signed_zero": _signed_zeros,
+    "signed_zero_no_b": lambda rng: _signed_zeros(rng)[:2],
+    "w_ge_n": lambda rng: (
+        rng.normal(size=(3, 2)), rng.normal(size=2), rng.normal(size=3)
+    ),
+    "one_by_one": lambda rng: (
+        rng.normal(size=(1, 1)), rng.normal(size=1), rng.normal(size=1)
+    ),
+    "integer": lambda rng: (
+        rng.integers(-9, 10, size=(8, 7)), rng.integers(-9, 10, size=7),
+        rng.integers(-9, 10, size=8),
+    ),
+}
 
 
 def assert_metrics_match(simulated, vectorized):
@@ -69,15 +97,23 @@ def assert_metrics_match(simulated, vectorized):
 
 class TestBackendRegistry:
     def test_backends_registered(self):
-        assert set(available_backends()) >= {"simulate", "vectorized"}
-        assert get_backend("simulate").supports_trace
-        assert not get_backend("vectorized").supports_trace
+        assert available_backends() == ("simulate", "vectorized")
 
     def test_unknown_backend_raises(self):
         with pytest.raises(BackendError):
             resolve_backend("quantum")
         with pytest.raises(BackendError):
             ExecutionOptions(backend="quantum")
+
+    def test_compiled_is_not_a_backend(self):
+        # Not an engine name: the lowered sweep kernels are the vectorized engine.
+        assert "compiled" not in available_backends()
+        with pytest.raises(BackendError):
+            resolve_backend("compiled")
+        with pytest.raises(BackendError):
+            resolve_backend("compiled", record_trace=True)
+        with pytest.raises(BackendError):
+            ExecutionOptions(backend="compiled")
 
     def test_auto_resolution_rule(self):
         assert resolve_backend("auto") == "vectorized"
@@ -90,32 +126,15 @@ class TestBackendRegistry:
         with pytest.raises(BackendError):
             MatVecPlan(6, 6, 3, record_trace=True, backend="vectorized")
 
-    def test_invalid_registration_rejected(self):
-        with pytest.raises(BackendError):
-            register_backend(BackendSpec(name="auto", description="reserved"))
-
-    def test_compiled_backend_registered(self):
-        assert "compiled" in available_backends()
-        assert not get_backend("compiled").supports_trace
-        with pytest.raises(BackendError):
-            resolve_backend("compiled", record_trace=True)
-
     def test_unknown_backend_suggests_nearest(self):
-        with pytest.raises(BackendError, match="did you mean 'compiled'"):
-            resolve_backend("compilde")
+        with pytest.raises(BackendError, match="did you mean 'simulate'"):
+            resolve_backend("simulat")
         with pytest.raises(BackendError, match="did you mean 'vectorized'"):
             ExecutionOptions(backend="vectorised")
         # A name close to nothing gets the plain listing, no suggestion.
         with pytest.raises(BackendError, match="available:") as excinfo:
             resolve_backend("quantum")
         assert "did you mean" not in str(excinfo.value)
-
-    def test_auto_does_not_resolve_to_compiled(self):
-        # Policy lock: ``auto`` stays on vectorized (or simulate under a
-        # trace) until the compiled backend is soak-proven; flipping this
-        # test is the deliberate act that changes the default.
-        assert resolve_backend("auto") == "vectorized"
-        assert resolve_backend("auto", record_trace=True) == "simulate"
 
     def test_auto_plans_use_vectorized_engine(self):
         solver = Solver(ArraySpec(w=3))  # default options: backend="auto"
@@ -161,17 +180,35 @@ class TestMatVecEquivalence:
         assert np.array_equal(vectorized.values, simulated.values)
         assert_metrics_match(simulated, vectorized)
 
+    @pytest.mark.parametrize("w", [1, 3, 4, 8])
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_hostile_inputs_match_simulator(self, case, w):
+        operands = HOSTILE[case](np.random.default_rng(w))
+        with np.errstate(invalid="ignore"):  # 0 * inf, inf - inf
+            simulated, vectorized = both("matvec", w, operands)
+        # Same bits, not just equal values: NaN payloads and signed
+        # zeros included.
+        assert vectorized.values.dtype == simulated.values.dtype
+        assert np.array_equal(
+            vectorized.values.view(np.uint64), simulated.values.view(np.uint64)
+        )
+        assert_metrics_match(simulated, vectorized)
+
+    @pytest.mark.parametrize("backend", ["simulate", "vectorized"])
+    def test_zero_row_matrix_is_a_typed_error(self, backend):
+        with pytest.raises(ShapeError, match="must be non-empty"):
+            solver_for(3, backend).solve("matvec", np.zeros((0, 3)), np.zeros(3))
+
     def test_paired_batch_matches_simulator(self, rng):
         batch = [
             (rng.normal(size=(9, 9)), rng.normal(size=9)) for _ in range(4)
         ]
         simulated = solver_for(3, "simulate").solve_batch("matvec", batch)
-        for backend in ("vectorized", "compiled"):
-            solutions = solver_for(3, backend).solve_batch("matvec", batch)
-            for sim_solution, solution in zip(simulated, solutions):
-                assert sim_solution.stats.get("paired") and solution.stats.get("paired")
-                assert np.array_equal(solution.values, sim_solution.values)
-                assert solution.measured_steps == sim_solution.measured_steps
+        solutions = solver_for(3, "vectorized").solve_batch("matvec", batch)
+        for sim_solution, solution in zip(simulated, solutions):
+            assert sim_solution.stats.get("paired") and solution.stats.get("paired")
+            assert np.array_equal(solution.values, sim_solution.values)
+            assert solution.measured_steps == sim_solution.measured_steps
 
 
 class TestMatMulEquivalence:
@@ -207,13 +244,12 @@ class TestBlockedPipelineEquivalence:
             simulated = solver_for(w, "simulate").solve(
                 "triangular", matrix, b, lower=lower
             )
-            for backend in ("vectorized", "compiled"):
-                solution = solver_for(w, backend).solve(
-                    "triangular", matrix, b, lower=lower
-                )
-                assert np.array_equal(solution.values, simulated.values)
-                assert solution.measured_steps == simulated.measured_steps
-                assert solution.stats == simulated.stats
+            solution = solver_for(w, "vectorized").solve(
+                "triangular", matrix, b, lower=lower
+            )
+            assert np.array_equal(solution.values, simulated.values)
+            assert solution.measured_steps == simulated.measured_steps
+            assert solution.stats == simulated.stats
 
     @pytest.mark.parametrize("w", [2, 3])
     @pytest.mark.parametrize("n", [4, 7])
@@ -222,12 +258,11 @@ class TestBlockedPipelineEquivalence:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(n, n)) + (n + 3) * np.eye(n)
         simulated = solver_for(w, "simulate").solve("lu", a)
-        for backend in ("vectorized", "compiled"):
-            solution = solver_for(w, backend).solve("lu", a)
-            for sim_factor, factor in zip(simulated.values, solution.values):
-                assert np.array_equal(factor, sim_factor)
-            assert solution.measured_steps == simulated.measured_steps
-            assert solution.stats == simulated.stats
+        solution = solver_for(w, "vectorized").solve("lu", a)
+        for sim_factor, factor in zip(simulated.values, solution.values):
+            assert np.array_equal(factor, sim_factor)
+        assert solution.measured_steps == simulated.measured_steps
+        assert solution.stats == simulated.stats
 
     @pytest.mark.parametrize("w", [2, 3])
     @pytest.mark.parametrize("n", [4, 6])
@@ -235,11 +270,10 @@ class TestBlockedPipelineEquivalence:
         a = rng.normal(size=(n, n)) + (2 * n) * np.eye(n)
         b = rng.normal(size=n)
         simulated = solver_for(w, "simulate").solve("gauss_seidel", a, b)
-        for backend in ("vectorized", "compiled"):
-            solution = solver_for(w, backend).solve("gauss_seidel", a, b)
-            assert np.array_equal(solution.values, simulated.values)
-            assert solution.measured_steps == simulated.measured_steps
-            assert solution.stats == simulated.stats
+        solution = solver_for(w, "vectorized").solve("gauss_seidel", a, b)
+        assert np.array_equal(solution.values, simulated.values)
+        assert solution.measured_steps == simulated.measured_steps
+        assert solution.stats == simulated.stats
 
 
 class TestSparseEquivalence:
@@ -321,14 +355,13 @@ class TestNNEquivalence:
         assert simulated.values.dtype == np.int32
         assert np.array_equal(simulated.values, expected)
         assert simulated.stats["dtype_mode"] == "int8"
-        for backend in ("vectorized", "compiled"):
-            solution = solver_for(w, backend, dtype_mode="int8").solve(
-                "dense", matrix, x, x_zero_point=zero_point
-            )
-            assert solution.values.dtype == np.int32
-            assert np.array_equal(solution.values, simulated.values)
-            assert_metrics_match(simulated, solution)
-            assert solution.stats["dtype_mode"] == "int8"
+        solution = solver_for(w, "vectorized", dtype_mode="int8").solve(
+            "dense", matrix, x, x_zero_point=zero_point
+        )
+        assert solution.values.dtype == np.int32
+        assert np.array_equal(solution.values, simulated.values)
+        assert_metrics_match(simulated, solution)
+        assert solution.stats["dtype_mode"] == "int8"
 
     @pytest.mark.parametrize("w", [2, 3])
     @pytest.mark.parametrize("n", [5, 9])
@@ -354,13 +387,10 @@ class TestNNEquivalence:
         ]
         for kind, operands, kwargs in cases:
             simulated = solver_for(w, "simulate").solve(kind, *operands, **kwargs)
-            for backend in ("vectorized", "compiled"):
-                solution = solver_for(w, backend).solve(
-                    kind, *operands, **kwargs
-                )
-                assert np.array_equal(solution.values, simulated.values), kind
-                assert solution.values.dtype == simulated.values.dtype, kind
-                assert solution.stats == simulated.stats, kind
+            solution = solver_for(w, "vectorized").solve(kind, *operands, **kwargs)
+            assert np.array_equal(solution.values, simulated.values), kind
+            assert solution.values.dtype == simulated.values.dtype, kind
+            assert solution.stats == simulated.stats, kind
 
     @pytest.mark.parametrize("w", [2, 4])
     def test_relu_preserves_integer_dtype(self, w, rng):

@@ -1,49 +1,49 @@
-"""The compiled backend: lowered kernels, kernel cache, epilogue fusion.
+"""Compiled plans: lowered sweep kernels, epilogue fusion, persistence.
 
 Three layers of contract:
 
-* **kernels** — :class:`~repro.compiled.lowering.CompiledLinearPlan`
-  must be bit-identical to the vectorized
-  :class:`~repro.backends.vectorized.LinearSweepPlan` it replaces, for
-  the float sweep and the int8 sweep alike, across a (w, shape) grid;
-* **cache** — lowering is memoized per geometry in a thread-safe LRU
-  whose stats are observable;
-* **fusion** — head→epilogue chains collapse into single fused stages
-  with values bit-identical to the unfused pipeline, and the rewrite
-  refuses every unsafe shape (multi-consumer heads, per-node options,
+* **kernels** — the sweep skeleton a ``vectorized`` plan lowers at build
+  time (:class:`~repro.backends.vectorized.LinearSweepPlan`) must
+  reproduce the ``simulate`` oracle's band-row outputs and results bit
+  for bit, for the float sweep and the int8 sweep alike, across a
+  (w, shape) grid, and it must pickle small (geometry only, no gather
+  tables);
+* **fusion** — under the ``vectorized`` backend, head→epilogue chains
+  collapse into single fused stages whose values are bit-identical to
+  the stage-by-stage ``simulate`` pipeline, and the rewrite refuses
+  every unsafe shape (multi-consumer heads, per-node options,
   intermediate outputs);
 
-plus persistence: compiled and fused plans round-trip through
+plus persistence: lowered and fused plans round-trip through
 :class:`~repro.store.PlanStore` and fail open to recompilation.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.api import ArraySpec, ExecutionOptions, Solver
 from repro.backends.vectorized import LinearSweepPlan, build_linear_run
-from repro.compiled import (
-    CompiledLinearPlan,
-    KernelCache,
-    NUMBA_AVAILABLE,
-    NUMBA_DISABLE_ENV,
-    kernel_cache,
-    lower_linear_plan,
-    numba_enabled,
-)
-from repro.compiled.fusion import Fused, fuse_epilogue_chains
+from repro.core.plans import MatVecPlan
 from repro.graph import Graph, GraphCompiler
+from repro.graph.fusion import Fused, fuse_epilogue_chains
 from repro.nn import Bias, Dense, Dequantize, Quantize, Relu
 from repro.store import PlanStore
 
 
-def compiled_solver(w: int, **overrides) -> Solver:
+def solver_for(w: int, backend: str = "vectorized", **overrides) -> Solver:
     return Solver(
         ArraySpec(w=w),
-        options=ExecutionOptions(backend="compiled", **overrides),
+        options=ExecutionOptions(backend=backend, **overrides),
     )
+
+
+def staged(graph: Graph, w: int):
+    """The oracle: ``graph`` run stage by stage on the simulator."""
+    return GraphCompiler(solver_for(w, "simulate")).compile(graph).run()
 
 
 def geometry(w: int, n: int, m: int):
@@ -53,164 +53,88 @@ def geometry(w: int, n: int, m: int):
     return n_bar, m_bar
 
 
+def simulated_run(w: int, a, x, b):
+    """``(band_outputs, y)`` of the cycle-accurate engine."""
+    solution = MatVecPlan(*a.shape, w, backend="simulate").execute(a, x, b)
+    return solution.run.y_per_problem[0], solution.y
+
+
 SHAPES = [(1, 1), (3, 5), (7, 4), (16, 16), (33, 29)]
 
 
 class TestCompiledLinearKernels:
-    """The lowered sweeps against the vectorized reference, bit for bit."""
+    """The lowered sweeps against the simulate oracle, bit for bit."""
 
     @pytest.mark.parametrize("w", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("with_b", [False, True])
     def test_float_sweep_bit_identical(self, w, shape, with_b):
         n, m = shape
-        n_bar, m_bar = geometry(w, n, m)
-        useful = n * m
-        reference = LinearSweepPlan(w, n, m, n_bar, m_bar, useful)
-        compiled = CompiledLinearPlan(w, n, m, n_bar, m_bar, useful)
+        plan = LinearSweepPlan(w, n, m, *geometry(w, n, m), n * m)
         rng = np.random.default_rng(n * 100 + m)
         a = rng.standard_normal((n, m))
         x = rng.standard_normal(m)
         b = rng.standard_normal(n) if with_b else None
-        ref_bands, ref_y = reference.sweep(a, x, b)
-        got_bands, got_y = compiled.sweep(a, x, b)
-        assert np.array_equal(got_y, ref_y)
+        ref_bands, ref_y = simulated_run(w, a, x, b)
+        got_bands, got_y = plan.sweep(a, x, b)
+        assert np.array_equal(got_y[:n], ref_y)
         assert np.array_equal(got_bands, ref_bands)
-        assert got_y.dtype == ref_y.dtype
-        assert got_bands.dtype == ref_bands.dtype
+        assert got_y.dtype == got_bands.dtype == np.float64
 
     @pytest.mark.parametrize("w", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_int_sweep_bit_identical(self, w, shape):
         n, m = shape
-        n_bar, m_bar = geometry(w, n, m)
-        reference = LinearSweepPlan(w, n, m, n_bar, m_bar, n * m)
-        compiled = CompiledLinearPlan(w, n, m, n_bar, m_bar, n * m)
+        plan = LinearSweepPlan(w, n, m, *geometry(w, n, m), n * m)
         rng = np.random.default_rng(n * 100 + m + 7)
         a = rng.integers(-128, 128, size=(n, m)).astype(np.int32)
         x = rng.integers(-128, 128, size=m).astype(np.int32)
         b = rng.integers(-1000, 1000, size=n).astype(np.int32)
         for bias in (None, b):
-            ref_bands, ref_y = reference.int_sweep(a, x, bias)
-            got_bands, got_y = compiled.int_sweep(a, x, bias)
-            assert np.array_equal(got_y, ref_y)
+            # Exact: int8-range sums stay integers far below 2^53, so the
+            # float simulation already holds the int32 accumulator values.
+            ref_bands, ref_y = simulated_run(
+                w, a.astype(float), x.astype(float),
+                None if bias is None else bias.astype(float),
+            )
+            got_bands, got_y = plan.int_sweep(a, x, bias)
+            assert np.array_equal(got_y[:n], ref_y)
             assert np.array_equal(got_bands, ref_bands)
-            assert got_y.dtype == ref_y.dtype
+            assert got_y.dtype == got_bands.dtype == np.int32
 
     def test_int_sweep_rejects_float_operands(self):
-        plan = CompiledLinearPlan(2, 4, 4, 2, 2, 16)
+        plan = LinearSweepPlan(2, 4, 4, 2, 2, 16)
         with pytest.raises(TypeError, match="integer operands"):
             plan.int_sweep(np.ones((4, 4)), np.arange(4), None)
 
     def test_structural_metrics_match_parent(self):
-        """Same geometry and metrics: build_linear_run works unchanged."""
-        reference = LinearSweepPlan(3, 7, 5, 3, 2, 35)
-        compiled = CompiledLinearPlan(3, 7, 5, 3, 2, 35)
-        assert compiled.band_rows == reference.band_rows
-        assert compiled.mac_operations == reference.mac_operations
-        assert compiled.useful_operations == reference.useful_operations
-        assert compiled.feedback_events(0) == reference.feedback_events(0)
+        """The sweep's run metrics equal its parent plan's simulated run."""
+        plan = LinearSweepPlan(3, 7, 5, 3, 2, 35)
         rng = np.random.default_rng(5)
         a = rng.standard_normal((7, 5))
         x = rng.standard_normal(5)
-        bands, _y = compiled.sweep(a, x, None)
-        run = build_linear_run(3, [compiled], [bands])
-        ref_bands, _ = reference.sweep(a, x, None)
-        ref_run = build_linear_run(3, [reference], [ref_bands])
-        assert run.total_cycles == ref_run.total_cycles
+        bands, _y = plan.sweep(a, x, None)
+        run = build_linear_run(3, [plan], [bands])
+        parent = MatVecPlan(7, 5, 3, backend="simulate").execute(a, x).run
+        assert run.total_cycles == parent.total_cycles
+        assert run.report.mac_operations == parent.report.mac_operations
+        assert run.cell_mac_counts == parent.cell_mac_counts
+        assert run.feedback_register_peak == parent.feedback_register_peak
+        assert [tuple(e) for e in run.feedback_events] == [
+            tuple(e) for e in parent.feedback_events
+        ]
 
     def test_compiled_plan_is_picklable(self):
-        import pickle
-
-        plan = lower_linear_plan(w=3, n=7, m=5, n_bar=3, m_bar=2,
-                                 useful_operations=35)
-        clone = pickle.loads(pickle.dumps(plan))
+        plan = MatVecPlan(256, 256, 4, backend="vectorized").sweep_plan
+        blob = pickle.dumps(plan)
+        # Geometry only: a (256, 256) gather table alone would be 512 KiB.
+        assert len(blob) < 4096
+        clone = pickle.loads(blob)
         rng = np.random.default_rng(9)
-        a = rng.standard_normal((7, 5))
-        x = rng.standard_normal(5)
+        a = rng.standard_normal((256, 256))
+        x = rng.standard_normal(256)
         assert np.array_equal(clone.sweep(a, x, None)[1],
                               plan.sweep(a, x, None)[1])
-
-
-class TestNumbaGating:
-    def test_numba_disable_env_vetoes(self, monkeypatch):
-        monkeypatch.setenv(NUMBA_DISABLE_ENV, "1")
-        assert not numba_enabled()
-        monkeypatch.setenv(NUMBA_DISABLE_ENV, "")
-        assert numba_enabled() == NUMBA_AVAILABLE
-
-    def test_numpy_fallback_always_works(self, monkeypatch):
-        """The pure-NumPy body must carry the full contract on its own."""
-        monkeypatch.setenv(NUMBA_DISABLE_ENV, "true")
-        plan = CompiledLinearPlan(4, 9, 9, 3, 3, 81)
-        reference = LinearSweepPlan(4, 9, 9, 3, 3, 81)
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((9, 9))
-        x = rng.standard_normal(9)
-        b = rng.standard_normal(9)
-        assert np.array_equal(plan.sweep(a, x, b)[1],
-                              reference.sweep(a, x, b)[1])
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_numba_body_matches_numpy_body(self, monkeypatch):
-        """With Numba importable, both bodies must agree bit for bit."""
-        plan = CompiledLinearPlan(4, 17, 13, 5, 4, 17 * 13)
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((17, 13))
-        x = rng.standard_normal(13)
-        b = rng.standard_normal(17)
-        monkeypatch.setenv(NUMBA_DISABLE_ENV, "1")
-        numpy_bands, numpy_y = plan.sweep(a, x, b)
-        monkeypatch.setenv(NUMBA_DISABLE_ENV, "")
-        assert numba_enabled()
-        numba_bands, numba_y = plan.sweep(a, x, b)
-        assert np.array_equal(numba_y, numpy_y)
-        assert np.array_equal(numba_bands, numpy_bands)
-
-
-class TestKernelCache:
-    def test_lowering_is_memoized_per_geometry(self):
-        first = lower_linear_plan(w=3, n=8, m=6, n_bar=3, m_bar=2,
-                                  useful_operations=48)
-        second = lower_linear_plan(w=3, n=8, m=6, n_bar=3, m_bar=2,
-                                   useful_operations=48)
-        other = lower_linear_plan(w=3, n=8, m=7, n_bar=3, m_bar=3,
-                                  useful_operations=56)
-        assert first is second
-        assert other is not first
-        assert kernel_cache.stats.hits >= 1
-
-    def test_cache_stats_and_clear(self):
-        cache = KernelCache(maxsize=2)
-        built = []
-
-        def build(tag):
-            def factory():
-                built.append(tag)
-                return object()
-            return factory
-
-        a = cache.lowered(("k", 1), build("a"))
-        assert cache.lowered(("k", 1), build("a2")) is a
-        cache.lowered(("k", 2), build("b"))
-        cache.lowered(("k", 3), build("c"))  # evicts ("k", 1)
-        stats = cache.stats
-        assert stats.hits == 1 and stats.misses == 3
-        assert stats.evictions == 1 and stats.size == 2
-        assert built == ["a", "b", "c"]
-        cache.clear()
-        assert cache.stats.size == 0
-
-    def test_hex_lowering_shares_geometry(self, rng):
-        """Two independent solvers share one lowered matmul skeleton."""
-        a = rng.standard_normal((6, 5))
-        b = rng.standard_normal((5, 4))
-        compiled_solver(2).solve("matmul", a, b)
-        hits_after_first = kernel_cache.stats.hits
-        # A fresh solver cannot hit its own plan cache, so building the
-        # same-geometry plan again must reuse the process-wide kernel.
-        compiled_solver(2).solve("matmul", a, b)
-        assert kernel_cache.stats.hits > hits_after_first
 
 
 class TestEpilogueFusion:
@@ -232,8 +156,7 @@ class TestEpilogueFusion:
 
     def test_float_chain_fuses_and_matches_unfused(self):
         W, x, b = self._operands()
-        solver = compiled_solver(4)
-        program = GraphCompiler(solver).compile(self._mlp(W, x, b))
+        program = GraphCompiler(solver_for(4)).compile(self._mlp(W, x, b))
         assert len(program.stages) == 1
         assert program.fused_epilogues == 1
         assert program.stages[0].kind == "fused"
@@ -243,22 +166,20 @@ class TestEpilogueFusion:
         assert solution.stats["fused_kinds"] == "dense+bias+relu"
         assert solution.stats["fused_stages"] == 3
 
-        unfused = GraphCompiler(solver, fuse_epilogues=False).compile(
-            self._mlp(W, x, b)
-        )
-        assert len(unfused.stages) == 3 and unfused.fused_epilogues == 0
-        assert np.array_equal(result.values, unfused.run().values)
+        unfused = staged(self._mlp(W, x, b), 4)
+        assert len(unfused.solutions) == 3 and unfused.fused_epilogues == 0
+        assert np.array_equal(result.values, unfused.values)
 
     @pytest.mark.parametrize("backend", ["simulate", "vectorized"])
     def test_fused_matches_other_backends(self, backend):
+        """The fused stage against separate solves of each member."""
         W, x, b = self._operands(1)
-        fused = GraphCompiler(compiled_solver(3)).compile(
-            self._mlp(W, x, b)
-        ).run()
-        reference = GraphCompiler(
-            Solver(ArraySpec(w=3), options=ExecutionOptions(backend=backend))
-        ).compile(self._mlp(W, x, b)).run()
-        assert np.array_equal(fused.values, reference.values)
+        fused = GraphCompiler(solver_for(3)).compile(self._mlp(W, x, b)).run()
+        solver = solver_for(3, backend)
+        y = solver.solve("dense", W, x).values
+        y = solver.solve("bias", y, b).values
+        y = solver.solve("relu", y).values
+        assert np.array_equal(fused.values, y)
 
     def test_int8_datapath_fuses_whole_chain(self):
         rng = np.random.default_rng(3)
@@ -274,7 +195,7 @@ class TestEpilogueFusion:
             )
             return Graph(out=chain)
 
-        program = GraphCompiler(compiled_solver(4)).compile(graph())
+        program = GraphCompiler(solver_for(4)).compile(graph())
         assert len(program.stages) == 1 and program.fused_epilogues == 1
         result = program.run()
         solution = result.solutions[0]
@@ -282,11 +203,8 @@ class TestEpilogueFusion:
             "dense+dequantize+bias+relu+quantize"
         )
         assert solution.stats["dtype_mode"] == "int8"
-        reference = GraphCompiler(
-            Solver(ArraySpec(w=4), options=ExecutionOptions(backend="simulate"))
-        ).compile(graph()).run()
         assert result.values.dtype == np.int8
-        assert np.array_equal(result.values, reference.values)
+        assert np.array_equal(result.values, staged(graph(), 4).values)
 
     def test_multi_consumer_head_does_not_fuse(self):
         W, x, b = self._operands(4)
@@ -295,12 +213,10 @@ class TestEpilogueFusion:
             d = Dense(W, x, name="dense")
             return Graph(a=Relu(d, name="r"), c=Bias(d, b, name="bi"))
 
-        program = GraphCompiler(compiled_solver(3)).compile(graph())
+        program = GraphCompiler(solver_for(3)).compile(graph())
         assert program.fused_epilogues == 0 and len(program.stages) == 3
         result = program.run()
-        reference = GraphCompiler(
-            Solver(ArraySpec(w=3), options=ExecutionOptions(backend="simulate"))
-        ).compile(graph()).run()
+        reference = staged(graph(), 3)
         assert np.array_equal(result.output("a"), reference.output("a"))
         assert np.array_equal(result.output("c"), reference.output("c"))
 
@@ -313,13 +229,11 @@ class TestEpilogueFusion:
             bi = Bias(d, b, name="biased")
             return Graph(mid=bi, out=Relu(bi, name="act"))
 
-        program = GraphCompiler(compiled_solver(3)).compile(graph())
+        program = GraphCompiler(solver_for(3)).compile(graph())
         # dense->bias fuses (bias is the tail *and* an output); relu stays.
         assert program.fused_epilogues == 1 and len(program.stages) == 2
         result = program.run()
-        reference = GraphCompiler(
-            Solver(ArraySpec(w=3), options=ExecutionOptions(backend="simulate"))
-        ).compile(graph()).run()
+        reference = staged(graph(), 3)
         assert np.array_equal(result.output("mid"), reference.output("mid"))
         assert np.array_equal(result.output("out"), reference.output("out"))
 
@@ -328,9 +242,9 @@ class TestEpilogueFusion:
         d = Dense(W, x, name="dense")
         bi = Bias(
             d, b, name="biased",
-            options=ExecutionOptions(backend="vectorized"),
+            options=ExecutionOptions(backend="simulate"),
         )
-        program = GraphCompiler(compiled_solver(3)).compile(
+        program = GraphCompiler(solver_for(3)).compile(
             Graph(y=Relu(bi, name="act"))
         )
         assert program.fused_epilogues == 0 and len(program.stages) == 3
@@ -338,32 +252,62 @@ class TestEpilogueFusion:
     def test_cross_chain_reference_remaps(self):
         """A bias vector produced by another fused chain's tail."""
         W, x, _b = self._operands(7)
+        W2 = np.random.default_rng(17).standard_normal((self.N, self.N))
+
+        def graph():
+            r1 = Relu(Dense(W, x, name="d1"), name="r1")
+            # r1 feeds d2 as well, so it precedes the second chain's head.
+            b2 = Bias(Dense(W2, r1, name="d2"), r1, name="b2")
+            return Graph(out=b2)
+
+        program = GraphCompiler(solver_for(3)).compile(graph())
+        assert program.fused_epilogues == 2 and len(program.stages) == 2
+        result = program.run()
+        assert np.array_equal(result.values, staged(graph(), 3).values)
+
+    def test_epilogue_on_a_parallel_branch_ends_the_chain(self):
+        """Fusion never makes a stage wait on a branch its head runs beside."""
+        W, x, _b = self._operands(12)
 
         def graph():
             r1 = Relu(Dense(W, x, name="d1"), name="r1")
             b2 = Bias(Dense(W, x, name="d2"), r1, name="b2")
-            return Graph(out=b2)
+            return Graph(b2)
 
-        program = GraphCompiler(compiled_solver(3)).compile(graph())
-        assert program.fused_epilogues == 2 and len(program.stages) == 2
-        result = program.run()
-        reference = GraphCompiler(
-            Solver(ArraySpec(w=3), options=ExecutionOptions(backend="simulate"))
-        ).compile(graph()).run()
-        assert np.array_equal(result.values, reference.values)
-
-    def test_fuse_epilogues_opt_in_for_other_backends(self):
-        W, x, b = self._operands(8)
-        solver = Solver(
-            ArraySpec(w=3), options=ExecutionOptions(backend="vectorized")
-        )
-        program = GraphCompiler(solver, fuse_epilogues=True).compile(
-            self._mlp(W, x, b)
-        )
+        program = GraphCompiler(solver_for(3)).compile(graph())
+        # d1 -> r1 fuses; d2 -> b2 would make d2 wait on r1, so it stays.
         assert program.fused_epilogues == 1
-        reference = GraphCompiler(solver).compile(self._mlp(W, x, b))
-        assert reference.fused_epilogues == 0
-        assert np.array_equal(program.run().values, reference.run().values)
+        stages = {stage.name: stage for stage in program.stages}
+        assert sorted(stages) == ["b2", "d2", "r1"]
+        assert stages["r1"].kind == "fused" and stages["d2"].kind == "dense"
+        # The fused r1 and d2 still run side by side on the first level.
+        assert stages["r1"].level == stages["d2"].level == 0
+        assert program.n_levels == 2
+        result = program.run()
+        assert np.array_equal(result.values, staged(graph(), 3).values)
+
+    def test_fusion_follows_the_resolved_backend(self):
+        """Fused whenever options resolve to vectorized; never on the oracle."""
+        W, x, b = self._operands(8)
+        fused = [
+            GraphCompiler(Solver(ArraySpec(w=3), options=options)).compile(
+                self._mlp(W, x, b)
+            )
+            for options in (
+                ExecutionOptions(),  # auto -> vectorized
+                ExecutionOptions(backend="vectorized"),
+            )
+        ]
+        assert [program.fused_epilogues for program in fused] == [1, 1]
+        for options in (
+            ExecutionOptions(backend="simulate"),
+            ExecutionOptions(record_trace=True),  # auto -> simulate
+        ):
+            program = GraphCompiler(
+                Solver(ArraySpec(w=3), options=options)
+            ).compile(self._mlp(W, x, b))
+            assert program.fused_epilogues == 0 and len(program.stages) == 3
+            assert np.array_equal(program.run().values, fused[0].run().values)
 
     def test_rewrite_returns_graph_unchanged_when_nothing_fuses(self):
         W, x, _b = self._operands(9)
@@ -385,7 +329,7 @@ class TestEpilogueFusion:
 
     def test_describe_reports_fusion(self):
         W, x, b = self._operands(11)
-        program = GraphCompiler(compiled_solver(3)).compile(self._mlp(W, x, b))
+        program = GraphCompiler(solver_for(3)).compile(self._mlp(W, x, b))
         assert "1 fused epilogue group(s)" in program.describe()
         assert "1 fused epilogue group(s)" in program.run().describe()
 
@@ -398,13 +342,13 @@ class TestCompiledPersistence:
         x = rng.standard_normal(7)
         writer = Solver(
             ArraySpec(self.W),
-            options=ExecutionOptions(backend="compiled"),
+            options=ExecutionOptions(backend="vectorized"),
             store=PlanStore(tmp_path),
         )
         first = writer.solve("matvec", a, x)
         reader = Solver(
             ArraySpec(self.W),
-            options=ExecutionOptions(backend="compiled"),
+            options=ExecutionOptions(backend="vectorized"),
             store=PlanStore(tmp_path, readonly=True),
         )
         second = reader.solve("matvec", a, x)
@@ -422,7 +366,7 @@ class TestCompiledPersistence:
 
         writer = Solver(
             ArraySpec(self.W),
-            options=ExecutionOptions(backend="compiled"),
+            options=ExecutionOptions(backend="vectorized"),
             store=PlanStore(tmp_path),
         )
         first = GraphCompiler(writer).compile(graph()).run()
@@ -430,12 +374,13 @@ class TestCompiledPersistence:
         assert any(key[0] == "fused" for key in store.keys())
         reader = Solver(
             ArraySpec(self.W),
-            options=ExecutionOptions(backend="compiled"),
+            options=ExecutionOptions(backend="vectorized"),
             store=store,
         )
         program = GraphCompiler(reader).compile(graph())
         assert program.compile_plan_builds == 0  # warm from the store
         assert np.array_equal(program.run().values, first.values)
+        assert np.array_equal(first.values, staged(graph(), self.W).values)
 
     def test_corrupt_artifact_fails_open_to_recompile(self, tmp_path, rng):
         a = rng.standard_normal((6, 6))
@@ -443,7 +388,7 @@ class TestCompiledPersistence:
         store = PlanStore(tmp_path)
         writer = Solver(
             ArraySpec(self.W),
-            options=ExecutionOptions(backend="compiled"),
+            options=ExecutionOptions(backend="vectorized"),
             store=store,
         )
         expected = writer.solve("matvec", a, x)
@@ -451,7 +396,7 @@ class TestCompiledPersistence:
             artifact.write_bytes(b"garbage")
         reader = Solver(
             ArraySpec(self.W),
-            options=ExecutionOptions(backend="compiled"),
+            options=ExecutionOptions(backend="vectorized"),
             store=PlanStore(tmp_path),
         )
         solution = reader.solve("matvec", a, x)

@@ -164,34 +164,47 @@ class TestQuantizedMLP:
     def test_three_layer_graph_is_fourteen_stages(self, rng):
         mlp = make_mlp(rng)  # 3 layers
         qmlp = mlp.quantized([rng.normal(size=mlp.input_size)])
-        program = GraphCompiler(Solver(ArraySpec(w=4))).compile(
-            qmlp.graph(rng.normal(size=mlp.input_size))
-        )
-        assert len(program.stages) == 14
-        assert program.n_levels == 14  # a pure chain: one stage per level
+        graph = qmlp.graph(rng.normal(size=mlp.input_size))
+        assert len(graph.nodes) == 14
+        program = GraphCompiler(Solver(ArraySpec(w=4))).compile(graph)
+        # The input quantize, then one fused dense->...->quantize chain
+        # per layer (the last one ends at the logits bias).
+        assert [stage.kind for stage in program.stages] == [
+            "quantize", "fused", "fused", "fused"
+        ]
+        assert program.fused_epilogues == 3
+        assert program.n_levels == 4  # a pure chain: one stage per level
 
     def test_every_layer_within_analytic_bound(self, rng):
         mlp = make_mlp(rng)
         calibration = [rng.normal(size=mlp.input_size) for _ in range(8)]
         qmlp = mlp.quantized(calibration)
-        solver = Solver(ArraySpec(w=4))
-        for x in calibration[:3]:
-            result = GraphCompiler(solver).run(qmlp.graph(x))
-            bounds = qmlp.error_bounds(x)
-            outputs = qmlp.float_outputs(result)
-            pre, post = mlp.forward_trace(x)
-            last = mlp.n_layers - 1
-            for index, (weights, _bias) in enumerate(mlp.layers):
-                h = x if index == 0 else post[index - 1]
-                reference = {
-                    f"dequant_{index}": weights @ h,
-                    ("logits" if index == last else f"bias_{index}"): pre[index],
-                }
-                if index != last:
-                    reference[f"relu_{index}"] = post[index]
-                    reference[f"quant_{index}"] = post[index]
-                for name, expected in reference.items():
-                    error = np.abs(outputs[name] - expected)
+        # The default (fused) program keeps each layer's last stage; the
+        # stage-by-stage simulator keeps every bounded stage.
+        kept = {
+            "auto": {"quant_0", "quant_1", "logits"},
+            "simulate": set(qmlp.error_bounds(calibration[0])),
+        }
+        for backend, names in kept.items():
+            solver = Solver(ArraySpec(w=4), ExecutionOptions(backend=backend))
+            for x in calibration[:3]:
+                result = GraphCompiler(solver).run(qmlp.graph(x))
+                bounds = qmlp.error_bounds(x)
+                outputs = qmlp.float_outputs(result)
+                assert set(outputs) == names, backend
+                pre, post = mlp.forward_trace(x)
+                last = mlp.n_layers - 1
+                reference = {}
+                for index, (weights, _bias) in enumerate(mlp.layers):
+                    h = x if index == 0 else post[index - 1]
+                    reference[f"dequant_{index}"] = weights @ h
+                    name = "logits" if index == last else f"bias_{index}"
+                    reference[name] = pre[index]
+                    if index != last:
+                        reference[f"relu_{index}"] = post[index]
+                        reference[f"quant_{index}"] = post[index]
+                for name, values in outputs.items():
+                    error = np.abs(values - reference[name])
                     assert np.all(error <= bounds[name] + 1e-9), name
 
     def test_warm_program_builds_zero_plans(self, rng):
@@ -200,7 +213,7 @@ class TestQuantizedMLP:
         qmlp = mlp.quantized([rng.normal(size=mlp.input_size)])
         solver = Solver(ArraySpec(w=4))
         compiler = GraphCompiler(solver)
-        # Warmup: compiles all 14 stage plans once.
+        # Warmup: compiles every stage plan once.
         warmup = compiler.run(qmlp.graph(rng.normal(size=mlp.input_size)))
         assert warmup.compile_plan_builds > 0
         # Fresh input, fresh graph, same shapes: every plan is cache-hot.
@@ -224,8 +237,11 @@ class TestQuantizedMLP:
             )
             results[backend] = GraphCompiler(solver).run(qmlp.graph(x))
         simulated, vectorized = results["simulate"], results["vectorized"]
-        assert simulated.kinds == vectorized.kinds
-        for sim, vec in zip(simulated.solutions, vectorized.solutions):
+        # The vectorized program fuses each layer's chain into one stage
+        # named after the chain's tail: every stage it keeps has a twin.
+        assert set(vectorized.names) < set(simulated.names)
+        for name in vectorized.names:
+            sim, vec = simulated[name], vectorized[name]
             assert sim.values.dtype == vec.values.dtype
             assert np.array_equal(sim.values, vec.values)
 

@@ -18,7 +18,7 @@ from repro.nn import MLP
 from repro.service import SolverService
 
 W = 4
-SIZES = (6, 8, 5, 3)  # 3 layers -> 14-stage quantized graphs
+SIZES = (6, 8, 5, 3)  # 3 layers -> 14-node quantized graphs
 N_CLIENT_INPUTS = 6
 
 
@@ -56,7 +56,7 @@ class TestServiceNN:
             cold = service.solve_graph(qmlp.graph(x))
             assert not cold.warm
             # Same shapes, fresh values: routed to the same home shard,
-            # every one of the 14 stage plans is already resident.
+            # every stage plan is already resident.
             warm_results = [
                 service.solve_graph(qmlp.graph(x2)) for x2 in inputs[1:]
             ]
@@ -72,15 +72,14 @@ class TestServiceNN:
                 service.solve_graph(qmlp.graph(x))
             stats = service.stats()
         assert stats.graphs == n_graphs
-        assert stats.graph_stages == 14 * n_graphs
+        # The 14-node graph runs as the fused program: the input quantize
+        # plus one fused dense->...->quantize chain per layer.
+        assert stats.graph_stages == 4 * n_graphs
         # The quantized MLP graph is a pure chain: depth == stage count.
-        assert stats.graph_levels == 14 * n_graphs
+        assert stats.graph_levels == 4 * n_graphs
         assert stats.graph_stages_by_kind == {
-            "quantize": 3 * n_graphs,
-            "dense": 3 * n_graphs,
-            "dequantize": 3 * n_graphs,
-            "bias": 3 * n_graphs,
-            "relu": 2 * n_graphs,
+            "quantize": n_graphs,
+            "fused": 3 * n_graphs,
         }
         assert "stage kinds:" in stats.describe()
 
