@@ -11,8 +11,8 @@ cycle-accurate simulator, but a fraction of the host work.
 Both networks compile once; the measured runs are pure warm execution
 (asserted: zero plan builds, zero transform constructions).  The cold
 (compile) vs warm build split and both throughputs are recorded in
-``BENCH_nn.json`` at the repository root (git-sha-keyed trajectory
-point; CI uploads it as an artifact).
+``BENCH_nn.json`` at the repository root when ``REPRO_BENCH_RECORD=1``
+is set (git-sha-keyed trajectory point; CI uploads it as an artifact).
 """
 
 from __future__ import annotations

@@ -22,9 +22,10 @@ deep-chain graphs overlaps across requests — the per-request execution
 spans sum to more than the wall-clock window, which is only possible if
 level k of one request ran while level k−1 of the next did.
 
-Results are recorded in ``BENCH_service.json`` at the repository root (a
-machine-readable trajectory point, keyed by git sha so re-runs update
-rather than duplicate; CI uploads it as an artifact).
+With ``REPRO_BENCH_RECORD=1`` set, results are recorded in
+``BENCH_service.json`` at the repository root (a machine-readable
+trajectory point, keyed by git sha so re-runs update rather than
+duplicate; CI uploads it as an artifact).
 """
 
 from __future__ import annotations

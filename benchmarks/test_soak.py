@@ -24,8 +24,9 @@ module asserts the serving stack's operational claims:
 
 Scale is environment-switched: the tier-1 run uses a few hundred
 requests (seconds); setting ``REPRO_SOAK_FULL=1`` runs the ~1M-request
-soak the ISSUE names (minutes — bench mode only).  Either way the
-result lands in ``BENCH_soak.json`` keyed by git sha.
+soak (minutes — bench mode only).  Either way, with
+``REPRO_BENCH_RECORD=1`` set, the result lands in ``BENCH_soak.json``
+keyed by git sha.
 """
 
 from __future__ import annotations

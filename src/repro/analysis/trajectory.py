@@ -1,26 +1,30 @@
 """Idempotent benchmark-trajectory files (``BENCH_*.json``).
 
-The benchmark suite appends one machine-readable point per run to a
+The benchmark suite can append one machine-readable point per run to a
 JSON trajectory at the repository root (CI uploads them as artifacts).
-The naive append had a drift problem: because the tier-1 suite runs the
-benchmarks too, every local re-run before a commit appended another
-near-identical point, and a commit made twice doubled the file.
+Because the tier-1 suite runs the benchmarks too, writing is opt-in:
+:func:`record_trajectory_point` writes only when the environment sets
+``REPRO_BENCH_RECORD=1``, so running the tests never modifies tracked
+files.
 
-:func:`record_trajectory_point` fixes that by keying each point on
-``(benchmark, git_sha)``: a re-run at the same commit *updates* the
-existing point in place, while a run at a new commit appends.  Outside a
-git checkout (or when git is unavailable) the sha is ``None`` and points
-at the unknown sha likewise update in place.
+Each point is keyed on ``(benchmark, git_sha)``: a re-run at the same
+commit *updates* the existing point in place, while a run at a new
+commit appends.  Outside a git checkout (or when git is unavailable) the
+sha is ``None`` and points at the unknown sha likewise update in place.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 __all__ = ["current_git_sha", "record_trajectory_point"]
+
+#: Environment variable that turns trajectory writes on (value ``"1"``).
+RECORD_ENV = "REPRO_BENCH_RECORD"
 
 
 def current_git_sha(root: "Path | str") -> Optional[str]:
@@ -60,7 +64,8 @@ def record_trajectory_point(
     is stamped automatically from the file's checkout unless the caller
     already set one.  The point replaces an existing entry with the same
     ``(benchmark, git_sha)`` key — re-runs update, they never duplicate —
-    and is appended otherwise.  Returns the full trajectory as written.
+    and is appended otherwise.  Returns the full trajectory; the file is
+    written only when ``REPRO_BENCH_RECORD=1`` is set.
     """
     path = Path(path)
     payload = dict(payload)
@@ -74,5 +79,6 @@ def record_trajectory_point(
             break
     else:
         trajectory.append(payload)
-    path.write_text(json.dumps(trajectory, indent=2) + "\n")
+    if os.environ.get(RECORD_ENV) == "1":
+        path.write_text(json.dumps(trajectory, indent=2) + "\n")
     return trajectory

@@ -112,18 +112,6 @@ class MatVecHandler(ProblemHandler):
 
     def wrap(self, plan, legacy) -> Solution:
         """Adapt a :class:`~repro.core.matvec.MatVecSolution`."""
-        # Unpaired delays are pure band geometry, so they are cached on
-        # the plan after the first solve (getattr: plans persisted before
-        # the cache slot existed deserialize without it).  Paired runs
-        # shift the second problem's schedule into the idle cycles, so
-        # their delays are computed per run, never cached.
-        feedback = None
-        if not legacy.overlapped:
-            feedback = getattr(plan.executor, "feedback_stats", None)
-        if feedback is None:
-            feedback = FeedbackStats.from_delays(legacy.feedback_delays)
-            if not legacy.overlapped and hasattr(plan.executor, "feedback_stats"):
-                plan.executor.feedback_stats = feedback
         return Solution(
             kind=self.kind,
             w=plan.spec.w,
@@ -132,7 +120,7 @@ class MatVecHandler(ProblemHandler):
             predicted_steps=legacy.predicted_steps,
             measured_utilization=legacy.measured_utilization,
             predicted_utilization=legacy.predicted_utilization,
-            feedback=feedback,
+            feedback=legacy.feedback,
             stats={"overlapped": legacy.overlapped},
             raw=legacy,
             plan_key=plan.key,
@@ -182,8 +170,7 @@ class MatMulHandler(ProblemHandler):
         )
 
     def wrap(self, plan, legacy) -> Solution:
-        classification = legacy.feedback_classification()
-        delays = list(legacy.feedback_delays.values())
+        """Adapt a :class:`~repro.core.matmul.MatMulSolution`."""
         return Solution(
             kind=self.kind,
             w=plan.spec.w,
@@ -192,13 +179,7 @@ class MatMulHandler(ProblemHandler):
             predicted_steps=legacy.predicted_steps,
             measured_utilization=legacy.measured_utilization,
             predicted_utilization=legacy.predicted_utilization,
-            feedback=FeedbackStats(
-                count=len(delays),
-                min_delay=min(delays) if delays else None,
-                max_delay=max(delays) if delays else None,
-                regular=classification.regular_count,
-                irregular=classification.irregular_count,
-            ),
+            feedback=legacy.feedback,
             raw=legacy,
             plan_key=plan.key,
         )

@@ -13,39 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from ..systolic.metrics import FeedbackStats
+
 __all__ = ["FeedbackStats", "Solution"]
-
-
-@dataclass(frozen=True)
-class FeedbackStats:
-    """Digest of the partial-result feedback traffic of one execution.
-
-    ``count`` is the number of values that re-entered the array through a
-    feedback path.  ``min_delay``/``max_delay`` bound the observed delays
-    (``None`` when nothing was fed back); for the hexagonal array,
-    ``regular``/``irregular`` split the delays per Section 3 of the paper.
-    """
-
-    count: int = 0
-    min_delay: Optional[int] = None
-    max_delay: Optional[int] = None
-    regular: Optional[int] = None
-    irregular: Optional[int] = None
-
-    @classmethod
-    def from_delays(cls, delays) -> "FeedbackStats":
-        delays = list(delays)
-        if not delays:
-            return cls()
-        return cls(count=len(delays), min_delay=min(delays), max_delay=max(delays))
-
-    def describe(self) -> str:
-        if self.count == 0:
-            return "no values fed back"
-        text = f"{self.count} values fed back, delays {self.min_delay}..{self.max_delay}"
-        if self.regular is not None and self.irregular is not None:
-            text += f" ({self.regular} regular, {self.irregular} irregular)"
-        return text
 
 
 @dataclass

@@ -29,8 +29,12 @@ Timing and utilization are not simulated either: the step counts, MAC
 counts, feedback delays and register peaks are computed from the same
 structural quantities the simulator derives them from (see
 :func:`hex_structural_metrics`), so measured metrics agree exactly across
-backends.  What the vectorized engines deliberately do *not* produce are
-the cycle-level artifacts: the output :class:`~repro.systolic.stream.DataStream`
+backends.  They depend on geometry alone, so they are computed once per
+plan — :class:`LinearRunMetrics` and :class:`HexSweepPlan` hold them, the
+:class:`~repro.systolic.metrics.FeedbackStats` digest included — and
+shared by every run.  What the vectorized engines deliberately do *not*
+produce are the cycle-level artifacts: the output
+:class:`~repro.systolic.stream.DataStream`
 is empty and no :class:`~repro.systolic.trace.DataFlowTrace` is recorded —
 request ``backend="simulate"`` for those.
 """
@@ -46,7 +50,11 @@ from ..matrices.banded import BandMatrix
 from ..matrices.padding import pad_matrix
 from ..systolic.hex_array import HexRunResult
 from ..systolic.linear_array import LinearRunResult
-from ..systolic.metrics import UtilizationReport
+from ..systolic.metrics import (
+    FeedbackStats,
+    UtilizationReport,
+    regular_delay_threshold,
+)
 from ..systolic.stream import DataStream
 
 __all__ = [
@@ -54,7 +62,7 @@ __all__ = [
     "HexSweepPlan",
     "HexStructuralMetrics",
     "hex_structural_metrics",
-    "build_linear_run",
+    "LinearRunMetrics",
     "build_banded_linear_run",
     "full_band_block_matvec",
     "full_band_block_matmul",
@@ -132,7 +140,6 @@ class LinearSweepPlan:
         self._m_pad = self._m_bar * self._w
         self._band_rows = self._n_bar * self._m_bar * self._w
         self._useful = int(useful_operations)
-        self._events_cache: Dict[int, List[Tuple[int, int, int]]] = {}
 
     # -- geometry / structural metrics ----------------------------------------
     @property
@@ -158,20 +165,18 @@ class LinearSweepPlan:
 
         Band block row ``k`` re-enters the chain output of block row
         ``k - 1`` whenever ``k mod m_bar != 0``; the register chain delay
-        is exactly ``w`` (the paper's T3 claim).
+        is exactly ``w`` (the paper's T3 claim).  Computed on every call:
+        :class:`LinearRunMetrics` keeps the list a plan's runs share.
         """
-        events = self._events_cache.get(offset)
-        if events is None:
-            alpha = _linear_alpha(self._w)
-            events = []
-            for k in range(self._n_bar * self._m_bar):
-                if k % self._m_bar == 0:
-                    continue
-                for a in range(self._w):
-                    row = k * self._w + a
-                    pop = 2 * row + alpha + offset
-                    events.append((row, pop - self._w, pop))
-            self._events_cache[offset] = events
+        alpha = _linear_alpha(self._w)
+        events = []
+        for k in range(self._n_bar * self._m_bar):
+            if k % self._m_bar == 0:
+                continue
+            for a in range(self._w):
+                row = k * self._w + a
+                pop = 2 * row + alpha + offset
+                events.append((row, pop - self._w, pop))
         return events
 
     # -- value streaming --------------------------------------------------------
@@ -258,65 +263,70 @@ class LinearSweepPlan:
         return band_outputs, partials[:, -1].copy()
 
 
-def build_linear_run(
-    w: int,
-    plans: Sequence[LinearSweepPlan],
-    outputs: Sequence[np.ndarray],
-) -> LinearRunResult:
-    """Assemble a :class:`LinearRunResult` for 1 plain or 2 overlapped sweeps.
+class LinearRunMetrics:
+    """The value-independent fields of the run of 1 plain or 2 overlapped sweeps.
 
     Problem ``p`` runs at cycle offset ``p`` (the simulator's overlapped
-    schedule); all metrics are the structural values the simulator would
-    measure.  The output stream is left empty and no trace is recorded.
+    schedule); every metric is the structural value the simulator would
+    measure, computed once — a plan builds this at plan build and
+    :meth:`result` attaches each solve's band outputs.  The report, the
+    feedback event list and :attr:`feedback` are shared by every result
+    (treat them as read-only); the output stream is left empty and no
+    trace is recorded.
     """
-    total_cycles = 0
-    mac_total = 0
-    useful = 0
-    output_count = 0
-    for offset, plan in enumerate(plans):
-        total_cycles = max(total_cycles, linear_total_cycles(w, plan.band_rows, offset))
-        mac_total += plan.mac_operations
-        useful += plan.useful_operations
-        output_count += plan.band_rows
-    if len(plans) == 1:
-        # Share the plan's memoized event list instead of copying its
-        # O(bands) tuples per solve; results treat the list as read-only.
-        events: List[Tuple[int, int, int]] = plans[0].feedback_events(0)
-    else:
-        # The simulator records feedback events in consumption-cycle
-        # order, which interleaves overlapped problems.
-        events = []
+
+    def __init__(self, w: int, plans: Sequence[LinearSweepPlan]):
+        self._w = int(w)
+        total_cycles = 0
+        mac_total = 0
+        useful = 0
+        output_count = 0
+        events: List[Tuple[int, int, int]] = []
         for offset, plan in enumerate(plans):
+            total_cycles = max(
+                total_cycles, linear_total_cycles(w, plan.band_rows, offset)
+            )
+            mac_total += plan.mac_operations
+            useful += plan.useful_operations
+            output_count += plan.band_rows
             events.extend(plan.feedback_events(offset))
-        events.sort(key=lambda event: event[2])
-    # Outputs enter the w-register chain every other cycle for one problem
-    # (ceil(w/2) simultaneously resident) and every cycle when two
-    # problems interleave.
-    if len(plans) == 1:
-        peak = min(output_count, (w + 1) // 2)
-    else:
-        peak = min(output_count, w)
-    report = UtilizationReport(
-        processing_elements=w,
-        steps=total_cycles,
-        mac_operations=mac_total,
-        useful_operations=useful,
-    )
-    y = outputs[0] if len(outputs) == 1 else np.concatenate(list(outputs))
-    return LinearRunResult(
-        size=w,
-        y=y,
-        output_stream=DataStream("y out"),
-        report=report,
-        total_cycles=total_cycles,
-        first_input_cycle=0,
-        last_output_cycle=total_cycles,
-        y_per_problem=[np.asarray(out) for out in outputs],
-        feedback_events=events,
-        feedback_register_peak=peak,
-        trace=None,
-        cell_mac_counts=[sum(p.band_rows for p in plans)] * w,
-    )
+        if len(plans) > 1:
+            # The simulator records feedback events in consumption-cycle
+            # order, which interleaves overlapped problems.
+            events.sort(key=lambda event: event[2])
+        self._total_cycles = total_cycles
+        self._events = events
+        self._cell_mac_counts = [output_count] * self._w
+        # Outputs enter the w-register chain every other cycle for one
+        # problem (ceil(w/2) simultaneously resident) and every cycle when
+        # two problems interleave.
+        self._peak = min(output_count, (w + 1) // 2 if len(plans) == 1 else w)
+        self._report = UtilizationReport(
+            processing_elements=w,
+            steps=total_cycles,
+            mac_operations=mac_total,
+            useful_operations=useful,
+        )
+        self.feedback = FeedbackStats.from_delays(
+            pop - push for _row, push, pop in events
+        )
+
+    def result(self, outputs: Sequence[np.ndarray]) -> LinearRunResult:
+        """The :class:`LinearRunResult` of one solve's per-problem band outputs."""
+        return LinearRunResult(
+            size=self._w,
+            y=outputs[0] if len(outputs) == 1 else np.concatenate(outputs),
+            output_stream=DataStream("y out"),
+            report=self._report,
+            total_cycles=self._total_cycles,
+            first_input_cycle=0,
+            last_output_cycle=self._total_cycles,
+            y_per_problem=list(outputs),
+            feedback_events=self._events,
+            feedback_register_peak=self._peak,
+            trace=None,
+            cell_mac_counts=self._cell_mac_counts,
+        )
 
 
 def build_banded_linear_run(
@@ -603,6 +613,9 @@ class HexSweepPlan:
         self._final_rows = np.array(final_rows, dtype=int)
         self._final_cols = np.array(final_cols, dtype=int)
         self._feedback_delays = feedback_delays
+        self._feedback = FeedbackStats.from_delays(
+            feedback_delays.values(), regular_threshold=regular_delay_threshold(w)
+        )
         self._band_scatter = {
             dc: (np.array(along, dtype=int), np.array(slots, dtype=int))
             for dc, (along, slots) in band_scatter.items()
@@ -640,6 +653,11 @@ class HexSweepPlan:
         """Spiral feedback delay of every non-head chain position."""
         return dict(self._feedback_delays)
 
+    @property
+    def feedback(self) -> FeedbackStats:
+        """Digest of :attr:`feedback_delays`, regular/irregular split included."""
+        return self._feedback
+
     # -- value streaming ----------------------------------------------------------
     def execute(
         self,
@@ -651,7 +669,9 @@ class HexSweepPlan:
 
         Returns the recovered dense ``C`` (original shape) and a
         :class:`HexRunResult` whose band holds the finished chain values
-        (intermediate, discarded band positions stay zero).
+        (intermediate, discarded band positions stay zero).  The result's
+        ``feedback_delays`` is the plan's own mapping, shared by every run:
+        treat it as read-only.
         """
         w = self._w
         a_vals = np.append(pad_matrix(a, w).ravel(), 0.0)
@@ -691,7 +711,7 @@ class HexSweepPlan:
             last_output_cycle=metrics.last_output_cycle,
             token_entry={},
             token_exit={},
-            feedback_delays=dict(self._feedback_delays),
+            feedback_delays=self._feedback_delays,
             cell_busy={},
         )
         return c, run

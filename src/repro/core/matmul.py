@@ -29,6 +29,7 @@ import numpy as np
 
 from ..matrices.padding import validate_array_size
 from ..systolic.hex_array import HexRunResult
+from ..systolic.metrics import FeedbackStats
 from .analytic import MatMulModel
 from .operands import MatMulOperands
 from .recovery import FeedbackClassification, PartialResultMap, classify_feedback_delays
@@ -38,7 +39,12 @@ __all__ = ["MatMulSolution", "SizeIndependentMatMul"]
 
 @dataclass
 class MatMulSolution:
-    """Result of one size-independent matrix-matrix execution."""
+    """Result of one size-independent matrix-matrix execution.
+
+    ``feedback`` digests the run's feedback delays, regular/irregular
+    split included: the vectorized engine computes it once per plan,
+    ``simulate`` measures it on every run.
+    """
 
     c: np.ndarray
     w: int
@@ -46,6 +52,7 @@ class MatMulSolution:
     placement: PartialResultMap
     run: HexRunResult
     model: MatMulModel
+    feedback: FeedbackStats
 
     @property
     def measured_steps(self) -> int:

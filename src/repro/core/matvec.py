@@ -17,29 +17,48 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from ..systolic.linear_array import LinearRunResult
+from ..systolic.metrics import FeedbackStats
 from ..systolic.trace import DataFlowTrace
 from ..matrices.padding import validate_array_size
 from .analytic import MatVecModel
 from .dbt import DBTByRowsTransform
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; plans imports this module
+    from .plans import MatVecPlan
 
 __all__ = ["MatVecSolution", "SizeIndependentMatVec"]
 
 
 @dataclass
 class MatVecSolution:
-    """Result of one size-independent matrix-vector execution."""
+    """Result of one size-independent matrix-vector execution.
+
+    ``feedback`` digests the run's feedback traffic: the vectorized engine
+    computes it once per plan, ``simulate`` measures it on every run.
+    ``plans`` are the plans that ran, one per transformed problem.
+    """
 
     y: np.ndarray
     w: int
     overlapped: bool
-    transforms: List[DBTByRowsTransform]
     run: LinearRunResult
     model: MatVecModel
+    feedback: FeedbackStats
+    plans: Sequence["MatVecPlan"]
+
+    @property
+    def transforms(self) -> List[DBTByRowsTransform]:
+        """The structural template of each transformed problem.
+
+        A vectorized plan builds its template on the first access, not
+        at plan build: its sweep never reads it.
+        """
+        return [plan.transform for plan in self.plans]
 
     @property
     def measured_steps(self) -> int:
@@ -74,9 +93,9 @@ class MatVecSolution:
             f"  utilization: measured {self.measured_utilization:.4f}, "
             f"paper formula {self.predicted_utilization:.4f}",
         ]
-        delays = self.feedback_delays
-        if delays:
-            lo, hi = min(delays), max(delays)
+        feedback = self.feedback
+        if feedback.count:
+            lo, hi = feedback.min_delay, feedback.max_delay
             if lo == hi:
                 delay_text = f"every delay = {lo} cycles" + (
                     " (= w)" if lo == self.w else ""
@@ -84,7 +103,7 @@ class MatVecSolution:
             else:
                 delay_text = f"delays {lo}..{hi} cycles (min..max)"
             lines.append(
-                f"  feedback:    {len(delays)} values fed back, {delay_text}"
+                f"  feedback:    {feedback.count} values fed back, {delay_text}"
             )
         return "\n".join(lines)
 

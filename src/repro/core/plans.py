@@ -3,31 +3,36 @@
 The paper's central property is that the DBT transformations depend only on
 the problem *shape* and the array size ``w`` — never on operand values.
 This module exploits that: a :class:`MatVecPlan` / :class:`MatMulPlan` is
-built once per ``(shape, w)`` from a zero-valued template and captures
-everything shape-determined —
+built once per ``(shape, w)`` and captures everything shape-determined.
+Executing a plan only streams values, through one of two backends, and a
+plan builds only what its resolved backend runs.
 
-* the band geometry and a vectorized *refill gather* (band diagonal
-  position -> original padded element) derived from the transform's
-  provenance map,
-* the ``x``/output stream tags and the ``y``-source skeleton (which band
-  rows start from ``b`` and which from the feedback chain),
-* for the matrix-matrix case, the partial-result placement, the spiral
-  feedback token plan and the (optional) structural verification,
-* the closed-form analytic model.
+* ``backend="vectorized"`` (the api layer's ``"auto"`` default resolves to
+  it unless a trace is requested) lowers the schedule into the
+  value-independent sweep skeletons of :mod:`repro.backends.vectorized`,
+  which replay the same multiply-accumulate order without per-cycle state
+  and produce bit-identical values and metrics.  Everything else about a
+  run — step counts, utilization report, feedback events and the
+  :class:`~repro.systolic.metrics.FeedbackStats` digest — is geometry too,
+  so it is computed at plan build and shared by every solve.
+* ``backend="simulate"`` (the default for direct construction, and the
+  oracle) streams values through the cycle-accurate simulators of
+  :mod:`repro.systolic`, from a zero-valued DBT template built at plan
+  time: the band geometry and a vectorized *refill gather* (band diagonal
+  position -> original padded element) derived from the template's
+  provenance map, the ``x``/output stream tags and the ``y``-source
+  skeleton (which band rows start from ``b`` and which from the feedback
+  chain), or for the matrix-matrix case the spiral feedback token plan.
+  It measures every metric on every run.
 
-Executing a plan only streams values, through one of two backends: the
-cycle-accurate simulators of :mod:`repro.systolic` (``backend="simulate"``,
-the default for direct construction and the oracle) or the NumPy
-diagonal-sweep engines of :mod:`repro.backends.vectorized`
-(``backend="vectorized"``; the api layer's ``"auto"`` default resolves
-to it unless a trace is requested).  A vectorized plan lowers its
-schedule once, at build time, into a value-independent sweep skeleton
-that replays the same multiply-accumulate order without per-cycle state
-and produces bit-identical values and metrics.  No
+The simulate-only template is never built by a vectorized mat-vec plan
+unless asked for: the first access to :attr:`MatVecPlan.transform`,
+:meth:`MatVecPlan.build_problem` or a solution's ``transforms`` builds it
+(once, also when threads race).  No value-bearing
 :class:`~repro.core.dbt.DBTByRowsTransform` or
-:class:`~repro.core.operands.MatMulOperands` is constructed on the
-execute path either way, which is what makes repeated same-shape solves —
-the hot path of any serving workload — cheap.
+:class:`~repro.core.operands.MatMulOperands` is constructed on the execute
+path either way, which is what makes repeated same-shape solves — the hot
+path of any serving workload — cheap.
 
 :class:`CachedMatVec` and :class:`CachedMatMul` are small engines that
 memoize one plan per operand shape; the legacy ``SizeIndependent*``
@@ -37,21 +42,23 @@ the :mod:`repro.api` façade adds the LRU-cached front door.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from ..backends.registry import SIMULATE, VECTORIZED, resolve_backend
-from ..backends.vectorized import HexSweepPlan, LinearSweepPlan, build_linear_run
-from ..errors import ShapeError
+from ..backends.vectorized import HexSweepPlan, LinearRunMetrics, LinearSweepPlan
+from ..errors import BackendError, ShapeError
 from ..instrumentation import CacheStats, counters
 from ..matrices.banded import BandMatrix
 from ..matrices.dense import as_matrix, as_vector
-from ..matrices.padding import pad_matrix, pad_vector, validate_array_size
+from ..matrices.padding import block_count, pad_matrix, pad_vector, validate_array_size
 from ..systolic.feedback import ExternalSource, FeedbackSource
 from ..systolic.hex_array import CTokenPlan, HexFeedbackSource, HexagonalArray
 from ..systolic.linear_array import LinearContraflowArray, LinearProblem
+from ..systolic.metrics import FeedbackStats, regular_delay_threshold
 from .analytic import MatMulModel, MatVecModel
 from .dbt import DBTByRowsTransform
 from .matmul import MatMulSolution
@@ -67,6 +74,8 @@ __all__ = [
     "CachedMatVec",
     "CachedMatMul",
 ]
+
+_T = TypeVar("_T")
 
 
 class _BandGather:
@@ -120,10 +129,69 @@ class _BandGather:
         return band
 
 
+class _LinearSimulation:
+    """What the cycle-accurate linear array needs to run one plan's shape.
+
+    The zero-valued DBT template, its refill gather, the ``x``/output
+    stream tags, the ``y``-source skeleton and the simulator itself.  The
+    vectorized sweep reads none of it.
+    """
+
+    def __init__(self, n: int, m: int, w: int, record_trace: bool):
+        template = DBTByRowsTransform(np.zeros((n, m)), w)
+        self.template = template
+        self.x_tags = template.x_tags()
+        self.output_tags = template.output_tags()
+        self.x_gather = np.array([tag[1] for tag in self.x_tags], dtype=int)
+        # y-source skeleton: padded b index for external rows, the (frozen,
+        # reusable) FeedbackSource for fed-back rows.
+        self.y_skeleton: List[object] = []
+        for source in template.build_y_sources(None):
+            if isinstance(source, ExternalSource):
+                self.y_skeleton.append(int(source.tag[1]))
+            else:
+                self.y_skeleton.append(source)
+        self.band_gather = _BandGather(
+            template.band_rows, template.band_cols, 0, w - 1,
+            template.provenance(),
+        )
+        self.array = LinearContraflowArray(w, record_trace=record_trace)
+        self._n = n
+        self._w = w
+
+    def problem(
+        self, matrix: np.ndarray, x: np.ndarray, b: Optional[np.ndarray]
+    ) -> LinearProblem:
+        """Stream one validated operand set into a :class:`LinearProblem`."""
+        band = self.band_gather.fill(pad_matrix(matrix, self._w))
+        x_tilde = pad_vector(x, self._w)[self.x_gather]
+        padded_b = pad_vector(b if b is not None else np.zeros(self._n), self._w)
+        y_sources: List[object] = [
+            source
+            if isinstance(source, FeedbackSource)
+            else ExternalSource(value=float(padded_b[source]), tag=("b", source))
+            for source in self.y_skeleton
+        ]
+        return LinearProblem(
+            band=band,
+            x=x_tilde,
+            y_sources=y_sources,
+            x_tags=self.x_tags,
+            output_tags=self.output_tags,
+            useful_operations=matrix.size,
+        )
+
+
 class MatVecPlan:
     """Shape-keyed execution plan for ``y = A x + b`` on the linear array.
 
-    Immutable once built; :meth:`execute` only streams operand values.
+    Immutable once built; :meth:`execute` only streams operand values.  A
+    vectorized plan holds the :class:`LinearSweepPlan` and the
+    :class:`LinearRunMetrics` (feedback digest included) that every solve
+    shares.  The zero-valued template is simulate-only state: a simulate
+    plan builds it at plan build, a vectorized one on the first access to
+    :attr:`transform`, :meth:`build_problem` or a solution's
+    ``transforms``.
     """
 
     #: Two independent same-plan problems can share one array run through
@@ -147,45 +215,52 @@ class MatVecPlan:
         self._w = validate_array_size(w)
         self._record_trace = bool(record_trace)
         self._backend = resolve_backend(backend, record_trace=self._record_trace)
-        template = DBTByRowsTransform(np.zeros((self._n, self._m)), self._w)
-        self._template = template
-        self._x_tags = template.x_tags()
-        self._output_tags = template.output_tags()
-        self._x_gather = np.array([tag[1] for tag in self._x_tags], dtype=int)
-        # y-source skeleton: padded b index for external rows, the (frozen,
-        # reusable) FeedbackSource for fed-back rows.
-        self._y_skeleton: List[object] = []
-        for source in template.build_y_sources(None):
-            if isinstance(source, ExternalSource):
-                self._y_skeleton.append(int(source.tag[1]))
-            else:
-                self._y_skeleton.append(source)
-        self._band_gather = _BandGather(
-            template.band_rows,
-            template.band_cols,
-            0,
-            self._w - 1,
-            template.provenance(),
-        )
         self._useful = self._n * self._m
         self._model = MatVecModel(n=self._n, m=self._m, w=self._w, overlapped=False)
-        self._array = LinearContraflowArray(self._w, record_trace=self._record_trace)
-        # Unpaired feedback delays are pure band geometry — identical on
-        # every plain execute of this plan — so the api handler caches
-        # the wrapped FeedbackStats here after the first solve instead
-        # of rebuilding the O(bands) delay list per request.  Paired
-        # (overlapped) runs shift the schedule and are never cached.
-        self.feedback_stats: Optional[Any] = None
+        self._lock = threading.Lock()
+        self._simulation: Optional[_LinearSimulation] = None
         self._sweep: Optional[LinearSweepPlan] = None
+        self._metrics: Optional[LinearRunMetrics] = None
+        # Built on the first execute_pair: most plans are never paired.
+        self._pair_metrics: Optional[LinearRunMetrics] = None
         if self._backend == VECTORIZED:
             self._sweep = LinearSweepPlan(
                 w=self._w,
                 n=self._n,
                 m=self._m,
-                n_bar=template.n_bar,
-                m_bar=template.m_bar,
+                n_bar=block_count(self._n, self._w),
+                m_bar=block_count(self._m, self._w),
                 useful_operations=self._useful,
             )
+            self._metrics = LinearRunMetrics(self._w, [self._sweep])
+        else:
+            self._simulation_state()  # what a simulate plan runs: build it now
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+    def _built(self, attr: str, build: Callable[[], _T]) -> _T:
+        """``self.<attr>``, built by ``build`` once, even when threads race."""
+        value = getattr(self, attr)
+        if value is None:
+            with self._lock:
+                value = getattr(self, attr)
+                if value is None:
+                    value = build()
+                    setattr(self, attr, value)
+        return value
+
+    def _simulation_state(self) -> _LinearSimulation:
+        return self._built(
+            "_simulation",
+            lambda: _LinearSimulation(self._n, self._m, self._w, self._record_trace),
+        )
 
     # -- geometry -----------------------------------------------------------------
     @property
@@ -207,8 +282,11 @@ class MatVecPlan:
 
     @property
     def transform(self) -> DBTByRowsTransform:
-        """The structural template transform (its band values are zeros)."""
-        return self._template
+        """The structural template transform (its band values are zeros).
+
+        Simulate-only state: a vectorized plan builds it on first access.
+        """
+        return self._simulation_state().template
 
     @property
     def model(self) -> MatVecModel:
@@ -221,7 +299,7 @@ class MatVecPlan:
         Exposed for engines that layer other datapaths over the same band
         geometry — the :mod:`repro.nn` int8 dense plan drives
         :meth:`~repro.backends.vectorized.LinearSweepPlan.int_sweep`
-        through it.
+        through it and hands the outputs back to :meth:`wrap_sweep`.
         """
         return self._sweep
 
@@ -255,26 +333,27 @@ class MatVecPlan:
         b: Optional[np.ndarray] = None,
     ) -> LinearProblem:
         """Stream one operand set into a ready-to-run :class:`LinearProblem`."""
-        matrix, x, b = self._validate(matrix, x, b)
-        padded = pad_matrix(matrix, self._w)
-        band = self._band_gather.fill(padded)
-        x_tilde = pad_vector(x, self._w)[self._x_gather]
-        padded_b = pad_vector(
-            b if b is not None else np.zeros(self._n), self._w
-        )
-        y_sources: List[object] = [
-            source
-            if isinstance(source, FeedbackSource)
-            else ExternalSource(value=float(padded_b[source]), tag=("b", source))
-            for source in self._y_skeleton
-        ]
-        return LinearProblem(
-            band=band,
-            x=x_tilde,
-            y_sources=y_sources,
-            x_tags=self._x_tags,
-            output_tags=self._output_tags,
-            useful_operations=self._useful,
+        return self._simulation_state().problem(*self._validate(matrix, x, b))
+
+    def wrap_sweep(
+        self, band_outputs: np.ndarray, y_padded: np.ndarray
+    ) -> MatVecSolution:
+        """The solution of one :attr:`sweep_plan` run (float or integer).
+
+        Attaches the plan's precomputed run metrics and feedback digest to
+        the sweep's outputs; vectorized plans only.
+        """
+        metrics = self._metrics
+        if metrics is None:
+            raise BackendError("wrap_sweep needs a vectorized plan")
+        return MatVecSolution(
+            y=y_padded[: self._n].copy(),
+            w=self._w,
+            overlapped=False,
+            run=metrics.result([band_outputs]),
+            model=self._model,
+            feedback=metrics.feedback,
+            plans=(self,),
         )
 
     def execute(
@@ -284,22 +363,19 @@ class MatVecPlan:
         b: Optional[np.ndarray] = None,
     ) -> MatVecSolution:
         """Solve ``y = A x + b`` through the prebuilt plan."""
+        matrix, x, b = self._validate(matrix, x, b)
         if self._sweep is not None:
-            matrix, x, b = self._validate(matrix, x, b)
-            band_outputs, y_padded = self._sweep.sweep(matrix, x, b)
-            run = build_linear_run(self._w, [self._sweep], [band_outputs])
-            y = y_padded[: self._n].copy()
-        else:
-            problem = self.build_problem(matrix, x, b)
-            run = self._array.run(problem)
-            y = self._template.recover_y(run.y_per_problem[0])
+            return self.wrap_sweep(*self._sweep.sweep(matrix, x, b))
+        simulation = self._simulation_state()
+        run = simulation.array.run(simulation.problem(matrix, x, b))
         return MatVecSolution(
-            y=y,
+            y=simulation.template.recover_y(run.y_per_problem[0]),
             w=self._w,
             overlapped=False,
-            transforms=[self._template],
             run=run,
             model=self._model,
+            feedback=FeedbackStats.from_delays(run.feedback_delays()),
+            plans=(self,),
         )
 
     def execute_pair(
@@ -315,36 +391,39 @@ class MatVecPlan:
         slots, so the pair finishes in roughly half the sequential time.
         The recovered values are identical to two plain solves.
         """
-        if self._sweep is not None:
+        sweep = self._sweep
+        if sweep is not None:
             swept = [
-                self._sweep.sweep(*self._validate(*operands))
-                for operands in (first, second)
+                sweep.sweep(*self._validate(*operands)) for operands in (first, second)
             ]
-            run = build_linear_run(
-                self._w,
-                [self._sweep, self._sweep],
-                [band_outputs for band_outputs, _y in swept],
+            metrics = self._built(
+                "_pair_metrics", lambda: LinearRunMetrics(self._w, [sweep, sweep])
             )
+            run = metrics.result([band_outputs for band_outputs, _y in swept])
             ys = [y_padded[: self._n].copy() for _outputs, y_padded in swept]
+            feedback = metrics.feedback
         else:
-            problems = [self.build_problem(*first), self.build_problem(*second)]
-            run = self._array.run_overlapped(problems)
+            simulation = self._simulation_state()
+            run = simulation.array.run_overlapped(
+                [self.build_problem(*first), self.build_problem(*second)]
+            )
             ys = [
-                self._template.recover_y(run.y_per_problem[index])
+                simulation.template.recover_y(run.y_per_problem[index])
                 for index in range(2)
             ]
-        solutions = []
-        for y in ys:
-            solutions.append(
-                MatVecSolution(
-                    y=y,
-                    w=self._w,
-                    overlapped=True,
-                    transforms=[self._template],
-                    run=run,
-                    model=self._model,
-                )
+            feedback = FeedbackStats.from_delays(run.feedback_delays())
+        solutions = [
+            MatVecSolution(
+                y=y,
+                w=self._w,
+                overlapped=True,
+                run=run,
+                model=self._model,
+                feedback=feedback,
+                plans=(self,),
             )
+            for y in ys
+        ]
         return solutions[0], solutions[1]
 
 
@@ -353,7 +432,9 @@ class OverlappedMatVecPlan:
 
     The original problem is cut at an original block-row boundary into two
     halves whose transformed problems interleave on the array's idle
-    cycles; each half gets its own :class:`MatVecPlan` skeleton.
+    cycles; each half gets its own :class:`MatVecPlan` skeleton.  Like a
+    plain plan, a vectorized one precomputes its run metrics and builds
+    the halves' templates only on demand.
     """
 
     supports_pairing = False
@@ -375,8 +456,17 @@ class OverlappedMatVecPlan:
         top = self._partition.first_rows
         self._top = MatVecPlan(top, self._m, self._w, backend=self._backend)
         self._bottom = MatVecPlan(self._n - top, self._m, self._w, backend=self._backend)
-        self._array = LinearContraflowArray(self._w, record_trace=self._record_trace)
         self._model = MatVecModel(n=self._n, m=self._m, w=self._w, overlapped=True)
+        self._array: Optional[LinearContraflowArray] = None
+        self._metrics: Optional[LinearRunMetrics] = None
+        if self._backend == VECTORIZED:
+            self._metrics = LinearRunMetrics(
+                self._w, [self._top.sweep_plan, self._bottom.sweep_plan]
+            )
+        else:
+            self._array = LinearContraflowArray(
+                self._w, record_trace=self._record_trace
+            )
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -419,58 +509,105 @@ class OverlappedMatVecPlan:
                     f"b has length {b.shape[0]} but the matrix has {self._n} rows"
                 )
         top_rows = self._partition.first_rows
-        top_b = b[:top_rows] if b is not None else None
-        bottom_b = b[top_rows:] if b is not None else None
-        if self._backend == VECTORIZED:
-            top_outputs, top_y = self._top._sweep.sweep(
-                matrix[:top_rows, :], x, top_b
+        halves = (
+            (self._top, matrix[:top_rows, :], None if b is None else b[:top_rows]),
+            (self._bottom, matrix[top_rows:, :], None if b is None else b[top_rows:]),
+        )
+        if self._metrics is not None:
+            swept = [plan.sweep_plan.sweep(a, x, b_half) for plan, a, b_half in halves]
+            run = self._metrics.result([band_outputs for band_outputs, _y in swept])
+            y = np.concatenate(
+                [
+                    y_padded[: plan.shape[0]]
+                    for (plan, _a, _b), (_outputs, y_padded) in zip(halves, swept)
+                ]
             )
-            bottom_outputs, bottom_y = self._bottom._sweep.sweep(
-                matrix[top_rows:, :], x, bottom_b
-            )
-            run = build_linear_run(
-                self._w,
-                [self._top._sweep, self._bottom._sweep],
-                [top_outputs, bottom_outputs],
+            feedback = self._metrics.feedback
+        else:
+            run = self._array.run_overlapped(
+                [plan.build_problem(a, x, b_half) for plan, a, b_half in halves]
             )
             y = np.concatenate(
-                [top_y[:top_rows], bottom_y[: self._n - top_rows]]
+                [
+                    plan.transform.recover_y(run.y_per_problem[index])
+                    for index, (plan, _a, _b) in enumerate(halves)
+                ]
             )
-            return MatVecSolution(
-                y=y,
-                w=self._w,
-                overlapped=True,
-                transforms=[self._top.transform, self._bottom.transform],
-                run=run,
-                model=self._model,
-            )
-        problems = [
-            self._top.build_problem(matrix[:top_rows, :], x, top_b),
-            self._bottom.build_problem(matrix[top_rows:, :], x, bottom_b),
-        ]
-        run = self._array.run_overlapped(problems)
-        y = np.concatenate(
-            [
-                self._top.transform.recover_y(run.y_per_problem[0]),
-                self._bottom.transform.recover_y(run.y_per_problem[1]),
-            ]
-        )
+            feedback = FeedbackStats.from_delays(run.feedback_delays())
         return MatVecSolution(
             y=y,
             w=self._w,
             overlapped=True,
-            transforms=[self._top.transform, self._bottom.transform],
             run=run,
             model=self._model,
+            feedback=feedback,
+            plans=(self._top, self._bottom),
         )
+
+
+class _HexSimulation:
+    """What the cycle-accurate hexagonal array needs to run one plan's shape.
+
+    The operand refill gathers, the spiral feedback token-plan skeleton
+    and the simulator itself.  The vectorized sweep reads none of it.
+    """
+
+    def __init__(self, operands: MatMulOperands, placement: PartialResultMap):
+        w = operands.w
+        self.array = HexagonalArray(w, w)
+        a_band = operands.a_operand.band
+        b_band = operands.b_operand.band
+        self.a_gather = _BandGather(
+            a_band.rows, a_band.cols, a_band.lower, a_band.upper,
+            operands.a_operand.provenance,
+        )
+        self.b_gather = _BandGather(
+            b_band.rows, b_band.cols, b_band.lower, b_band.upper,
+            operands.b_operand.provenance,
+        )
+        # Token-plan skeleton: the spiral feedback wiring is value
+        # independent; only the external E injections change per solve.
+        feedback: Dict[Tuple[int, int], object] = {}
+        externals: List[Tuple[Tuple[int, int], int, int]] = []
+        for (alpha, gamma), chain in placement.chains.items():
+            first = chain.positions[0]
+            externals.append((first, alpha, gamma))
+            previous = first
+            for position in chain.positions[1:]:
+                feedback[position] = HexFeedbackSource(
+                    source_row=previous[0],
+                    source_col=previous[1],
+                    tag=("c", alpha, gamma),
+                )
+                previous = position
+        self.feedback_sources = feedback
+        self.external_slots = externals
+
+    def token_plan(self, e: Optional[np.ndarray]) -> CTokenPlan:
+        """The C-token plan of one solve: the skeleton plus ``E``'s injections."""
+        plan = CTokenPlan(sources=dict(self.feedback_sources))
+        if e is not None:
+            n, m = e.shape
+            for first, alpha, gamma in self.external_slots:
+                if alpha < n and gamma < m:
+                    value = float(e[alpha, gamma])
+                    if value != 0.0:
+                        plan.sources[first] = ExternalSource(
+                            value=value, tag=("e", alpha, gamma)
+                        )
+        return plan
 
 
 class MatMulPlan:
     """Shape-keyed execution plan for ``C = A B + E`` on the hexagonal array.
 
-    Captures the operand band geometry, the partial-result placement, the
-    spiral feedback token plan and (optionally, at *plan* time — structure
-    is all that matters) the DBT structural verification.
+    Captures the zero-valued operand bands, the partial-result placement
+    and (optionally, at *plan* time — structure is all that matters) the
+    DBT structural verification; every solution refers to them.  A
+    vectorized plan adds the :class:`HexSweepPlan`, whose run metrics and
+    feedback digest every solve shares.  The operand refill gathers and
+    the spiral feedback token plan are simulate-only state, built only by
+    simulate plans.
     """
 
     def __init__(
@@ -499,40 +636,15 @@ class MatMulPlan:
             if not operands.inner_origins_consistent():
                 raise ShapeError("operand bands pair inconsistent inner indices")
         self._operands = operands
-        self._array = HexagonalArray(self._w, self._w)
-        self._placement = PartialResultMap(operands, self._array)
-        a_band = operands.a_operand.band
-        b_band = operands.b_operand.band
-        self._a_gather = _BandGather(
-            a_band.rows, a_band.cols, a_band.lower, a_band.upper,
-            operands.a_operand.provenance,
-        )
-        self._b_gather = _BandGather(
-            b_band.rows, b_band.cols, b_band.lower, b_band.upper,
-            operands.b_operand.provenance,
-        )
-        # Token-plan skeleton: the spiral feedback wiring is value
-        # independent; only the external E injections change per solve.
-        feedback: Dict[Tuple[int, int], object] = {}
-        externals: List[Tuple[Tuple[int, int], int, int]] = []
-        for (alpha, gamma), chain in self._placement.chains.items():
-            first = chain.positions[0]
-            externals.append((first, alpha, gamma))
-            previous = first
-            for position in chain.positions[1:]:
-                feedback[position] = HexFeedbackSource(
-                    source_row=previous[0],
-                    source_col=previous[1],
-                    tag=("c", alpha, gamma),
-                )
-                previous = position
-        self._feedback_sources = feedback
-        self._external_slots = externals
+        self._placement = PartialResultMap(operands)
         self._useful = self._n * self._p * self._m
         self._model = MatMulModel(n=self._n, p=self._p, m=self._m, w=self._w)
         self._hex_sweep: Optional[HexSweepPlan] = None
+        self._simulation: Optional[_HexSimulation] = None
         if self._backend == VECTORIZED:
             self._hex_sweep = HexSweepPlan(operands, self._placement, self._useful)
+        else:
+            self._simulation = _HexSimulation(operands, self._placement)
 
     # -- geometry -----------------------------------------------------------------
     @property
@@ -588,30 +700,20 @@ class MatMulPlan:
 
         if self._hex_sweep is not None:
             c, run = self._hex_sweep.execute(a, b, e)
-            return MatMulSolution(
-                c=c,
-                w=self._w,
-                operands=self._operands,
-                placement=self._placement,
-                run=run,
-                model=self._model,
+            feedback = self._hex_sweep.feedback
+        else:
+            simulation = self._simulation
+            run = simulation.array.run(
+                simulation.a_gather.fill(pad_matrix(a, self._w)),
+                simulation.b_gather.fill(pad_matrix(b, self._w)),
+                c_plan=simulation.token_plan(e),
+                useful_operations=self._useful,
             )
-
-        a_band = self._a_gather.fill(pad_matrix(a, self._w))
-        b_band = self._b_gather.fill(pad_matrix(b, self._w))
-        plan = CTokenPlan(sources=dict(self._feedback_sources))
-        if e is not None:
-            for first, alpha, gamma in self._external_slots:
-                if alpha < self._n and gamma < self._m:
-                    value = float(e[alpha, gamma])
-                    if value != 0.0:
-                        plan.sources[first] = ExternalSource(
-                            value=value, tag=("e", alpha, gamma)
-                        )
-        run = self._array.run(
-            a_band, b_band, c_plan=plan, useful_operations=self._useful
-        )
-        c = self._placement.recover_c(run.c_band)
+            c = self._placement.recover_c(run.c_band)
+            feedback = FeedbackStats.from_delays(
+                run.feedback_delays.values(),
+                regular_threshold=regular_delay_threshold(self._w),
+            )
         return MatMulSolution(
             c=c,
             w=self._w,
@@ -619,6 +721,7 @@ class MatMulPlan:
             placement=self._placement,
             run=run,
             model=self._model,
+            feedback=feedback,
         )
 
 

@@ -39,6 +39,7 @@ from ..errors import RecoveryError
 from ..matrices.banded import BandMatrix
 from ..systolic.feedback import ExternalSource
 from ..systolic.hex_array import CTokenPlan, HexFeedbackSource, HexagonalArray
+from ..systolic.metrics import regular_delay_threshold
 from .operands import MatMulOperands
 
 __all__ = [
@@ -242,15 +243,14 @@ def classify_feedback_delays(
     ``delays`` maps destination band positions to measured delays (from
     :class:`~repro.systolic.hex_array.HexRunResult`); ``targets`` maps the
     same positions to the ``C`` element they accumulate.  A delay is
-    *regular* when it is at most ``3w`` — with the ``t = i + j + k``
-    schedule used by the simulator, partial results of adjacent band blocks
-    re-enter the array after ``2w + |d|`` cycles for a diagonal offset
-    ``d`` of magnitude less than ``w`` — and *irregular* otherwise.  The
+    *regular* when it is at most
+    :func:`~repro.systolic.metrics.regular_delay_threshold` (``3w``) and
+    *irregular* otherwise.  The
     irregular entries keep the target element so that callers can confirm
     they all belong to the first or last original block row, as the paper
     states.
     """
-    regular_threshold = 3 * w
+    regular_threshold = regular_delay_threshold(w)
     regular: Dict[int, int] = {}
     irregular: List[Tuple[Tuple[int, int], int]] = []
     for position, delay in delays.items():

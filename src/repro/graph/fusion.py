@@ -52,7 +52,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.config import ArraySpec, ExecutionOptions
 from ..api.registry import ProblemHandler, register
-from ..api.solution import FeedbackStats, Solution
+from ..api.solution import Solution
 from ..backends.registry import SIMULATE
 from ..core.plans import MatVecPlan
 from ..errors import ShapeError
@@ -189,10 +189,6 @@ class FusedPlan:
             for kind, shape in stages[1:]
         )
         self._dtype_mode = dtype_mode
-        #: Cached FeedbackStats, filled by the handler after first execute
-        #: (pure band geometry, identical every run) — same contract as
-        #: DensePlan.feedback_stats.
-        self.feedback_stats: Optional[Any] = None
 
     @property
     def kinds(self) -> Tuple[str, ...]:
@@ -290,10 +286,6 @@ class FusedHandler(ProblemHandler):
 
     def execute(self, plan, *operands, **kwargs) -> Solution:
         legacy, values = plan.executor.execute(*operands, **kwargs)
-        feedback = plan.executor.feedback_stats
-        if feedback is None:
-            feedback = FeedbackStats.from_delays(legacy.feedback_delays)
-            plan.executor.feedback_stats = feedback
         kinds = plan.executor.kinds
         return Solution(
             kind=self.kind,
@@ -303,7 +295,7 @@ class FusedHandler(ProblemHandler):
             predicted_steps=legacy.predicted_steps,
             measured_utilization=legacy.measured_utilization,
             predicted_utilization=legacy.predicted_utilization,
-            feedback=feedback,
+            feedback=legacy.feedback,
             stats={
                 "fused_kinds": "+".join(kinds),
                 "fused_stages": len(kinds),

@@ -21,12 +21,12 @@ compiler additionally collapses whole head→epilogue chains into single
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+import dataclasses
+from typing import Tuple
 
 import numpy as np
 
 from ..backends.registry import SIMULATE, resolve_backend
-from ..backends.vectorized import build_linear_run
 from ..core.matvec import MatVecSolution
 from ..core.plans import MatVecPlan
 from ..errors import ShapeError
@@ -74,11 +74,6 @@ class DensePlan:
         self._m = int(m)
         self._w = self._inner.w
         self._dtype_mode = dtype_mode
-        # Feedback delays are pure band geometry — identical on every
-        # execute of this plan — so the api handler caches the wrapped
-        # FeedbackStats here after the first solve instead of rebuilding
-        # the O(bands) delay list per request.
-        self.feedback_stats: Optional[Any] = None
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -120,28 +115,16 @@ class DensePlan:
             x_shifted = x.astype(np.int32) - np.int32(zero_point)
             sweep = self._inner.sweep_plan
             if sweep is not None:
-                band_outputs, y_padded = sweep.int_sweep(
-                    matrix, x_shifted, None
+                return self._inner.wrap_sweep(
+                    *sweep.int_sweep(matrix, x_shifted, None)
                 )
-                run = build_linear_run(self._w, [sweep], [band_outputs])
-                y = y_padded[: self._n].copy()
-            else:
-                legacy = self._inner.execute(
-                    matrix.astype(float), x_shifted.astype(float), None
-                )
-                # Exact: int8-range products summed over m stay integers
-                # below 2^53, so the float simulation is already the int32
-                # accumulator's value.
-                run = legacy.run
-                y = legacy.y.astype(np.int32)
-            return MatVecSolution(
-                y=y,
-                w=self._w,
-                overlapped=False,
-                transforms=[self._inner.transform],
-                run=run,
-                model=self._inner.model,
+            legacy = self._inner.execute(
+                matrix.astype(float), x_shifted.astype(float), None
             )
+            # Exact: int8-range products summed over m stay integers below
+            # 2^53, so the float simulation is already the int32
+            # accumulator's value.
+            return dataclasses.replace(legacy, y=legacy.y.astype(np.int32))
         matrix = np.asarray(matrix, dtype=float)
         x_shifted = np.asarray(x, dtype=float) - float(zero_point)
         return self._inner.execute(matrix, x_shifted, None)

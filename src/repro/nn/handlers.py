@@ -16,7 +16,7 @@ import numpy as np
 
 from ..api.config import ArraySpec, ExecutionOptions
 from ..api.registry import ProblemHandler, register
-from ..api.solution import FeedbackStats, Solution
+from ..api.solution import Solution
 from ..errors import ShapeError
 from .engine import DensePlan, ElementwisePlan
 
@@ -72,10 +72,6 @@ class DenseHandler(ProblemHandler):
         )
 
     def wrap(self, plan, legacy) -> Solution:
-        feedback = plan.executor.feedback_stats
-        if feedback is None:
-            feedback = FeedbackStats.from_delays(legacy.feedback_delays)
-            plan.executor.feedback_stats = feedback
         return Solution(
             kind=self.kind,
             w=plan.spec.w,
@@ -84,7 +80,7 @@ class DenseHandler(ProblemHandler):
             predicted_steps=legacy.predicted_steps,
             measured_utilization=legacy.measured_utilization,
             predicted_utilization=legacy.predicted_utilization,
-            feedback=feedback,
+            feedback=legacy.feedback,
             stats={"dtype_mode": plan.executor.dtype_mode},
             raw=legacy,
             plan_key=plan.key,

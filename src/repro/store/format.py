@@ -49,8 +49,10 @@ MAGIC = b"RPROPLAN"
 
 #: Bump on any incompatible payload change.  Readers reject every other
 #: version (newer *or* older) — a version skew is a recompile, never a
-#: best-effort parse of bytes written by different code.
-FORMAT_VERSION = 2
+#: best-effort parse of bytes written by different code.  Version 3:
+#: vectorized plans carry their precomputed run metrics and feedback
+#: digest, and no simulate-only template.
+FORMAT_VERSION = 3
 
 _VERSION_STRUCT = struct.Struct(">I")
 _CHECKSUM_SIZE = 16

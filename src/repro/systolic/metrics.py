@@ -6,15 +6,21 @@ of operations required by the algorithm, ``A`` the number of processing
 elements and ``T`` the number of steps the array needs (Section 1).  The
 simulators report their measurements through :class:`UtilizationReport`
 objects so that benchmarks can compare measured values against the paper's
-closed forms without re-deriving anything.
+closed forms without re-deriving anything; :class:`FeedbackStats` digests
+the partial-result feedback traffic of one execution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
-__all__ = ["UtilizationReport", "utilization"]
+__all__ = [
+    "FeedbackStats",
+    "UtilizationReport",
+    "regular_delay_threshold",
+    "utilization",
+]
 
 
 def utilization(operations: int, processing_elements: int, steps: int) -> float:
@@ -90,4 +96,64 @@ class UtilizationReport:
         )
         if self.useful_operations is not None:
             text += f", effective_utilization={self.effective_utilization:.4f}"
+        return text
+
+
+def regular_delay_threshold(w: int) -> int:
+    """Largest spiral feedback delay the constant-size register file serves.
+
+    With the ``t = i + j + k`` schedule, partial results of adjacent band
+    blocks re-enter the ``w x w`` hexagonal array after ``2w + |d|``
+    cycles for a diagonal offset ``|d| < w``, so every delay up to ``3w``
+    is *regular*; longer ones are the paper's irregular delays (Section 3).
+    """
+    return 3 * w
+
+
+@dataclass(frozen=True)
+class FeedbackStats:
+    """Digest of the partial-result feedback traffic of one execution.
+
+    ``count`` is the number of values that re-entered the array through a
+    feedback path.  ``min_delay``/``max_delay`` bound the observed delays
+    (``None`` when nothing was fed back); for the hexagonal array,
+    ``regular``/``irregular`` split the delays per Section 3 of the paper.
+    """
+
+    count: int = 0
+    min_delay: Optional[int] = None
+    max_delay: Optional[int] = None
+    regular: Optional[int] = None
+    irregular: Optional[int] = None
+
+    @classmethod
+    def from_delays(
+        cls, delays: Iterable[int], regular_threshold: Optional[int] = None
+    ) -> "FeedbackStats":
+        """Digest a sequence of delays.
+
+        With ``regular_threshold`` (the hexagonal array's
+        :func:`regular_delay_threshold`), delays at most the threshold
+        count as regular and the rest as irregular; the split needs only
+        the delay values.
+        """
+        delays = list(delays)
+        regular: Optional[int] = None
+        irregular: Optional[int] = None
+        if regular_threshold is not None:
+            regular = sum(1 for delay in delays if delay <= regular_threshold)
+            irregular = len(delays) - regular
+        if not delays:
+            return cls(regular=regular, irregular=irregular)
+        return cls(
+            count=len(delays), min_delay=min(delays), max_delay=max(delays),
+            regular=regular, irregular=irregular,
+        )
+
+    def describe(self) -> str:
+        if self.count == 0:
+            return "no values fed back"
+        text = f"{self.count} values fed back, delays {self.min_delay}..{self.max_delay}"
+        if self.regular is not None and self.irregular is not None:
+            text += f" ({self.regular} regular, {self.irregular} irregular)"
         return text

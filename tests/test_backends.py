@@ -11,6 +11,9 @@ signed zeros, degenerate shapes, integer dtypes).
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,8 @@ from repro.api import ArraySpec, ExecutionOptions, Solver
 from repro.backends import available_backends, resolve_backend
 from repro.core.plans import CachedMatVec, MatVecPlan
 from repro.errors import BackendError, ShapeError
+from repro.instrumentation import counters
+from repro.systolic.linear_array import LinearContraflowArray
 
 
 def solver_for(w: int, backend: str, **overrides) -> Solver:
@@ -31,6 +36,18 @@ def both(kind: str, w: int, operands, **overrides):
     simulated = solver_for(w, "simulate", **overrides).solve(kind, *operands)
     vectorized = solver_for(w, "vectorized", **overrides).solve(kind, *operands)
     return simulated, vectorized
+
+
+def cold_and_warm(kind: str, w: int, operands, **overrides):
+    """The simulated solution and a cold then a warm vectorized one.
+
+    The warm solve reuses the plan, so a value the plan computed once at
+    build (run metrics, feedback digest) is checked against the oracle
+    on a solve that did not build it.
+    """
+    simulated = solver_for(w, "simulate", **overrides).solve(kind, *operands)
+    solver = solver_for(w, "vectorized", **overrides)
+    return simulated, [solver.solve(kind, *operands) for _ in range(2)]
 
 
 def _read_only(*arrays):
@@ -90,9 +107,8 @@ def assert_metrics_match(simulated, vectorized):
     assert vectorized.predicted_steps == simulated.predicted_steps
     assert vectorized.measured_utilization == simulated.measured_utilization
     assert vectorized.predicted_utilization == simulated.predicted_utilization
-    assert vectorized.feedback.count == simulated.feedback.count
-    assert vectorized.feedback.min_delay == simulated.feedback.min_delay
-    assert vectorized.feedback.max_delay == simulated.feedback.max_delay
+    # count, min/max delay and (mat-mul) the regular/irregular split
+    assert vectorized.feedback == simulated.feedback
 
 
 class TestBackendRegistry:
@@ -166,9 +182,10 @@ class TestMatVecEquivalence:
         x = rng.normal(size=m)
         b = rng.normal(size=n) if seed % 2 == 0 else None
         operands = (a, x, b) if b is not None else (a, x)
-        simulated, vectorized = both("matvec", w, operands)
-        assert np.array_equal(vectorized.values, simulated.values)
-        assert_metrics_match(simulated, vectorized)
+        simulated, solutions = cold_and_warm("matvec", w, operands)
+        for vectorized in solutions:
+            assert np.array_equal(vectorized.values, simulated.values)
+            assert_metrics_match(simulated, vectorized)
 
     @pytest.mark.parametrize("w", [2, 3, 4])
     @pytest.mark.parametrize("n", [8, 11])
@@ -176,23 +193,28 @@ class TestMatVecEquivalence:
         a = rng.normal(size=(n, n))
         x = rng.normal(size=n)
         b = rng.normal(size=n)
-        simulated, vectorized = both("matvec", w, (a, x, b), overlapped=True)
-        assert np.array_equal(vectorized.values, simulated.values)
-        assert_metrics_match(simulated, vectorized)
+        simulated, solutions = cold_and_warm(
+            "matvec", w, (a, x, b), overlapped=True
+        )
+        for vectorized in solutions:
+            assert np.array_equal(vectorized.values, simulated.values)
+            assert_metrics_match(simulated, vectorized)
 
     @pytest.mark.parametrize("w", [1, 3, 4, 8])
     @pytest.mark.parametrize("case", sorted(HOSTILE))
     def test_hostile_inputs_match_simulator(self, case, w):
         operands = HOSTILE[case](np.random.default_rng(w))
         with np.errstate(invalid="ignore"):  # 0 * inf, inf - inf
-            simulated, vectorized = both("matvec", w, operands)
-        # Same bits, not just equal values: NaN payloads and signed
-        # zeros included.
-        assert vectorized.values.dtype == simulated.values.dtype
-        assert np.array_equal(
-            vectorized.values.view(np.uint64), simulated.values.view(np.uint64)
-        )
-        assert_metrics_match(simulated, vectorized)
+            simulated, solutions = cold_and_warm("matvec", w, operands)
+        for vectorized in solutions:
+            # Same bits, not just equal values: NaN payloads and signed
+            # zeros included.
+            assert vectorized.values.dtype == simulated.values.dtype
+            assert np.array_equal(
+                vectorized.values.view(np.uint64),
+                simulated.values.view(np.uint64),
+            )
+            assert_metrics_match(simulated, vectorized)
 
     @pytest.mark.parametrize("backend", ["simulate", "vectorized"])
     def test_zero_row_matrix_is_a_typed_error(self, backend):
@@ -204,11 +226,15 @@ class TestMatVecEquivalence:
             (rng.normal(size=(9, 9)), rng.normal(size=9)) for _ in range(4)
         ]
         simulated = solver_for(3, "simulate").solve_batch("matvec", batch)
-        solutions = solver_for(3, "vectorized").solve_batch("matvec", batch)
-        for sim_solution, solution in zip(simulated, solutions):
-            assert sim_solution.stats.get("paired") and solution.stats.get("paired")
-            assert np.array_equal(solution.values, sim_solution.values)
-            assert solution.measured_steps == sim_solution.measured_steps
+        solver = solver_for(3, "vectorized")
+        for _cold_then_warm in range(2):
+            solutions = solver.solve_batch("matvec", batch)
+            for sim_solution, solution in zip(simulated, solutions):
+                assert sim_solution.stats.get("paired")
+                assert solution.stats.get("paired")
+                assert np.array_equal(solution.values, sim_solution.values)
+                assert solution.measured_steps == sim_solution.measured_steps
+                assert solution.feedback == sim_solution.feedback
 
 
 class TestMatMulEquivalence:
@@ -222,11 +248,150 @@ class TestMatMulEquivalence:
         b = rng.normal(size=(p, m))
         e = rng.normal(size=(n, m)) if seed % 2 == 0 else None
         operands = (a, b, e) if e is not None else (a, b)
-        simulated, vectorized = both("matmul", w, operands)
-        assert np.array_equal(vectorized.values, simulated.values)
-        assert_metrics_match(simulated, vectorized)
-        assert vectorized.feedback.regular == simulated.feedback.regular
-        assert vectorized.feedback.irregular == simulated.feedback.irregular
+        simulated, solutions = cold_and_warm("matmul", w, operands)
+        # The digest's split is the paper's regular/irregular classification.
+        classification = simulated.raw.feedback_classification()
+        assert (simulated.feedback.regular, simulated.feedback.irregular) == (
+            classification.regular_count, classification.irregular_count
+        )
+        for vectorized in solutions:
+            assert np.array_equal(vectorized.values, simulated.values)
+            assert_metrics_match(simulated, vectorized)
+
+
+def _race(threads: int, fn):
+    """``fn()`` called from ``threads`` threads released together.
+
+    A tiny switch interval makes the threads interleave inside ``fn``.
+    """
+    barrier = threading.Barrier(threads)
+    results = [None] * threads
+    errors = []
+
+    def run(index):
+        barrier.wait()
+        try:
+            results[index] = fn()
+        except Exception as exc:  # re-raised below, on the test's thread
+            errors.append(exc)
+
+    workers = [
+        threading.Thread(target=run, args=(index,)) for index in range(threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _geometry(transform):
+    """Everything structural a DBT template carries."""
+    return (
+        transform.original_shape, transform.n_bar, transform.m_bar,
+        transform.band_rows, transform.band_cols, transform.band,
+        transform.provenance(), transform.x_tags(), transform.output_tags(),
+    )
+
+
+class TestGeometryOncePerPlan:
+    """Vectorized plans compute geometry at build and build no template."""
+
+    def test_vectorized_matvec_solves_build_no_transform(self, rng):
+        a, x, b = rng.normal(size=(10, 9)), rng.normal(size=9), rng.normal(size=10)
+        codes = rng.integers(-128, 128, size=(10, 9)).astype(np.int8)
+        code_x = rng.integers(-128, 128, size=9).astype(np.int8)
+        overlapped = ExecutionOptions(backend="vectorized", overlapped=True)
+        int8 = ExecutionOptions(backend="vectorized", dtype_mode="int8")
+        before = counters.snapshot()
+        solver = solver_for(4, "vectorized")
+        solver.plan("matvec", shape=(10, 9))
+        for _cold_then_warm in range(2):
+            solver.solve("matvec", a, x, b)
+            solver.solve("matvec", a, x, b, options=overlapped)
+            paired = solver.solve_batch("matvec", [(a, x), (a, x, b)])
+            solver.solve("dense", codes, code_x, x_zero_point=3, options=int8)
+        delta = counters.delta(before)
+        assert all(solution.stats.get("paired") for solution in paired)
+        assert delta.plan_builds == 3  # plain, overlapped, int8 dense
+        assert delta.transform_constructions == 0
+
+    def test_vectorized_matmul_never_classifies(self, rng, monkeypatch):
+        a, b = rng.normal(size=(9, 7)), rng.normal(size=(7, 10))
+        expected = solver_for(3, "simulate").solve("matmul", a, b).feedback
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a vectorized solve classified its delays")
+
+        monkeypatch.setattr("repro.core.recovery.classify_feedback_delays", refuse)
+        monkeypatch.setattr("repro.core.matmul.classify_feedback_delays", refuse)
+        solver = solver_for(3, "vectorized")
+        cold = solver.solve("matmul", a, b)
+        before = counters.snapshot()
+        warm = solver.solve("matmul", a, b)
+        assert counters.delta(before).transform_constructions == 0
+        assert expected.regular + expected.irregular == expected.count > 0
+        assert cold.feedback == warm.feedback == expected
+
+
+class TestLazyTemplate:
+    """The simulate-only template of a vectorized plan is built on demand.
+
+    Its geometry must equal the simulate plan's, and threads racing the
+    first access must all get the one template built once.
+    """
+
+    SHAPE = (40, 36)
+    W = 4
+
+    def test_plan_transform_matches_simulate_under_a_race(self):
+        reference = MatVecPlan(*self.SHAPE, self.W, backend="simulate").transform
+        plan = MatVecPlan(*self.SHAPE, self.W, backend="vectorized")
+        before = counters.snapshot()
+        templates = _race(8, lambda: plan.transform)
+        assert counters.delta(before).transform_constructions == 1
+        assert all(template is templates[0] for template in templates)
+        assert _geometry(templates[0]) == _geometry(reference)
+        assert not templates[0].band.to_dense().any()
+
+    @pytest.mark.parametrize("overlapped", [False, True])
+    def test_solution_transforms_match_simulate_under_a_race(
+        self, overlapped, rng
+    ):
+        a, x = rng.normal(size=self.SHAPE), rng.normal(size=self.SHAPE[1])
+        options = {"overlapped": overlapped}
+        reference = solver_for(self.W, "simulate", **options).solve(
+            "matvec", a, x
+        ).raw.transforms
+        solution = solver_for(self.W, "vectorized", **options).solve(
+            "matvec", a, x
+        )
+        before = counters.snapshot()
+        results = _race(8, lambda: solution.raw.transforms)
+        assert counters.delta(before).transform_constructions == len(reference)
+        for transforms in results:
+            assert [id(t) for t in transforms] == [id(t) for t in results[0]]
+            assert [_geometry(t) for t in transforms] == [
+                _geometry(t) for t in reference
+            ]
+
+    def test_build_problem_runs_on_the_simulator(self, rng):
+        a, x, b = (
+            rng.normal(size=self.SHAPE), rng.normal(size=self.SHAPE[1]),
+            rng.normal(size=self.SHAPE[0]),
+        )
+        plan = MatVecPlan(*self.SHAPE, self.W, backend="vectorized")
+        run = LinearContraflowArray(self.W).run(plan.build_problem(a, x, b))
+        y = plan.transform.recover_y(run.y_per_problem[0])
+        assert np.array_equal(y, plan.execute(a, x, b).y)
 
 
 class TestBlockedPipelineEquivalence:

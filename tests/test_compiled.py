@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.api import ArraySpec, ExecutionOptions, Solver
-from repro.backends.vectorized import LinearSweepPlan, build_linear_run
+from repro.backends.vectorized import LinearRunMetrics, LinearSweepPlan
 from repro.core.plans import MatVecPlan
 from repro.graph import Graph, GraphCompiler
 from repro.graph.fusion import Fused, fuse_epilogue_chains
@@ -114,7 +114,7 @@ class TestCompiledLinearKernels:
         a = rng.standard_normal((7, 5))
         x = rng.standard_normal(5)
         bands, _y = plan.sweep(a, x, None)
-        run = build_linear_run(3, [plan], [bands])
+        run = LinearRunMetrics(3, [plan]).result([bands])
         parent = MatVecPlan(7, 5, 3, backend="simulate").execute(a, x).run
         assert run.total_cycles == parent.total_cycles
         assert run.report.mac_operations == parent.report.mac_operations

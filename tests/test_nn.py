@@ -274,7 +274,11 @@ class TestQuantizedMLP:
 
 
 class TestTrajectoryFreshFile:
-    """Satellite 2: the appender stays idempotent on a fresh BENCH file."""
+    """The appender stays idempotent on a fresh BENCH file."""
+
+    @pytest.fixture(autouse=True)
+    def _record(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_RECORD", "1")
 
     def test_same_sha_updates_in_place(self, tmp_path):
         path = tmp_path / "BENCH_nn.json"

@@ -106,6 +106,36 @@ class TestRoundTrip:
         assert delta.plan_store_hits == len(workloads)
         assert delta.plan_store_errors == 0
 
+    @pytest.mark.parametrize(
+        "kind, shapes",
+        [("matvec", [(10, 9), (9,)]), ("matmul", [(9, 7), (7, 10)])],
+    )
+    def test_vectorized_plan_restores_template_free(self, tmp_path, kind, shapes):
+        """A restored vectorized plan serves with no transform built and
+        the feedback digest a fresh build computes."""
+        rng = np.random.default_rng(11)
+        operands = [rng.normal(size=shape) for shape in shapes]
+        options = ExecutionOptions(backend="vectorized")
+        fresh = Solver(ArraySpec(W), options=options).solve(kind, *operands)
+        Solver(ArraySpec(W), options=options, store=PlanStore(tmp_path)).solve(
+            kind, *operands
+        )
+
+        reader = Solver(
+            ArraySpec(W), options=options,
+            store=PlanStore(tmp_path, readonly=True),
+        )
+        before = counters.snapshot()
+        replayed = [reader.solve(kind, *operands) for _cold_then_warm in range(2)]
+        delta = counters.delta(before)
+        assert delta.plan_store_hits == 1 and delta.plan_builds == 0
+        assert delta.transform_constructions == 0
+        assert fresh.feedback.count > 0
+        for solution in replayed:
+            assert np.array_equal(solution.values, fresh.values)
+            assert solution.feedback == fresh.feedback
+            assert solution.measured_steps == fresh.measured_steps
+
     def test_filenames_are_stable_content_hashes(self, tmp_path):
         solver = Solver(ArraySpec(W), store=PlanStore(tmp_path))
         rng = np.random.default_rng(0)
