@@ -17,11 +17,11 @@ executes faster than the same computation issued as three separate
 
 The gate is the counters: warm runs build no plan and construct no
 transform.  The wall-clock floor is loose on purpose.  A warm 64x64
-mat-mul reuses its plan's feedback digest instead of classifying every
-delay, so the rewrite saves a few milliseconds against a refine stage
-that dominates both sides: over 10 runs on a shared 2-core x86-64 host
-the medians of interleaved repetitions read 1.4–1.7x, and the floor is
-1.0x — the fused pipeline is never the slower one.
+mat-mul is one step-major fold of about 2 ms, so the rewrite saves
+about that against a refine stage that dominates both sides: over 47
+runs on a shared 2-core x86-64 host the medians of interleaved
+repetitions read 1.02–1.39x (median 1.2x), and the floor is 1.0x —
+the fused pipeline is never the slower one.
 
 With ``REPRO_BENCH_RECORD=1`` set, results are recorded in
 ``BENCH_pipeline.json`` at the repository root (git-sha-keyed
@@ -47,7 +47,7 @@ W = 4
 #: Interleaved separate/fused repetitions; each side's time is the median.
 REPS = 7
 SWEEPS = 3
-#: Wall-clock floor, under the 1.4–1.7x the medians read.
+#: Wall-clock floor, under the 1.02–1.39x the medians read.
 FLOOR = 1.0
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"

@@ -20,10 +20,18 @@ all others.  The engines here exploit that:
 * **Hexagonal array (DBT mat-mul).**  Every result-band position
   accumulates its products in increasing inner-index order, and the
   spiral feedback hands each accumulation-chain position the *final*
-  value of its predecessor.  The engine precomputes (at plan time, values
-  never matter) flat gather indices into the padded operands for every
-  ``(chain depth, term)`` group and replays the fold as a few fancy-indexed
-  ``multiply``/``add`` sweeps per depth.
+  value of its predecessor.  Followed through the operand provenance,
+  the chain of padded element ``(alpha, gamma)`` folds every padded inner
+  index exactly once, cyclically from a start ``s < w`` fixed by
+  geometry — the *start map*.  So the whole execution is one rank-1
+  update of the padded accumulator per inner index, masked by the start
+  map for the first ``w - 1`` indices and again for the ``w - 1`` it
+  wraps around to; every chain position's value is read off the
+  accumulator at the step where its element has folded that position's
+  terms.  Each element still adds the simulator's products in the
+  simulator's order, so values are bit-identical; the few folds that
+  meet a NaN are redone in scalar arithmetic, because which of two NaN
+  operands a vector loop returns is not fixed.
 
 Timing and utilization are not simulated either: the step counts, MAC
 counts, feedback delays and register peaks are computed from the same
@@ -41,13 +49,14 @@ request ``backend="simulate"`` for those.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import PlanError
 from ..matrices.banded import BandMatrix
-from ..matrices.padding import pad_matrix
 from ..systolic.hex_array import HexRunResult
 from ..systolic.linear_array import LinearRunResult
 from ..systolic.metrics import (
@@ -486,16 +495,28 @@ def hex_structural_metrics(
 # --------------------------------------------------------------------------- #
 # Hexagonal array: DBT matrix-matrix sweeps
 # --------------------------------------------------------------------------- #
-class HexSweepPlan:
-    """Value-independent skeleton of the diagonal-sweep mat-mul execution.
+#: Largest chunk of rank-1 terms one mat-mul solve materializes, in float64
+#: elements (256 KiB): never the whole ``(p_pad, n_pad, m_pad)`` product set.
+_TERM_CHUNK = 1 << 15
 
-    Built once per :class:`~repro.core.plans.MatMulPlan` from the operand
-    provenance and the partial-result accumulation chains.  Per chain
-    *depth* (position index within a chain) and per *term* (inner index
-    step), flat gather indices into the padded operands are precomputed;
-    executing is then one fancy-indexed multiply/add per ``(depth, term)``
-    group, with a vectorized carry copy between depths reproducing the
-    spiral feedback hand-off.
+
+class HexSweepPlan:
+    """Value-independent skeleton of the step-major mat-mul fold.
+
+    The accumulation chain of every padded ``C`` element folds the whole
+    padded inner range once, in cyclic order from a start ``s < w`` that
+    geometry fixes (the *start map*).  Executing is therefore one rank-1
+    update of an ``(n_pad, m_pad)`` accumulator per inner index:
+    ``k = 0 .. p_pad - 1`` adds the outer product ``A[:, k] B[k, :]``
+    where ``s <= k``, then ``k = 0 .. w - 2`` adds it again where
+    ``s > k`` — every element takes the simulator's products in the
+    simulator's order.  A chain position's value (what ``run.c_band``
+    holds) is its element's accumulator once it has folded the position's
+    cumulative term count, read at that step.
+
+    Built from the partial-result chains with array arithmetic: term counts
+    per position from the u-window formulas, one operand provenance lookup
+    per chain for its start, feedback delays from the token windows.
     """
 
     def __init__(self, operands, placement, useful_operations: int):
@@ -504,144 +525,126 @@ class HexSweepPlan:
         self._n, self._p = operands.a_shape
         _p2, self._m = operands.b_shape
         self._n_pad = operands.n_bar * w
-        self._p_pad = operands.p_bar * w
-        self._m_pad = operands.m_bar * w
+        self._p_pad = p_pad = operands.p_bar * w
+        self._m_pad = m_pad = operands.m_bar * w
         self._useful = int(useful_operations)
 
         a_band = operands.a_operand.band
         b_band = operands.b_operand.band
-        self._dim = a_band.rows
+        self._dim = dim = a_band.rows
         la, ua = a_band.lower, a_band.upper
         lb, ub = b_band.lower, b_band.upper
-        self._metrics = hex_structural_metrics(
+        self._metrics = metrics = hex_structural_metrics(
             a_band.rows, a_band.cols, la, ua,
             b_band.rows, b_band.cols, lb, ub,
         )
         self._report = UtilizationReport(
             processing_elements=w * w,
             steps=(
-                self._metrics.c_stream_cycles
-                if self._metrics.c_stream_cycles
-                else self._metrics.total_cycles
+                metrics.c_stream_cycles
+                if metrics.c_stream_cycles
+                else metrics.total_cycles
             ),
-            mac_operations=self._metrics.mac_operations,
+            mac_operations=metrics.mac_operations,
             useful_operations=self._useful,
         )
 
-        a_prov = operands.a_operand.provenance
-        b_prov = operands.b_operand.provenance
-        a_sentinel = self._n_pad * self._p_pad
-        b_sentinel = self._p_pad * self._m_pad
-        dim = self._dim
-
-        def token_window(i: int, j: int) -> Tuple[int, int]:
-            dc = j - i
-            u_min = max(-la, dc - ub)
-            u_max = min(ua, dc + lb)
-            if u_min > u_max:
-                u_min = u_max = max(-la, min(ua, dc))
-            return 2 * i + j + u_min, 2 * i + j + u_max + 1
-
+        # Chain positions back to back, each chain in fold order.
         chains = placement.chains
-        slot_of: Dict[Tuple[int, int], int] = {}
-        for chain in chains.values():
-            for position in chain.positions:
-                slot_of[position] = len(slot_of)
-        self._slot_count = len(slot_of)
-
-        head_slots: List[int] = []
-        head_rows: List[int] = []
-        head_cols: List[int] = []
-        final_slots: List[int] = []
-        final_rows: List[int] = []
-        final_cols: List[int] = []
-        links: Dict[int, Tuple[List[int], List[int]]] = {}
-        groups: Dict[Tuple[int, int], Tuple[List[int], List[int], List[int]]] = {}
-        feedback_delays: Dict[Tuple[int, int], int] = {}
-        band_scatter: Dict[int, Tuple[List[int], List[int]]] = {}
-
-        for (alpha, gamma), chain in chains.items():
-            head_slots.append(slot_of[chain.positions[0]])
-            head_rows.append(alpha)
-            head_cols.append(gamma)
-            final_slots.append(slot_of[chain.final_position])
-            final_rows.append(alpha)
-            final_cols.append(gamma)
-            for depth, position in enumerate(chain.positions):
-                i, j = position
-                slot = slot_of[position]
-                if depth > 0:
-                    predecessor = chain.positions[depth - 1]
-                    pred_list, succ_list = links.setdefault(depth, ([], []))
-                    pred_list.append(slot_of[predecessor])
-                    succ_list.append(slot)
-                    feedback_delays[position] = (
-                        token_window(i, j)[0] - token_window(*predecessor)[1]
-                    )
-                dc = j - i
-                along = i if dc >= 0 else j
-                scatter_along, scatter_slots = band_scatter.setdefault(dc, ([], []))
-                scatter_along.append(along)
-                scatter_slots.append(slot)
-                u_lo = max(-la, dc - ub, -i)
-                u_hi = min(ua, dc + lb, dim - 1 - i)
-                for t, u in enumerate(range(u_lo, u_hi + 1)):
-                    k = i + u
-                    a_origin = a_prov.get((i, k))
-                    b_origin = b_prov.get((k, j))
-                    a_flat = (
-                        a_origin[0] * self._p_pad + a_origin[1]
-                        if a_origin is not None
-                        else a_sentinel
-                    )
-                    b_flat = (
-                        b_origin[0] * self._m_pad + b_origin[1]
-                        if b_origin is not None
-                        else b_sentinel
-                    )
-                    c_list, a_list, b_list = groups.setdefault(
-                        (depth, t), ([], [], [])
-                    )
-                    c_list.append(slot)
-                    a_list.append(a_flat)
-                    b_list.append(b_flat)
-
-        self._head_slots = np.array(head_slots, dtype=int)
-        self._head_rows = np.array(head_rows, dtype=int)
-        self._head_cols = np.array(head_cols, dtype=int)
-        self._final_slots = np.array(final_slots, dtype=int)
-        self._final_rows = np.array(final_rows, dtype=int)
-        self._final_cols = np.array(final_cols, dtype=int)
-        self._feedback_delays = feedback_delays
-        self._feedback = FeedbackStats.from_delays(
-            feedback_delays.values(), regular_threshold=regular_delay_threshold(w)
+        targets = np.array(list(chains), dtype=np.intp).reshape(-1, 2)
+        lengths = np.array(
+            [chain.length for chain in chains.values()], dtype=np.intp
         )
-        self._band_scatter = {
-            dc: (np.array(along, dtype=int), np.array(slots, dtype=int))
-            for dc, (along, slots) in band_scatter.items()
-        }
+        positions = np.array(
+            [position for chain in chains.values() for position in chain.positions],
+            dtype=np.intp,
+        ).reshape(-1, 2)
+        heads = np.cumsum(lengths) - lengths
+        chain_of = np.repeat(np.arange(len(lengths)), lengths)
+        i, j = positions[:, 0], positions[:, 1]
+        dc = j - i
+        # The u-window of each position (HexagonalArray.c_token_window);
+        # clipped to the band rows it is the position's inner-index run.
+        u_min = np.maximum(-la, dc - ub)
+        u_max = np.minimum(ua, dc + lb)
+        u_first = np.maximum(u_min, -i)
+        terms = np.maximum(np.minimum(u_max, dim - 1 - i) - u_first + 1, 0)
+        running = np.cumsum(terms)
+        folded = running - np.repeat(running[heads] - terms[heads], lengths)
+        totals = folded[heads + lengths - 1]
+        if np.any(totals != p_pad):
+            bad = int(np.flatnonzero(totals != p_pad)[0])
+            raise PlanError(
+                f"the chain of C element {tuple(targets[bad].tolist())} folds "
+                f"{int(totals[bad])} terms, not the padded inner size {p_pad}"
+            )
 
-        max_depth = max((depth for depth, _t in groups), default=-1)
-        max_depth = max(max_depth, max(links, default=0))
-        stages = []
-        for depth in range(max_depth + 1):
-            pred_list, succ_list = links.get(depth, (None, None))
-            pred = np.array(pred_list, dtype=int) if pred_list else None
-            succ = np.array(succ_list, dtype=int) if succ_list else None
-            terms = []
-            t = 0
-            while (depth, t) in groups:
-                c_list, a_list, b_list = groups[(depth, t)]
-                terms.append(
-                    (
-                        np.array(c_list, dtype=int),
-                        np.array(a_list, dtype=int),
-                        np.array(b_list, dtype=int),
-                    )
-                )
-                t += 1
-            stages.append((pred, succ, terms))
-        self._stages = stages
+        # The start map: the inner index of each chain's first term.
+        first = np.minimum.reduceat(
+            np.where(terms > 0, np.arange(len(terms)), len(terms)), heads
+        )
+        a_provenance = operands.a_operand.provenance
+        starts = np.empty(len(lengths), dtype=np.intp)
+        for chain, key in enumerate(
+            zip(i[first].tolist(), (i + u_first)[first].tolist())
+        ):
+            origin = a_provenance.get(key)
+            if origin is None:
+                raise PlanError(f"band position {key} of A~ carries no element")
+            starts[chain] = origin[1]
+        if np.any(starts >= w):
+            bad = int(np.flatnonzero(starts >= w)[0])
+            raise PlanError(
+                f"the chain of C element {tuple(targets[bad].tolist())} starts "
+                f"at inner index {int(starts[bad])}, not below w = {w}"
+            )
+        target_flat = targets[:, 0] * m_pad + targets[:, 1]
+        self._start = np.zeros(self._n_pad * m_pad, dtype=np.intp)
+        self._start[target_flat] = starts
+        start_map = self._start.reshape(self._n_pad, m_pad)
+        started = [start_map <= k for k in range(w - 1)]
+        self._masks = (
+            started + [True] * (p_pad - w + 1) + [~mask for mask in started]
+        )
+
+        # Feedback delay: a position's token entry minus its predecessor's
+        # exit; an empty u-window collapses onto the clipped diagonal.
+        empty = u_min > u_max
+        clipped = np.clip(dc, -la, ua)
+        entry = 2 * i + j + np.where(empty, clipped, u_min)
+        leave = 2 * i + j + np.where(empty, clipped, u_max) + 1
+        linked = np.ones(len(positions), dtype=bool)
+        linked[heads] = False
+        successors = np.flatnonzero(linked)
+        delays = entry[successors] - leave[successors - 1]
+        self._feedback_delays = dict(
+            zip(map(tuple, positions[successors].tolist()), delays.tolist())
+        )
+        self._feedback = FeedbackStats.from_delays(
+            delays.tolist(), regular_threshold=regular_delay_threshold(w)
+        )
+
+        # Reads: after step g (-1 = the seed, then one per inner index
+        # folded) the accumulator of every position with
+        # start + folded - 1 == g is copied out, in that order; the band
+        # storage gathers them (the last slot is a zero for positions
+        # outside every chain).
+        step = starts[chain_of] + folded - 1
+        order = np.argsort(step, kind="stable")
+        bounds = np.searchsorted(step[order], np.arange(p_pad + w - 1))
+        self._reads = np.split(target_flat[chain_of][order], bounds)
+        c_lower, c_upper = metrics.c_lower, metrics.c_upper
+        template = BandMatrix(dim, dim, c_lower, c_upper)
+        diagonal_lengths = np.array(
+            [template.diagonal_length(d) for d in range(-c_lower, c_upper + 1)],
+            dtype=np.intp,
+        )
+        diagonal_starts = np.cumsum(diagonal_lengths) - diagonal_lengths
+        band_index = diagonal_starts[dc + c_lower] + np.where(dc >= 0, i, j)
+        self._band_gather = np.full(
+            template.band_positions(), len(positions), dtype=np.intp
+        )
+        self._band_gather[band_index[order]] = np.arange(len(positions))
 
     # -- structural metrics ------------------------------------------------------
     @property
@@ -659,46 +662,64 @@ class HexSweepPlan:
         return self._feedback
 
     # -- value streaming ----------------------------------------------------------
+    def _terms(
+        self, at: np.ndarray, b_pad: np.ndarray, stop: int
+    ) -> Iterator[np.ndarray]:
+        """The rank-1 terms ``outer(at[k], b_pad[k])`` for ``k < stop``.
+
+        Made a bounded chunk at a time; each yielded view is overwritten
+        once the chunk after it is made.
+        """
+        n_pad, m_pad = self._n_pad, self._m_pad
+        rows = max(1, _TERM_CHUNK // (n_pad * m_pad))
+        chunk = np.empty((min(rows, stop), n_pad, m_pad))
+        for k0 in range(0, stop, rows):
+            k1 = min(stop, k0 + rows)
+            yield from np.multiply(
+                at[k0:k1, :, None], b_pad[k0:k1, None, :], out=chunk[: k1 - k0]
+            )
+
     def execute(
         self,
         a: np.ndarray,
         b: np.ndarray,
         e: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, HexRunResult]:
-        """Fold one operand set through the chain sweeps.
+        """Fold one operand set through the step-major sweep.
 
         Returns the recovered dense ``C`` (original shape) and a
-        :class:`HexRunResult` whose band holds the finished chain values
-        (intermediate, discarded band positions stay zero).  The result's
+        :class:`HexRunResult` whose band holds every chain position's value
+        (positions outside the chains stay zero).  The result's
         ``feedback_delays`` is the plan's own mapping, shared by every run:
         treat it as read-only.
         """
-        w = self._w
-        a_vals = np.append(pad_matrix(a, w).ravel(), 0.0)
-        b_vals = np.append(pad_matrix(b, w).ravel(), 0.0)
-        values = np.zeros(self._slot_count, dtype=float)
-        if e is not None and self._head_slots.size:
-            e_pad = np.zeros((self._n_pad, self._m_pad), dtype=float)
-            e_pad[: self._n, : self._m] = np.asarray(e, dtype=float)
+        n, m, w, p_pad = self._n, self._m, self._w, self._p_pad
+        a_pad = _padded(a, (self._n_pad, p_pad))
+        b_pad = _padded(b, (p_pad, self._m_pad))
+        acc = np.zeros((self._n_pad, self._m_pad))
+        if e is not None:
             # + 0.0 normalizes -0.0 addends, which the simulator never
             # injects (it skips values comparing equal to zero).
-            values[self._head_slots] = e_pad[self._head_rows, self._head_cols] + 0.0
-        for pred, succ, terms in self._stages:
-            if pred is not None:
-                values[succ] = values[pred]
-            for c_idx, a_idx, b_idx in terms:
-                values[c_idx] += a_vals[a_idx] * b_vals[b_idx]
-
-        out = np.zeros((self._n_pad, self._m_pad), dtype=float)
-        out[self._final_rows, self._final_cols] = values[self._final_slots]
-        c = out[: self._n, : self._m].copy()
+            np.add(e, 0.0, out=acc[:n, :m])
+        flat = acc.reshape(-1)
+        reads = [flat[self._reads[0]]]
+        terms = itertools.chain(
+            self._terms(a_pad.T, b_pad, p_pad), self._terms(a_pad.T, b_pad, w - 1)
+        )
+        for term, where, read in zip(terms, self._masks, self._reads[1:]):
+            np.add(acc, term, out=acc, where=where)
+            reads.append(flat[read])
+        reads.append(np.zeros(1))
+        values = np.concatenate(reads)
+        if np.isnan(flat).any():
+            self._refold_nans(a_pad, b_pad, e, flat, values)
+        c = acc[:n, :m].copy()
 
         metrics = self._metrics
-        c_band = BandMatrix(self._dim, self._dim, metrics.c_lower, metrics.c_upper)
-        for dc, (along, slots) in self._band_scatter.items():
-            diagonal = np.zeros(c_band.diagonal_length(dc), dtype=float)
-            diagonal[along] = values[slots]
-            c_band.set_diagonal(dc, diagonal)
+        c_band = BandMatrix(
+            self._dim, self._dim, metrics.c_lower, metrics.c_upper,
+            storage=values[self._band_gather],
+        )
         run = HexRunResult(
             w1=w,
             w2=w,
@@ -715,6 +736,47 @@ class HexSweepPlan:
             cell_busy={},
         )
         return c, run
+
+    def _refold_nans(
+        self,
+        a_pad: np.ndarray,
+        b_pad: np.ndarray,
+        e: Optional[np.ndarray],
+        flat: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Redo in Python floats, as the simulator does, every fold that met a NaN.
+
+        Given two NaN operands, NumPy's vector loops may return either
+        one, while the simulator's scalar ``c += a * b`` keeps a fixed one.
+        A NaN accumulator stays NaN, so the elements that end NaN are
+        exactly those whose fold met one; their values and chain reads are
+        overwritten in place.
+        """
+        p_pad, m_pad = self._p_pad, self._m_pad
+        nan = np.isnan(flat)
+        folds: Dict[int, List[float]] = {}
+        for element in np.flatnonzero(nan).tolist():
+            alpha, gamma = divmod(element, m_pad)
+            start = int(self._start[element])
+            value = 0.0
+            if e is not None and alpha < self._n and gamma < self._m:
+                value = float(e[alpha, gamma]) + 0.0
+            a_row = a_pad[alpha].tolist()
+            b_col = b_pad[:, gamma].tolist()
+            fold = [value]
+            for beta in itertools.chain(range(start, p_pad), range(start)):
+                value += a_row[beta] * b_col[beta]
+                fold.append(value)
+            folds[element] = fold
+            flat[element] = value
+        sources = np.concatenate(self._reads)
+        steps = np.repeat(
+            np.arange(-1, p_pad + self._w - 1), [len(read) for read in self._reads]
+        )
+        for slot in np.flatnonzero(nan[sources]).tolist():
+            element = int(sources[slot])
+            values[slot] = folds[element][steps[slot] - self._start[element] + 1]
 
 
 # --------------------------------------------------------------------------- #

@@ -11,7 +11,10 @@ plan builds only what its resolved backend runs.
   it unless a trace is requested) lowers the schedule into the
   value-independent sweep skeletons of :mod:`repro.backends.vectorized`,
   which replay the same multiply-accumulate order without per-cycle state
-  and produce bit-identical values and metrics.  Everything else about a
+  and produce bit-identical values and metrics: a lane-rotated prefix sum
+  for mat-vec, and for mat-mul one rank-1 update per inner index masked
+  by the start map (where each ``C`` element's chain begins its cyclic
+  fold), derived from the accumulation chains.  Everything else about a
   run — step counts, utilization report, feedback events and the
   :class:`~repro.systolic.metrics.FeedbackStats` digest — is geometry too,
   so it is computed at plan build and shared by every solve.
@@ -604,10 +607,11 @@ class MatMulPlan:
     Captures the zero-valued operand bands, the partial-result placement
     and (optionally, at *plan* time — structure is all that matters) the
     DBT structural verification; every solution refers to them.  A
-    vectorized plan adds the :class:`HexSweepPlan`, whose run metrics and
-    feedback digest every solve shares.  The operand refill gathers and
-    the spiral feedback token plan are simulate-only state, built only by
-    simulate plans.
+    vectorized plan adds the :class:`HexSweepPlan` — the step-major fold
+    schedule read off the chains, plus the run metrics and feedback digest
+    every solve shares.  The operand refill gathers and the spiral
+    feedback token plan are simulate-only state, built only by simulate
+    plans.
     """
 
     def __init__(

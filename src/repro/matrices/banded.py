@@ -38,13 +38,25 @@ class BandMatrix:
         Number of super-diagonals in the band (entries with ``j - i`` in
         ``1..upper``).
 
+    storage:
+        Optional flat float array holding the diagonals back to back,
+        lowest offset first (:meth:`band_positions` values).  The band is
+        then a view of it, not a copy; by default it is zero-filled.
+
     The main diagonal is always part of the band, so the bandwidth is
     ``lower + upper + 1``.  An upper-band matrix of bandwidth ``w`` (the
     shape produced by DBT-by-rows) has ``lower == 0`` and
     ``upper == w - 1``.
     """
 
-    def __init__(self, rows: int, cols: int, lower: int, upper: int):
+    def __init__(
+        self,
+        rows: int,
+        cols: int,
+        lower: int,
+        upper: int,
+        storage: Optional[np.ndarray] = None,
+    ):
         if rows < 1 or cols < 1:
             raise ShapeError(f"band matrix dimensions must be >= 1, got ({rows}, {cols})")
         if lower < 0 or upper < 0:
@@ -55,11 +67,23 @@ class BandMatrix:
         self._cols = int(cols)
         self._lower = int(lower)
         self._upper = int(upper)
-        self._diagonals: Dict[int, np.ndarray] = {}
+        spans = []
+        end = 0
         for offset in range(-self._lower, self._upper + 1):
             length = self.diagonal_length(offset)
             if length > 0:
-                self._diagonals[offset] = np.zeros(length, dtype=float)
+                spans.append((offset, end, end + length))
+                end += length
+        if storage is None:
+            storage = np.zeros(end, dtype=float)
+        elif storage.dtype != np.float64 or storage.shape != (end,):
+            raise ShapeError(
+                f"band storage must be {end} float64 values, got "
+                f"{storage.dtype} of shape {storage.shape}"
+            )
+        self._diagonals: Dict[int, np.ndarray] = {
+            offset: storage[start:stop] for offset, start, stop in spans
+        }
 
     # -- constructors --------------------------------------------------------
     @classmethod

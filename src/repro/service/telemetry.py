@@ -278,7 +278,8 @@ class ShardTelemetry:
         """Account one completed whole-pipeline job.
 
         ``stages`` is the executed stage count, ``fused`` the fused
-        stages (overlapped pairs + associativity rewrites),
+        stages (overlapped pairs + associativity rewrites + fused
+        epilogue groups),
         ``stage_latencies`` the per-stage wall seconds feeding the stage
         latency reservoir, ``levels`` the pipeline depth (distinct
         topological levels), and ``kinds`` the per-stage kind strings

@@ -295,7 +295,10 @@ class ShardWorker:
         self.telemetry.record_completed(request.latency())
         self.telemetry.record_graph(
             stages=len(result.solutions),
-            fused=result.fused_pairs + result.fused_rewrites,
+            fused=(
+                result.fused_pairs + result.fused_rewrites
+                + result.fused_epilogues
+            ),
             stage_latencies=result.stage_seconds,
             levels=(max(result.levels) + 1) if result.levels else 0,
             kinds=result.kinds,
@@ -392,7 +395,10 @@ class ShardWorker:
         job.home_telemetry.record_completed(job.latency())
         job.home_telemetry.record_graph(
             stages=len(result.solutions),
-            fused=result.fused_pairs + result.fused_rewrites,
+            fused=(
+                result.fused_pairs + result.fused_rewrites
+                + result.fused_epilogues
+            ),
             stage_latencies=result.stage_seconds,
             levels=(max(result.levels) + 1) if result.levels else 0,
             kinds=result.kinds,

@@ -49,10 +49,11 @@ MAGIC = b"RPROPLAN"
 
 #: Bump on any incompatible payload change.  Readers reject every other
 #: version (newer *or* older) — a version skew is a recompile, never a
-#: best-effort parse of bytes written by different code.  Version 3:
-#: vectorized plans carry their precomputed run metrics and feedback
-#: digest, and no simulate-only template.
-FORMAT_VERSION = 3
+#: best-effort parse of bytes written by different code.  Version 4:
+#: a vectorized mat-mul plan carries the step-major fold schedule (start
+#: map, per-step chain reads, band gather) instead of per-(chain depth,
+#: term) gather tables.
+FORMAT_VERSION = 4
 
 _VERSION_STRUCT = struct.Struct(">I")
 _CHECKSUM_SIZE = 16

@@ -4,23 +4,33 @@ The contract of the ``vectorized`` backend is *bit-identical outputs and
 identical structural metrics* — not approximate agreement.  These tests
 sweep (shape, w, seed) grids over all six primary problem kinds plus the
 baselines, solving each instance on both backends and asserting exact
-equality of values, step counts, utilizations and feedback statistics,
-and feed the mat-vec sweep hostile operands (odd layouts, NaN/Inf,
-signed zeros, degenerate shapes, integer dtypes).
+equality of values, step counts, utilizations and feedback statistics
+(for mat-mul also the bits of every accumulation-chain value in
+``run.c_band``), and feed the mat-vec and mat-mul sweeps hostile
+operands (odd layouts, NaN/Inf, signed zeros, degenerate shapes, integer
+dtypes).  The step-major mat-mul fold rests on a geometric fact, checked
+here from the chains and operand provenance alone: every padded ``C``
+element folds the whole padded inner range, cyclically from a start
+below ``w``.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.api import ArraySpec, ExecutionOptions, Solver
 from repro.backends import available_backends, resolve_backend
+from repro.backends.vectorized import HexSweepPlan
+from repro.core.operands import MatMulOperands
 from repro.core.plans import CachedMatVec, MatVecPlan
-from repro.errors import BackendError, ShapeError
+from repro.core.recovery import AccumulationChain, PartialResultMap
+from repro.errors import BackendError, PlanError, ShapeError
 from repro.instrumentation import counters
 from repro.systolic.linear_array import LinearContraflowArray
 
@@ -102,6 +112,67 @@ HOSTILE = {
 }
 
 
+def _matmul_non_finite(rng):
+    a, b, e = (rng.normal(size=(8, 8)) for _ in range(3))
+    a[1, 2], a[3, 4], b[5, 6], b[6, 1] = np.nan, np.inf, -np.inf, np.nan
+    a[0, :4], b[:4, 7] = 0.0, np.inf  # 0 * inf
+    e[2, 3], e[4, 5] = np.nan, -np.inf
+    return a, b, e
+
+
+def _matmul_nan_signs(rng):
+    """Folds meeting NaNs of both signs: which one survives is the
+    accumulator's in the simulator, and NumPy's vector loops may pick
+    either when both operands are NaN."""
+    a, b, e = (rng.normal(size=(8, 8)) for _ in range(3))
+    negative_nan = np.copysign(np.nan, -1.0)
+    a[:, 1], a[:, 6] = np.nan, negative_nan
+    a[2, 4], b[4, :] = 0.0, np.inf  # 0 * inf: the default NaN
+    b[3, ::2] = negative_nan
+    e[5, :] = np.nan
+    return a, b, e
+
+
+def _matmul_signed_zeros(rng):
+    a, b, e = (rng.normal(size=(8, 8)) for _ in range(3))
+    a[2, :], a[4, :3] = -0.0, 0.0
+    b[::3, :] = -0.0
+    e[1, :], e[::2, 5] = -0.0, 0.0
+    return a, b, e
+
+
+#: Mat-mul operands ``(A, B, E)`` for the same contract: every layout,
+#: non-finite value, signed zero, degenerate shape and dtype the mat-vec
+#: grid has, with ``E = -0.0`` for the ``E + 0.0`` seed.
+HOSTILE_MATMUL = {
+    "fortran": lambda rng: tuple(
+        np.asfortranarray(rng.normal(size=(8, 8))) for _ in range(3)
+    ),
+    "strided": lambda rng: tuple(
+        rng.normal(size=(16, 16))[::2, ::2] for _ in range(3)
+    ),
+    "read_only": lambda rng: _read_only(
+        *(rng.normal(size=(8, 8)) for _ in range(3))
+    ),
+    "nan_inf": _matmul_non_finite,
+    "nan_signs": _matmul_nan_signs,
+    "signed_zero": _matmul_signed_zeros,
+    "signed_zero_no_e": lambda rng: _matmul_signed_zeros(rng)[:2],
+    "e_negative_zero": lambda rng: (
+        rng.normal(size=(6, 5)), rng.normal(size=(5, 7)),
+        np.full((6, 7), -0.0),
+    ),
+    "w_ge_n": lambda rng: (
+        rng.normal(size=(3, 2)), rng.normal(size=(2, 3)), rng.normal(size=(3, 3))
+    ),
+    "one_by_one": lambda rng: tuple(rng.normal(size=(1, 1)) for _ in range(3)),
+    "integer": lambda rng: (
+        rng.integers(-9, 10, size=(7, 8)), rng.integers(-9, 10, size=(8, 5)),
+        rng.integers(-9, 10, size=(7, 5)),
+    ),
+}
+
+
 def assert_metrics_match(simulated, vectorized):
     assert vectorized.measured_steps == simulated.measured_steps
     assert vectorized.predicted_steps == simulated.predicted_steps
@@ -109,6 +180,20 @@ def assert_metrics_match(simulated, vectorized):
     assert vectorized.predicted_utilization == simulated.predicted_utilization
     # count, min/max delay and (mat-mul) the regular/irregular split
     assert vectorized.feedback == simulated.feedback
+
+
+def assert_chain_values_match(simulated, vectorized):
+    """``run.c_band`` holds the simulator's bits on every accumulation-chain
+    position and +0.0 everywhere else (the tail corner the recovery drops)."""
+    expected = simulated.raw.run.c_band.to_dense()
+    band = vectorized.raw.run.c_band.to_dense()
+    on_chain = np.zeros(band.shape, dtype=bool)
+    for chain in vectorized.raw.placement.chains.values():
+        on_chain[tuple(np.array(chain.positions).T)] = True
+    assert np.array_equal(
+        band[on_chain].view(np.uint64), expected[on_chain].view(np.uint64)
+    )
+    assert not band[~on_chain].view(np.uint64).any()
 
 
 class TestBackendRegistry:
@@ -257,6 +342,112 @@ class TestMatMulEquivalence:
         for vectorized in solutions:
             assert np.array_equal(vectorized.values, simulated.values)
             assert_metrics_match(simulated, vectorized)
+            assert_chain_values_match(simulated, vectorized)
+
+    @pytest.mark.parametrize("w", [1, 3, 4, 8])
+    @pytest.mark.parametrize("case", sorted(HOSTILE_MATMUL))
+    def test_hostile_inputs_match_simulator(self, case, w):
+        operands = HOSTILE_MATMUL[case](np.random.default_rng(w))
+        with np.errstate(invalid="ignore"):  # 0 * inf, inf - inf
+            simulated, solutions = cold_and_warm("matmul", w, operands)
+        for vectorized in solutions:
+            assert vectorized.values.dtype == simulated.values.dtype
+            assert np.array_equal(
+                vectorized.values.view(np.uint64),
+                simulated.values.view(np.uint64),
+            )
+            assert_metrics_match(simulated, vectorized)
+            assert_chain_values_match(simulated, vectorized)
+
+
+def _band_terms(operands, i, j):
+    """The inner band indices ``k`` of position ``(i, j)``'s products
+    ``A~[i, k] B~[k, j]``: inside both bands, in increasing order."""
+    a_band, b_band = operands.a_operand.band, operands.b_operand.band
+    return range(
+        max(0, i - a_band.lower, j - b_band.upper),
+        min(operands.dimension, i + a_band.upper + 1, j + b_band.lower + 1),
+    )
+
+
+def fold_orders(n: int, p: int, m: int, w: int):
+    """The inner index of every term each padded ``C`` element folds, in order.
+
+    Read from the accumulation chains and the operand provenance maps
+    only: a chain folds its positions in chain order, each position its
+    band products in increasing ``k``.  A term whose band slot carries no
+    original element (a structural zero) fails the lookup.
+    """
+    operands = MatMulOperands(np.zeros((n, p)), np.zeros((p, m)), w)
+    a_origin = operands.a_operand.provenance
+    b_origin = operands.b_operand.provenance
+    orders = {}
+    for target, chain in PartialResultMap(operands).chains.items():
+        betas = orders[target] = []
+        for i, j in chain.positions:
+            for k in _band_terms(operands, i, j):
+                (alpha, beta), (beta_b, gamma) = a_origin[(i, k)], b_origin[(k, j)]
+                assert (alpha, gamma) == target and beta == beta_b
+                betas.append(beta)
+    return orders
+
+
+def _first_term(operands, chain):
+    """The A~ band key ``(i, k)`` of the first product ``chain`` folds."""
+    return next(
+        (i, k) for i, j in chain.positions for k in _band_terms(operands, i, j)
+    )
+
+
+def _drop_last_position(operands, chains):
+    chains[(0, 0)] = AccumulationChain((0, 0), chains[(0, 0)].positions[:-1])
+
+
+def _start_at_w(operands, chains):
+    operands.a_operand.provenance[_first_term(operands, chains[(0, 0)])] = (
+        0, operands.w,
+    )
+
+
+def _structural_zero(operands, chains):
+    del operands.a_operand.provenance[_first_term(operands, chains[(0, 0)])]
+
+
+class TestMatMulFoldOrder:
+    """The geometry the step-major fold relies on, and the plan's guard."""
+
+    SIZES = (1, 2, 3, 5, 9)
+
+    @pytest.mark.parametrize("w", range(1, 9))
+    def test_every_element_folds_the_padded_inner_range_cyclically(self, w):
+        for n, p, m in itertools.product(self.SIZES, repeat=3):
+            n_pad, p_pad, m_pad = (-(-size // w) * w for size in (n, p, m))
+            orders = fold_orders(n, p, m, w)
+            assert sorted(orders) == list(
+                itertools.product(range(n_pad), range(m_pad))
+            )
+            for target, betas in orders.items():
+                start = betas[0]
+                assert start < w, (n, p, m, target)
+                assert betas == [
+                    (start + t) % p_pad for t in range(p_pad)
+                ], (n, p, m, target)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (_drop_last_position, "folds .* terms, not the padded inner size 9"),
+            (_start_at_w, "starts at inner index 3, not below w = 3"),
+            (_structural_zero, "carries no element"),
+        ],
+        ids=["missing_terms", "late_start", "structural_zero"],
+    )
+    def test_plan_build_rejects_a_broken_fold(self, tamper, message):
+        operands = MatMulOperands(np.zeros((5, 9)), np.zeros((9, 4)), 3)
+        chains = PartialResultMap(operands).chains
+        tamper(operands, chains)
+        with pytest.raises(PlanError, match=message):
+            HexSweepPlan(operands, SimpleNamespace(chains=chains), 5 * 9 * 4)
 
 
 def _race(threads: int, fn):

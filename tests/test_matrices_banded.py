@@ -31,6 +31,16 @@ class TestConstruction:
         with pytest.raises(BandwidthError):
             BandMatrix(3, 3, -1, 0)
 
+    def test_storage_holds_the_diagonals_lowest_offset_first(self):
+        storage = np.arange(1.0, 13.0)  # 3 + 4 + 3 + 2 positions
+        band = BandMatrix(4, 4, lower=1, upper=2, storage=storage)
+        assert np.array_equal(band.diagonal(-1), [1.0, 2.0, 3.0])
+        assert np.array_equal(band.diagonal(2), [11.0, 12.0])
+        band.set(0, 0, -5.0)  # a view, not a copy
+        assert storage[3] == -5.0
+        with pytest.raises(ShapeError, match="12 float64 values"):
+            BandMatrix(4, 4, lower=1, upper=2, storage=np.zeros(11))
+
     def test_from_dense_roundtrip(self, rng):
         dense = make_band_dense(6, 6, 1, 2, rng)
         band = BandMatrix.from_dense(dense, lower=1, upper=2)

@@ -83,6 +83,38 @@ class TestServiceNN:
         }
         assert "stage kinds:" in stats.describe()
 
+    @pytest.mark.parametrize(
+        "n_shards, pipeline",
+        [(1, None), (4, False), (4, None)],
+        ids=["one_shard", "home_shard", "pipelined"],
+    )
+    def test_graph_fused_counts_fused_epilogues(self, rng, n_shards, pipeline):
+        """The fleet's fused-stage count is the direct result's, epilogue
+        groups included, on the home-shard and the pipelined path."""
+        mlp = MLP([
+            (rng.normal(size=(6, 5)), rng.normal(size=6)),
+            (rng.normal(size=(3, 6)), rng.normal(size=3)),
+        ])
+        graph = mlp.graph(rng.normal(size=5))
+        direct = GraphCompiler(Solver(ArraySpec(W))).run(graph)
+        fused = (
+            direct.fused_pairs + direct.fused_rewrites + direct.fused_epilogues
+        )
+        assert direct.fused_epilogues == 2  # dense -> bias (-> relu) per layer
+        with SolverService(ArraySpec(W), n_shards=n_shards) as service:
+            result = service.submit_graph(graph, pipeline=pipeline).result(
+                timeout=30
+            )
+            stats = service.stats()
+        # Only the unforced multi-shard submission splits into segments.
+        assert (stats.segments > 0) == (n_shards > 1 and pipeline is None)
+        assert result.fused_epilogues == direct.fused_epilogues
+        assert stats.graph_fused == fused
+        assert (
+            f"1 graph(s), {len(direct.solutions)} stage(s), {fused} fused"
+            in stats.describe()
+        )
+
     def test_mixed_precision_clients_do_not_collide(self, deployment, rng):
         """Float and int8 graphs of the same network coexist in one fleet."""
         qmlp, inputs = deployment

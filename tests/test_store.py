@@ -111,8 +111,9 @@ class TestRoundTrip:
         [("matvec", [(10, 9), (9,)]), ("matmul", [(9, 7), (7, 10)])],
     )
     def test_vectorized_plan_restores_template_free(self, tmp_path, kind, shapes):
-        """A restored vectorized plan serves with no transform built and
-        the feedback digest a fresh build computes."""
+        """A restored vectorized plan serves with no transform built, the
+        feedback digest a fresh build computes and (mat-mul) the same
+        chain values in ``run.c_band``, bit for bit."""
         rng = np.random.default_rng(11)
         operands = [rng.normal(size=shape) for shape in shapes]
         options = ExecutionOptions(backend="vectorized")
@@ -135,6 +136,11 @@ class TestRoundTrip:
             assert np.array_equal(solution.values, fresh.values)
             assert solution.feedback == fresh.feedback
             assert solution.measured_steps == fresh.measured_steps
+            if kind == "matmul":
+                assert np.array_equal(
+                    solution.raw.run.c_band.to_dense().view(np.uint64),
+                    fresh.raw.run.c_band.to_dense().view(np.uint64),
+                )
 
     def test_filenames_are_stable_content_hashes(self, tmp_path):
         solver = Solver(ArraySpec(W), store=PlanStore(tmp_path))
