@@ -8,18 +8,17 @@ blocked pipelines (lu, triangular, gauss_seidel, sparse) it wraps a fully
 configured pipeline whose inner per-shape engines warm up on first use.
 
 Plans are keyed by ``(kind, shapes, w, options)`` and held in a
-:class:`PlanCache` — an LRU with hit/miss/eviction accounting — so that
-repeated same-shape solves, the hot path of a serving workload, skip all
-transform construction and only stream operand values.
+:class:`PlanCache` — the shared LRU with hit/miss/eviction accounting —
+so that repeated same-shape solves, the hot path of a serving workload,
+skip all transform construction and only stream operand values.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
-from ..instrumentation import CacheStats
+from ..instrumentation import CacheStats, LRUCache, counters
+from ..obs.tracing import NULL_SPAN, active_span
 from .config import ArraySpec, ExecutionOptions
 
 __all__ = ["ExecutionPlan", "CacheStats", "PlanCache", "PlanKey", "make_plan_key"]
@@ -117,8 +116,6 @@ class ExecutionPlan:
         Costs one thread-local read when nothing is tracing — the same
         guarded path the rest of the backend uses.
         """
-        from ..obs.tracing import NULL_SPAN, active_span
-
         parent = active_span()
         if parent is None:
             return NULL_SPAN
@@ -126,8 +123,6 @@ class ExecutionPlan:
 
     def execute(self, *operands, **kwargs):
         """Stream one operand set through the plan; returns a Solution."""
-        from ..instrumentation import counters
-
         counters.bump("plan_executions")
         with self._span("plan.execute"):
             return self._handler.execute(self, *operands, **kwargs)
@@ -139,8 +134,6 @@ class ExecutionPlan:
         consumes the problem object directly instead of re-parsing
         positional operands and kwargs.
         """
-        from ..instrumentation import counters
-
         counters.bump("plan_executions")
         with self._span("plan.execute"):
             return self._handler.execute_problem(self, problem)
@@ -154,8 +147,6 @@ class ExecutionPlan:
         utilization predictions dropped (the closed forms do not cover two
         interleaved requests sharing one run).
         """
-        from ..instrumentation import counters
-
         counters.bump("plan_executions", 2)
         with self._span("plan.execute_pair"):
             legacy_a, legacy_b = self._executor.execute_pair(first, second)
@@ -181,76 +172,11 @@ class ExecutionPlan:
         return self.describe()
 
 
-class PlanCache:
+class PlanCache(LRUCache[PlanKey, ExecutionPlan]):
     """LRU cache of :class:`ExecutionPlan` objects keyed by plan key.
 
-    All operations are thread-safe: a single lock guards the LRU order and
-    the hit/miss/eviction counters, so a :class:`~repro.api.solver.Solver`
-    can be shared between threads (and the :mod:`repro.service` shard
-    workers can trust their per-shard caches) without torn LRU state or
-    lost accounting.  Plan *construction* is not serialized — two threads
-    missing on the same key may both build the plan and the later ``put``
-    wins — which trades a rare duplicate build for never holding the lock
-    across a compile.
+    The shared :class:`~repro.instrumentation.LRUCache`, so a
+    :class:`~repro.api.solver.Solver` can be shared between threads (and
+    the :mod:`repro.service` shard workers can trust their per-shard
+    caches) without torn LRU state or lost accounting.
     """
-
-    def __init__(self, maxsize: int = 128):
-        if maxsize < 1:
-            raise ValueError(f"plan cache maxsize must be >= 1, got {maxsize}")
-        self._maxsize = int(maxsize)
-        self._plans: "OrderedDict[PlanKey, ExecutionPlan]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._lock = threading.Lock()
-
-    def get(self, key: PlanKey) -> Optional[ExecutionPlan]:
-        """The cached plan for ``key`` (marks it most recently used)."""
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is None:
-                self._misses += 1
-                return None
-            self._plans.move_to_end(key)
-            self._hits += 1
-            return plan
-
-    def put(self, key: PlanKey, plan: ExecutionPlan) -> None:
-        with self._lock:
-            if key in self._plans:
-                self._plans.move_to_end(key)
-                self._plans[key] = plan
-                return
-            self._plans[key] = plan
-            while len(self._plans) > self._maxsize:
-                self._plans.popitem(last=False)
-                self._evictions += 1
-
-    def clear(self) -> None:
-        """Drop every cached plan.
-
-        Lifetime counters (hits, misses, evictions) deliberately survive:
-        a cleared cache starts empty but its accounting history — and the
-        division-safe ``hit_rate`` derived from it — remains meaningful.
-        """
-        with self._lock:
-            self._plans.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
-
-    def __contains__(self, key: PlanKey) -> bool:
-        with self._lock:
-            return key in self._plans
-
-    @property
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._plans),
-                maxsize=self._maxsize,
-            )

@@ -411,7 +411,8 @@ class Solver:
         """Best-effort write-through to the plan store.
 
         An unwritable store must never fail the solve that just compiled
-        a perfectly good plan, so write errors are counted, not raised.
+        a perfectly good plan, so write errors are swallowed here (the
+        store has already counted them).
         Called once at build time, and again after a cold plan's first
         execution (see :meth:`solve` / :meth:`solve_problem`): iterative
         executors memoize inner per-shape plans lazily during execution,
@@ -423,7 +424,7 @@ class Solver:
         try:
             self._store.save(plan.key, plan)
         except PlanStoreError:
-            counters.bump("plan_store_errors")
+            pass
 
     @staticmethod
     def _matvec_triple(entry: Tuple) -> Tuple:

@@ -46,7 +46,6 @@ the :mod:`repro.api` façade adds the LRU-cached front door.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
@@ -54,7 +53,7 @@ import numpy as np
 from ..backends.registry import SIMULATE, VECTORIZED, resolve_backend
 from ..backends.vectorized import HexSweepPlan, LinearRunMetrics, LinearSweepPlan
 from ..errors import BackendError, ShapeError
-from ..instrumentation import CacheStats, counters
+from ..instrumentation import CacheStats, LRUCache, counters
 from ..matrices.banded import BandMatrix
 from ..matrices.dense import as_matrix, as_vector
 from ..matrices.padding import block_count, pad_matrix, pad_vector, validate_array_size
@@ -754,10 +753,7 @@ class CachedMatVec:
         self._record_trace = bool(record_trace)
         self._overlapped = bool(overlapped)
         self._backend = resolve_backend(backend, record_trace=self._record_trace)
-        self._plans: "OrderedDict[Tuple[int, int], object]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self._plans: "LRUCache[Tuple[int, int], Any]" = LRUCache(self.MAX_PLANS)
 
     @property
     def w(self) -> int:
@@ -779,40 +775,21 @@ class CachedMatVec:
         to *prove* warm-plan reuse (a k-sweep solve should show one miss
         per distinct inner shape and hits for everything else).
         """
-        return CacheStats(
-            hits=self._hits,
-            misses=self._misses,
-            evictions=self._evictions,
-            size=len(self._plans),
-            maxsize=self.MAX_PLANS,
-        )
+        return self._plans.stats
 
     def plan_for(self, n: int, m: int):
         """The (memoized) plan for one operand shape."""
         key = (int(n), int(m))
         plan = self._plans.get(key)
         if plan is None:
-            self._misses += 1
             counters.bump("plan_builds")
-            if self._overlapped:
-                plan = OverlappedMatVecPlan(
-                    key[0], key[1], self._w,
-                    record_trace=self._record_trace,
-                    backend=self._backend,
-                )
-            else:
-                plan = MatVecPlan(
-                    key[0], key[1], self._w,
-                    record_trace=self._record_trace,
-                    backend=self._backend,
-                )
-            self._plans[key] = plan
-            while len(self._plans) > self.MAX_PLANS:
-                self._plans.popitem(last=False)
-                self._evictions += 1
-        else:
-            self._hits += 1
-            self._plans.move_to_end(key)
+            build = OverlappedMatVecPlan if self._overlapped else MatVecPlan
+            plan = build(
+                key[0], key[1], self._w,
+                record_trace=self._record_trace,
+                backend=self._backend,
+            )
+            self._plans.put(key, plan)
         return plan
 
     def solve(
@@ -835,10 +812,9 @@ class CachedMatMul:
         self._w = validate_array_size(w)
         self._verify_structure = bool(verify_structure)
         self._backend = resolve_backend(backend)
-        self._plans: "OrderedDict[Tuple[int, int, int], MatMulPlan]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self._plans: "LRUCache[Tuple[int, int, int], MatMulPlan]" = LRUCache(
+            self.MAX_PLANS
+        )
 
     @property
     def w(self) -> int:
@@ -851,32 +827,19 @@ class CachedMatMul:
     @property
     def stats(self) -> CacheStats:
         """See :attr:`CachedMatVec.stats`."""
-        return CacheStats(
-            hits=self._hits,
-            misses=self._misses,
-            evictions=self._evictions,
-            size=len(self._plans),
-            maxsize=self.MAX_PLANS,
-        )
+        return self._plans.stats
 
     def plan_for(self, n: int, p: int, m: int) -> MatMulPlan:
         key = (int(n), int(p), int(m))
         plan = self._plans.get(key)
         if plan is None:
-            self._misses += 1
             counters.bump("plan_builds")
             plan = MatMulPlan(
                 key[0], key[1], key[2], self._w,
                 verify_structure=self._verify_structure,
                 backend=self._backend,
             )
-            self._plans[key] = plan
-            while len(self._plans) > self.MAX_PLANS:
-                self._plans.popitem(last=False)
-                self._evictions += 1
-        else:
-            self._hits += 1
-            self._plans.move_to_end(key)
+            self._plans.put(key, plan)
         return plan
 
     def solve(

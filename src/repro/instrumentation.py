@@ -1,4 +1,4 @@
-"""Lightweight process-wide counters for the plan/execute split.
+"""Process-wide counters and the shared LRU behind every plan cache.
 
 The whole point of the :mod:`repro.api` plan cache is that a *warm* solve
 streams operand values through a prebuilt :class:`~repro.api.plan.ExecutionPlan`
@@ -8,48 +8,54 @@ so the transform constructors report to the counters below and tests (and
 the plan-cache benchmark) assert that the counter does not move across a
 warm solve.
 
-The counters remain plain integers on a module-level object — snapshot
-and diff from anywhere without importing the api layer — but every bump
-now goes through :meth:`Counters.bump`, which serializes on the shared
-:data:`registry` lock and mirrors each field into a typed
-:class:`~repro.obs.metrics.Counter` instrument.  That closes the old
-thread-safety caveat: ``plan_builds`` / ``plan_executions`` used to be
-lock-free ``+=`` on the solve path and therefore only best-effort under
-the multithreaded :mod:`repro.service` shard pool; they are now exact
-everywhere, and the same numbers are visible through
-``registry.snapshot()`` alongside the service metrics.
+Each count has exactly one store: a ``repro.<name>`` counter in the
+process :data:`registry`.  :meth:`ProcessCounters.bump` increments that
+pre-bound instrument and nothing else (exact under the multithreaded
+shard pool); :meth:`ProcessCounters.snapshot` reads every counter in one
+registry lock hold and returns a plain :class:`Counters` value for
+before/after diffing, and the same numbers are visible through
+``registry.snapshot()``.
+
+:class:`LRUCache` is the one least-recently-used map with
+:class:`CacheStats` accounting: the api layer's plan cache and the
+per-shape engine memos of :mod:`repro.core.plans` are both instances.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, fields
+from typing import Any, Dict, Generic, Hashable, Optional, TypeVar
 
-from .obs.metrics import MetricsRegistry
+from .obs.metrics import Counter, MetricsRegistry
 
 __all__ = [
     "CacheStats",
     "Counters",
+    "LRUCache",
+    "ProcessCounters",
     "counters",
     "registry",
-    "transform_constructions",
 ]
 
-#: Process-wide metrics registry; :data:`counters` mirrors into it, and
-#: standalone services fall back to it when not given their own.
+#: Process-wide metrics registry: the one store of :data:`counters`.
 registry = MetricsRegistry()
+
+_K = TypeVar("_K", bound=Hashable)
+_V = TypeVar("_V")
 
 
 @dataclass
 class CacheStats:
     """Hit/miss/eviction accounting of one plan cache.
 
-    Shared accounting currency across layers: the api layer's
-    :class:`~repro.api.plan.PlanCache`, the per-shape engine caches of
-    :class:`~repro.core.plans.CachedMatVec` / ``CachedMatMul``, and the
-    aggregated warm-reuse proof carried by
-    :class:`~repro.iterative.result.IterativeResult`.  Lives here (rather
-    than in :mod:`repro.api`) so the core and iterative layers can report
-    cache accounting without importing the façade.
+    Shared accounting currency across layers: every :class:`LRUCache`
+    reports one (the api layer's :class:`~repro.api.plan.PlanCache` and
+    the per-shape engine memos of :class:`~repro.core.plans.CachedMatVec`
+    / ``CachedMatMul``), and the iterative solvers sum them into the
+    warm-reuse proof carried by
+    :class:`~repro.iterative.result.IterativeResult`.
     """
 
     hits: int = 0
@@ -76,9 +82,91 @@ class CacheStats:
         )
 
 
+class LRUCache(Generic[_K, _V]):
+    """A bounded least-recently-used map that keeps its own :class:`CacheStats`.
+
+    One lock guards the order and the hit/miss/eviction counts, so a
+    cache shared between threads never tears its LRU state or loses a
+    count.  Values are never built under the lock: two threads missing
+    on one key may both build, and the later :meth:`put` wins — a rare
+    duplicate build instead of a compile held under a lock.  The lock is
+    dropped on pickling (engine memos travel inside persisted plans) and
+    recreated on load; entries and counts survive the round trip.
+    """
+
+    def __init__(self, maxsize: int):
+        if maxsize < 1:
+            raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
+        self._maxsize = int(maxsize)
+        self._entries: "OrderedDict[_K, _V]" = OrderedDict()
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        with self._lock:
+            state = self.__dict__.copy()
+            state["_entries"] = self._entries.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+    def get(self, key: _K) -> Optional[_V]:
+        """The cached value for ``key`` (marks it most recently used)."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self._misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return value
+
+    def put(self, key: _K, value: _V) -> None:
+        """Store ``value`` as most recently used, evicting beyond ``maxsize``."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self._maxsize:
+                self._entries.popitem(last=False)
+                self._evictions += 1
+
+    def clear(self) -> None:
+        """Drop every entry; the lifetime hit/miss/eviction counts survive."""
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def __contains__(self, key: object) -> bool:
+        with self._lock:
+            return key in self._entries
+
+    @property
+    def stats(self) -> CacheStats:
+        with self._lock:
+            return CacheStats(
+                hits=self._hits,
+                misses=self._misses,
+                evictions=self._evictions,
+                size=len(self._entries),
+                maxsize=self._maxsize,
+            )
+
+
 @dataclass
 class Counters:
-    """Process-wide construction/execution counters.
+    """A point-in-time copy of the process counters.
+
+    What :meth:`ProcessCounters.snapshot` and :meth:`~ProcessCounters.delta`
+    return — a plain mutable value, so callers can adjust it (a benchmark
+    excluding its warm-up builds, say).
 
     ``transform_constructions`` counts every value-bearing transform build:
     :class:`~repro.core.dbt.DBTByRowsTransform` (and its subclasses),
@@ -93,9 +181,7 @@ class Counters:
     :meth:`~repro.graph.compiler.GraphCompiler.compile`, one per
     :meth:`~repro.graph.program.PipelineProgram.run`, and one per pair of
     independent same-plan matvec stages executed through the array's
-    overlapped contraflow path.  All bumps go through :meth:`bump` and
-    serialize on the shared :data:`registry` lock, so every field is
-    exact even under the multithreaded service shard pool.
+    overlapped contraflow path.
     """
 
     transform_constructions: int = 0
@@ -109,46 +195,51 @@ class Counters:
     fused_matvec_pairs: int = 0
     #: Plan persistence (:mod:`repro.store`): disk lookups that produced a
     #: usable plan, lookups that found nothing, artifacts that failed
-    #: validation (bad magic/version/checksum/payload — each falls back to
-    #: a recompile, never an exception), and artifacts written.
+    #: validation or could not be written (a bad artifact falls back to a
+    #: recompile, a failed write is never raised on the solve path), and
+    #: artifacts written.
     plan_store_hits: int = 0
     plan_store_misses: int = 0
     plan_store_errors: int = 0
     plan_store_writes: int = 0
 
+
+class ProcessCounters:
+    """The live process counters: one ``repro.<field>`` registry counter
+    per :class:`Counters` field, bound once."""
+
+    def __init__(self, metrics: MetricsRegistry):
+        self._lock = metrics.lock
+        self._instruments: Dict[str, Counter] = {
+            field.name: metrics.counter("repro." + field.name)
+            for field in fields(Counters)
+        }
+
     def bump(self, name: str, n: int = 1) -> None:
-        """Increment field ``name`` by ``n``, exactly, from any thread.
+        """Increment counter ``name`` by ``n``, exactly, from any thread."""
+        self._instruments[name].inc(n)
 
-        The increment and its mirror into the :data:`registry` counter
-        instrument happen under one lock hold, so the dataclass view and
-        the registry view never disagree.
-        """
-        with registry.lock:
-            setattr(self, name, getattr(self, name) + n)
-            if self is counters:
-                registry.counter("repro." + name).inc(n)
-
-    def snapshot(self) -> "Counters":
-        """An independent copy for before/after diffing."""
-        with registry.lock:
+    def snapshot(self) -> Counters:
+        """Every counter, read in one registry lock hold."""
+        with self._lock:
             return Counters(
-                **{f.name: getattr(self, f.name) for f in fields(self)}
+                **{
+                    name: instrument.value
+                    for name, instrument in self._instruments.items()
+                }
             )
 
-    def delta(self, earlier: "Counters") -> "Counters":
+    def delta(self, earlier: Counters) -> Counters:
         """Counter increments since ``earlier`` (a prior :meth:`snapshot`)."""
+        now = self.snapshot()
         return Counters(
             **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
+                field.name: getattr(now, field.name)
+                - getattr(earlier, field.name)
+                for field in fields(Counters)
             }
         )
 
 
-#: The process-wide counter instance.
-counters = Counters()
-
-
-def transform_constructions() -> int:
-    """Convenience accessor for the most frequently asserted counter."""
-    return counters.transform_constructions
+#: The process-wide counters.
+counters = ProcessCounters(registry)

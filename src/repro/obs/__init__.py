@@ -13,10 +13,12 @@ Two halves, one package:
 * :mod:`repro.obs.metrics` — typed :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` instruments in a :class:`MetricsRegistry` whose
   single lock makes cross-instrument snapshots consistent and bumps
-  from the shard pool exact.  The service telemetry
-  (:class:`~repro.service.telemetry.ShardStats` /
-  :class:`~repro.service.telemetry.ServiceStats`) is a view over this
-  registry.
+  from the shard pool exact.  The registry is the only store of each
+  count: the process counters of :mod:`repro.instrumentation` are
+  registry counters, and the service's
+  :class:`~repro.service.telemetry.ShardStats` /
+  :class:`~repro.service.telemetry.ServiceStats` are folds of one
+  :class:`MetricsSnapshot`.
 
 :mod:`repro.obs.export` renders collected spans as Chrome trace-event
 JSON (Perfetto / ``chrome://tracing``) with one track per shard worker

@@ -1,23 +1,27 @@
 """Typed, lock-exact metric instruments and their registry.
 
-The serving layer grew accounting organically — ad-hoc integer bumps in
-:class:`~repro.service.telemetry.ShardTelemetry`, a module-level counter
-object in :mod:`repro.instrumentation` whose service-path fields were
-documented "best-effort" under the shard pool.  This module is the one
-replacement currency: typed :class:`Counter` / :class:`Gauge` /
-:class:`Histogram` instruments, each guarded by a lock so concurrent
-bumps from shard workers are *exact*, grouped in a
-:class:`MetricsRegistry` whose single re-entrant lock makes a
-:meth:`MetricsRegistry.snapshot` consistent across every instrument it
+This module is the one store of every count the package keeps: typed
+:class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments, each
+guarded by a lock so concurrent bumps from shard workers are *exact*,
+grouped in a :class:`MetricsRegistry` whose single re-entrant lock makes
+a :meth:`MetricsRegistry.snapshot` consistent across every instrument it
 holds (no torn read between a shard's "completed" counter and its
-latency reservoir).
+latency reservoir).  The process counters of
+:mod:`repro.instrumentation` are ``repro.*`` counters in one registry;
+each :class:`~repro.service.service.SolverService` keeps its shards'
+``service.*`` instruments in another.
 
 Instruments are identified by ``(name, labels)`` — the conventional
-dimensional-metrics shape — so per-shard / per-kind series of one metric
-fold naturally: :meth:`MetricsSnapshot.total` sums a counter across all
-label sets and :meth:`MetricsSnapshot.merged_sample` pools histogram
-reservoirs, which is exactly how the fleet view
-(:class:`~repro.service.telemetry.ServiceStats`) aggregates shards.
+dimensional-metrics shape — so every read view is a fold of one
+:class:`MetricsSnapshot`: :meth:`MetricsSnapshot.where` cuts the slice
+of one label value (a shard), :meth:`MetricsSnapshot.total` sums a
+counter across label sets, :meth:`~MetricsSnapshot.peak` takes the
+largest high-water mark, :meth:`~MetricsSnapshot.tally` groups a series
+by one label and :meth:`~MetricsSnapshot.merged_sample` pools histogram
+reservoirs.  That is how
+:class:`~repro.service.telemetry.ShardStats` (the ``shard=i`` slice) and
+:class:`~repro.service.telemetry.ServiceStats` (the whole snapshot) are
+computed.
 
 The module depends only on the standard library, so every layer of the
 package (instrumentation, api, service) can use it without import
@@ -169,13 +173,6 @@ class Gauge(Instrument):
             if value > self._highwater:
                 self._highwater = value
 
-    def inc(self, n: float = 1) -> None:
-        self.set(self.value + n)
-
-    def dec(self, n: float = 1) -> None:
-        with self._lock:
-            self._value -= n
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -246,11 +243,6 @@ class Histogram(Instrument):
                 self._total += value
                 self._sample.append(value)
 
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
     def snapshot(self) -> HistogramSnapshot:
         with self._lock:
             return HistogramSnapshot(
@@ -282,6 +274,17 @@ class MetricsSnapshot:
         """The recorded value of one fully-labelled instrument."""
         return self.values.get((name, _labelset(labels)))
 
+    def where(self, **labels: object) -> "MetricsSnapshot":
+        """The slice of instruments whose labels include every given one."""
+        wanted = set(_labelset(labels))
+        return MetricsSnapshot(
+            values={
+                key: value
+                for key, value in self.values.items()
+                if wanted.issubset(key[1])
+            }
+        )
+
     def series(self, name: str) -> Dict[LabelSet, SnapshotValue]:
         """Every label set recorded under ``name``."""
         return {
@@ -297,6 +300,26 @@ class MetricsSnapshot:
             for value in self.series(name).values()
             if not isinstance(value, HistogramSnapshot)
         )
+
+    def peak(self, name: str) -> float:
+        """Largest value of a counter/gauge series across label sets."""
+        return max(
+            (
+                value
+                for value in self.series(name).values()
+                if not isinstance(value, HistogramSnapshot)
+            ),
+            default=0,
+        )
+
+    def tally(self, name: str, label: str) -> Dict[str, float]:
+        """A counter series summed per value of ``label``."""
+        tallied: Dict[str, float] = {}
+        for labels, value in self.series(name).items():
+            if not isinstance(value, HistogramSnapshot):
+                key = dict(labels)[label]
+                tallied[key] = tallied.get(key, 0) + value
+        return tallied
 
     def merged_sample(self, name: str) -> Tuple[float, ...]:
         """All histogram reservoirs recorded under ``name``, pooled."""
@@ -379,10 +402,6 @@ class MetricsRegistry:
         histogram = self._get(Histogram, name, labels, reservoir=reservoir)
         assert isinstance(histogram, Histogram)
         return histogram
-
-    def instruments(self) -> Tuple[Instrument, ...]:
-        with self._lock:
-            return tuple(self._instruments.values())
 
     def snapshot(self) -> MetricsSnapshot:
         """A consistent cut: one lock hold, every instrument read."""

@@ -30,8 +30,9 @@ Pieces, front to back:
   service and stays hot on its home shard.
 * :class:`~repro.service.telemetry.ServiceStats` — per-kind counts, queue
   depths, the batch-size histogram, p50/p95/p99 latency, and plan-cache
-  hit rates aggregated across shards, all backed by the typed
-  :class:`~repro.obs.metrics.MetricsRegistry` the service owns.
+  hit rates across shards: one snapshot of the typed
+  :class:`~repro.obs.metrics.MetricsRegistry` the service owns, folded
+  per shard and fleet-wide.
 
 The layer is observable end to end: construct the service with an
 enabled :class:`~repro.obs.tracing.Tracer` and every request (and every

@@ -24,7 +24,12 @@ gives way:
     itself: the queue never evicts a higher class to admit a lower one.
 
 The queue is a plain deque under one condition variable; ``close()`` wakes
-every waiter so service shutdown cannot strand a blocked producer.
+every waiter so service shutdown cannot strand a blocked producer.  Two
+:class:`~repro.obs.metrics.Gauge` instruments mirror its depth — total
+undequeued requests and the handoff-lane share of them — and are set
+under that same lock on every put, take and drain, so a drained queue
+always reads 0 and the gauges' high-water marks are the deepest the
+queue ever got.
 
 Cross-shard pipelined graph execution adds a second, higher-priority
 *handoff lane*: when a shard finishes one segment of a pipelined graph,
@@ -47,6 +52,7 @@ from collections import deque
 from typing import Deque, List, Optional, Tuple
 
 from ..errors import ServiceClosedError, ServiceOverloadedError
+from ..obs.metrics import Gauge
 from .request import SolveRequest
 
 __all__ = ["BACKPRESSURE_POLICIES", "BoundedRequestQueue"]
@@ -56,13 +62,20 @@ BACKPRESSURE_POLICIES: Tuple[str, ...] = ("block", "reject", "shed_oldest")
 
 
 class BoundedRequestQueue:
-    """A bounded FIFO of :class:`SolveRequest` with a pluggable full-queue policy."""
+    """A bounded FIFO of :class:`SolveRequest` with a pluggable full-queue policy.
+
+    ``depth_gauge`` / ``handoff_gauge`` are the instruments the queue
+    keeps current (a shard passes its telemetry's registry gauges; a
+    standalone queue gets private ones).
+    """
 
     def __init__(
         self,
         maxsize: int,
         policy: str = "block",
         handoff_capacity: Optional[int] = None,
+        depth_gauge: Optional[Gauge] = None,
+        handoff_gauge: Optional[Gauge] = None,
     ):
         if maxsize < 1:
             raise ValueError(f"queue maxsize must be >= 1, got {maxsize}")
@@ -85,6 +98,13 @@ class BoundedRequestQueue:
         self._handoffs: Deque[SolveRequest] = deque()
         self._cond = threading.Condition()
         self._closed = False
+        self._depth = (
+            depth_gauge if depth_gauge is not None else Gauge("queue_depth")
+        )
+        self._handoff_depth = (
+            handoff_gauge if handoff_gauge is not None
+            else Gauge("handoff_depth")
+        )
 
     # -- introspection ----------------------------------------------------------
     @property
@@ -118,6 +138,11 @@ class BoundedRequestQueue:
         with self._cond:
             return len(self._items) + len(self._handoffs)
 
+    def _publish(self) -> None:
+        """Set both depth gauges to the current depths (under ``self._cond``)."""
+        self._depth.set(len(self._items) + len(self._handoffs))
+        self._handoff_depth.set(len(self._handoffs))
+
     # -- producer side ----------------------------------------------------------
     def put(
         self, request: SolveRequest, timeout: Optional[float] = None
@@ -136,6 +161,7 @@ class BoundedRequestQueue:
                 raise ServiceClosedError("cannot submit to a closed service")
             if len(self._items) < self._maxsize:
                 self._items.append(request)
+                self._publish()
                 self._cond.notify_all()
                 return None
             if self._policy == "reject":
@@ -171,6 +197,7 @@ class BoundedRequestQueue:
                         "service closed while waiting for queue space"
                     )
             self._items.append(request)
+            self._publish()
             self._cond.notify_all()
             return None
 
@@ -200,7 +227,7 @@ class BoundedRequestQueue:
                 victim, victim_rank = position, rank
         return victim
 
-    def put_handoff(self, request: SolveRequest) -> int:
+    def put_handoff(self, request: SolveRequest) -> None:
         """Park a mid-pipeline segment in the priority handoff lane.
 
         Never blocks (dispatch runs on a worker thread) and never sheds
@@ -208,8 +235,7 @@ class BoundedRequestQueue:
         ``handoff_capacity`` raises
         :class:`~repro.errors.ServiceOverloadedError` so the dispatching
         worker can fail the whole pipelined request instead of queueing
-        without bound.  Returns the lane depth after the put, for the
-        shard's handoff telemetry.
+        without bound.
         """
         with self._cond:
             if self._closed:
@@ -222,8 +248,8 @@ class BoundedRequestQueue:
                     f"parked segments); downstream shard cannot keep up"
                 )
             self._handoffs.append(request)
+            self._publish()
             self._cond.notify_all()
-            return len(self._handoffs)
 
     # -- consumer side ----------------------------------------------------------
     def get(self, timeout: Optional[float] = None) -> Optional[SolveRequest]:
@@ -248,6 +274,7 @@ class BoundedRequestQueue:
                 request = self._handoffs.popleft()
             else:
                 request = self._items.popleft()
+            self._publish()
             self._cond.notify_all()
         # Tracer-clock stamp for queue-wait spans; one clock read per
         # dequeue, cheap enough to do unconditionally.
@@ -269,6 +296,7 @@ class BoundedRequestQueue:
                 else:
                     drained.append(self._items.popleft())
             if drained:
+                self._publish()
                 self._cond.notify_all()
         now = time.perf_counter()
         for request in drained:

@@ -190,7 +190,12 @@ class SolverService:
         )
         self._shards: List[ShardWorker] = []
         for shard_id in range(int(n_shards)):
-            queue = BoundedRequestQueue(queue_depth, policy=backpressure)
+            telemetry = ShardTelemetry(shard_id, registry=self._metrics)
+            queue = BoundedRequestQueue(
+                queue_depth, policy=backpressure,
+                depth_gauge=telemetry.queue_depth,
+                handoff_gauge=telemetry.handoff_depth,
+            )
             worker = ShardWorker(
                 shard_id=shard_id,
                 solver=Solver(
@@ -198,7 +203,7 @@ class SolverService:
                     plan_cache_size=plan_cache_size, store=store,
                 ),
                 queue=queue,
-                telemetry=ShardTelemetry(shard_id, registry=self._metrics),
+                telemetry=telemetry,
                 max_batch_size=max_batch_size,
                 max_batch_delay=max_batch_delay,
                 idle_poll=idle_poll,
@@ -519,7 +524,7 @@ class SolverService:
         if trace is not None and wait is not None:
             wait.finish()
             trace.admitted_at = wait.end
-        worker.telemetry.record_submitted(request.kind, len(worker.queue))
+        worker.telemetry.record_submitted(request.kind)
         if shed is not None:
             self._fail_shed(worker, shed)
         return request.future
@@ -595,8 +600,7 @@ class SolverService:
         if trace is not None and wait is not None:
             wait.finish()
             trace.admitted_at = wait.end
-        home_worker = self._shards[home]
-        home_worker.telemetry.record_submitted("graph", len(home_worker.queue))
+        self._shards[home].telemetry.record_submitted("graph")
         return job.future
 
     def _dispatch_segment(self, task: SegmentTask) -> None:
@@ -608,11 +612,11 @@ class SolverService:
         """
         worker = self._shards[task.shard]
         try:
-            depth = worker.queue.put_handoff(task.request)
+            worker.queue.put_handoff(task.request)
         except ServiceOverloadedError:
             worker.telemetry.record_handoff_rejected()
             raise
-        worker.telemetry.record_handoff(depth)
+        worker.telemetry.record_handoff()
 
     def _fail_shed(self, worker: ShardWorker, shed: SolveRequest) -> None:
         """Fail a request evicted under ``shed_oldest``.
@@ -684,14 +688,12 @@ class SolverService:
 
     # -- observability ------------------------------------------------------------
     def stats(self) -> ServiceStats:
-        """A consistent-enough fleet snapshot (per-shard locks, no global stop)."""
-        return ServiceStats.aggregate(
-            [
-                worker.telemetry.snapshot(
-                    len(worker.queue), worker.solver.cache_stats
-                )
-                for worker in self._shards
-            ],
+        """The fleet's accounting: one registry snapshot, folded per shard
+        and fleet-wide (plan-cache and placement columns are read
+        alongside it from their own stores)."""
+        return ServiceStats.fold(
+            self._metrics.snapshot(),
+            [worker.solver.cache_stats for worker in self._shards],
             placement=self._placement.snapshot(),
         )
 

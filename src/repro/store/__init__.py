@@ -22,10 +22,12 @@ when a store is given) the service preloads each persisted plan onto
 its placed shard at construction, so a cold process answers request #1
 at warm-cache latency with zero plan builds.
 
-Accounting: ``plan_store_hits`` / ``plan_store_misses`` /
-``plan_store_errors`` / ``plan_store_writes`` on
-:data:`repro.instrumentation.counters` (mirrored into the process
-metrics registry), plus per-instance :attr:`PlanStore.stats`.
+Accounting: every load hit, miss, invalid artifact, write and failed
+write is counted twice over, once per scope — per instance in
+:attr:`PlanStore.stats`, and process-wide in the ``plan_store_hits`` /
+``plan_store_misses`` / ``plan_store_errors`` / ``plan_store_writes``
+counters of :data:`repro.instrumentation.counters` (``repro.*``
+counters of the process metrics registry).
 """
 
 from .format import FORMAT_VERSION, MAGIC, PlanFormatError

@@ -49,11 +49,13 @@ MAGIC = b"RPROPLAN"
 
 #: Bump on any incompatible payload change.  Readers reject every other
 #: version (newer *or* older) — a version skew is a recompile, never a
-#: best-effort parse of bytes written by different code.  Version 4:
-#: a vectorized mat-mul plan carries the step-major fold schedule (start
-#: map, per-step chain reads, band gather) instead of per-(chain depth,
-#: term) gather tables.
-FORMAT_VERSION = 4
+#: best-effort parse of bytes written by different code.  Version 5:
+#: the per-shape engine memos inside a plan (``CachedMatVec`` /
+#: ``CachedMatMul``, e.g. a jacobi plan's inner mat-vec engine) pickle as
+#: one :class:`~repro.instrumentation.LRUCache` instead of a bare LRU dict
+#: plus hit/miss/eviction fields, so a version-4 payload would load and
+#: then fail on its first solve.
+FORMAT_VERSION = 5
 
 _VERSION_STRUCT = struct.Struct(">I")
 _CHECKSUM_SIZE = 16

@@ -17,10 +17,10 @@ truncated, corrupt, version-skewed or miskeyed artifact is an *error*
 the caller compiles as if the store were cold.  Write side:
 :meth:`save` is atomic (temp file + ``os.replace``) so a crashed writer
 can never leave a half-written artifact that a later reader would have
-to distrust, and raises :class:`~repro.errors.PlanStoreError` on
-failure — which the :class:`~repro.api.solver.Solver` write-through
-path catches and counts, keeping persistence strictly best-effort on
-the serving path.
+to distrust; a plan it cannot encode or write is counted as an error
+and raised as :class:`~repro.errors.PlanStoreError` — which the
+:class:`~repro.api.solver.Solver` write-through path catches, keeping
+persistence strictly best-effort on the serving path.
 """
 
 from __future__ import annotations
@@ -211,8 +211,9 @@ class PlanStore:
 
         Returns ``None`` (silently) on a readonly store.  Raises
         :class:`~repro.errors.PlanStoreError` when the plan cannot be
-        encoded or the artifact cannot be written — callers on a hot
-        path catch it and keep serving from the in-memory cache.
+        encoded or the artifact cannot be written (after counting the
+        failure in :attr:`stats` and ``plan_store_errors``) — callers on
+        a hot path catch it and keep serving from the in-memory cache.
         """
         if self._readonly:
             return None
@@ -224,6 +225,7 @@ class PlanStore:
         try:
             data = encode_plan(plan)
         except Exception as exc:
+            self._count("_errors", "plan_store_errors")
             raise PlanStoreError(
                 f"cannot serialize plan {plan.describe()}: {exc!r}"
             ) from exc
@@ -236,6 +238,7 @@ class PlanStore:
                 tmp.unlink()
             except OSError:
                 pass
+            self._count("_errors", "plan_store_errors")
             raise PlanStoreError(
                 f"cannot write plan artifact {path}: {exc!r}"
             ) from exc

@@ -8,6 +8,8 @@ equivalence with sequential solves, and the legacy deprecation shims.
 
 from __future__ import annotations
 
+import pickle
+import sys
 import threading
 import warnings
 
@@ -26,7 +28,12 @@ from repro.api.plan import PlanCache
 from repro.core.matvec import MatVecSolution, SizeIndependentMatVec
 from repro.core.matmul import MatMulSolution, SizeIndependentMatMul
 from repro.errors import ProblemKindError, ShapeError
-from repro.instrumentation import counters
+from repro.instrumentation import CacheStats, LRUCache, counters
+
+#: The shared LRU and the plan cache built on it drive the same tests.
+CACHE_TYPES = pytest.mark.parametrize(
+    "cache_type", [PlanCache, LRUCache], ids=lambda cls: cls.__name__
+)
 
 
 @pytest.fixture
@@ -207,10 +214,25 @@ class TestPlanCache:
         assert stats.size == 2
         assert stats.evictions == 1
 
-    def test_cache_object_directly(self):
-        cache = PlanCache(maxsize=1)
+    @CACHE_TYPES
+    def test_cache_object_directly(self, cache_type):
+        cache = cache_type(maxsize=1)
         assert cache.get(("matvec", (2, 2), 3, ExecutionOptions())) is None
         assert cache.stats.misses == 1
+
+    def test_lru_pickle_round_trip_keeps_entries_and_counts(self):
+        cache = LRUCache(maxsize=2)
+        for key in "abc":
+            cache.put(key, key.upper())
+        assert cache.get("a") is None  # evicted
+        assert cache.get("c") == "C"
+        clone = pickle.loads(pickle.dumps(cache))
+        assert clone.stats == cache.stats == CacheStats(1, 1, 1, 2, 2)
+        assert clone.get("b") == "B"  # entries and LRU order survive
+        clone.put("d", "D")  # the recreated lock works; "c" is now LRU
+        assert "c" not in clone and "b" in clone and "d" in clone
+        assert clone.stats == CacheStats(2, 1, 2, 2, 2)
+        assert cache.stats == CacheStats(1, 1, 1, 2, 2)  # independent
 
     def test_empty_cache_hit_rate_is_zero_not_an_error(self):
         from repro.api.plan import CacheStats
@@ -449,8 +471,9 @@ class TestPlanCacheThreadSafety:
         assert stats.hits + stats.misses == n_threads * per_thread
         assert stats.size <= 2
 
-    def test_hammer_cache_object_directly(self):
-        cache = PlanCache(maxsize=4)
+    @CACHE_TYPES
+    def test_hammer_cache_object_directly(self, cache_type):
+        cache = cache_type(maxsize=4)
         sentinel = object()
         keys = [("matvec", (n, n), 4, None) for n in range(8)]
         n_threads = 8
@@ -473,10 +496,17 @@ class TestPlanCacheThreadSafety:
             threading.Thread(target=hammer, args=(seed,))
             for seed in range(n_threads)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        # Switch threads often, so a lost hit/miss update would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         stats = cache.stats
         assert stats.hits + stats.misses == n_threads * 200

@@ -71,8 +71,7 @@ class TestInstruments:
         gauge.set(3)
         gauge.set(7)
         gauge.set(2)
-        gauge.dec()
-        assert gauge.value == 1
+        assert gauge.value == 2
         assert gauge.highwater == 7
 
     def test_histogram_reservoir_slides_but_totals_are_lifetime(self):

@@ -5,7 +5,8 @@ batching, the three backpressure policies, per-request deadlines,
 telemetry aggregation, drain/no-drain shutdown — and the concurrency soak
 (8 client threads x 50 requests each through a 4-shard service, results
 bit-identical to direct ``Solver.solve`` calls, zero dropped futures
-under the ``block`` policy).
+under the ``block`` policy, every ``stats()`` count equal to its registry
+total).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.errors import (
     ServiceOverloadedError,
     ShapeError,
 )
+from repro.graph import Graph, MatVec
 from repro.instrumentation import counters
 from repro.service import (
     AdmissionBatcher,
@@ -34,6 +36,14 @@ from repro.service import (
 )
 
 W = 4
+
+#: Every count column of ``ShardStats``/``ServiceStats``; each is the
+#: ``service.<name>`` registry counter.
+COUNT_COLUMNS = (
+    "submitted", "completed", "failed", "rejected", "shed", "expired",
+    "batches", "graphs", "graph_stages", "graph_fused", "graph_levels",
+    "segments", "handoffs", "handoffs_rejected", "rate_limited",
+)
 
 
 def _request(kind: str = "matvec", key=None) -> SolveRequest:
@@ -441,6 +451,56 @@ class TestTelemetry:
         assert stats.mean_batch_size > 1.0
         assert max(stats.batch_size_histogram) > 1
 
+    def test_drained_service_reads_zero_depth_in_every_series(self, rng):
+        a, b = rng.normal(size=(8, 8)), rng.normal(size=(6, 8))
+        x = rng.normal(size=8)
+        graph = Graph(MatVec(b, MatVec(a, x, name="inner"), name="outer"))
+        service = SolverService(ArraySpec(W), n_shards=2, max_batch_delay=0.0)
+        try:
+            # Pin the two levels apart so every graph crosses a handoff lane.
+            keys = graph.plan_keys(W, ExecutionOptions())
+            service.placement.assign(keys[graph.names.index("inner")], 0)
+            service.placement.assign(keys[graph.names.index("outer")], 1)
+            futures = [service.submit("matvec", a, x) for _ in range(20)]
+            futures += [service.submit_graph(graph) for _ in range(5)]
+            for future in futures:
+                future.result(timeout=30)
+        finally:
+            service.close()
+        snapshot = service.metrics.snapshot()
+        stats = service.stats()
+        assert stats.handoffs == 5 and stats.max_handoff_depth >= 1
+        for gauge in ("service.queue_depth", "service.handoff_depth"):
+            assert list(snapshot.series(gauge).values()) == [0, 0]
+        for shard in stats.shards:
+            assert shard.queue_depth == snapshot.value(
+                "service.queue_depth", shard=shard.shard_id
+            )
+        assert stats.queue_depth == 0
+
+    def test_max_queue_depth_is_the_deepest_point_reached(
+        self, rng, monkeypatch
+    ):
+        service, gate = _stalled_service(monkeypatch, "block", queue_depth=8)
+        a, x = rng.normal(size=(8, 8)), rng.normal(size=8)
+        try:
+            futures = [service.submit("matvec", a, x)]
+            _wait_until(lambda: len(service.shards[0].queue) == 0)
+            futures += [service.submit("matvec", a, x) for _ in range(5)]
+            assert service.stats().queue_depth == 5
+            gate.set()
+            for future in futures:
+                future.result(timeout=30)
+        finally:
+            gate.set()
+            service.close()
+        stats = service.stats()
+        assert stats.queue_depth == 0
+        assert stats.max_queue_depth == 5
+        assert service.metrics.snapshot().value(
+            "service.queue_depth", shard=0
+        ) == 0
+
     def test_describe_mentions_the_load_bearing_numbers(self, rng):
         with SolverService(ArraySpec(W), n_shards=2) as service:
             service.solve("matvec", rng.normal(size=(8, 8)), rng.normal(size=8))
@@ -519,6 +579,14 @@ class TestConcurrencySoak:
         # Routing kept every plan on one home shard: one miss per distinct
         # plan fleet-wide, everything else warm.
         assert stats.cache.misses == len(problems)
+        # One snapshot, one source: each count column is its registry
+        # total, and the shard slices sum to the fleet column.
+        snapshot = service.metrics.snapshot()
+        for name in COUNT_COLUMNS:
+            fleet = getattr(stats, name)
+            assert fleet == snapshot.total(f"service.{name}"), name
+            assert sum(getattr(s, name) for s in stats.shards) == fleet, name
+        assert snapshot.total("service.queue_depth") == stats.queue_depth == 0
 
 
 # --------------------------------------------------------------------------- #
