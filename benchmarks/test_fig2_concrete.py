@@ -12,7 +12,7 @@ import numpy as np
 from repro.analysis.figures import render_fig2_concrete_case
 from repro.analysis.report import ExperimentReport
 from repro.core.dbt import DBTByRowsTransform
-from repro.core.matvec import SizeIndependentMatVec
+from repro.core.plans import MatVecPlan
 from repro.core.schedule import plan_overlap_partition
 
 
@@ -45,8 +45,8 @@ def test_fig2_partitioned_halves_run_independently(benchmark, rng):
     b = rng.uniform(-1.0, 1.0, size=n)
 
     def run_halves():
-        top = SizeIndependentMatVec(w).solve(matrix[:3], x, b[:3])
-        bottom = SizeIndependentMatVec(w).solve(matrix[3:], x, b[3:])
+        top = MatVecPlan(3, m, w).execute(matrix[:3], x, b[:3])
+        bottom = MatVecPlan(n - 3, m, w).execute(matrix[3:], x, b[3:])
         return np.concatenate([top.y, bottom.y])
 
     y = benchmark(run_halves)

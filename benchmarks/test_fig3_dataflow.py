@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.report import ExperimentReport
-from repro.core.matvec import SizeIndependentMatVec
+from repro.core.plans import MatVecPlan
 
 
 def test_fig3_dataflow_table(benchmark, rng, show_report):
@@ -23,8 +23,8 @@ def test_fig3_dataflow_table(benchmark, rng, show_report):
     x = rng.uniform(-1.0, 1.0, size=m)
     b = rng.uniform(-1.0, 1.0, size=n)
 
-    solver = SizeIndependentMatVec(w, record_trace=True)
-    solution = benchmark(solver.solve, matrix, x, b)
+    plan = MatVecPlan(n, m, w, record_trace=True)
+    solution = benchmark(plan.execute, matrix, x, b)
     assert np.allclose(solution.y, matrix @ x + b)
 
     trace = solution.trace
@@ -64,8 +64,8 @@ def test_fig3_dataflow_table(benchmark, rng, show_report):
 def test_fig3_inputs_arrive_every_other_cycle(benchmark, rng):
     matrix = rng.uniform(-1.0, 1.0, size=(6, 9))
     x = rng.uniform(-1.0, 1.0, size=9)
-    solver = SizeIndependentMatVec(3, record_trace=True)
-    solution = benchmark(solver.solve, matrix, x, None)
+    plan = MatVecPlan(6, 9, 3, record_trace=True)
+    solution = benchmark(plan.execute, matrix, x, None)
     cycles = solution.trace.rows["x in"].cycles()
     assert all(later - earlier == 2 for earlier, later in zip(cycles, cycles[1:]))
     out_cycles = solution.trace.rows["y out"].cycles()

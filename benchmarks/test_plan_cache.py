@@ -17,7 +17,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 from repro.api import ArraySpec, Solver
 from repro.instrumentation import counters
@@ -110,19 +109,3 @@ class TestPlanCacheSpeedup:
         stats = solver.cache_stats
         assert stats.misses == 1
         assert stats.hits == len(batch) - 1
-
-    @pytest.mark.parametrize("repeat", [8])
-    def test_shim_amortizes_transform_construction(self, rng, repeat):
-        """The legacy shim inherits the plan reuse for same-shape loops."""
-        import warnings
-
-        from repro.core.matvec import SizeIndependentMatVec
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = SizeIndependentMatVec(4)
-        legacy.solve(rng.normal(size=(12, 12)), rng.normal(size=12))
-        before = counters.snapshot()
-        for _ in range(repeat):
-            legacy.solve(rng.normal(size=(12, 12)), rng.normal(size=12))
-        assert counters.delta(before).transform_constructions == 0

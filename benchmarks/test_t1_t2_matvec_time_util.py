@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.analysis.report import ExperimentReport
 from repro.core.analytic import matvec_steps, matvec_utilization
-from repro.core.matvec import SizeIndependentMatVec
+from repro.core.plans import MatVecPlan, OverlappedMatVecPlan
 from repro.matrices.padding import block_count
 
 SWEEP = [
@@ -36,7 +36,8 @@ def run_sweep(rng, overlapped: bool):
             continue
         matrix = rng.uniform(-1.0, 1.0, size=(n, m))
         x = rng.uniform(-1.0, 1.0, size=m)
-        solution = SizeIndependentMatVec(w, overlapped=overlapped).solve(matrix, x)
+        plan_type = OverlappedMatVecPlan if overlapped else MatVecPlan
+        solution = plan_type(n, m, w).execute(matrix, x)
         assert np.allclose(solution.y, matrix @ x)
         rows.append((n, m, w, solution))
     return rows

@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.report import ExperimentReport
 from repro.core.analytic import matvec_feedback_delay, matvec_feedback_registers
-from repro.core.matvec import SizeIndependentMatVec
+from repro.core.plans import MatVecPlan
 
 
 @pytest.mark.parametrize("w", [2, 3, 4, 5, 6])
@@ -24,8 +24,8 @@ def test_t3_feedback_delay_equals_w(benchmark, rng, w, show_report):
     x = rng.uniform(-1.0, 1.0, size=m)
     b = rng.uniform(-1.0, 1.0, size=n)
 
-    solver = SizeIndependentMatVec(w)
-    solution = benchmark(solver.solve, matrix, x, b)
+    plan = MatVecPlan(*matrix.shape, w)
+    solution = benchmark(plan.execute, matrix, x, b)
     assert np.allclose(solution.y, matrix @ x + b)
 
     delays = solution.feedback_delays
@@ -55,7 +55,7 @@ def test_t3_delay_independent_of_problem_size(benchmark, rng, show_report):
             n = m = 3 * w * scale
             matrix = rng.uniform(-1.0, 1.0, size=(n, m))
             x = rng.uniform(-1.0, 1.0, size=m)
-            solution = SizeIndependentMatVec(w).solve(matrix, x)
+            solution = MatVecPlan(*matrix.shape, w).execute(matrix, x)
             results.append((n, solution))
         return results
 

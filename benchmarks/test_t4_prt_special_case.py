@@ -16,7 +16,7 @@ from repro.analysis.report import ExperimentReport
 from repro.baselines.naive_band import NaiveBlockMatVec
 from repro.baselines.prt import PRTMatVec, PRTTransform
 from repro.core.dbt import DBTByRowsTransform
-from repro.core.matvec import SizeIndependentMatVec
+from repro.core.plans import MatVecPlan
 
 
 @pytest.mark.parametrize("w", [2, 3, 4, 6])
@@ -29,7 +29,7 @@ def test_t4_prt_equals_single_block_dbt(benchmark, rng, w, show_report):
         prt = PRTTransform(matrix, w)
         dbt = DBTByRowsTransform(matrix, w)
         prt_solution = PRTMatVec(w).solve(matrix, x, b)
-        dbt_solution = SizeIndependentMatVec(w).solve(matrix, x, b)
+        dbt_solution = MatVecPlan(*matrix.shape, w).execute(matrix, x, b)
         return prt, dbt, prt_solution, dbt_solution
 
     prt, dbt, prt_solution, dbt_solution = benchmark(both)
@@ -57,8 +57,8 @@ def test_t4_dbt_extends_prt_beyond_one_block(benchmark, rng, show_report):
     matrix = rng.uniform(-1.0, 1.0, size=(9, 12))
     x = rng.uniform(-1.0, 1.0, size=12)
 
-    solver = SizeIndependentMatVec(w)
-    solution = benchmark(solver.solve, matrix, x, None)
+    plan = MatVecPlan(*matrix.shape, w)
+    solution = benchmark(plan.execute, matrix, x, None)
     assert np.allclose(solution.y, matrix @ x)
 
     report = ExperimentReport("T4b", "DBT on a multi-block problem, same w cells")

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.analysis.report import ExperimentReport
 from repro.core.analytic import matmul_steps, matmul_utilization
-from repro.core.matmul import SizeIndependentMatMul
+from repro.core.plans import MatMulPlan
 from repro.matrices.padding import block_count
 
 SWEEP = [
@@ -34,7 +34,7 @@ def run_sweep(rng):
         a = rng.uniform(-1.0, 1.0, size=(n, p))
         b = rng.uniform(-1.0, 1.0, size=(p, m))
         e = rng.uniform(-1.0, 1.0, size=(n, m))
-        solution = SizeIndependentMatMul(w).solve(a, b, e)
+        solution = MatMulPlan(*a.shape, b.shape[1], w).execute(a, b, e)
         assert np.allclose(solution.c, a @ b + e)
         rows.append((n, p, m, w, solution))
     return rows
@@ -85,8 +85,8 @@ def test_t6_utilization(benchmark, rng, show_report):
 def test_t6_utilization_never_exceeds_one_third_asymptote_by_much(benchmark, rng, show_report):
     a = rng.uniform(-1.0, 1.0, size=(9, 9))
     b = rng.uniform(-1.0, 1.0, size=(9, 9))
-    solver = SizeIndependentMatMul(3)
-    solution = benchmark.pedantic(solver.solve, args=(a, b), rounds=1, iterations=1)
+    plan = MatMulPlan(*a.shape, b.shape[1], 3)
+    solution = benchmark.pedantic(plan.execute, args=(a, b), rounds=1, iterations=1)
     report = ExperimentReport("T6b", "utilization of a 3x3-block problem, w=3")
     report.add("eta", matmul_utilization(3, 3, 3, 3), solution.measured_utilization,
                "measured includes tail corner")

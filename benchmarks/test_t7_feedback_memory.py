@@ -26,7 +26,7 @@ from repro.core.analytic import (
     matmul_irregular_feedback_registers,
     matmul_regular_feedback_registers,
 )
-from repro.core.matmul import SizeIndependentMatMul
+from repro.core.plans import MatMulPlan
 from repro.systolic.feedback import SpiralFeedbackTopology
 
 
@@ -63,7 +63,7 @@ def test_t7_regular_delays_constant_irregular_delays_grow(benchmark, rng, show_r
             m = m_blocks * w
             a = rng.uniform(-1.0, 1.0, size=(n, p))
             b = rng.uniform(-1.0, 1.0, size=(p, m))
-            solution = SizeIndependentMatMul(w).solve(a, b)
+            solution = MatMulPlan(*a.shape, b.shape[1], w).execute(a, b)
             assert np.allclose(solution.c, a @ b)
             results.append((m_blocks, solution.feedback_classification()))
         return results
@@ -101,8 +101,8 @@ def test_t7_irregular_feedback_limited_to_first_and_last_block_rows(
     w = 3
     a = rng.uniform(-1.0, 1.0, size=(9, 6))
     b = rng.uniform(-1.0, 1.0, size=(6, 9))
-    solver = SizeIndependentMatMul(w)
-    solution = benchmark.pedantic(solver.solve, args=(a, b), rounds=1, iterations=1)
+    plan = MatMulPlan(*a.shape, b.shape[1], w)
+    solution = benchmark.pedantic(plan.execute, args=(a, b), rounds=1, iterations=1)
     classification = solution.feedback_classification()
 
     n_bar = solution.operands.n_bar

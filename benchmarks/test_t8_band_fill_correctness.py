@@ -22,8 +22,7 @@ import numpy as np
 
 from repro.analysis.report import ExperimentReport
 from repro.core.dbt import DBTByRowsTransform
-from repro.core.matmul import SizeIndependentMatMul
-from repro.core.matvec import SizeIndependentMatVec
+from repro.core.plans import MatMulPlan, MatVecPlan
 from repro.core.operands import MatMulOperands
 
 
@@ -38,7 +37,7 @@ def test_t8_matvec_band_fill_and_in_array_computation(benchmark, rng, show_repor
             x = rng.uniform(-1.0, 1.0, size=m)
             b = rng.uniform(-1.0, 1.0, size=n)
             transform = DBTByRowsTransform(matrix, w)
-            solution = SizeIndependentMatVec(w).solve(matrix, x, b)
+            solution = MatVecPlan(*matrix.shape, w).execute(matrix, x, b)
             results.append((n, m, matrix, x, b, transform, solution))
         return results
 
@@ -63,7 +62,7 @@ def test_t8_matmul_band_fill_and_in_array_accumulation(benchmark, rng, show_repo
 
     def run():
         operands = MatMulOperands(a, b, w)
-        solution = SizeIndependentMatMul(w).solve(a, b, e)
+        solution = MatMulPlan(*a.shape, b.shape[1], w).execute(a, b, e)
         return operands, solution
 
     operands, solution = benchmark.pedantic(run, rounds=1, iterations=1)

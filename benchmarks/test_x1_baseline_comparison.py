@@ -23,8 +23,7 @@ import numpy as np
 from repro.analysis.report import ExperimentReport
 from repro.baselines.block_partition import BlockPartitionedMatVec
 from repro.baselines.naive_band import NaiveBlockMatMul, NaiveBlockMatVec
-from repro.core.matmul import SizeIndependentMatMul
-from repro.core.matvec import SizeIndependentMatVec
+from repro.core.plans import MatMulPlan, MatVecPlan
 
 
 def test_x1_matvec_strategies(benchmark, rng, show_report):
@@ -37,7 +36,7 @@ def test_x1_matvec_strategies(benchmark, rng, show_report):
             matrix = rng.uniform(-1.0, 1.0, size=(n, m))
             x = rng.uniform(-1.0, 1.0, size=m)
             b = rng.uniform(-1.0, 1.0, size=n)
-            dbt = SizeIndependentMatVec(w).solve(matrix, x, b)
+            dbt = MatVecPlan(*matrix.shape, w).execute(matrix, x, b)
             partitioned = BlockPartitionedMatVec(w).solve(matrix, x, b)
             naive = NaiveBlockMatVec(w).solve(matrix, x, b)
             reference = matrix @ x + b
@@ -83,7 +82,7 @@ def test_x1_matmul_strategies(benchmark, rng, show_report):
     e = rng.uniform(-1.0, 1.0, size=(6, 6))
 
     def run():
-        dbt = SizeIndependentMatMul(w).solve(a, b, e)
+        dbt = MatMulPlan(*a.shape, b.shape[1], w).execute(a, b, e)
         naive = NaiveBlockMatMul(w).solve(a, b, e)
         reference = a @ b + e
         assert np.allclose(dbt.c, reference)

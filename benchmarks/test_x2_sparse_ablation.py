@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.report import ExperimentReport
-from repro.core.matvec import SizeIndependentMatVec
+from repro.core.plans import MatVecPlan
 from repro.extensions.sparse import BlockSparseMatVec
 
 
@@ -39,7 +39,7 @@ def test_x2_block_sparse_vs_dense_dbt(benchmark, rng, show_report):
             matrix = block_sparse_matrix(rng, 5, 6, w, density)
             x = rng.uniform(-1.0, 1.0, size=matrix.shape[1])
             b = rng.uniform(-1.0, 1.0, size=matrix.shape[0])
-            dense = SizeIndependentMatVec(w).solve(matrix, x, b)
+            dense = MatVecPlan(*matrix.shape, w).execute(matrix, x, b)
             sparse = BlockSparseMatVec(w).solve(matrix, x, b)
             reference = matrix @ x + b
             assert np.allclose(dense.y, reference)

@@ -35,9 +35,7 @@ Multi-stage workloads compose typed problems into pipeline graphs
     result = GraphCompiler(solver).run(Graph(y))
 
 The string spelling ``solver.solve("matvec", A, x)`` remains a supported
-shim over the typed problems, and the one-class-per-problem entry points
-(``SizeIndependentMatVec``, ``SizeIndependentMatMul``) remain available
-as deprecation shims.
+shim over the typed problems.
 """
 
 from .api import (
@@ -58,8 +56,8 @@ from .core.analytic import (
 )
 from .core.dbt import DBTByRowsTransform, dbt_by_rows
 from .core.dbt_transposed import DBTTransposedByRowsTransform, dbt_transposed_by_rows
-from .core.matmul import MatMulSolution, SizeIndependentMatMul
-from .core.matvec import MatVecSolution, SizeIndependentMatVec
+from .core.matmul import MatMulSolution
+from .core.matvec import MatVecSolution
 from .core.operands import MatMulOperands
 from .core.recovery import PartialResultMap
 from .errors import (
@@ -179,8 +177,6 @@ __all__ = [
     "ShapeError",
     "ShiftRegisterFeedback",
     "SimulationError",
-    "SizeIndependentMatMul",
-    "SizeIndependentMatVec",
     "Solution",
     "Solver",
     "SolverService",

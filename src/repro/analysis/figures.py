@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.dbt import DBTByRowsTransform
-from ..core.plans import CachedMatVec
+from ..core.plans import MatVecPlan
 from ..core.operands import MatMulOperands
 from ..core.recovery import PartialResultMap
 from ..core.schedule import plan_overlap_partition
@@ -90,8 +90,8 @@ def render_fig2_concrete_case(n: int = 6, m: int = 9, w: int = 3) -> str:
 def render_fig3_dataflow(n: int = 6, m: int = 9, w: int = 3, seed: int = 0) -> str:
     """Fig. 3: cycle-by-cycle input/output data flow of the linear array."""
     problem = random_matvec_problem(n, m, seed=seed)
-    solver = CachedMatVec(w, record_trace=True)
-    solution = solver.solve(problem.matrix, problem.x, problem.b)
+    plan = MatVecPlan(n, m, w, record_trace=True)
+    solution = plan.execute(problem.matrix, problem.x, problem.b)
     header = (
         f"Data flow for n={n}, m={m}, w={w}: "
         f"{solution.measured_steps} steps "

@@ -31,7 +31,7 @@ Key pieces:
 """
 
 from .config import ArraySpec, ExecutionOptions
-from .plan import CacheStats, ExecutionPlan, PlanCache, PlanKey
+from .plan import CacheStats, ExecutionPlan, InnerPlans, PlanCache, PlanKey
 from .registry import ProblemHandler, get_handler, register, registered_kinds
 from .solution import FeedbackStats, Solution
 from .solver import Solver
@@ -42,6 +42,7 @@ __all__ = [
     "ExecutionOptions",
     "ExecutionPlan",
     "FeedbackStats",
+    "InnerPlans",
     "PlanCache",
     "PlanKey",
     "ProblemHandler",

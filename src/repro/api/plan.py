@@ -1,27 +1,51 @@
-"""Execution plans and the LRU plan cache.
+"""Execution plans, the LRU plan cache and the inner-plan view.
 
 An :class:`ExecutionPlan` is the immutable product of the *compile* half
 of the compile-then-run split: for the array kinds (matvec, matmul) it
 wraps a shape-keyed skeleton from :mod:`repro.core.plans` (band geometry,
 refill gathers, schedules, placement, token-plan skeleton); for the
-blocked pipelines (lu, triangular, gauss_seidel, sparse) it wraps a fully
-configured pipeline whose inner per-shape engines warm up on first use.
+blocked pipelines (lu, triangular, sparse) and the iterative kinds it
+wraps a configured executor that holds no plans of its own.
 
 Plans are keyed by ``(kind, shapes, w, options)`` and held in a
 :class:`PlanCache` — the shared LRU with hit/miss/eviction accounting —
 so that repeated same-shape solves, the hot path of a serving workload,
 skip all transform construction and only stream operand values.
+
+That one cache also holds every product an executor runs inside its own
+solve: a plan knows its :attr:`~ExecutionPlan.source` solver, and
+:class:`InnerPlans` resolves each inner mat-vec / mat-mul shape through
+it, so a jacobi sweep's ``(n, n)`` product is the same cached, stored
+and traced plan as a plain ``MatVec`` of that shape.
 """
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+import weakref
+from functools import lru_cache
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
+import numpy as np
+
+from ..errors import ShapeError
 from ..instrumentation import CacheStats, LRUCache, counters
+from ..matrices.dense import as_matrix
 from ..obs.tracing import NULL_SPAN, active_span
 from .config import ArraySpec, ExecutionOptions
 
-__all__ = ["ExecutionPlan", "CacheStats", "PlanCache", "PlanKey", "make_plan_key"]
+if TYPE_CHECKING:  # pragma: no cover - typing only; the solver imports this module
+    from ..core.matmul import MatMulSolution
+    from ..core.matvec import MatVecSolution
+    from .solver import Solver
+
+__all__ = [
+    "ExecutionPlan",
+    "CacheStats",
+    "InnerPlans",
+    "PlanCache",
+    "PlanKey",
+    "make_plan_key",
+]
 
 #: A plan cache key: (kind, shapes, w, options).
 PlanKey = Tuple[str, Tuple, int, ExecutionOptions]
@@ -47,7 +71,9 @@ class ExecutionPlan:
     ``solve``); execute it any number of times with same-shape operands.
     """
 
-    __slots__ = ("_kind", "_shapes", "_spec", "_options", "_executor", "_handler")
+    __slots__ = (
+        "_kind", "_shapes", "_spec", "_options", "_executor", "_handler", "_source",
+    )
 
     def __init__(
         self,
@@ -57,6 +83,7 @@ class ExecutionPlan:
         options: ExecutionOptions,
         executor: Any,
         handler: Any,
+        source: "Optional[Solver]" = None,
     ):
         object.__setattr__(self, "_kind", kind)
         object.__setattr__(self, "_shapes", shapes)
@@ -64,6 +91,9 @@ class ExecutionPlan:
         object.__setattr__(self, "_options", options)
         object.__setattr__(self, "_executor", executor)
         object.__setattr__(self, "_handler", handler)
+        object.__setattr__(
+            self, "_source", None if source is None else weakref.ref(source)
+        )
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("ExecutionPlan is immutable")
@@ -94,6 +124,38 @@ class ExecutionPlan:
     def handler(self) -> Any:
         """The :class:`~repro.api.registry.ProblemHandler` behind the plan."""
         return self._handler
+
+    @property
+    def source(self) -> "Optional[Solver]":
+        """The :class:`~repro.api.solver.Solver` whose cache holds this plan.
+
+        Held through a weak reference, so a cached plan never keeps its
+        solver alive (a plan -> solver -> cache -> plan cycle would leave
+        every dropped solver to the cycle collector).  Never persisted:
+        a solver binds the plans it builds, loads from its store or
+        adopts.  ``None`` for an unbound plan or a dropped solver.
+        """
+        ref = self._source
+        return None if ref is None else ref()
+
+    def bound_to(self, source: "Solver") -> "ExecutionPlan":
+        """A copy of this plan (same executor) whose source is ``source``."""
+        return ExecutionPlan(
+            self._kind, self._shapes, self._spec, self._options,
+            self._executor, self._handler, source=source,
+        )
+
+    def inner_plans(self) -> "Optional[InnerPlans]":
+        """A fresh per-solve :class:`InnerPlans` view of the source's cache.
+
+        Handlers pass it to executors that run products inside their own
+        solve; ``None`` (an unbound plan) makes such an executor fall back
+        to its private solver.
+        """
+        source = self.source
+        if source is None:
+            return None
+        return InnerPlans(source, self._options.backend)
 
     @property
     def supports_pairing(self) -> bool:
@@ -180,3 +242,86 @@ class PlanCache(LRUCache[PlanKey, ExecutionPlan]):
     the :mod:`repro.service` shard workers can trust their per-shard
     caches) without torn LRU state or lost accounting.
     """
+
+
+@lru_cache(maxsize=None)
+def _inner_options(backend: str) -> ExecutionOptions:
+    """The options of an inner plan: a plain solve's, on the parent's backend.
+
+    Built once per backend name; an ``ExecutionOptions`` costs more than
+    the lookup it keys.
+    """
+    return ExecutionOptions(backend=backend)
+
+
+class InnerPlans:
+    """One solve's view of the plan cache that holds the solve's own plan.
+
+    The executors that run products inside their own solve — the
+    iterative kinds, lu, triangular and prt — take one as ``plans``.
+    Each distinct inner shape is resolved once per solve through
+    :meth:`~repro.api.solver.Solver.resolve_plan` under
+    ``ExecutionOptions(backend=<parent backend>)``: the key a plain solve
+    of that shape uses, so an inner ``(n, n)`` mat-vec is the same cached,
+    stored, traced and counted plan as a plain ``MatVec`` of that shape.
+    Later uses within the solve are counted as hits without a lookup.
+
+    The tally belongs to this solve alone, so it stays exact while other
+    threads share the solver.  A miss is an inner plan the solve had to
+    build; a store load counts as a hit, as it does for the solver.
+    """
+
+    __slots__ = ("_source", "_options", "_executors", "_hits", "_misses")
+
+    def __init__(self, source: "Solver", backend: str):
+        self._source = source
+        self._options = _inner_options(backend)
+        self._executors: Dict[Tuple[str, Tuple[int, ...]], Any] = {}
+        self._hits = 0
+        self._misses = 0
+
+    @property
+    def misses(self) -> int:
+        """Inner plans this solve has built so far."""
+        return self._misses
+
+    @property
+    def stats(self) -> CacheStats:
+        """This solve's inner lookups: hits, misses and distinct shapes."""
+        return CacheStats(
+            hits=self._hits, misses=self._misses, size=len(self._executors)
+        )
+
+    def _executor(self, kind: str, shape: Tuple[int, ...]) -> Any:
+        key = (kind, shape)
+        executor = self._executors.get(key)
+        if executor is not None:
+            self._hits += 1
+            return executor
+        plan, cached = self._source.resolve_plan(
+            kind, shape=shape, options=self._options
+        )
+        if cached:
+            self._hits += 1
+        else:
+            self._misses += 1
+        executor = self._executors[key] = plan.executor
+        return executor
+
+    def matvec(
+        self, a: np.ndarray, x: np.ndarray, b: Optional[np.ndarray] = None
+    ) -> "MatVecSolution":
+        """``y = a x + b`` through the cached plan of ``a``'s shape."""
+        a = as_matrix(a, "matrix")
+        return self._executor("matvec", a.shape).execute(a, x, b)
+
+    def matmul(
+        self, a: np.ndarray, b: np.ndarray, e: Optional[np.ndarray] = None
+    ) -> "MatMulSolution":
+        """``C = a b + e`` through the cached plan of the product's shape."""
+        a = as_matrix(a, "A")
+        b = as_matrix(b, "B")
+        if a.shape[1] != b.shape[0]:
+            raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
+        shape = (a.shape[0], a.shape[1], b.shape[1])
+        return self._executor("matmul", shape).execute(a, b, e)

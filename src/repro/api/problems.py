@@ -211,7 +211,8 @@ class TriangularHandler(ProblemHandler):
 
     def execute(self, plan, matrix, b, lower: bool = True) -> Solution:
         solver = plan.executor
-        result = solver.solve_lower(matrix, b) if lower else solver.solve_upper(matrix, b)
+        solve = solver.solve_lower if lower else solver.solve_upper
+        result = solve(matrix, b, plans=plan.inner_plans())
         return Solution(
             kind=self.kind,
             w=plan.spec.w,
@@ -250,7 +251,7 @@ class LUHandler(ProblemHandler):
         return SystolicLU(spec.w, backend=options.backend)
 
     def execute(self, plan, matrix) -> Solution:
-        result = plan.executor.factor(matrix)
+        result = plan.executor.factor(matrix, plans=plan.inner_plans())
         return Solution(
             kind=self.kind,
             w=plan.spec.w,
@@ -273,9 +274,10 @@ class LUHandler(ProblemHandler):
 class _IterativeHandler(ProblemHandler):
     """Shared adapter for the :mod:`repro.iterative` plan-cached solvers.
 
-    The compiled "plan" is the solver engine itself: its inner per-shape
-    plan caches are what a k-sweep solve keeps hot, and what repeated
-    same-shape requests through :mod:`repro.service` reuse across jobs.
+    The compiled "plan" is the configured solver; its per-sweep products
+    are plans of the same solver cache (``plan.inner_plans()``), which a
+    k-sweep solve keeps hot and repeated same-shape requests through
+    :mod:`repro.service` reuse across jobs.
     """
 
     def shapes(self, *, operands=None, shape=None) -> Tuple[int]:
@@ -310,7 +312,9 @@ class _IterativeHandler(ProblemHandler):
         )
 
     def execute(self, plan, matrix, b, x0=None) -> Solution:
-        return self._wrap(plan, plan.executor.solve(matrix, b, x0))
+        return self._wrap(
+            plan, plan.executor.solve(matrix, b, x0, plans=plan.inner_plans())
+        )
 
 
 class JacobiHandler(_IterativeHandler):
@@ -371,7 +375,9 @@ class PowerIterationHandler(_IterativeHandler):
         )
 
     def execute(self, plan, matrix, x0=None) -> Solution:
-        return self._wrap(plan, plan.executor.solve(matrix, x0))
+        return self._wrap(
+            plan, plan.executor.solve(matrix, x0, plans=plan.inner_plans())
+        )
 
 
 class GaussSeidelHandler(_IterativeHandler):
@@ -398,7 +404,7 @@ class GaussSeidelHandler(_IterativeHandler):
         )
 
     def execute(self, plan, matrix, b, x0=None) -> Solution:
-        result = plan.executor.solve(matrix, b, x0)
+        result = plan.executor.solve(matrix, b, x0, plans=plan.inner_plans())
         return Solution(
             kind=self.kind,
             w=plan.spec.w,
@@ -478,7 +484,7 @@ class PRTHandler(ProblemHandler):
         return PRTMatVec(spec.w, backend=options.backend)
 
     def execute(self, plan, matrix, x, b=None) -> Solution:
-        result = plan.executor.solve(matrix, x, b)
+        result = plan.executor.solve(matrix, x, b, plans=plan.inner_plans())
         return Solution(
             kind=self.kind,
             w=plan.spec.w,

@@ -62,7 +62,10 @@ class Solver:
         Solver-wide :class:`ExecutionOptions` defaults; per-call
         ``options=`` arguments override them wholesale.
     plan_cache_size:
-        Capacity of the LRU plan cache.
+        Capacity of the LRU plan cache.  The products that the
+        iterative, blocked and prt kinds run inside their own solves are
+        plans of this cache too, so they count against it: a triangular
+        solve of ``k`` blocks holds up to ``k`` inner mat-vec plans.
     store:
         Optional :class:`~repro.store.PlanStore`.  A plan-cache miss
         then tries the store before compiling (a disk read instead of a
@@ -185,11 +188,13 @@ class Solver:
         """Compile-or-fetch a plan for an explicit shape spec.
 
         Returns ``(plan, from_cache)``.  This is the
-        :class:`~repro.graph.compiler.GraphCompiler` lowering entry:
-        pipeline stages resolve their plans here so shared stages
-        deduplicate through this solver's LRU cache exactly like direct
-        solves do (``shape`` always goes through the handler's
-        normalization, so graph keys can never drift from solve keys).
+        :class:`~repro.graph.compiler.GraphCompiler` lowering entry, and
+        the lookup behind :class:`~repro.api.plan.InnerPlans`: pipeline
+        stages and the products an executor runs inside its own solve
+        resolve their plans here, so they deduplicate through this
+        solver's LRU cache exactly like direct solves do (``shape``
+        always goes through the handler's normalization, so these keys
+        can never drift from solve keys).
         """
         handler = get_handler(kind)
         opts = self._resolve_options(options, {})
@@ -249,8 +254,6 @@ class Solver:
         plan, hit = self._plan_for(handler, shapes, opts)
         solution = plan.execute(*operands, **kwargs)
         solution.from_cache = hit
-        if not hit:
-            self._persist(plan)  # re-save with execution-warmed state
         return solution
 
     def solve_problem(
@@ -274,8 +277,6 @@ class Solver:
         plan, hit = self._plan_for(handler, shapes, opts)
         solution = plan.execute_problem(problem)
         solution.from_cache = hit
-        if not hit:
-            self._persist(plan)  # re-save with execution-warmed state
         return solution
 
     def solve_batch(
@@ -350,14 +351,17 @@ class Solver:
         :class:`~repro.store.PlanStore` (or handed over from another
         solver) becomes a cache hit for its own key.  The plan must
         match this solver's array spec — executors are compiled against
-        one geometry.
+        one geometry.  The cache holds a copy bound to this solver (see
+        :attr:`~repro.api.plan.ExecutionPlan.source`): one decoded plan
+        may be adopted by several solvers, and each must resolve its
+        inner plans through its own cache.
         """
         if plan.spec.w != self._spec.w:
             raise ValueError(
                 f"cannot adopt a plan compiled for w={plan.spec.w} "
                 f"into a w={self._spec.w} solver"
             )
-        self._cache.put(plan.key, plan)
+        self._cache.put(plan.key, plan.bound_to(self))
 
     def _plan_for(self, handler, shapes, opts) -> Tuple[ExecutionPlan, bool]:
         key = make_plan_key(handler.kind, shapes, self._spec.w, opts)
@@ -378,6 +382,7 @@ class Solver:
             if stored is not None:
                 # A disk read instead of a cold build: no plan_builds
                 # bump, and the caller sees it as a (store-tier) hit.
+                stored = stored.bound_to(self)
                 self._cache.put(key, stored)
                 if parent is not None:
                     parent.child(
@@ -402,6 +407,7 @@ class Solver:
                 options=opts,
                 executor=executor,
                 handler=handler,
+                source=self,
             )
             self._cache.put(key, plan)
         self._persist(plan)
@@ -412,12 +418,9 @@ class Solver:
 
         An unwritable store must never fail the solve that just compiled
         a perfectly good plan, so write errors are swallowed here (the
-        store has already counted them).
-        Called once at build time, and again after a cold plan's first
-        execution (see :meth:`solve` / :meth:`solve_problem`): iterative
-        executors memoize inner per-shape plans lazily during execution,
-        and the re-save persists that warm state — a store-restored
-        jacobi plan then runs its first sweep with zero inner rebuilds.
+        store has already counted them).  Called once, at build time: a
+        plan holds no state that execution warms, and an executor's
+        inner plans are plans of this cache, each written when built.
         """
         if self._store is None:
             return

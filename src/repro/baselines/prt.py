@@ -13,7 +13,7 @@ which both documents the relationship and lets the tests verify the claim
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -23,7 +23,10 @@ from ..matrices.padding import validate_array_size
 from ..systolic.linear_array import LinearRunResult
 from ..core.dbt import DBTByRowsTransform
 from ..core.matvec import MatVecSolution
-from ..core.plans import CachedMatVec
+from ..core.plans import InnerPlanExecutor
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.plan import InnerPlans
 
 __all__ = ["PRTTransform", "PRTMatVec"]
 
@@ -67,16 +70,15 @@ class PRTSolution:
         return self.run.report.utilization
 
 
-class PRTMatVec:
-    """``y = A x + b`` for one ``w x w`` dense block via the PRT transformation."""
+class PRTMatVec(InnerPlanExecutor):
+    """``y = A x + b`` for one ``w x w`` dense block via the PRT transformation.
+
+    The product runs through ``plans`` (see
+    :class:`~repro.core.plans.InnerPlanExecutor`).
+    """
 
     def __init__(self, w: int, backend: str = "simulate"):
-        self._w = validate_array_size(w)
-        self._engine = CachedMatVec(self._w, backend=backend)
-
-    @property
-    def w(self) -> int:
-        return self._w
+        super().__init__(w, backend)
 
     @property
     def array_size(self) -> int:
@@ -84,7 +86,11 @@ class PRTMatVec:
         return self._w
 
     def solve(
-        self, matrix: np.ndarray, x: np.ndarray, b: Optional[np.ndarray] = None
+        self,
+        matrix: np.ndarray,
+        x: np.ndarray,
+        b: Optional[np.ndarray] = None,
+        plans: "Optional[InnerPlans]" = None,
     ) -> PRTSolution:
         matrix = as_matrix(matrix, "matrix")
         if matrix.shape[0] > self._w or matrix.shape[1] > self._w:
@@ -93,7 +99,7 @@ class PRTMatVec:
                 f"got shape {matrix.shape}"
             )
         x = as_vector(x, "x")
-        solution: MatVecSolution = self._engine.solve(matrix, x, b)
+        solution: MatVecSolution = self._inner_plans(plans).matvec(matrix, x, b)
         transform = PRTTransform(matrix, self._w)
         return PRTSolution(
             y=solution.y, w=self._w, transform=transform, run=solution.run

@@ -18,8 +18,8 @@ from .analytic import (
 )
 from .dbt import BlockAssignment, DBTByRowsTransform, dbt_by_rows
 from .dbt_transposed import DBTTransposedByRowsTransform, dbt_transposed_by_rows
-from .matmul import MatMulSolution, SizeIndependentMatMul
-from .matvec import MatVecSolution, SizeIndependentMatVec
+from .matmul import MatMulSolution
+from .matvec import MatVecSolution
 from .operands import MatMulOperands, OperandBand
 from .recovery import (
     AccumulationChain,
@@ -43,8 +43,6 @@ __all__ = [
     "OperandBand",
     "OverlapPartition",
     "PartialResultMap",
-    "SizeIndependentMatMul",
-    "SizeIndependentMatVec",
     "classify_feedback_delays",
     "dbt_by_rows",
     "dbt_transposed_by_rows",

@@ -14,27 +14,23 @@ façade.  The pipeline itself lives in
 4. read the finished ``C`` out of the output band and report measured
    time, utilization and feedback delays next to the paper's closed forms.
 
-:class:`SizeIndependentMatMul` is kept as a thin deprecation shim over
-:class:`~repro.core.plans.CachedMatMul`; new code should use
-:class:`repro.api.Solver`.
+:class:`repro.api.Solver` caches those plans by shape.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ..matrices.padding import validate_array_size
 from ..systolic.hex_array import HexRunResult
 from ..systolic.metrics import FeedbackStats
 from .analytic import MatMulModel
 from .operands import MatMulOperands
 from .recovery import FeedbackClassification, PartialResultMap, classify_feedback_delays
 
-__all__ = ["MatMulSolution", "SizeIndependentMatMul"]
+__all__ = ["MatMulSolution"]
 
 
 @dataclass
@@ -95,38 +91,3 @@ class MatMulSolution:
             f"(max delay {classification.max_irregular_delay})",
         ]
         return "\n".join(lines)
-
-
-class SizeIndependentMatMul:
-    """Solve ``C = A B + E`` for arbitrary dense operands on a ``w x w`` array.
-
-    .. deprecated::
-        Thin shim over the shape-keyed execution plans; prefer
-        ``repro.api.Solver(w).solve("matmul", a, b, e)``.
-    """
-
-    def __init__(self, w: int, verify_structure: bool = False):
-        warnings.warn(
-            "SizeIndependentMatMul is deprecated; use repro.api.Solver "
-            "(plan/execute façade) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._w = validate_array_size(w)
-        self._verify_structure = verify_structure
-        from .plans import CachedMatMul  # deferred: plans imports this module
-
-        self._engine = CachedMatMul(self._w, verify_structure=verify_structure)
-
-    @property
-    def w(self) -> int:
-        return self._w
-
-    def solve(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        e: Optional[np.ndarray] = None,
-    ) -> MatMulSolution:
-        """Transform, simulate and recover ``C = A B + E``."""
-        return self._engine.solve(a, b, e)

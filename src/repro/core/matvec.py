@@ -2,20 +2,14 @@
 
 :class:`MatVecSolution` is the result type shared by the plan/execute
 engines in :mod:`repro.core.plans` and the unified :mod:`repro.api`
-façade.
-
-:class:`SizeIndependentMatVec` is kept as a thin deprecation shim over
-:class:`~repro.core.plans.CachedMatVec`: it preserves the original
-one-class-per-problem constructor (``w``, ``record_trace``,
-``overlapped``) but delegates all work to the shape-keyed execution
-plans, so repeated solves of one shape through a single instance no
-longer rebuild the DBT transform.  New code should use
-:class:`repro.api.Solver` instead.
+façade.  The pipeline itself lives in
+:class:`~repro.core.plans.MatVecPlan` (and
+:class:`~repro.core.plans.OverlappedMatVecPlan` for the split-and-overlap
+execution); :class:`repro.api.Solver` caches those plans by shape.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -24,14 +18,13 @@ import numpy as np
 from ..systolic.linear_array import LinearRunResult
 from ..systolic.metrics import FeedbackStats
 from ..systolic.trace import DataFlowTrace
-from ..matrices.padding import validate_array_size
 from .analytic import MatVecModel
 from .dbt import DBTByRowsTransform
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; plans imports this module
     from .plans import MatVecPlan
 
-__all__ = ["MatVecSolution", "SizeIndependentMatVec"]
+__all__ = ["MatVecSolution"]
 
 
 @dataclass
@@ -106,45 +99,3 @@ class MatVecSolution:
                 f"  feedback:    {feedback.count} values fed back, {delay_text}"
             )
         return "\n".join(lines)
-
-
-class SizeIndependentMatVec:
-    """Solve ``y = A x + b`` for arbitrary dense ``A`` on a ``w``-cell array.
-
-    .. deprecated::
-        Thin shim over the shape-keyed execution plans; prefer
-        ``repro.api.Solver(w).solve("matvec", matrix, x, b)``.
-    """
-
-    def __init__(self, w: int, record_trace: bool = False, overlapped: bool = False):
-        warnings.warn(
-            "SizeIndependentMatVec is deprecated; use repro.api.Solver "
-            "(plan/execute façade) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._w = validate_array_size(w)
-        self._record_trace = record_trace
-        self._overlapped = overlapped
-        from .plans import CachedMatVec  # deferred: plans imports this module
-
-        self._engine = CachedMatVec(
-            self._w, record_trace=record_trace, overlapped=overlapped
-        )
-
-    @property
-    def w(self) -> int:
-        return self._w
-
-    @property
-    def overlapped(self) -> bool:
-        return self._overlapped
-
-    def solve(
-        self,
-        matrix: np.ndarray,
-        x: np.ndarray,
-        b: Optional[np.ndarray] = None,
-    ) -> MatVecSolution:
-        """Transform, simulate and recover ``y = A x + b``."""
-        return self._engine.solve(matrix, x, b)

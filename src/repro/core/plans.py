@@ -37,23 +37,23 @@ unless asked for: the first access to :attr:`MatVecPlan.transform`,
 path either way, which is what makes repeated same-shape solves — the hot
 path of any serving workload — cheap.
 
-:class:`CachedMatVec` and :class:`CachedMatMul` are small engines that
-memoize one plan per operand shape; the legacy ``SizeIndependent*``
-classes and the :mod:`repro.extensions` pipelines run on top of them, and
-the :mod:`repro.api` façade adds the LRU-cached front door.
+The :mod:`repro.api` façade holds these plans in its LRU plan cache.
+Executors that run products inside their own solve (the iterative kinds,
+the :mod:`repro.extensions` pipelines, the PRT baseline) derive from
+:class:`InnerPlanExecutor` and take those products' plans from the same
+cache, so there is one plan per ``(shape, w, options)`` key.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from ..backends.registry import SIMULATE, VECTORIZED, resolve_backend
 from ..backends.vectorized import HexSweepPlan, LinearRunMetrics, LinearSweepPlan
 from ..errors import BackendError, ShapeError
-from ..instrumentation import CacheStats, LRUCache, counters
 from ..matrices.banded import BandMatrix
 from ..matrices.dense import as_matrix, as_vector
 from ..matrices.padding import block_count, pad_matrix, pad_vector, validate_array_size
@@ -69,12 +69,14 @@ from .operands import MatMulOperands
 from .recovery import PartialResultMap
 from .schedule import plan_overlap_partition
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.plan import InnerPlans
+
 __all__ = [
+    "InnerPlanExecutor",
     "MatVecPlan",
     "OverlappedMatVecPlan",
     "MatMulPlan",
-    "CachedMatVec",
-    "CachedMatMul",
 ]
 
 _T = TypeVar("_T")
@@ -728,93 +730,23 @@ class MatMulPlan:
         )
 
 
-class CachedMatVec:
-    """Mat-vec engine memoizing one :class:`MatVecPlan` per operand shape.
+class InnerPlanExecutor:
+    """Base of the executors that run array products inside their own solve.
 
-    Drop-in for the solve surface of the legacy ``SizeIndependentMatVec``:
-    the first solve of a shape builds the plan, every later solve of the
-    same shape only streams values.  The blocked extension pipelines
-    (triangular solve, Gauss-Seidel, LU) issue many same-shape products,
-    so sharing one engine across a pipeline warms its plans once.
+    The iterative solvers, the blocked LU and triangular pipelines and
+    the PRT baseline hold no plans.  Each solve takes ``plans``, the
+    :class:`~repro.api.plan.InnerPlans` view that the api handler builds
+    from the solver holding the executor's own plan, so every inner
+    product is a plan of that solver's cache.  Without ``plans`` (an
+    executor used outside a :class:`~repro.api.solver.Solver`) the
+    executor lazily keeps one private solver on its backend, so its
+    repeated solves stay warm too.  That solver is never pickled.
     """
 
-    #: Per-shape plans kept per engine; least recently used shapes are
-    #: dropped beyond this (a dropped plan is simply rebuilt on demand).
-    MAX_PLANS = 32
-
-    def __init__(
-        self,
-        w: int,
-        record_trace: bool = False,
-        overlapped: bool = False,
-        backend: str = SIMULATE,
-    ):
+    def __init__(self, w: int, backend: str = "auto"):
         self._w = validate_array_size(w)
-        self._record_trace = bool(record_trace)
-        self._overlapped = bool(overlapped)
-        self._backend = resolve_backend(backend, record_trace=self._record_trace)
-        self._plans: "LRUCache[Tuple[int, int], Any]" = LRUCache(self.MAX_PLANS)
-
-    @property
-    def w(self) -> int:
-        return self._w
-
-    @property
-    def overlapped(self) -> bool:
-        return self._overlapped
-
-    @property
-    def backend(self) -> str:
-        return self._backend
-
-    @property
-    def stats(self) -> CacheStats:
-        """Hit/miss/eviction accounting of the per-shape plan memo.
-
-        The iterative solvers aggregate these across their inner engines
-        to *prove* warm-plan reuse (a k-sweep solve should show one miss
-        per distinct inner shape and hits for everything else).
-        """
-        return self._plans.stats
-
-    def plan_for(self, n: int, m: int):
-        """The (memoized) plan for one operand shape."""
-        key = (int(n), int(m))
-        plan = self._plans.get(key)
-        if plan is None:
-            counters.bump("plan_builds")
-            build = OverlappedMatVecPlan if self._overlapped else MatVecPlan
-            plan = build(
-                key[0], key[1], self._w,
-                record_trace=self._record_trace,
-                backend=self._backend,
-            )
-            self._plans.put(key, plan)
-        return plan
-
-    def solve(
-        self,
-        matrix: np.ndarray,
-        x: np.ndarray,
-        b: Optional[np.ndarray] = None,
-    ) -> MatVecSolution:
-        matrix = as_matrix(matrix, "matrix")
-        return self.plan_for(*matrix.shape).execute(matrix, x, b)
-
-
-class CachedMatMul:
-    """Mat-mul engine memoizing one :class:`MatMulPlan` per operand shape."""
-
-    #: See :attr:`CachedMatVec.MAX_PLANS`.
-    MAX_PLANS = 32
-
-    def __init__(self, w: int, verify_structure: bool = False, backend: str = SIMULATE):
-        self._w = validate_array_size(w)
-        self._verify_structure = bool(verify_structure)
-        self._backend = resolve_backend(backend)
-        self._plans: "LRUCache[Tuple[int, int, int], MatMulPlan]" = LRUCache(
-            self.MAX_PLANS
-        )
+        self._backend = backend
+        self._own_source: Any = None
 
     @property
     def w(self) -> int:
@@ -824,32 +756,19 @@ class CachedMatMul:
     def backend(self) -> str:
         return self._backend
 
-    @property
-    def stats(self) -> CacheStats:
-        """See :attr:`CachedMatVec.stats`."""
-        return self._plans.stats
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        state["_own_source"] = None
+        return state
 
-    def plan_for(self, n: int, p: int, m: int) -> MatMulPlan:
-        key = (int(n), int(p), int(m))
-        plan = self._plans.get(key)
-        if plan is None:
-            counters.bump("plan_builds")
-            plan = MatMulPlan(
-                key[0], key[1], key[2], self._w,
-                verify_structure=self._verify_structure,
-                backend=self._backend,
+    def _inner_plans(self, plans: "Optional[InnerPlans]") -> "InnerPlans":
+        """``plans``, or a fresh view of this executor's private solver."""
+        if plans is not None:
+            return plans
+        from ..api import ExecutionOptions, InnerPlans, Solver  # api builds us
+
+        if self._own_source is None:
+            self._own_source = Solver(
+                self._w, ExecutionOptions(backend=self._backend)
             )
-            self._plans.put(key, plan)
-        return plan
-
-    def solve(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        e: Optional[np.ndarray] = None,
-    ) -> MatMulSolution:
-        a = as_matrix(a, "A")
-        b = as_matrix(b, "B")
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-        return self.plan_for(a.shape[0], a.shape[1], b.shape[1]).execute(a, b, e)
+        return InnerPlans(self._own_source, self._backend)

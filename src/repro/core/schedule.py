@@ -14,7 +14,7 @@ block rows belonging to the same original block row; cutting anywhere else
 would sever a feedback chain.  Cutting at original block-row boundaries is
 equivalent to splitting the original matrix ``A`` (and ``b``) into a top
 and a bottom group of block rows, which is how
-:class:`~repro.core.matvec.SizeIndependentMatVec` realizes it.
+:class:`~repro.core.plans.OverlappedMatVecPlan` realizes it.
 """
 
 from __future__ import annotations

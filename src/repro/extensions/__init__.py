@@ -1,6 +1,5 @@
 """Applications of the DBT methodology listed in Section 4 of the paper."""
 
-from .gauss_seidel import GaussSeidelResult, SystolicGaussSeidel
 from .lu import InverseResult, LUResult, SystolicLU
 from .sparse import (
     BlockSparseDBTTransform,
@@ -12,11 +11,9 @@ from .triangular import SystolicTriangularSolver, TriangularSolveResult
 __all__ = [
     "BlockSparseDBTTransform",
     "BlockSparseMatVec",
-    "GaussSeidelResult",
     "InverseResult",
     "LUResult",
     "SparseMatVecSolution",
-    "SystolicGaussSeidel",
     "SystolicLU",
     "SystolicTriangularSolver",
     "TriangularSolveResult",

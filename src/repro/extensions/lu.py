@@ -6,8 +6,8 @@ implements right-looking blocked LU factorization (without pivoting, as in
 the systolic literature of the period) and triangular/dense inversion where
 
 * every trailing-submatrix update ``A_22 <- A_22 - A_21 A_12`` — the cubic
-  part of the work — runs on the hexagonal array via
-  :class:`~repro.core.matmul.SizeIndependentMatMul`,
+  part of the work — runs on the hexagonal array, through the cached
+  :class:`~repro.core.plans.MatMulPlan` of its shape,
 * the panel factorizations and small triangular solves (the quadratic
   part) run on the host, standing in for the specialised boundary cells of
   a hardware LU array.
@@ -19,15 +19,18 @@ array's share approaching 1 as the problem grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ShapeError
 from ..matrices.dense import as_matrix
-from ..matrices.padding import block_count, validate_array_size
-from ..core.plans import CachedMatMul
+from ..matrices.padding import block_count
+from ..core.plans import InnerPlanExecutor
 from .triangular import SystolicTriangularSolver
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.plan import InnerPlans
 
 __all__ = ["LUResult", "InverseResult", "SystolicLU"]
 
@@ -72,32 +75,22 @@ class InverseResult:
         return self.array_operations / total
 
 
-class SystolicLU:
-    """Blocked LU factorization and inversion using the systolic pipelines."""
+class SystolicLU(InnerPlanExecutor):
+    """Blocked LU factorization and inversion using the systolic pipelines.
 
-    def __init__(
-        self,
-        w: int,
-        matmul: Optional[CachedMatMul] = None,
-        triangular: Optional[SystolicTriangularSolver] = None,
-        backend: str = "auto",
-    ):
-        self._w = validate_array_size(w)
-        self._matmul = (
-            matmul if matmul is not None else CachedMatMul(self._w, backend=backend)
-        )
-        self._triangular = (
-            triangular
-            if triangular is not None
-            else SystolicTriangularSolver(self._w, backend=backend)
-        )
+    The trailing updates and the triangular solves' block products run
+    through ``plans`` (see :class:`~repro.core.plans.InnerPlanExecutor`);
+    one solve passes the same ``plans`` down to its triangular solves.
+    """
 
-    @property
-    def w(self) -> int:
-        return self._w
+    def __init__(self, w: int, backend: str = "auto"):
+        super().__init__(w, backend)
+        self._triangular = SystolicTriangularSolver(self._w, backend=backend)
 
     # -- factorization --------------------------------------------------------------
-    def factor(self, matrix: np.ndarray) -> LUResult:
+    def factor(
+        self, matrix: np.ndarray, plans: "Optional[InnerPlans]" = None
+    ) -> LUResult:
         """Right-looking blocked LU without pivoting.
 
         The matrix must be square and have nonsingular leading blocks (the
@@ -109,6 +102,7 @@ class SystolicLU:
         if matrix.shape[0] != matrix.shape[1]:
             raise ShapeError(f"LU needs a square matrix, got {matrix.shape}")
 
+        inner = self._inner_plans(plans)
         w = self._w
         blocks = block_count(n, w)
         work = matrix.copy()
@@ -140,7 +134,7 @@ class SystolicLU:
 
                 # Trailing update on the hexagonal array:
                 # A22 <- A22 - L21 U12 = (-L21) U12 + A22.
-                update = self._matmul.solve(-l21, u12, work[hi:, hi:])
+                update = inner.matmul(-l21, u12, work[hi:, hi:])
                 array_steps += update.measured_steps
                 array_operations += l21.shape[0] * l21.shape[1] * u12.shape[1]
                 update_calls += 1
@@ -156,12 +150,18 @@ class SystolicLU:
         )
 
     # -- inversion ---------------------------------------------------------------------
-    def invert_triangular(self, matrix: np.ndarray, lower: bool = True) -> InverseResult:
+    def invert_triangular(
+        self,
+        matrix: np.ndarray,
+        lower: bool = True,
+        plans: "Optional[InnerPlans]" = None,
+    ) -> InverseResult:
         """Invert a triangular matrix by solving ``T X = I`` column block by block."""
         matrix = as_matrix(matrix, "matrix")
         n = matrix.shape[0]
         if matrix.shape[0] != matrix.shape[1]:
             raise ShapeError(f"inversion needs a square matrix, got {matrix.shape}")
+        inner = self._inner_plans(plans)
         identity = np.eye(n, dtype=float)
         inverse = np.zeros((n, n), dtype=float)
         array_steps = 0
@@ -169,9 +169,9 @@ class SystolicLU:
         host_operations = 0
         for column in range(n):
             solve = (
-                self._triangular.solve_lower(matrix, identity[:, column])
+                self._triangular.solve_lower(matrix, identity[:, column], inner)
                 if lower
-                else self._triangular.solve_upper(matrix, identity[:, column])
+                else self._triangular.solve_upper(matrix, identity[:, column], inner)
             )
             inverse[:, column] = solve.x
             array_steps += solve.array_steps
@@ -184,13 +184,16 @@ class SystolicLU:
             host_operations=host_operations,
         )
 
-    def invert(self, matrix: np.ndarray) -> InverseResult:
+    def invert(
+        self, matrix: np.ndarray, plans: "Optional[InnerPlans]" = None
+    ) -> InverseResult:
         """Invert a dense matrix as ``A^{-1} = U^{-1} L^{-1}`` via blocked LU."""
         matrix = as_matrix(matrix, "matrix")
-        factorization = self.factor(matrix)
-        inv_l = self.invert_triangular(factorization.l, lower=True)
-        inv_u = self.invert_triangular(factorization.u, lower=False)
-        product = self._matmul.solve(inv_u.inverse, inv_l.inverse)
+        inner = self._inner_plans(plans)
+        factorization = self.factor(matrix, inner)
+        inv_l = self.invert_triangular(factorization.l, True, inner)
+        inv_u = self.invert_triangular(factorization.u, False, inner)
+        product = inner.matmul(inv_u.inverse, inv_l.inverse)
         array_steps = (
             factorization.array_steps
             + inv_l.array_steps

@@ -8,8 +8,8 @@ re-derives the application from what the ISCA paper does make available:
 * the system ``L x = b`` (or ``U x = b``) is processed by blocks of the
   array size ``w``;
 * all block matrix-vector products — the bulk of the arithmetic — are
-  executed on the linear systolic array through
-  :class:`~repro.core.matvec.SizeIndependentMatVec`;
+  executed on the linear systolic array, each through the cached
+  :class:`~repro.core.plans.MatVecPlan` of its block shape;
 * only the ``w x w`` triangular solves on the diagonal blocks are done by
   a scalar routine, standing in for the specialised boundary cell that a
   hardware triangular solver array would provide (documented as a
@@ -23,14 +23,17 @@ the dominant share as the problem grows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from ..errors import ShapeError
 from ..matrices.dense import as_matrix, as_vector
-from ..matrices.padding import block_count, validate_array_size
-from ..core.plans import CachedMatVec
+from ..matrices.padding import block_count
+from ..core.plans import InnerPlanExecutor
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.plan import InnerPlans
 
 __all__ = ["TriangularSolveResult", "SystolicTriangularSolver"]
 
@@ -56,43 +59,41 @@ class TriangularSolveResult:
         return self.array_operations / total
 
 
-class SystolicTriangularSolver:
+class SystolicTriangularSolver(InnerPlanExecutor):
     """Solve ``T x = b`` for dense triangular ``T`` using the array for products.
 
-    ``matvec`` optionally injects a shared matrix-vector engine (anything
-    with the ``solve(matrix, x, b=None)`` surface of
-    :class:`~repro.core.plans.CachedMatVec`); by default the solver owns a
-    :class:`~repro.core.plans.CachedMatVec`, so the per-block products —
-    whose shapes repeat across solves — reuse their execution plans.
-    ``backend`` selects how those products execute (``"auto"`` runs the
-    vectorized diagonal-sweep engine); it is ignored when a shared
-    ``matvec`` engine is injected, since that engine carries its own.
+    Each per-block product runs through ``plans`` (see
+    :class:`~repro.core.plans.InnerPlanExecutor`), so the block shapes —
+    which repeat across solves — reuse their execution plans.  A passed
+    ``plans`` carries its own backend; ``backend`` (``"auto"`` runs the
+    vectorized diagonal-sweep engine) only applies to standalone solves.
     """
 
-    def __init__(
+    def solve_lower(
         self,
-        w: int,
-        matvec: Optional[CachedMatVec] = None,
-        backend: str = "auto",
-    ):
-        self._w = validate_array_size(w)
-        self._matvec = (
-            matvec if matvec is not None else CachedMatVec(self._w, backend=backend)
-        )
-
-    @property
-    def w(self) -> int:
-        return self._w
-
-    def solve_lower(self, matrix: np.ndarray, b: np.ndarray) -> TriangularSolveResult:
+        matrix: np.ndarray,
+        b: np.ndarray,
+        plans: "Optional[InnerPlans]" = None,
+    ) -> TriangularSolveResult:
         """Forward substitution for a lower triangular system."""
-        return self._solve(matrix, b, lower=True)
+        return self._solve(matrix, b, True, plans)
 
-    def solve_upper(self, matrix: np.ndarray, b: np.ndarray) -> TriangularSolveResult:
+    def solve_upper(
+        self,
+        matrix: np.ndarray,
+        b: np.ndarray,
+        plans: "Optional[InnerPlans]" = None,
+    ) -> TriangularSolveResult:
         """Backward substitution for an upper triangular system."""
-        return self._solve(matrix, b, lower=False)
+        return self._solve(matrix, b, False, plans)
 
-    def _solve(self, matrix: np.ndarray, b: np.ndarray, lower: bool) -> TriangularSolveResult:
+    def _solve(
+        self,
+        matrix: np.ndarray,
+        b: np.ndarray,
+        lower: bool,
+        plans: "Optional[InnerPlans]",
+    ) -> TriangularSolveResult:
         matrix = as_matrix(matrix, "matrix")
         b = as_vector(b, "b")
         n = matrix.shape[0]
@@ -105,7 +106,7 @@ class SystolicTriangularSolver:
 
         w = self._w
         blocks = block_count(n, w)
-        solver = self._matvec
+        inner = self._inner_plans(plans)
         x = np.zeros(n, dtype=float)
         array_steps = 0
         array_operations = 0
@@ -127,7 +128,7 @@ class SystolicTriangularSolver:
             solved = x[solved_cols]
             if solved.size > 0:
                 off_diagonal = matrix[row_lo:row_hi, solved_cols]
-                solution = solver.solve(off_diagonal, solved)
+                solution = inner.matvec(off_diagonal, solved)
                 rhs -= solution.y
                 array_steps += solution.measured_steps
                 array_operations += off_diagonal.shape[0] * off_diagonal.shape[1]

@@ -422,11 +422,11 @@ class PipelineProgram:
         pipelined execution (which passes the per-stage ``placements`` it
         executed under).
         """
-        # Execution-time builds are the inner engine plans the iterative
-        # kinds warm up on their first sweep; every solution reports its
-        # own (engine-local, hence shard-exact) split, so summing them
-        # stays correct while other service shards build concurrently —
-        # unlike a diff of the process-global counter.
+        # Execution-time builds are the inner plans the iterative kinds
+        # build on their first sweep; every solution reports its own
+        # (per-solve, hence shard-exact) split, so summing them stays
+        # correct while other service shards build concurrently — unlike
+        # a diff of the process-global counter.
         run_builds = sum(
             int(solution.stats.get("plan_builds_first_sweep", 0))
             + int(solution.stats.get("plan_builds_warm_sweeps", 0))

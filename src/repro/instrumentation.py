@@ -17,8 +17,7 @@ before/after diffing, and the same numbers are visible through
 ``registry.snapshot()``.
 
 :class:`LRUCache` is the one least-recently-used map with
-:class:`CacheStats` accounting: the api layer's plan cache and the
-per-shape engine memos of :mod:`repro.core.plans` are both instances.
+:class:`CacheStats` accounting; the api layer's plan cache is one.
 """
 
 from __future__ import annotations
@@ -51,9 +50,9 @@ class CacheStats:
     """Hit/miss/eviction accounting of one plan cache.
 
     Shared accounting currency across layers: every :class:`LRUCache`
-    reports one (the api layer's :class:`~repro.api.plan.PlanCache` and
-    the per-shape engine memos of :class:`~repro.core.plans.CachedMatVec`
-    / ``CachedMatMul``), and the iterative solvers sum them into the
+    reports one (the api layer's :class:`~repro.api.plan.PlanCache`),
+    the service sums them across shards, and one solve's inner-plan
+    lookups (:class:`~repro.api.plan.InnerPlans`) report one as the
     warm-reuse proof carried by
     :class:`~repro.iterative.result.IterativeResult`.
     """
@@ -90,8 +89,8 @@ class LRUCache(Generic[_K, _V]):
     count.  Values are never built under the lock: two threads missing
     on one key may both build, and the later :meth:`put` wins — a rare
     duplicate build instead of a compile held under a lock.  The lock is
-    dropped on pickling (engine memos travel inside persisted plans) and
-    recreated on load; entries and counts survive the round trip.
+    dropped on pickling and recreated on load; entries and counts
+    survive the round trip.
     """
 
     def __init__(self, maxsize: int):

@@ -3,16 +3,17 @@
 Section 4 of the paper names iterative methods (Gauss-Seidel among them)
 as workloads the size-independent methodology covers.  This subpackage
 opens that whole scenario family: every solver drives its per-sweep
-O(n^2) products through the cached plan engines, so a k-iteration solve
-costs one plan compilation and k - 1 (or k) *warm* vectorized executions
-— zero recompiles — end to end through the :mod:`repro.service` layer.
+O(n^2) products through the plans of the solver's own plan cache, so a
+k-iteration solve costs one plan compilation and k - 1 (or k) *warm*
+vectorized executions — zero recompiles — end to end through the
+:mod:`repro.service` layer.
 
 Solvers (and their :class:`~repro.api.solver.Solver` registry kinds):
 
 * :class:`~repro.iterative.jacobi.JacobiSolver` — ``"jacobi"``;
 * :class:`~repro.iterative.sor.SORSolver` — ``"sor"`` (weighted
-  Gauss-Seidel; ``omega=1`` is exactly the legacy extension, which is now
-  a deprecation shim over it);
+  Gauss-Seidel; ``omega=1`` is exactly the seed extension, and the
+  ``gauss_seidel`` kind runs on it);
 * :class:`~repro.iterative.cg.ConjugateGradientSolver` — ``"cg"`` for
   SPD systems;
 * :class:`~repro.iterative.refine.IterativeRefinementSolver` —
@@ -21,9 +22,9 @@ Solvers (and their :class:`~repro.api.solver.Solver` registry kinds):
   the dominant eigenpair.
 
 All return an :class:`~repro.iterative.result.IterativeResult` carrying
-the residual history, convergence status, array step budget, aggregated
-:class:`~repro.instrumentation.CacheStats`, and the cold/warm plan-build
-split; stopping is controlled by one hashable
+the residual history, convergence status, array step budget, the solve's
+inner-plan :class:`~repro.instrumentation.CacheStats`, and the cold/warm
+plan-build split; stopping is controlled by one hashable
 :class:`~repro.iterative.criteria.ConvergenceCriteria` (which rides in
 ``ExecutionOptions`` and therefore in the plan key).
 

@@ -3,39 +3,41 @@
 Every solver in this subpackage follows the same contract:
 
 * the heavy per-sweep product(s) run on the systolic array through the
-  shared per-shape engines of :mod:`repro.core.plans` (and, for the
-  splitting methods, the blocked pipelines of :mod:`repro.extensions`),
-  so sweep k >= 2 is a pure warm plan execution — zero transform or plan
-  construction;
+  plans of the solver's plan cache (and, for the splitting methods, the
+  blocked pipelines of :mod:`repro.extensions`, handed the same
+  :class:`~repro.api.plan.InnerPlans`), so sweep k >= 2 is a pure warm
+  plan execution — zero transform or plan construction;
 * the convergence bookkeeping (residual norms, stopping rule,
   divergence guard) runs on the host — Jacobi, CG, refinement and power
   recover their residuals in O(n) from the sweep's own array product,
-  while SOR keeps the legacy Gauss-Seidel dense residual check so the
-  deprecation shim stays bit-identical to the seed;
+  while SOR keeps the seed Gauss-Seidel dense residual check so the
+  ``gauss_seidel`` kind stays bit-identical to the seed;
 * the loop accounting (sweep counter bumps, the cold/warm plan-build
-  split measured off :data:`repro.instrumentation.counters`) is handled
-  here, once, by :meth:`PlanCachedIterativeSolver._iterate`.
+  split read off the solve's own inner-plan tally) and the
+  :class:`~repro.iterative.result.IterativeResult` are handled here,
+  once, by :meth:`PlanCachedIterativeSolver._iterate`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.plans import InnerPlanExecutor
 from ..errors import ConvergenceError, ShapeError
-from ..instrumentation import CacheStats, counters
+from ..instrumentation import counters
 from ..matrices.dense import as_matrix, as_vector
-from ..matrices.padding import validate_array_size
 from .criteria import ConvergenceCriteria
+from .result import IterativeResult
 
-__all__ = ["PlanCachedIterativeSolver", "SweepOutcome"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.plan import InnerPlans
 
-#: ``(iterations, converged, residual_history, builds_first, builds_warm)``.
-SweepOutcome = Tuple[int, bool, List[float], int, int]
+__all__ = ["PlanCachedIterativeSolver"]
 
 
-class PlanCachedIterativeSolver:
+class PlanCachedIterativeSolver(InnerPlanExecutor):
     """Base class: array size, criteria, backend, and the sweep loop."""
 
     #: Registry/display name of the method ("jacobi", "sor", ...).
@@ -47,49 +49,13 @@ class PlanCachedIterativeSolver:
         criteria: Optional[ConvergenceCriteria] = None,
         backend: str = "auto",
     ):
-        self._w = validate_array_size(w)
+        super().__init__(w, backend)
         self._criteria = criteria if criteria is not None else ConvergenceCriteria()
-        self._backend = backend
 
     # -- introspection ----------------------------------------------------------
     @property
-    def w(self) -> int:
-        return self._w
-
-    @property
     def criteria(self) -> ConvergenceCriteria:
         return self._criteria
-
-    @property
-    def backend(self) -> str:
-        return self._backend
-
-    def _engines(self) -> Iterable[object]:
-        """The inner plan-cached engines (objects with a ``stats`` property)."""
-        return ()
-
-    def cache_stats(self) -> CacheStats:
-        """Aggregated accounting of every inner per-shape plan cache.
-
-        Engine-lifetime totals: across the solves this engine has served,
-        one miss per distinct inner shape and hits for every reuse — the
-        warm-plan story the subsystem exists to tell.
-        """
-        total = CacheStats()
-        for engine in self._engines():
-            total = total + engine.stats  # type: ignore[attr-defined]
-        return total
-
-    def _engine_misses(self) -> int:
-        """Plan builds so far in *this solver's own* engines.
-
-        Used for the per-result cold/warm build split instead of the
-        process-global ``counters.plan_builds``: engine caches are
-        touched only by the thread running this solve, so the split
-        stays exact when other solvers build plans concurrently (the
-        sharded service).
-        """
-        return self.cache_stats().misses
 
     # -- shared validation -------------------------------------------------------
     def _validate_system(
@@ -125,28 +91,33 @@ class PlanCachedIterativeSolver:
         self,
         sweep: Callable[[int], float],
         reference: "float | Callable[[], float]",
-    ) -> SweepOutcome:
-        """Run ``sweep`` under the criteria, with plan-build accounting.
+        plans: "InnerPlans",
+        state: Dict[str, Any],
+    ) -> IterativeResult:
+        """Run ``sweep`` under the criteria and report the solve.
 
-        ``sweep(iteration)`` performs one full sweep (mutating the
-        caller's state) and returns the residual norm to judge.
+        ``sweep(iteration)`` performs one full sweep — updating
+        ``state["x"]``, ``state["steps"]`` and, for power iteration,
+        ``state["eigenvalue"]`` — and returns the residual norm to judge.
         ``reference`` scales the relative tolerance — usually ``||b||``;
         a callable is re-evaluated every sweep (power iteration judges
-        against the moving ``|lambda_k|``).
+        against the moving ``|lambda_k|``).  The cold/warm plan-build
+        split reads ``plans``, the solve's own tally: every inner plan
+        built up to the end of sweep 1 (a setup product or refine's
+        factorization included) is cold.
         """
         criteria = self._criteria
         history: List[float] = []
         iterations = 0
         converged = False
-        builds_start = self._engine_misses()
-        builds_after_first = builds_start
+        builds_first = plans.misses
         initial_residual: Optional[float] = None
         for iteration in range(1, criteria.max_iter + 1):
             iterations = iteration
             residual = float(sweep(iteration))
             counters.bump("iterative_sweeps")
             if iteration == 1:
-                builds_after_first = self._engine_misses()
+                builds_first = plans.misses
             history.append(residual)
             if initial_residual is None:
                 initial_residual = residual
@@ -162,6 +133,16 @@ class PlanCachedIterativeSolver:
             if criteria.converged(residual, scale):
                 converged = True
                 break
-        builds_first = builds_after_first - builds_start
-        builds_warm = self._engine_misses() - builds_after_first
-        return iterations, converged, history, builds_first, builds_warm
+        return IterativeResult(
+            method=self.method,
+            x=state["x"],
+            iterations=iterations,
+            converged=converged,
+            residual_norm=history[-1] if history else float("inf"),
+            residual_history=history,
+            array_steps=state["steps"],
+            cache=plans.stats,
+            plan_builds_first_sweep=builds_first,
+            plan_builds_warm_sweeps=plans.misses - builds_first,
+            eigenvalue=state.get("eigenvalue"),
+        )

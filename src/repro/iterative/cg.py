@@ -3,8 +3,8 @@
 Each CG iteration needs exactly one matrix-vector product ``A p_k`` — the
 O(n^2) bulk of the work — and a handful of O(n) host recurrences.  The
 product runs on the linear systolic array through one cached
-:class:`~repro.core.plans.CachedMatVec` plan (the same ``(n, n)`` plan
-every iteration), so a k-iteration solve is one plan build plus k warm
+:class:`~repro.core.plans.MatVecPlan` (the same ``(n, n)`` plan every
+iteration), so a k-iteration solve is one plan lookup plus k warm
 executions.
 
 The solver guards the method's preconditions: a visibly non-symmetric
@@ -16,15 +16,16 @@ definite).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 import numpy as np
 
-from ..core.plans import CachedMatVec
 from ..errors import ConvergenceError, ShapeError
 from .base import PlanCachedIterativeSolver
-from .criteria import ConvergenceCriteria
 from .result import IterativeResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.plan import InnerPlans
 
 __all__ = ["ConjugateGradientSolver"]
 
@@ -38,26 +39,12 @@ class ConjugateGradientSolver(PlanCachedIterativeSolver):
     #: is rejected as not symmetric.
     SYMMETRY_RTOL = 1e-10
 
-    def __init__(
-        self,
-        w: int,
-        criteria: Optional[ConvergenceCriteria] = None,
-        backend: str = "auto",
-        matvec: Optional[CachedMatVec] = None,
-    ):
-        super().__init__(w, criteria, backend)
-        self._matvec = (
-            matvec if matvec is not None else CachedMatVec(self._w, backend=backend)
-        )
-
-    def _engines(self) -> Iterable[object]:
-        return (self._matvec,)
-
     def solve(
         self,
         matrix: np.ndarray,
         b: np.ndarray,
         x0: Optional[np.ndarray] = None,
+        plans: "Optional[InnerPlans]" = None,
     ) -> IterativeResult:
         """Standard CG recurrences; the residual history is ``||r_k||``."""
         matrix, b, x = self._validate_system(matrix, b, x0)
@@ -67,19 +54,18 @@ class ConjugateGradientSolver(PlanCachedIterativeSolver):
         ):
             raise ShapeError("cg needs a symmetric (SPD) matrix")
         reference = float(np.linalg.norm(b))
+        inner = self._inner_plans(plans)
 
         # A nonzero start vector needs one residual product before the
         # loop; like refine's factorization, its plan build is part of
         # the cold (first-sweep) warming cost.
-        builds_before_setup = self._engine_misses()
         if np.any(x):
-            start = self._matvec.solve(matrix, x)
+            start = inner.matvec(matrix, x)
             residual = b - start.y
             initial_steps = start.measured_steps
         else:
             residual = b.copy()
             initial_steps = 0
-        setup_builds = self._engine_misses() - builds_before_setup
         state: Dict[str, Any] = {
             "x": x,
             "r": residual,
@@ -91,7 +77,7 @@ class ConjugateGradientSolver(PlanCachedIterativeSolver):
         def sweep(iteration: int) -> float:
             if state["rr"] == 0.0:
                 return 0.0  # already exact; converged on a zero residual
-            product = self._matvec.solve(matrix, state["p"])
+            product = inner.matvec(matrix, state["p"])
             state["steps"] += product.measured_steps
             curvature = float(state["p"] @ product.y)
             if curvature <= 0.0:
@@ -111,16 +97,4 @@ class ConjugateGradientSolver(PlanCachedIterativeSolver):
             state["rr"] = rr_next
             return float(np.sqrt(rr_next))
 
-        iterations, converged, history, cold, warm = self._iterate(sweep, reference)
-        return IterativeResult(
-            method=self.method,
-            x=state["x"],
-            iterations=iterations,
-            converged=converged,
-            residual_norm=history[-1] if history else float("inf"),
-            residual_history=history,
-            array_steps=state["steps"],
-            cache=self.cache_stats(),
-            plan_builds_first_sweep=cold + setup_builds,
-            plan_builds_warm_sweeps=warm,
-        )
+        return self._iterate(sweep, reference, inner, state)

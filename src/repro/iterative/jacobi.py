@@ -6,26 +6,27 @@ sweep computes
     ``x_{k+1} = D^{-1} (b - R x_k)``
 
 with the dense product ``R x_k`` — the only O(n^2) work of the sweep —
-executed on the linear systolic array through one
-:class:`~repro.core.plans.CachedMatVec` plan.  The convergence residual
+executed on the linear systolic array through one cached
+:class:`~repro.core.plans.MatVecPlan`.  The convergence residual
 comes for free from the same product in O(n) host work
 (``r(x_k) = b - R x_k - D x_k``), so the sweep judges the *current*
 iterate and only applies the update when it has not converged yet.
 Because ``R`` has the same shape as ``A``, a k-sweep solve is exactly
-one plan build followed by k - 1 warm executions: the subsystem's
+one plan lookup followed by k - 1 warm executions: the subsystem's
 plan-cache story in its purest form.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 import numpy as np
 
-from ..core.plans import CachedMatVec
 from .base import PlanCachedIterativeSolver
-from .criteria import ConvergenceCriteria
 from .result import IterativeResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.plan import InnerPlans
 
 __all__ = ["JacobiSolver"]
 
@@ -35,26 +36,12 @@ class JacobiSolver(PlanCachedIterativeSolver):
 
     method = "jacobi"
 
-    def __init__(
-        self,
-        w: int,
-        criteria: Optional[ConvergenceCriteria] = None,
-        backend: str = "auto",
-        matvec: Optional[CachedMatVec] = None,
-    ):
-        super().__init__(w, criteria, backend)
-        self._matvec = (
-            matvec if matvec is not None else CachedMatVec(self._w, backend=backend)
-        )
-
-    def _engines(self) -> Iterable[object]:
-        return (self._matvec,)
-
     def solve(
         self,
         matrix: np.ndarray,
         b: np.ndarray,
         x0: Optional[np.ndarray] = None,
+        plans: "Optional[InnerPlans]" = None,
     ) -> IterativeResult:
         """Iterate ``x_{k+1} = D^{-1} (b - R x_k)`` until the residual converges.
 
@@ -66,10 +53,11 @@ class JacobiSolver(PlanCachedIterativeSolver):
         diagonal = self._require_nonzero_diagonal(matrix, self.method)
         off_diagonal = matrix - np.diagflat(diagonal)
         reference = float(np.linalg.norm(b))
+        inner = self._inner_plans(plans)
         state: Dict[str, Any] = {"x": x, "steps": 0}
 
         def sweep(_iteration: int) -> float:
-            product = self._matvec.solve(off_diagonal, state["x"])
+            product = inner.matvec(off_diagonal, state["x"])
             state["steps"] += product.measured_steps
             rhs = b - product.y  # b - R x_k: both the residual and the update
             residual = float(np.linalg.norm(rhs - diagonal * state["x"]))
@@ -77,16 +65,4 @@ class JacobiSolver(PlanCachedIterativeSolver):
                 state["x"] = rhs / diagonal
             return residual
 
-        iterations, converged, history, cold, warm = self._iterate(sweep, reference)
-        return IterativeResult(
-            method=self.method,
-            x=state["x"],
-            iterations=iterations,
-            converged=converged,
-            residual_norm=history[-1] if history else float("inf"),
-            residual_history=history,
-            array_steps=state["steps"],
-            cache=self.cache_stats(),
-            plan_builds_first_sweep=cold,
-            plan_builds_warm_sweeps=warm,
-        )
+        return self._iterate(sweep, reference, inner, state)

@@ -13,16 +13,17 @@ backends — are reproducible bit for bit.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 import numpy as np
 
-from ..core.plans import CachedMatVec
 from ..errors import ConvergenceError, ShapeError
 from ..matrices.dense import as_matrix, as_vector
 from .base import PlanCachedIterativeSolver
-from .criteria import ConvergenceCriteria
 from .result import IterativeResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.plan import InnerPlans
 
 __all__ = ["PowerIterationSolver"]
 
@@ -32,25 +33,11 @@ class PowerIterationSolver(PlanCachedIterativeSolver):
 
     method = "power"
 
-    def __init__(
-        self,
-        w: int,
-        criteria: Optional[ConvergenceCriteria] = None,
-        backend: str = "auto",
-        matvec: Optional[CachedMatVec] = None,
-    ):
-        super().__init__(w, criteria, backend)
-        self._matvec = (
-            matvec if matvec is not None else CachedMatVec(self._w, backend=backend)
-        )
-
-    def _engines(self) -> Iterable[object]:
-        return (self._matvec,)
-
     def solve(
         self,
         matrix: np.ndarray,
         x0: Optional[np.ndarray] = None,
+        plans: "Optional[InnerPlans]" = None,
     ) -> IterativeResult:
         """Iterate to the dominant eigenpair; the result carries both.
 
@@ -72,10 +59,11 @@ class PowerIterationSolver(PlanCachedIterativeSolver):
             if norm == 0.0:
                 raise ShapeError("power iteration needs a nonzero start vector")
             x = x / norm
+        inner = self._inner_plans(plans)
         state: Dict[str, Any] = {"x": x, "eigenvalue": 0.0, "steps": 0}
 
         def sweep(iteration: int) -> float:
-            product = self._matvec.solve(matrix, state["x"])
+            product = inner.matvec(matrix, state["x"])
             state["steps"] += product.measured_steps
             y = product.y
             eigenvalue = float(state["x"] @ y)
@@ -92,19 +80,6 @@ class PowerIterationSolver(PlanCachedIterativeSolver):
             state["eigenvalue"] = eigenvalue
             return residual
 
-        iterations, converged, history, cold, warm = self._iterate(
-            sweep, lambda: abs(state["eigenvalue"])
-        )
-        return IterativeResult(
-            method=self.method,
-            x=state["x"],
-            iterations=iterations,
-            converged=converged,
-            residual_norm=history[-1] if history else float("inf"),
-            residual_history=history,
-            array_steps=state["steps"],
-            cache=self.cache_stats(),
-            plan_builds_first_sweep=cold,
-            plan_builds_warm_sweeps=warm,
-            eigenvalue=state["eigenvalue"],
+        return self._iterate(
+            sweep, lambda: abs(state["eigenvalue"]), inner, state
         )

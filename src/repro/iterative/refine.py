@@ -17,16 +17,18 @@ executions.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 import numpy as np
 
-from ..core.plans import CachedMatVec
 from ..extensions.lu import SystolicLU
 from ..extensions.triangular import SystolicTriangularSolver
 from .base import PlanCachedIterativeSolver
 from .criteria import ConvergenceCriteria
 from .result import IterativeResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.plan import InnerPlans
 
 __all__ = ["IterativeRefinementSolver"]
 
@@ -43,58 +45,39 @@ class IterativeRefinementSolver(PlanCachedIterativeSolver):
         backend: str = "auto",
     ):
         super().__init__(w, criteria, backend)
-        # One matvec engine shared by the residual products and the
-        # triangular solver's block products; the LU engine brings its
-        # own cached matmul for the trailing updates.
-        self._matvec = CachedMatVec(self._w, backend=backend)
-        self._triangular = SystolicTriangularSolver(self._w, matvec=self._matvec)
-        self._lu = SystolicLU(self._w, triangular=self._triangular, backend=backend)
-
-    def _engines(self) -> Iterable[object]:
-        return (self._matvec, self._lu._matmul)
+        self._triangular = SystolicTriangularSolver(self._w, backend=backend)
+        self._lu = SystolicLU(self._w, backend=backend)
 
     def solve(
         self,
         matrix: np.ndarray,
         b: np.ndarray,
         x0: Optional[np.ndarray] = None,
+        plans: "Optional[InnerPlans]" = None,
     ) -> IterativeResult:
         """Factor once, then refine; ``x0`` seeds the first residual if given."""
         matrix, b, x = self._validate_system(matrix, b, x0)
         reference = float(np.linalg.norm(b))
+        inner = self._inner_plans(plans)
 
         # The factorization happens before the sweep loop but is part of
-        # the plan-warming cost; fold its plan builds into the cold count.
-        builds_before_factor = self._engine_misses()
-        factorization = self._lu.factor(matrix)
-        factor_builds = self._engine_misses() - builds_before_factor
+        # the plan-warming cost: its plan builds count as cold.
+        factorization = self._lu.factor(matrix, inner)
         state: Dict[str, Any] = {"x": x, "steps": factorization.array_steps}
         lower, upper = factorization.l, factorization.u
 
         def sweep(_iteration: int) -> float:
             # The residual product IS the sweep's convergence check: judge
             # the current iterate, and only correct it if still needed.
-            product = self._matvec.solve(matrix, state["x"])
+            product = inner.matvec(matrix, state["x"])
             state["steps"] += product.measured_steps
             residual_vector = b - product.y
             residual = float(np.linalg.norm(residual_vector))
             if not self._criteria.converged(residual, reference):
-                forward = self._triangular.solve_lower(lower, residual_vector)
-                backward = self._triangular.solve_upper(upper, forward.x)
+                forward = self._triangular.solve_lower(lower, residual_vector, inner)
+                backward = self._triangular.solve_upper(upper, forward.x, inner)
                 state["steps"] += forward.array_steps + backward.array_steps
                 state["x"] = state["x"] + backward.x
             return residual
 
-        iterations, converged, history, cold, warm = self._iterate(sweep, reference)
-        return IterativeResult(
-            method=self.method,
-            x=state["x"],
-            iterations=iterations,
-            converged=converged,
-            residual_norm=history[-1] if history else float("inf"),
-            residual_history=history,
-            array_steps=state["steps"],
-            cache=self.cache_stats(),
-            plan_builds_first_sweep=cold + factor_builds,
-            plan_builds_warm_sweeps=warm,
-        )
+        return self._iterate(sweep, reference, inner, state)

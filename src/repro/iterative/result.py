@@ -3,8 +3,8 @@
 Every :mod:`repro.iterative` solver returns an :class:`IterativeResult`:
 the solution vector, the per-sweep residual history, convergence status,
 the array step budget spent, and — the subsystem's reason to exist — the
-aggregated :class:`~repro.instrumentation.CacheStats` of the inner plan
-caches plus the cold/warm plan-build split, which together *prove* that a
+solve's inner-plan lookups as :class:`~repro.instrumentation.CacheStats`
+plus the cold/warm plan-build split, which together *prove* that a
 k-sweep solve costs k warm plan executions and zero recompiles after the
 first sweep.
 """
@@ -25,9 +25,12 @@ __all__ = ["IterativeResult"]
 class IterativeResult:
     """Outcome of one iterative solve.
 
-    ``plan_builds_first_sweep`` counts the plans compiled while the first
-    sweep warmed the inner engines; ``plan_builds_warm_sweeps`` counts
-    the plans compiled by every later sweep — by construction the
+    ``cache`` tallies this solve's inner-plan lookups: one per distinct
+    inner shape against the solver's plan cache (a miss is a plan build),
+    plus a hit for every later use.  ``plan_builds_first_sweep`` counts
+    the inner plans built up to the end of the first sweep (setup work
+    such as refine's factorization included); ``plan_builds_warm_sweeps``
+    counts the plans built by every later sweep — by construction the
     subsystem keeps it at **zero**, and tests assert exactly that.
     """
 

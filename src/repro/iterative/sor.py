@@ -6,30 +6,31 @@ strictly lower, strictly upper) the sweep solves
 
     ``(D + omega L) x_{k+1} = omega b - (omega U + (omega - 1) D) x_k``
 
-in two plan-cached stages, exactly as the legacy Gauss-Seidel extension
-did: the dense product with the upper splitting runs on the linear array
-via the shared :class:`~repro.core.plans.CachedMatVec`, and the lower
-triangular solve goes through
-:class:`~repro.extensions.triangular.SystolicTriangularSolver`, whose
-block products reuse the *same* matvec engine — so every sweep after the
-first is pure warm plan execution.
+in two plan-cached stages, exactly as the seed Gauss-Seidel extension
+did: the dense product with the upper splitting runs on the linear array,
+and the lower triangular solve goes through
+:class:`~repro.extensions.triangular.SystolicTriangularSolver`, handed the
+same inner plans — so every sweep after the first is pure warm plan
+execution.
 
-For ``omega == 1.0`` the splitting is computed on the legacy Gauss-Seidel
-code path (``b - U x`` with ``np.tril(A)``), keeping the deprecation shim
-in :mod:`repro.extensions.gauss_seidel` bit-identical to the seed.
+For ``omega == 1.0`` the splitting is computed on the seed Gauss-Seidel
+code path (``b - U x`` with ``np.tril(A)``), keeping the ``gauss_seidel``
+kind bit-identical to the seed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 import numpy as np
 
-from ..core.plans import CachedMatVec
 from ..extensions.triangular import SystolicTriangularSolver
 from .base import PlanCachedIterativeSolver
 from .criteria import ConvergenceCriteria
 from .result import IterativeResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.plan import InnerPlans
 
 __all__ = ["SORSolver"]
 
@@ -45,7 +46,6 @@ class SORSolver(PlanCachedIterativeSolver):
         omega: float = 1.0,
         criteria: Optional[ConvergenceCriteria] = None,
         backend: str = "auto",
-        matvec: Optional[CachedMatVec] = None,
     ):
         super().__init__(w, criteria, backend)
         if not 0.0 < omega < 2.0:
@@ -53,32 +53,25 @@ class SORSolver(PlanCachedIterativeSolver):
                 f"SOR needs 0 < omega < 2 for convergence, got {omega}"
             )
         self._omega = float(omega)
-        # One shared engine: the sweep's dense product and the triangular
-        # solver's block products reuse the same per-shape plans.
-        self._matvec = (
-            matvec if matvec is not None else CachedMatVec(self._w, backend=backend)
-        )
-        self._triangular = SystolicTriangularSolver(self._w, matvec=self._matvec)
+        self._triangular = SystolicTriangularSolver(self._w, backend=backend)
 
     @property
     def omega(self) -> float:
         return self._omega
-
-    def _engines(self) -> Iterable[object]:
-        return (self._matvec,)
 
     def solve(
         self,
         matrix: np.ndarray,
         b: np.ndarray,
         x0: Optional[np.ndarray] = None,
+        plans: "Optional[InnerPlans]" = None,
     ) -> IterativeResult:
         """Relaxed sweeps until the residual of ``A x = b`` converges."""
         matrix, b, x = self._validate_system(matrix, b, x0)
         diagonal = self._require_nonzero_diagonal(matrix, self.method)
         omega = self._omega
         if omega == 1.0:
-            # Exact legacy Gauss-Seidel arithmetic (no multiplies by 1/0).
+            # Exact seed Gauss-Seidel arithmetic (no multiplies by 1/0).
             upper_split = np.triu(matrix, k=1)
             lower_solve = np.tril(matrix)
             scaled_b = b
@@ -88,26 +81,17 @@ class SORSolver(PlanCachedIterativeSolver):
             lower_solve = diagonal_matrix + omega * np.tril(matrix, k=-1)
             scaled_b = omega * b
         reference = float(np.linalg.norm(b))
+        inner = self._inner_plans(plans)
         state: Dict[str, Any] = {"x": x, "steps": 0}
 
         def sweep(_iteration: int) -> float:
-            product = self._matvec.solve(upper_split, state["x"])
+            product = inner.matvec(upper_split, state["x"])
             state["steps"] += product.measured_steps
-            solve = self._triangular.solve_lower(lower_solve, scaled_b - product.y)
+            solve = self._triangular.solve_lower(
+                lower_solve, scaled_b - product.y, inner
+            )
             state["steps"] += solve.array_steps
             state["x"] = solve.x
             return float(np.linalg.norm(matrix @ state["x"] - b))
 
-        iterations, converged, history, cold, warm = self._iterate(sweep, reference)
-        return IterativeResult(
-            method=self.method,
-            x=state["x"],
-            iterations=iterations,
-            converged=converged,
-            residual_norm=history[-1] if history else float("inf"),
-            residual_history=history,
-            array_steps=state["steps"],
-            cache=self.cache_stats(),
-            plan_builds_first_sweep=cold,
-            plan_builds_warm_sweeps=warm,
-        )
+        return self._iterate(sweep, reference, inner, state)

@@ -46,8 +46,9 @@ the disabled path costs one thread-local read per hook.
 Multi-iteration requests (the :mod:`repro.iterative` kinds — jacobi,
 sor, cg, refine, power) flow through the same pipeline: a whole k-sweep
 job executes on its plan key's home shard, where the compiled solver
-engine and its inner per-shape plans stay hot across jobs, and the
-telemetry accounts the per-kind sweep totals (``iterations_by_kind``).
+and its inner per-shape plans (plans of that shard's cache) stay hot
+across jobs, and the telemetry accounts the per-kind sweep totals
+(``iterations_by_kind``).
 
 Whole pipeline graphs (:mod:`repro.graph`) are first-class requests too.
 A multi-level graph takes the **cross-shard pipelined path**: the service

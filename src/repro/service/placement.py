@@ -21,10 +21,9 @@ rebalance individual keys (``assign`` / ``release``), and
 hits, and the recently-routed key→shard assignments — to the service's
 fleet telemetry.
 
-The same-key→same-shard discipline is also the serving layer's
-thread-safety contract: plan executors are stateful (simulator arrays,
-lazily-warmed inner engines), and placing every lookup of a key on one
-shard serializes every execution of that key's plan on one thread.
+The same-key→same-shard discipline is what keeps each plan compiled
+once fleet-wide: placing every lookup of a key on one shard means one
+shard's cache holds, and one thread executes, that key's plan.
 ``assign`` therefore only governs *subsequent* lookups; in-flight work
 keeps the placement it was admitted under, and operators rebalancing a
 hot key should quiesce it first (the table does not migrate running
@@ -205,9 +204,9 @@ class PlacementTable:
         """Pin ``key`` to ``shard``, overriding the default policy.
 
         Governs *subsequent* lookups only: work already admitted under the
-        previous placement finishes where it was routed.  Because one
-        key's plan executor is stateful and thread-serialized by its
-        placement, rebalance a key only when it is quiescent.
+        previous placement finishes where it was routed, so rebalance a
+        key only when it is quiescent (its next request compiles, or
+        loads, the plan on the new shard).
         """
         if not 0 <= shard < self._n_shards:
             raise ValueError(

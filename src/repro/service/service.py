@@ -274,10 +274,11 @@ class SolverService:
         preloaded.  Idempotent; also callable later to pick up
         artifacts written by other processes.
 
-        Thread-safety note: adoption respects the same-key→same-shard
-        discipline — a key's (stateful) executor lands only on the one
-        shard whose thread will ever execute it, which is also the
-        thread that executes that key's pipelined segments.
+        Each solver adopts its own bound copy of the decoded plan (see
+        :meth:`~repro.api.solver.Solver.adopt_plan`), so the copies share
+        one executor.  That is safe: an executor holds no per-solve state
+        — its lazily built geometry is built under a lock — and its inner
+        plans resolve through the adopting solver's own cache.
         """
         if self._store is None:
             return 0

@@ -10,12 +10,16 @@ followed by a pickled payload::
     28      -     payload          pickle of a PlanPayload mapping
 
 The payload carries everything needed to rebuild an
-:class:`~repro.api.plan.ExecutionPlan` *except* the registry handler:
+:class:`~repro.api.plan.ExecutionPlan` *except* the registry handler and
+the plan's source solver:
 ``{"key", "kind", "shapes", "spec", "options", "executor"}``.  Handlers
 are process-local singletons resolved from the problem registry
 (:func:`~repro.api.registry.get_handler`) at load time, so an artifact
 never freezes registry state and a loaded plan dispatches through the
-same handler object a freshly compiled one would.
+same handler object a freshly compiled one would; the solver that loads
+a plan binds itself as its source.  An executor that runs inner products
+(jacobi, lu, triangular, ...) holds no plans, so its artifact is a few
+hundred bytes: each inner plan is an artifact of its own key.
 
 Reading is strictly validate-then-trust: magic, version and checksum are
 checked *before* the payload is unpickled, and the decoded plan's
@@ -49,13 +53,13 @@ MAGIC = b"RPROPLAN"
 
 #: Bump on any incompatible payload change.  Readers reject every other
 #: version (newer *or* older) — a version skew is a recompile, never a
-#: best-effort parse of bytes written by different code.  Version 5:
-#: the per-shape engine memos inside a plan (``CachedMatVec`` /
-#: ``CachedMatMul``, e.g. a jacobi plan's inner mat-vec engine) pickle as
-#: one :class:`~repro.instrumentation.LRUCache` instead of a bare LRU dict
-#: plus hit/miss/eviction fields, so a version-4 payload would load and
-#: then fail on its first solve.
-FORMAT_VERSION = 5
+#: best-effort parse of bytes written by different code.  Version 6:
+#: executors hold no inner plans — a jacobi, lu or triangular artifact
+#: carries only its configured executor, and each inner mat-vec /
+#: mat-mul plan is an artifact of its own key — and the per-shape engine
+#: classes a version-5 payload pickled are gone, so a version-5 payload
+#: could not even be unpickled.
+FORMAT_VERSION = 6
 
 _VERSION_STRUCT = struct.Struct(">I")
 _CHECKSUM_SIZE = 16

@@ -3,15 +3,17 @@
 Covers the acceptance criteria of the api redesign: registry dispatch for
 all six primary problem kinds, plan-cache hit/miss accounting, the
 zero-transform-construction property of warm solves, ``solve_batch``
-equivalence with sequential solves, and the legacy deprecation shims.
+equivalence with sequential solves, and the one plan cache that inner
+products share with direct solves.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
 import sys
 import threading
-import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -25,9 +27,10 @@ from repro.api import (
     registered_kinds,
 )
 from repro.api.plan import PlanCache
-from repro.core.matvec import MatVecSolution, SizeIndependentMatVec
-from repro.core.matmul import MatMulSolution, SizeIndependentMatMul
+from repro.core.plans import MatVecPlan
 from repro.errors import ProblemKindError, ShapeError
+from repro.graph import Jacobi, MatVec
+from repro.iterative import ConvergenceCriteria
 from repro.instrumentation import CacheStats, LRUCache, counters
 
 #: The shared LRU and the plan cache built on it drive the same tests.
@@ -172,10 +175,8 @@ class TestPlanCache:
         assert delta.plan_builds == 0
         assert np.array_equal(first.values, second.values)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = SizeIndependentMatVec(4).solve(a, x, b)
-        assert np.array_equal(second.values, legacy.y)
+        direct = MatVecPlan(*a.shape, 4).execute(a, x, b)
+        assert np.array_equal(second.values, direct.y)
 
     def test_warm_matmul_builds_no_operands(self, solver, rng):
         a = rng.normal(size=(6, 9))
@@ -426,6 +427,53 @@ class TestSolverLifetime:
         assert overlapped != key
 
 
+class TestOnePlanCache:
+    """Inner products are plans of the solver cache, like direct solves."""
+
+    @staticmethod
+    def _dominant(rng, n: int) -> np.ndarray:
+        a = rng.normal(size=(n, n))
+        return a + np.diag(np.abs(a).sum(axis=1) + 1.0)
+
+    def test_jacobi_inner_product_is_the_plain_matvec_plan(self, rng):
+        n = 12
+        solver = Solver(ArraySpec(w=4))
+        criteria = ConvergenceCriteria(atol=1e-12, max_iter=20)
+        a, b = self._dominant(rng, n), rng.normal(size=n)
+        solver.solve(Jacobi(a, b, criteria=criteria))
+        before = counters.snapshot()
+        solution = solver.solve(MatVec(rng.normal(size=(n, n)), rng.normal(size=n)))
+        assert solution.from_cache
+        assert counters.delta(before).plan_builds == 0
+        assert solver.cache_stats.size == 2  # the jacobi plan and one (n, n) mat-vec
+
+    def test_warm_triangular_solve_builds_no_plans(self, rng):
+        """40 blocks: 39 distinct block shapes, all held by the one cache."""
+        n = 160
+        lower = np.tril(rng.normal(size=(n, n))) + n * np.eye(n)
+        b = rng.normal(size=n)
+        solver = Solver(ArraySpec(w=4))
+        cold = solver.solve("triangular", lower, b)
+        before = counters.snapshot()
+        warm = solver.solve("triangular", lower, b)
+        assert counters.delta(before).plan_builds == 0
+        assert np.array_equal(warm.values, cold.values)
+        assert solver.cache_stats.evictions == 0
+
+    def test_dropped_solver_is_freed_by_reference_counting(self, rng):
+        """A plan holds its source solver weakly: no plan -> solver cycle."""
+        n = 8
+        solver = Solver(ArraySpec(w=4))
+        gc.disable()
+        try:
+            solver.solve(Jacobi(self._dominant(rng, n), rng.normal(size=n)))
+            ref = weakref.ref(solver)
+            del solver
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestPlanCacheThreadSafety:
     def test_hammer_shared_solver(self, rng):
         """Many threads, few cache slots: no torn LRU state, no lost counts."""
@@ -512,47 +560,6 @@ class TestPlanCacheThreadSafety:
         assert stats.hits + stats.misses == n_threads * 200
         assert stats.size <= 4
         assert len(cache) <= 4
-
-
-class TestDeprecationShims:
-    def test_matvec_shim_warns_and_delegates(self, rng):
-        a = rng.normal(size=(7, 5))
-        x = rng.normal(size=5)
-        with pytest.warns(DeprecationWarning):
-            legacy = SizeIndependentMatVec(3)
-        solution = legacy.solve(a, x)
-        assert isinstance(solution, MatVecSolution)
-        api_solution = Solver(ArraySpec(w=3)).solve("matvec", a, x)
-        assert np.array_equal(solution.y, api_solution.values)
-        assert solution.measured_steps == api_solution.measured_steps
-
-    def test_matmul_shim_warns_and_delegates(self, rng):
-        a = rng.normal(size=(4, 5))
-        b = rng.normal(size=(5, 4))
-        with pytest.warns(DeprecationWarning):
-            legacy = SizeIndependentMatMul(3)
-        solution = legacy.solve(a, b)
-        assert isinstance(solution, MatMulSolution)
-        api_solution = Solver(ArraySpec(w=3)).solve("matmul", a, b)
-        assert np.array_equal(solution.c, api_solution.values)
-        assert solution.measured_steps == api_solution.measured_steps
-
-    def test_deprecation_warnings_point_at_the_caller(self):
-        """Both shims pass stacklevel=2, so the warning names this file."""
-        for shim in (SizeIndependentMatVec, SizeIndependentMatMul):
-            with pytest.warns(DeprecationWarning) as captured:
-                shim(3)
-            assert len(captured) == 1
-            assert captured[0].filename == __file__
-
-    def test_shim_reuses_plan_across_solves(self, rng):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = SizeIndependentMatVec(3)
-        legacy.solve(rng.normal(size=(6, 6)), rng.normal(size=6))
-        before = counters.snapshot()
-        legacy.solve(rng.normal(size=(6, 6)), rng.normal(size=6))
-        assert counters.delta(before).transform_constructions == 0
 
 
 class TestSolutionProtocol:

@@ -24,11 +24,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.api import ArraySpec, ExecutionOptions, Solver
+from repro.api import ArraySpec, ExecutionOptions, InnerPlans, Solver
 from repro.backends import available_backends, resolve_backend
 from repro.backends.vectorized import HexSweepPlan
 from repro.core.operands import MatMulOperands
-from repro.core.plans import CachedMatVec, MatVecPlan
+from repro.core.plans import MatVecPlan
 from repro.core.recovery import AccumulationChain, PartialResultMap
 from repro.errors import BackendError, PlanError, ShapeError
 from repro.instrumentation import counters
@@ -760,13 +760,20 @@ class TestNNEquivalence:
 
 class TestSharedEngineBackend:
     def test_shared_matvec_engine_overrides_pipeline_backend(self, rng):
-        """An injected engine carries its own backend, as documented."""
+        """A passed ``plans`` carries its own backend, as documented."""
         from repro.extensions.triangular import SystolicTriangularSolver
 
-        engine = CachedMatVec(3, backend="simulate")
-        solver = SystolicTriangularSolver(3, matvec=engine, backend="vectorized")
+        source = Solver(ArraySpec(3))
+        plans = InnerPlans(source, "simulate")
+        solver = SystolicTriangularSolver(3, backend="vectorized")
         t = np.tril(rng.normal(size=(5, 5))) + 6 * np.eye(5)
-        result = solver.solve_lower(t, rng.normal(size=5))
-        assert np.allclose(t @ result.x, t @ np.linalg.solve(t, t @ result.x))
-        # the shared engine's plans are simulator plans
-        assert engine.backend == "simulate"
+        b = rng.normal(size=5)
+        result = solver.solve_lower(t, b, plans=plans)
+        assert np.allclose(result.x, np.linalg.solve(t, b))
+        # One block product, run on a simulator plan of the passed source.
+        assert plans.stats.misses == plans.stats.size == 1
+        plan = source.plan(
+            "matvec", shape=(2, 3), options=ExecutionOptions(backend="simulate")
+        )
+        assert plan.executor.backend == "simulate"
+        assert source.cache_stats.misses == 1  # the block's plan, already cached

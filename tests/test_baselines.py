@@ -10,7 +10,7 @@ from repro.baselines.naive_band import NaiveBlockMatMul, NaiveBlockMatVec
 from repro.baselines.prt import PRTMatVec, PRTTransform
 from repro.baselines.reference import reference_matmul, reference_matvec
 from repro.core.dbt import DBTByRowsTransform
-from repro.core.matvec import SizeIndependentMatVec
+from repro.core.plans import MatVecPlan
 from repro.errors import ShapeError
 
 
@@ -51,7 +51,7 @@ class TestNaiveBlockMatVec:
         matrix = rng.uniform(size=(9, 9))
         x = rng.uniform(size=9)
         naive = NaiveBlockMatVec(3).solve(matrix, x)
-        dbt = SizeIndependentMatVec(3).solve(matrix, x)
+        dbt = MatVecPlan(*matrix.shape, 3).execute(matrix, x)
         assert naive.utilization < 0.6 * dbt.measured_utilization
 
     def test_shape_validation(self, rng):
@@ -147,7 +147,7 @@ class TestBlockPartitioned:
         matrix = rng.uniform(size=(12, 12))
         x = rng.uniform(size=12)
         partitioned = BlockPartitionedMatVec(3).solve(matrix, x)
-        dbt = SizeIndependentMatVec(3).solve(matrix, x)
+        dbt = MatVecPlan(*matrix.shape, 3).execute(matrix, x)
         assert dbt.measured_utilization > 1.2 * partitioned.utilization
         assert partitioned.external_additions > 0
         assert dbt.feedback_delays  # DBT keeps the accumulation inside the array

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.matmul import MatMulSolution, SizeIndependentMatMul
+from repro.core.matmul import MatMulSolution
+from repro.core.plans import MatMulPlan
 from repro.errors import ShapeError
 
 
@@ -27,34 +28,34 @@ class TestCorrectness:
         a = rng.uniform(-1.0, 1.0, size=(n, p))
         b = rng.uniform(-1.0, 1.0, size=(p, m))
         e = rng.uniform(-1.0, 1.0, size=(n, m))
-        solution = SizeIndependentMatMul(w).solve(a, b, e)
+        solution = MatMulPlan(*a.shape, b.shape[1], w).execute(a, b, e)
         assert np.allclose(solution.c, a @ b + e)
 
     def test_without_addend(self, rng):
         a = rng.uniform(size=(4, 4))
         b = rng.uniform(size=(4, 4))
-        solution = SizeIndependentMatMul(2).solve(a, b)
+        solution = MatMulPlan(*a.shape, b.shape[1], 2).execute(a, b)
         assert np.allclose(solution.c, a @ b)
 
     def test_identity_and_zero_operands(self, rng):
         a = rng.uniform(size=(6, 6))
-        identity = np.eye(6)
-        assert np.allclose(SizeIndependentMatMul(3).solve(a, identity).c, a)
-        zero = np.zeros((6, 6))
-        assert np.allclose(SizeIndependentMatMul(3).solve(a, zero).c, 0.0)
+        plan = MatMulPlan(6, 6, 6, 3)
+        assert np.allclose(plan.execute(a, np.eye(6)).c, a)
+        assert np.allclose(plan.execute(a, np.zeros((6, 6))).c, 0.0)
 
     def test_structure_verification_path(self, rng):
         a = rng.uniform(size=(4, 4))
         b = rng.uniform(size=(4, 4))
-        solution = SizeIndependentMatMul(2, verify_structure=True).solve(a, b)
+        plan = MatMulPlan(4, 4, 4, 2, verify_structure=True)
+        solution = plan.execute(a, b)
         assert np.allclose(solution.c, a @ b)
 
     def test_shape_validation(self, rng):
-        solver = SizeIndependentMatMul(3)
+        plan = MatMulPlan(3, 4, 5, 3)
         with pytest.raises(ShapeError):
-            solver.solve(rng.uniform(size=(3, 4)), rng.uniform(size=(3, 4)))
+            plan.execute(rng.uniform(size=(3, 4)), rng.uniform(size=(3, 4)))
         with pytest.raises(ShapeError):
-            solver.solve(
+            plan.execute(
                 rng.uniform(size=(3, 4)),
                 rng.uniform(size=(4, 5)),
                 rng.uniform(size=(3, 4)),
@@ -68,7 +69,7 @@ class TestTimingAgainstPaper:
     def test_measured_steps_equal_t5(self, rng, n, p, m, w):
         a = rng.uniform(size=(n, p))
         b = rng.uniform(size=(p, m))
-        solution = SizeIndependentMatMul(w).solve(a, b)
+        solution = MatMulPlan(*a.shape, b.shape[1], w).execute(a, b)
         assert solution.measured_steps == solution.predicted_steps
 
     def test_utilization_tracks_t6_within_tail_overhead(self, rng):
@@ -77,7 +78,7 @@ class TestTimingAgainstPaper:
         # closed form and converges to it as the problem grows.
         a = rng.uniform(size=(6, 6))
         b = rng.uniform(size=(6, 9))
-        solution = SizeIndependentMatMul(3).solve(a, b)
+        solution = MatMulPlan(*a.shape, b.shape[1], 3).execute(a, b)
         assert solution.measured_utilization == pytest.approx(
             solution.predicted_utilization, rel=0.05
         )
@@ -86,13 +87,13 @@ class TestTimingAgainstPaper:
     def test_utilization_stays_below_one_third(self, rng):
         a = rng.uniform(size=(6, 6))
         b = rng.uniform(size=(6, 6))
-        solution = SizeIndependentMatMul(3).solve(a, b)
+        solution = MatMulPlan(*a.shape, b.shape[1], 3).execute(a, b)
         assert solution.measured_utilization < 1.0 / 3.0 + 0.02
 
     def test_feedback_is_used_and_recorded(self, rng):
         a = rng.uniform(size=(6, 6))
         b = rng.uniform(size=(6, 6))
-        solution = SizeIndependentMatMul(3).solve(a, b)
+        solution = MatMulPlan(*a.shape, b.shape[1], 3).execute(a, b)
         assert len(solution.feedback_delays) > 0
         classification = solution.feedback_classification()
         assert classification.regular_count > 0
@@ -100,7 +101,7 @@ class TestTimingAgainstPaper:
     def test_summary_reports_key_numbers(self, rng):
         a = rng.uniform(size=(6, 6))
         b = rng.uniform(size=(6, 6))
-        solution = SizeIndependentMatMul(3).solve(a, b)
+        solution = MatMulPlan(*a.shape, b.shape[1], 3).execute(a, b)
         text = solution.summary()
         assert str(solution.predicted_steps) in text
         assert "feedback" in text
@@ -108,7 +109,7 @@ class TestTimingAgainstPaper:
     def test_solution_type(self, rng):
         a = rng.uniform(size=(4, 4))
         b = rng.uniform(size=(4, 4))
-        solution = SizeIndependentMatMul(2).solve(a, b)
+        solution = MatMulPlan(*a.shape, b.shape[1], 2).execute(a, b)
         assert isinstance(solution, MatMulSolution)
         assert solution.w == 2
 
@@ -120,17 +121,17 @@ class TestFeedbackStructure:
         for m in (3, 6, 9):
             a = rng.uniform(size=(6, 6))
             b = rng.uniform(size=(6, m))
-            solution = SizeIndependentMatMul(3).solve(a, b)
+            solution = MatMulPlan(*a.shape, b.shape[1], 3).execute(a, b)
             classification = solution.feedback_classification()
             maxima.append(classification.max_regular_delay)
         assert maxima[0] == maxima[1] == maxima[2]
 
     def test_irregular_delays_grow_with_problem_size(self, rng):
         """T7: the irregular delays grow with the number of blocks."""
-        small = SizeIndependentMatMul(3).solve(
+        small = MatMulPlan(6, 6, 6, 3).execute(
             rng.uniform(size=(6, 6)), rng.uniform(size=(6, 6))
         )
-        large = SizeIndependentMatMul(3).solve(
+        large = MatMulPlan(6, 6, 12, 3).execute(
             rng.uniform(size=(6, 6)), rng.uniform(size=(6, 12))
         )
         assert (

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import ArraySpec, ExecutionOptions, Solver
 from repro.errors import ShapeError
-from repro.extensions.gauss_seidel import SystolicGaussSeidel
 from repro.extensions.lu import SystolicLU
 from repro.extensions.triangular import SystolicTriangularSolver
 
@@ -69,11 +69,17 @@ class TestTriangularSolver:
             solver.solve_lower(singular, rng.uniform(size=3))
 
 
+def gauss_seidel(matrix, b, x0=None, **options):
+    """The ``gauss_seidel`` kind's result on a ``w = 3`` solver."""
+    solver = Solver(ArraySpec(3), ExecutionOptions(**options))
+    return solver.solve("gauss_seidel", matrix, b, x0=x0).raw
+
+
 class TestGaussSeidel:
     def test_converges_on_diagonally_dominant_system(self, rng):
         matrix = diagonally_dominant(rng, 8)
         b = rng.uniform(-1.0, 1.0, size=8)
-        result = SystolicGaussSeidel(3, tolerance=1e-10).solve(matrix, b)
+        result = gauss_seidel(matrix, b, gs_tolerance=1e-10)
         assert result.converged
         assert np.allclose(matrix @ result.x, b, atol=1e-8)
         assert result.residual_history[-1] <= result.residual_history[0]
@@ -82,37 +88,36 @@ class TestGaussSeidel:
         matrix = diagonally_dominant(rng, 6)
         b = rng.uniform(size=6)
         exact = np.linalg.solve(matrix, b)
-        result = SystolicGaussSeidel(3).solve(matrix, b, x0=exact)
+        result = gauss_seidel(matrix, b, x0=exact)
         assert result.iterations == 1
         assert result.converged
 
     def test_iteration_cap(self, rng):
         matrix = diagonally_dominant(rng, 6, dominance=1.0)
         b = rng.uniform(size=6)
-        result = SystolicGaussSeidel(3, tolerance=1e-16, max_iterations=2).solve(matrix, b)
+        result = gauss_seidel(matrix, b, gs_tolerance=1e-16, gs_max_iterations=2)
         assert result.iterations == 2
         assert not result.converged
 
     def test_counts_array_steps(self, rng):
         matrix = diagonally_dominant(rng, 6)
         b = rng.uniform(size=6)
-        result = SystolicGaussSeidel(3).solve(matrix, b)
+        result = gauss_seidel(matrix, b)
         assert result.array_steps > 0
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):
-            SystolicGaussSeidel(3, tolerance=0.0)
+            ExecutionOptions(gs_tolerance=0.0)
         with pytest.raises(ValueError):
-            SystolicGaussSeidel(3, max_iterations=0)
-        solver = SystolicGaussSeidel(3)
+            ExecutionOptions(gs_max_iterations=0)
         with pytest.raises(ShapeError):
-            solver.solve(rng.uniform(size=(3, 4)), rng.uniform(size=3))
+            gauss_seidel(rng.uniform(size=(3, 4)), rng.uniform(size=3))
         with pytest.raises(ShapeError):
-            solver.solve(diagonally_dominant(rng, 4), rng.uniform(size=3))
+            gauss_seidel(diagonally_dominant(rng, 4), rng.uniform(size=3))
         zero_diag = rng.uniform(size=(3, 3))
         zero_diag[0, 0] = 0.0
         with pytest.raises(ShapeError):
-            solver.solve(zero_diag, rng.uniform(size=3))
+            gauss_seidel(zero_diag, rng.uniform(size=3))
 
 
 class TestLU:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.matvec import SizeIndependentMatVec
+from repro.core.plans import MatVecPlan
 from repro.errors import TransformError
 from repro.extensions.sparse import BlockSparseDBTTransform, BlockSparseMatVec
 
@@ -117,7 +117,7 @@ class TestTimeSaving:
             matrix = block_sparse_matrix(rng, 4, 4, 3, density)
             x = rng.uniform(size=12)
             sparse = BlockSparseMatVec(3).solve(matrix, x)
-            dense = SizeIndependentMatVec(3).solve(matrix, x)
+            dense = MatVecPlan(*matrix.shape, 3).execute(matrix, x)
             assert np.allclose(sparse.y, dense.y)
             assert sparse.measured_steps <= dense.measured_steps
             assert sparse.dense_steps == dense.measured_steps

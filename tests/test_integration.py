@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.report import ExperimentReport
+from repro.api import ArraySpec, ExecutionOptions, Solver
 from repro.baselines.block_partition import BlockPartitionedMatVec
 from repro.baselines.naive_band import NaiveBlockMatVec
 from repro.core.analytic import MatVecModel, matmul_steps, matvec_steps
-from repro.core.matmul import SizeIndependentMatMul
-from repro.core.matvec import SizeIndependentMatVec
-from repro.extensions.gauss_seidel import SystolicGaussSeidel
+from repro.core.plans import MatMulPlan, MatVecPlan, OverlappedMatVecPlan
 from repro.extensions.lu import SystolicLU
 from repro.matrices.padding import block_count
 
@@ -28,8 +27,8 @@ class TestPaperRunningExample:
 
     def test_full_story(self, rng, paper_example_problem):
         matrix, x, b = paper_example_problem
-        solver = SizeIndependentMatVec(3, record_trace=True)
-        solution = solver.solve(matrix, x, b)
+        plan = MatVecPlan(*matrix.shape, 3, record_trace=True)
+        solution = plan.execute(matrix, x, b)
 
         # Numerical correctness.
         assert np.allclose(solution.y, matrix @ x + b)
@@ -49,8 +48,8 @@ class TestPaperRunningExample:
 
     def test_overlapped_variant_fills_the_idle_cycles(self, rng, paper_example_problem):
         matrix, x, b = paper_example_problem
-        plain = SizeIndependentMatVec(3).solve(matrix, x, b)
-        overlapped = SizeIndependentMatVec(3, overlapped=True).solve(matrix, x, b)
+        plain = MatVecPlan(*matrix.shape, 3).execute(matrix, x, b)
+        overlapped = OverlappedMatVecPlan(*matrix.shape, 3).execute(matrix, x, b)
         assert np.allclose(overlapped.y, plain.y)
         assert overlapped.measured_steps == 22
         assert overlapped.measured_utilization > 0.8
@@ -62,7 +61,7 @@ class TestCrossStrategyComparison:
         x = rng.uniform(-1, 1, size=15)
         b = rng.uniform(-1, 1, size=12)
 
-        dbt = SizeIndependentMatVec(3).solve(matrix, x, b)
+        dbt = MatVecPlan(*matrix.shape, 3).execute(matrix, x, b)
         naive = NaiveBlockMatVec(3).solve(matrix, x, b)
         partitioned = BlockPartitionedMatVec(3).solve(matrix, x, b)
 
@@ -84,7 +83,7 @@ class TestScalingBehaviour:
             n = m = 3 * blocks
             matrix = rng.uniform(size=(n, m))
             x = rng.uniform(size=m)
-            solution = SizeIndependentMatVec(3).solve(matrix, x)
+            solution = MatVecPlan(*matrix.shape, 3).execute(matrix, x)
             utilizations.append(solution.measured_utilization)
         assert utilizations == sorted(utilizations)
         assert utilizations[-1] > 0.45
@@ -95,7 +94,7 @@ class TestScalingBehaviour:
             size = 3 * blocks
             a = rng.uniform(size=(size, size))
             b = rng.uniform(size=(size, size))
-            solution = SizeIndependentMatMul(3).solve(a, b)
+            solution = MatMulPlan(*a.shape, b.shape[1], 3).execute(a, b)
             utilizations.append(solution.measured_utilization)
         assert utilizations[-1] > 0.3
         assert abs(utilizations[-1] - 1.0 / 3.0) < abs(utilizations[0] - 1.0 / 3.0)
@@ -105,7 +104,7 @@ class TestScalingBehaviour:
         for n, m in [(6, 6), (6, 12), (12, 12)]:
             matrix = rng.uniform(size=(n, m))
             x = rng.uniform(size=m)
-            solution = SizeIndependentMatVec(w).solve(matrix, x)
+            solution = MatVecPlan(*matrix.shape, w).execute(matrix, x)
             n_bar, m_bar = block_count(n, w), block_count(m, w)
             assert solution.measured_steps == matvec_steps(n_bar, m_bar, w)
 
@@ -122,10 +121,12 @@ class TestApplicationsOnTopOfThePipelines:
         factorization = lu.factor(matrix)
         assert factorization.residual(matrix) < 1e-8
 
-        gs = SystolicGaussSeidel(3, tolerance=1e-11).solve(matrix, b)
-        assert gs.converged
+        gs = Solver(ArraySpec(3), ExecutionOptions(gs_tolerance=1e-11)).solve(
+            "gauss_seidel", matrix, b
+        )
+        assert gs.stats["converged"]
         direct = np.linalg.solve(matrix, b)
-        assert np.allclose(gs.x, direct, atol=1e-8)
+        assert np.allclose(gs.values, direct, atol=1e-8)
 
     def test_report_assembly_for_a_small_sweep(self, rng):
         """The reporting helper consumes measured data from real runs."""
@@ -133,7 +134,7 @@ class TestApplicationsOnTopOfThePipelines:
         for n, m, w in [(6, 9, 3), (8, 8, 4), (10, 5, 5)]:
             matrix = rng.uniform(size=(n, m))
             x = rng.uniform(size=m)
-            solution = SizeIndependentMatVec(w).solve(matrix, x)
+            solution = MatVecPlan(*matrix.shape, w).execute(matrix, x)
             report.add(f"T(n={n}, m={m}, w={w})", solution.predicted_steps, solution.measured_steps)
         assert report.all_match
         model = MatVecModel(n=6, m=9, w=3)
@@ -144,7 +145,7 @@ class TestApplicationsOnTopOfThePipelines:
         for n, p, m, w in [(6, 6, 6, 3), (4, 4, 4, 2)]:
             a = rng.uniform(size=(n, p))
             b = rng.uniform(size=(p, m))
-            solution = SizeIndependentMatMul(w).solve(a, b)
+            solution = MatMulPlan(*a.shape, b.shape[1], w).execute(a, b)
             expected = matmul_steps(
                 block_count(n, w), block_count(p, w), block_count(m, w), w
             )

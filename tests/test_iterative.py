@@ -123,14 +123,10 @@ class TestJacobi:
 
 class TestSOR:
     def test_omega_one_is_gauss_seidel_bit_for_bit(self, rng):
-        from repro.extensions.gauss_seidel import SystolicGaussSeidel
-
         matrix = spd_dominant(rng, 8)
         b = rng.normal(size=8)
         sor = SORSolver(3, omega=1.0).solve(matrix, b)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = SystolicGaussSeidel(3).solve(matrix, b)
+        legacy = Solver(ArraySpec(3)).solve("gauss_seidel", matrix, b).raw
         assert np.array_equal(sor.x, legacy.x)
         assert sor.iterations == legacy.iterations
         assert sor.residual_history == legacy.residual_history
@@ -312,16 +308,7 @@ class TestRegistryIntegration:
 
 
 class TestGaussSeidelShim:
-    def test_warns_but_keeps_api(self, rng):
-        from repro.extensions.gauss_seidel import SystolicGaussSeidel
-
-        with pytest.warns(DeprecationWarning, match="SystolicGaussSeidel"):
-            shim = SystolicGaussSeidel(3)
-        matrix = spd_dominant(rng, 6)
-        b = rng.normal(size=6)
-        result = shim.solve(matrix, b)
-        assert result.converged
-        assert np.allclose(matrix @ result.x, b, atol=1e-8)
+    """The ``gauss_seidel`` kind keeps the seed's Gauss-Seidel behaviour."""
 
     def test_gauss_seidel_kind_still_served(self, rng):
         matrix = spd_dominant(rng, 6)
@@ -331,17 +318,16 @@ class TestGaussSeidelShim:
         assert np.allclose(solution.values, np.linalg.solve(matrix, b), atol=1e-8)
 
     def test_divergence_reports_converged_false_like_the_seed(self, rng):
-        """The shim (and kind) must never raise on divergence — even to inf."""
-        from repro.extensions.gauss_seidel import SystolicGaussSeidel
-
+        """The kind must never raise on divergence — even to inf."""
         diverging = np.array([[1.0, 10.0], [10.0, 1.0]])
         b = np.ones(2)
+        capped = Solver(ArraySpec(3), ExecutionOptions(gs_max_iterations=300))
         # The residual legitimately overflows to inf on the way to the
         # iteration cap; that arithmetic noise is the point of the test.
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
-            result = SystolicGaussSeidel(3, max_iterations=300).solve(diverging, b)
-            assert not result.converged
-            assert result.iterations == 300
+            result = capped.solve("gauss_seidel", diverging, b)
+            assert not result.stats["converged"]
+            assert result.stats["iterations"] == 300
             solution = Solver(ArraySpec(3)).solve("gauss_seidel", diverging, b)
             assert not solution.stats["converged"]

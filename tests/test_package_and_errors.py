@@ -62,10 +62,10 @@ class TestPublicAPI:
         rng = np.random.default_rng(0)
         matrix = rng.normal(size=(10, 7))
         x = np.random.default_rng(1).normal(size=7)
-        solution = repro.SizeIndependentMatVec(w=4).solve(matrix, x)
-        assert np.allclose(solution.y, matrix @ x)
+        solution = repro.Solver(repro.ArraySpec(w=4)).solve(repro.MatVec(matrix, x))
+        assert np.allclose(solution.values, matrix @ x)
 
     def test_top_level_classes_are_the_same_objects(self):
-        from repro.core.matvec import SizeIndependentMatVec as Inner
+        from repro.core.matvec import MatVecSolution as Inner
 
-        assert repro.SizeIndependentMatVec is Inner
+        assert repro.MatVecSolution is Inner

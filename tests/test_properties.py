@@ -18,9 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.analytic import matvec_steps
 from repro.core.dbt import DBTByRowsTransform
-from repro.core.matmul import SizeIndependentMatMul
-from repro.core.matvec import SizeIndependentMatVec
 from repro.core.operands import MatMulOperands
+from repro.core.plans import MatMulPlan, MatVecPlan
 from repro.matrices.banded import BandMatrix
 from repro.matrices.blocks import split_udl, triangular_split
 from repro.matrices.padding import block_count, pad_matrix
@@ -152,14 +151,14 @@ class TestPipelineProperties:
     @given(instance=matvec_instances())
     def test_matvec_pipeline_equals_reference(self, instance):
         matrix, x, b, w = instance
-        solution = SizeIndependentMatVec(w).solve(matrix, x, b)
+        solution = MatVecPlan(*matrix.shape, w).execute(matrix, x, b)
         assert np.allclose(solution.y, matrix @ x + b)
 
     @SIM_SETTINGS
     @given(instance=matvec_instances())
     def test_matvec_steps_equal_closed_form(self, instance):
         matrix, x, _b, w = instance
-        solution = SizeIndependentMatVec(w).solve(matrix, x)
+        solution = MatVecPlan(*matrix.shape, w).execute(matrix, x)
         n_bar = block_count(matrix.shape[0], w)
         m_bar = block_count(matrix.shape[1], w)
         assert solution.measured_steps == matvec_steps(n_bar, m_bar, w)
@@ -168,21 +167,21 @@ class TestPipelineProperties:
     @given(instance=matvec_instances())
     def test_matvec_feedback_delays_equal_w(self, instance):
         matrix, x, b, w = instance
-        solution = SizeIndependentMatVec(w).solve(matrix, x, b)
+        solution = MatVecPlan(*matrix.shape, w).execute(matrix, x, b)
         assert all(delay == w for delay in solution.feedback_delays)
 
     @settings(max_examples=15, deadline=None)
     @given(instance=matmul_instances())
     def test_matmul_pipeline_equals_reference(self, instance):
         a, b, e, w = instance
-        solution = SizeIndependentMatMul(w).solve(a, b, e)
+        solution = MatMulPlan(*a.shape, b.shape[1], w).execute(a, b, e)
         assert np.allclose(solution.c, a @ b + e)
 
     @settings(max_examples=15, deadline=None)
     @given(instance=matmul_instances())
     def test_matmul_steps_equal_closed_form(self, instance):
         a, b, _e, w = instance
-        solution = SizeIndependentMatMul(w).solve(a, b)
+        solution = MatMulPlan(*a.shape, b.shape[1], w).execute(a, b)
         assert solution.measured_steps == solution.predicted_steps
 
 

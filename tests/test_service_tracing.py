@@ -208,6 +208,28 @@ class TestClassicRequestTrace:
         assert cold["plan_lookup"].args["cache"] == "miss"
         assert warm["plan_lookup"].args["cache"] == "hit"
 
+    def test_inner_plan_lookup_is_traced_under_plan_execute(self, rng):
+        """A jacobi sweep's mat-vec is a traced lookup of the shard cache."""
+        a = rng.normal(size=(N, N))
+        a += np.diag(np.abs(a).sum(axis=1) + 1.0)
+        b = rng.normal(size=N)
+        tracer = Tracer()
+        with SolverService(ArraySpec(W), n_shards=1, tracer=tracer) as service:
+            service.solve("jacobi", a, b)
+            service.solve("jacobi", a, b)
+        assert tracer.open_spans == 0
+        traces = tracer.trace_ids()
+        assert len(traces) == 2
+        for trace_id, cache in zip(traces, ("miss", "hit")):
+            spans = tracer.spans(trace_id)
+            (execute,) = [span for span in spans if span.name == "plan.execute"]
+            (inner,) = [
+                span for span in spans
+                if span.name == "plan_lookup" and span.args["kind"] == "matvec"
+            ]
+            assert inner.parent_id == execute.span_id
+            assert inner.args["cache"] == cache
+
     def test_disabled_tracer_records_nothing(self, rng):
         a, x = rng.normal(size=(N, N)), rng.normal(size=N)
         with SolverService(ArraySpec(W), n_shards=1) as service:
