@@ -6,9 +6,13 @@ the cached-plan machinery:
 * requests are routed to shards by plan key — every distinct
   ``(kind, shapes, w, options)`` compiles once, on its home shard, and
   stays hot in that shard's private plan cache;
-* an admission batcher lingers a couple of milliseconds so same-plan
-  requests flush together through ``solve_batch`` (matvec pairs ride the
-  paper's overlapped contraflow execution automatically);
+* an admission batcher hands each shard its next request plus the
+  backlog queued behind it, so same-plan requests flush together through
+  ``solve_batch`` (matvec pairs ride the paper's overlapped contraflow
+  execution automatically).  The service default waits for no
+  companions, so batches form only from a backlog; this demo sets an
+  explicit 2 ms ``max_batch_delay`` so that its 8 clients' requests
+  visibly group;
 * bounded per-shard queues give backpressure (here: the ``block``
   policy — no request is ever dropped);
 * everything is observable through one ``ServiceStats`` snapshot.

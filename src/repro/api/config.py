@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 from ..backends.registry import AUTO_BACKEND, resolve_backend
 from ..errors import ArraySizeError
-from ..iterative.criteria import ConvergenceCriteria
+from ..iterative.criteria import ConvergenceCriteria, store_declared_types
 from ..matrices.padding import validate_array_size
 
 __all__ = ["ArraySpec", "ExecutionOptions"]
@@ -101,6 +101,11 @@ class ExecutionOptions:
         inference datapath.  Participates in the plan key like every
         other option, so float and int8 plans for the same shape never
         collide.
+
+    Every bool, int and float field is stored as its declared type
+    (``sor_omega=1`` as ``1.0``, ``-0.0`` as ``0.0``), so equal options
+    encode to equal plan-key bytes and route to one shard; a value the
+    conversion would change, or a NaN, raises ``ValueError``.
     """
 
     record_trace: bool = False
@@ -115,6 +120,7 @@ class ExecutionOptions:
     dtype_mode: str = "float64"
 
     def __post_init__(self) -> None:
+        store_declared_types(self)
         resolve_backend(self.backend)  # raises BackendError for unknown names
         if self.sparse_tolerance < 0.0:
             raise ValueError(

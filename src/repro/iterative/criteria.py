@@ -12,9 +12,53 @@ other execution option.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Any, Dict
 
-__all__ = ["ConvergenceCriteria"]
+__all__ = ["ConvergenceCriteria", "store_declared_types"]
+
+#: Declared field types (postponed annotations, so strings) that an
+#: option dataclass stores exactly.
+_SCALAR_TYPES: Dict[object, type] = {"bool": bool, "int": int, "float": float}
+
+
+def store_declared_types(options: Any) -> None:
+    """Store every bool/int/float field of a frozen option dataclass as its declared type.
+
+    Equal options must encode to equal plan-key bytes.  ``sor_omega=1``
+    equals ``sor_omega=1.0`` and hashes the same, so a solver caches
+    them as one plan, but the canonical key encoding that places a plan
+    on a shard and names its stored artifact tells ``1`` from ``1.0``
+    (and ``0`` from ``False``, ``-0.0`` from ``0.0``).  Converting each
+    field to its declared type, with ``-0.0`` stored as ``0.0``, makes
+    equal options encode identically.
+
+    Raises ``ValueError`` for a value the conversion would change
+    (``200.5`` for an int, ``2`` for a bool) rather than rounding it,
+    and for a NaN: ``nan != nan``, so a key holding one could never hit
+    a cached plan.
+    """
+    for field_info in fields(options):
+        declared = _SCALAR_TYPES.get(field_info.type)
+        if declared is None:
+            continue
+        name = field_info.name
+        value = getattr(options, name)
+        try:
+            stored = declared(value)
+        except (TypeError, ValueError, OverflowError):
+            stored = None
+        else:
+            if declared is float:
+                if math.isnan(stored):
+                    raise ValueError(f"{name} must not be NaN")
+                stored += 0.0  # -0.0 + 0.0 is 0.0
+        if stored is None or stored != value:
+            raise ValueError(
+                f"{name} must be exactly representable as "
+                f"{declared.__name__}, got {value!r}"
+            )
+        object.__setattr__(options, name, stored)
 
 
 @dataclass(frozen=True)
@@ -37,6 +81,9 @@ class ConvergenceCriteria:
         remaining sweeps.  ``float("inf")`` disables the guard entirely
         (the legacy Gauss-Seidel behaviour: even a non-finite residual
         just keeps failing the convergence test until ``max_iter``).
+
+    Fields are stored as their declared types and NaN is rejected (see
+    :func:`store_declared_types`).
     """
 
     atol: float = 1e-10
@@ -45,6 +92,7 @@ class ConvergenceCriteria:
     divergence_ratio: float = 1e8
 
     def __post_init__(self) -> None:
+        store_declared_types(self)
         if self.atol < 0.0 or self.rtol < 0.0:
             raise ValueError(
                 f"tolerances must be >= 0, got atol={self.atol}, rtol={self.rtol}"

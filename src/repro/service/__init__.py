@@ -21,10 +21,12 @@ Pieces, front to back:
   bounded admission with ``block`` / ``reject`` / ``shed_oldest``
   overload policies, per-request deadlines, and a priority *handoff
   lane* carrying mid-pipeline graph segments between shards.
-* :class:`~repro.service.batcher.AdmissionBatcher` — collects a short
-  admission window and groups it by plan key, so same-plan requests flush
-  together through ``Solver.solve_batch`` (matvec pairs ride the
-  overlapped contraflow path automatically).
+* :class:`~repro.service.batcher.AdmissionBatcher` — takes a shard's
+  next request plus the backlog queued behind it (a self-clocking window:
+  no linger by default, so batch size follows load) and groups it by plan
+  key, so same-plan requests flush together through
+  ``Solver.solve_batch`` (matvec pairs ride the overlapped contraflow
+  path automatically).
 * :class:`~repro.service.workers.ShardWorker` — one thread + one private
   :class:`~repro.api.solver.Solver` per shard; a plan compiles once per
   service and stays hot on its home shard.

@@ -1,9 +1,15 @@
 """Plan-keyed admission batching.
 
 The serving-layer analogue of keeping the systolic array saturated: rather
-than executing requests strictly one-by-one, a shard worker collects a
-short *admission window* of requests (bounded by ``max_batch_size`` and
-``max_batch_delay``) and groups it by plan key.  Every group shares one
+than executing requests strictly one-by-one, a shard worker takes an
+*admission window* — its first request plus whatever queued behind it
+while the worker was busy, up to ``max_batch_size`` — and groups it by
+plan key.  The window is self-clocking (group commit): an unloaded shard
+runs each request the moment it arrives, and under load the backlog that
+builds during one flush becomes the next window, so batch size follows
+load with no timer.  ``max_batch_delay`` (0 by default) is an optional
+cap on an extra linger after the first request, for a caller that would
+trade that much latency for larger groups.  Every group shares one
 compiled :class:`~repro.api.plan.ExecutionPlan`, so a group flush through
 ``Solver.solve_batch`` costs at most one plan compile regardless of group
 size — and for the plain matvec kind, ``solve_batch`` additionally pairs
@@ -22,17 +28,22 @@ from typing import Callable, Dict, Hashable, List
 from .backpressure import BoundedRequestQueue
 from .request import SolveRequest
 
-__all__ = ["AdmissionBatcher"]
+__all__ = ["AdmissionBatcher", "DEFAULT_MAX_BATCH_DELAY"]
+
+#: The service-wide default linger: none, so a window is self-clocking.
+DEFAULT_MAX_BATCH_DELAY: float = 0.0
 
 
 class AdmissionBatcher:
     """Collects admission windows from a queue and groups them by plan key.
 
-    ``max_batch_size`` caps one window; ``max_batch_delay`` is how long the
-    worker lingers after the *first* request arrives, trading that much
-    latency for the chance that same-plan requests pile up and flush
-    together.  ``idle_poll`` bounds the wait for the first request so the
-    owning worker can re-check its stop flag.
+    ``max_batch_size`` caps one window.  ``max_batch_delay`` is how long
+    the worker lingers after the *first* request arrives, trading that
+    much latency for the chance that same-plan requests pile up and flush
+    together; at the default of 0 it does not linger, and a window is the
+    first request plus the backlog already queued behind it.
+    ``idle_poll`` bounds the wait for the first request so the owning
+    worker can re-check its stop flag.
 
     ``clock`` is the monotonic time source for the window cutoff.  It
     must be a *monotonic* clock — ``time.monotonic`` by default, never
@@ -45,7 +56,7 @@ class AdmissionBatcher:
         self,
         queue: BoundedRequestQueue,
         max_batch_size: int = 32,
-        max_batch_delay: float = 0.002,
+        max_batch_delay: float = DEFAULT_MAX_BATCH_DELAY,
         idle_poll: float = 0.05,
         clock: Callable[[], float] = time.monotonic,
     ):
@@ -72,7 +83,9 @@ class AdmissionBatcher:
 
         Blocks up to ``idle_poll`` for the first request, then lingers up
         to ``max_batch_delay`` (or until the window is full) gathering
-        companions.
+        companions.  Once the cutoff has passed it drains what is already
+        queued without waiting, so at the default zero delay a window is
+        the first request plus the backlog.
         """
         first = self._queue.get(timeout=self._idle_poll)
         if first is None:

@@ -1,7 +1,7 @@
 """Sharded worker pool: one thread, one solver, one hot plan cache per shard.
 
-Requests are routed to shards by ``hash(plan_key) % n_shards`` (see
-:class:`~repro.service.service.SolverService`), so every request of a
+Requests are routed to shards by the service's
+:class:`~repro.service.placement.PlacementTable`, so every request of a
 given plan lands on the same shard: the plan compiles once per shard and
 stays resident in that shard's private
 :class:`~repro.api.plan.PlanCache`.  Because each shard owns its own
@@ -13,7 +13,10 @@ A worker's loop is: collect an admission window via the
 :class:`~repro.service.batcher.AdmissionBatcher`, split it into plan-keyed
 groups, and flush each group — multi-request matvec groups through
 ``Solver.solve_batch`` (riding the overlapped contraflow pairing), every
-other group member individually through ``Solver.solve``.  Whole-pipeline
+other group member individually through ``Solver.solve``.  By default a
+window is the next request plus whatever queued while the worker was
+busy, with no linger: an idle shard starts a request at once, and a busy
+one flushes its backlog as a batch.  Whole-pipeline
 jobs (requests carrying a :class:`~repro.service.request.GraphJob`)
 compile and execute through a shard-local
 :class:`~repro.graph.compiler.GraphCompiler` bound to the shard's private
@@ -53,8 +56,8 @@ class ShardWorker:
         solver: Solver,
         queue: BoundedRequestQueue,
         telemetry: ShardTelemetry,
-        max_batch_size: int = 16,
-        max_batch_delay: float = 0.002,
+        max_batch_size: int,
+        max_batch_delay: float,
         idle_poll: float = 0.05,
         name: Optional[str] = None,
     ):

@@ -62,6 +62,50 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExecutionOptions(sparse_tolerance=-1.0)
 
+    def test_fields_are_stored_as_their_declared_types(self):
+        options = ExecutionOptions(
+            record_trace=0, sor_omega=1, sparse_tolerance=-0.0,
+            gs_max_iterations=np.int64(50),
+            criteria=ConvergenceCriteria(rtol=0, max_iter=7.0),
+        )
+        assert options == ExecutionOptions(
+            record_trace=False, sor_omega=1.0, sparse_tolerance=0.0,
+            gs_max_iterations=50,
+            criteria=ConvergenceCriteria(rtol=0.0, max_iter=7),
+        )
+        assert type(options.record_trace) is bool
+        assert type(options.sor_omega) is float
+        assert type(options.gs_max_iterations) is int
+        assert str(options.sparse_tolerance) == "0.0"  # not -0.0
+        assert type(options.criteria.rtol) is float
+        assert type(options.criteria.max_iter) is int
+
+    def test_values_a_conversion_would_change_are_rejected(self):
+        for bad in (
+            {"gs_max_iterations": 200.5},
+            {"record_trace": 2},
+            {"overlapped": None},
+            {"sor_omega": "1.0"},
+        ):
+            with pytest.raises(ValueError, match="exactly representable"):
+                ExecutionOptions(**bad)
+        with pytest.raises(ValueError, match="max_iter"):
+            ConvergenceCriteria(max_iter=3.5)
+
+    def test_nan_tolerances_are_rejected_at_construction(self):
+        # nan != nan, so a plan key holding one never hits the cache:
+        # every solve would build (and cache) a fresh plan.
+        nan = float("nan")
+        for field in ("sparse_tolerance", "gs_tolerance"):
+            with pytest.raises(ValueError, match=f"{field} must not be NaN"):
+                ExecutionOptions(**{field: nan})
+        for field in ("atol", "rtol"):
+            with pytest.raises(ValueError, match=f"{field} must not be NaN"):
+                ConvergenceCriteria(**{field: nan})
+        # Infinity stays legal: it disables the divergence guard.
+        unguarded = ConvergenceCriteria(divergence_ratio=float("inf"))
+        assert unguarded.divergence_ratio == float("inf")
+
 
 class TestRegistryDispatch:
     """All six primary kinds solve correctly through the one façade."""

@@ -20,10 +20,12 @@ import numpy as np
 import pytest
 
 from repro.api import ArraySpec, ExecutionOptions, Solver
+from repro.instrumentation import counters
 from repro.iterative import ConvergenceCriteria
 from repro.service import (
     PlacementTable,
     SolverService,
+    canonical_key_bytes,
     stable_placement_hash,
 )
 
@@ -193,6 +195,44 @@ class TestServiceRouting:
             target = (service.shard_index(key) + 1) % 3
             service.placement.assign(key, target)
             assert service.shard_index(key) == target
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (ExecutionOptions(sor_omega=1), ExecutionOptions()),
+            (
+                ExecutionOptions(record_trace=0),
+                ExecutionOptions(record_trace=False),
+            ),
+            (
+                ExecutionOptions(sparse_tolerance=-0.0),
+                ExecutionOptions(sparse_tolerance=0.0),
+            ),
+            (
+                ExecutionOptions(criteria=ConvergenceCriteria(rtol=0)),
+                ExecutionOptions(criteria=ConvergenceCriteria(rtol=0.0)),
+            ),
+        ],
+        ids=["sor_omega", "record_trace", "sparse_tolerance", "rtol"],
+    )
+    def test_equal_options_route_to_one_shard_and_build_one_plan(
+        self, rng, left, right
+    ):
+        # Equal options are one plan to a Solver, so they must also be
+        # one key to placement: same bytes, same shard, one build.
+        assert left == right and hash(left) == hash(right)
+        assert canonical_key_bytes(left) == canonical_key_bytes(right)
+        a, x = rng.normal(size=(N, N)), rng.normal(size=N)
+        with SolverService(ArraySpec(W), n_shards=4) as service:
+            keys = [
+                service.plan_key("matvec", a, x, options=options)
+                for options in (left, right)
+            ]
+            assert service.shard_index(keys[0]) == service.shard_index(keys[1])
+            before = counters.snapshot()
+            for options in (left, right):
+                service.solve("matvec", a, x, options=options)
+            assert counters.delta(before).plan_builds == 1
 
     def test_stats_carry_the_placement_snapshot(self, rng):
         a, x = rng.normal(size=(N, N)), rng.normal(size=N)

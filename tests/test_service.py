@@ -890,3 +890,64 @@ class TestBatcherClock:
         start = time.monotonic()
         assert len(batcher.next_window()) == 1
         assert time.monotonic() - start < 1.0
+
+
+class TestSelfClockingAdmission:
+    """With no linger by default, a window is the first request plus the
+    backlog that queued while the worker was busy."""
+
+    def test_default_window_does_not_linger(self):
+        assert AdmissionBatcher(BoundedRequestQueue(4)).max_batch_delay == 0
+        service = SolverService(ArraySpec(W))
+        try:
+            assert [
+                shard._batcher.max_batch_delay for shard in service.shards
+            ] == [0.0] * service.n_shards
+        finally:
+            service.close()
+
+    def test_zero_delay_window_never_waits_for_companions(self, monkeypatch):
+        queue = BoundedRequestQueue(4)
+        request = _request()
+        queue.put(request)
+        timeouts = []
+        original = queue.get
+
+        def spy(timeout=None):
+            timeouts.append(timeout)
+            return original(timeout=timeout)
+
+        monkeypatch.setattr(queue, "get", spy)
+        batcher = AdmissionBatcher(queue, idle_poll=0.01)
+        assert batcher.next_window() == [request]
+        assert timeouts == [0.01]  # the first request only
+
+    def test_backlog_flushes_as_one_group(self, rng, monkeypatch):
+        service = SolverService(
+            ArraySpec(W), n_shards=1, queue_depth=32, idle_poll=0.01
+        )
+        entered, gate = threading.Event(), threading.Event()
+        shard_solver = service.shards[0].solver
+        original = shard_solver.solve
+
+        def gated_solve(*args, **kwargs):
+            entered.set()
+            gate.wait(timeout=30)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(shard_solver, "solve", gated_solve)
+        a, x = rng.normal(size=(8, 8)), rng.normal(size=8)
+        backlog = 6
+        try:
+            first = service.submit("matvec", a, x)
+            # The worker is inside the first request's solve: its window
+            # is closed, so everything submitted now queues behind it.
+            assert entered.wait(timeout=30)
+            queued = [service.submit("matvec", a, x) for _ in range(backlog)]
+            gate.set()
+            for future in [first, *queued]:
+                assert future.result(timeout=30) is not None
+        finally:
+            gate.set()
+            service.close()
+        assert service.stats().batch_size_histogram == {1: 1, backlog: 1}
