@@ -10,7 +10,8 @@ Three acts, narrated on stdout:
    the same stream with **zero** plan builds: restart cost collapsed to
    a directory read.
 3. **Overload** — tiny queues under ``shed_oldest`` plus per-client rate
-   limits on the batch clients.  The low class absorbs the overload
+   limits on the batch clients, with the high class's in-flight window
+   sized to fit one shard's queue.  The low class absorbs the overload
    (rate-limited + shed first) while the high class keeps completing —
    and every shed/rejection path closes its trace span
    (``open_spans == 0``).
@@ -70,6 +71,8 @@ def main() -> None:
                 queue_depth=8,
                 backpressure="shed_oldest",
                 inflight=16,
+                inflight_by_class={"high": 4},
+                max_batch_delay=0.0,
                 rate_limits={"batch-0": 50.0, "batch-1": 50.0},
             )
         )

@@ -18,8 +18,16 @@ count — identical in every process, on every run.
 default policy is the stable hash modulo ``n_shards``, per-key overrides
 rebalance individual keys (``assign`` / ``release``), and
 :meth:`snapshot` exposes the table — default policy traffic, override
-hits, and the recently-routed key→shard assignments — to the service's
-fleet telemetry.
+hits, stable-hash encodes, and the recently-routed key→shard assignments
+— to the service's fleet telemetry.
+
+The stable hash encodes the whole key, tens of microseconds for a
+mat-vec key and hundreds for an int8 MLP graph key, so the table computes
+it once per key: the recently-routed map (``track_limit`` newest keys)
+doubles as the memo, and a warm key routes by a dict probe.  The memo is
+sound because equal plan keys encode to equal bytes (option fields are
+stored as their declared types), so remembering a shard under ``==``
+never changes where a key routes.
 
 The same-key→same-shard discipline is what keeps each plan compiled
 once fleet-wide: placing every lookup of a key on one shard means one
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import numbers
+import operator
 import threading
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Dict, Hashable, List, Mapping
@@ -128,6 +137,9 @@ class PlacementSnapshot:
     lookups: int
     #: Lookups answered by a per-key override rather than the hash policy.
     override_hits: int
+    #: Lookups that encoded the key and computed its stable hash; memo
+    #: and override hits do not.
+    encodes: int
     #: The current explicit key→shard overrides.
     overrides: Mapping[Hashable, int]
     #: Recently-routed key→shard assignments (bounded; newest kept).
@@ -148,7 +160,8 @@ class PlacementSnapshot:
         )
         return (
             f"PlacementTable over {self.n_shards} shard(s): "
-            f"{self.lookups} lookup(s), {len(self.overrides)} override(s) "
+            f"{self.lookups} lookup(s), {self.encodes} encode(s), "
+            f"{len(self.overrides)} override(s) "
             f"({self.override_hits} hit(s)){'; ' + load if load else ''}"
         )
 
@@ -157,8 +170,17 @@ class PlacementTable:
     """Inspectable, rebalanceable key→shard mapping for the serving layer.
 
     ``shard_of`` is the single routing entry point: explicit overrides
-    win, everything else falls to the stable-hash default policy.  All
-    methods are thread-safe (one lock; lookups are dict probes).
+    win, everything else falls to the stable-hash default policy.  The
+    recently-routed map, bounded to the ``track_limit`` newest keys, is
+    also the policy's memo, so a warm key's lookup is a dict probe and
+    only a key new to the map (or evicted from it) is encoded and hashed.
+    With ``track_limit=0`` nothing is remembered and every lookup encodes.
+    All methods are thread-safe (one lock).
+
+    The memo identifies keys by ``==``, as the override dict does, so it
+    needs keys that compare equal to encode equally.  Plan keys do; mixed
+    ad-hoc keys such as ``1`` and ``1.0`` do not, and the first of them
+    routed would decide the shard of both.
     """
 
     def __init__(self, n_shards: int, track_limit: int = DEFAULT_TRACK_LIMIT):
@@ -173,31 +195,32 @@ class PlacementTable:
         self._assignments: Dict[Hashable, int] = {}
         self._lookups = 0
         self._override_hits = 0
+        self._encodes = 0
 
     @property
     def n_shards(self) -> int:
         return self._n_shards
 
     def shard_of(self, key: Hashable) -> int:
-        """The shard that owns ``key`` (override first, stable hash else)."""
+        """The shard that owns ``key``: its override, else its stable hash
+        (remembered from the key's last lookup while it is tracked)."""
         with self._lock:
             self._lookups += 1
+            # Popped so the key re-enters the map below as its newest.
+            remembered = self._assignments.pop(key, None)
             shard = self._overrides.get(key)
             if shard is not None:
                 self._override_hits += 1
+            elif remembered is not None:
+                shard = remembered
             else:
+                self._encodes += 1
                 shard = stable_placement_hash(key) % self._n_shards
-            self._track(key, shard)
+            if self._track_limit:
+                self._assignments[key] = shard
+                if len(self._assignments) > self._track_limit:
+                    self._assignments.pop(next(iter(self._assignments)))
             return shard
-
-    def _track(self, key: Hashable, shard: int) -> None:
-        """Record a routed key for snapshots, evicting oldest past the cap."""
-        if self._track_limit == 0:
-            return
-        self._assignments.pop(key, None)  # re-insert as newest
-        self._assignments[key] = shard
-        while len(self._assignments) > self._track_limit:
-            self._assignments.pop(next(iter(self._assignments)))
 
     # -- rebalance API ------------------------------------------------------------
     def assign(self, key: Hashable, shard: int) -> None:
@@ -206,19 +229,37 @@ class PlacementTable:
         Governs *subsequent* lookups only: work already admitted under the
         previous placement finishes where it was routed, so rebalance a
         key only when it is quiescent (its next request compiles, or
-        loads, the plan on the new shard).
+        loads, the plan on the new shard).  ``shard`` must be an integer
+        (NumPy integers included) in ``[0, n_shards)``: anything else
+        raises :class:`TypeError`, an out-of-range index
+        :class:`ValueError`.
         """
-        if not 0 <= shard < self._n_shards:
+        try:
+            # operator.index admits NumPy integers; a bool is not a shard.
+            index = None if isinstance(shard, bool) else operator.index(shard)
+        except TypeError:
+            index = None
+        if index is None:
+            raise TypeError(
+                f"shard must be an integer, got {type(shard).__name__} "
+                f"{shard!r}"
+            )
+        if not 0 <= index < self._n_shards:
             raise ValueError(
-                f"shard must be in [0, {self._n_shards}), got {shard}"
+                f"shard must be in [0, {self._n_shards}), got {index}"
             )
         with self._lock:
-            self._overrides[key] = int(shard)
+            self._overrides[key] = index
 
     def release(self, key: Hashable) -> bool:
         """Drop ``key``'s override (back to the hash policy); False if none."""
         with self._lock:
-            return self._overrides.pop(key, None) is not None
+            if self._overrides.pop(key, None) is None:
+                return False
+            # The remembered shard may be the override's; the next lookup
+            # must route by the hash again.
+            self._assignments.pop(key, None)
+            return True
 
     def overrides(self) -> Dict[Hashable, int]:
         """A copy of the current explicit overrides."""
@@ -232,6 +273,7 @@ class PlacementTable:
                 n_shards=self._n_shards,
                 lookups=self._lookups,
                 override_hits=self._override_hits,
+                encodes=self._encodes,
                 overrides=dict(self._overrides),
                 assignments=dict(self._assignments),
             )

@@ -111,14 +111,16 @@ class SolverService:
         companions, so an unloaded request pays only for its solve and
         batches form from the backlog under load; a positive value makes
         each window linger up to that many seconds for same-plan
-        requests.  The linger also protects the high class under
-        ``shed_oldest`` overload: a lingering worker pulls a larger
-        window out of a full queue before anything is shed.  The soak's
-        overload proof (``benchmarks/test_soak.py``) runs at 0.5 ms; at 0
-        its high-class completion measured 0.917 and 0.938 in 2 of 4
-        runs, under the 0.95 it asserts.  A service that relies on
-        ``shed_oldest`` priority protection should set a positive
-        ``max_batch_delay``, such as ``0.0005``.
+        requests.  ``shed_oldest`` protects a class from lower classes
+        at any window, the default of 0 included: it sheds a request
+        only when nothing of a lower class is queued on that shard.  A
+        linger only helps when one class alone overfills its home
+        shard's queue and so must shed its own oldest requests: a
+        lingering worker pulls a larger window out of the full queue
+        first.  ``benchmarks/test_soak.py`` proves the first promise at
+        0 and checks the second case at 0.5 ms.  In that case, on a
+        2-core host, the high class shed 9.5 requests per run at 0.5 ms
+        and 13.2 at 0, where the shed order inverted in 1 of 40 runs.
     plan_cache_size:
         Per-shard plan cache capacity.
     submit_timeout:

@@ -53,6 +53,8 @@ class SoakConfig:
     workload's class traffic mix, then evenly within a class).
     ``inflight``
     bounds each client's outstanding futures — the closed-loop window.
+    ``inflight_by_class`` gives the clients of the named priority
+    classes their own window; unlisted classes use ``inflight``.
     ``rate_limits`` / ``default_rate_limit`` and ``backpressure`` pass
     straight through to the service when the harness builds one.
     """
@@ -63,13 +65,15 @@ class SoakConfig:
     n_shards: int = 4
     clients_per_class: int = 2
     inflight: int = 8
+    inflight_by_class: Optional[Mapping[str, int]] = None
     queue_depth: int = 64
     backpressure: str = "block"
-    # Pinned, not the service default of 0.  Under the overload phase a
-    # 0.5 ms linger lets a worker pull up to a 16-request window out of
-    # an 8-slot queue: headroom before anything is shed.  At 0, the
-    # high-class completion in test_overload_sheds_low_class_first read
-    # 0.938 and 0.917 in 2 of 4 probes, under that test's 0.95 bound.
+    # Pinned, not the service default of 0.  A linger only matters when
+    # one class alone overfills its home shard's queue: a 0.5 ms linger
+    # lets a worker pull up to a 16-request window out of an 8-slot
+    # queue, so fewer of that class's own requests are shed.  Protection
+    # from lower classes needs no linger; the overload tests in
+    # benchmarks/test_soak.py measure both cases.
     max_batch_delay: float = 0.0005
     rate_limits: Optional[Mapping[str, Any]] = None
     default_rate_limit: Optional[Any] = None
@@ -294,18 +298,20 @@ def run_soak(
         failures: List[BaseException] = []
         roster = workload.clients()
         stream_lengths = workload.request_counts(config.requests)
+        inflight_by_class = config.inflight_by_class or {}
         threads = []
         baseline = counters.snapshot()
         t0 = time.perf_counter()
-        for index in range(len(roster)):
+        for index, (client_id, _level, class_name) in enumerate(roster):
             count = stream_lengths[index]
+            inflight = inflight_by_class.get(class_name, config.inflight)
             thread = threading.Thread(
                 target=_client_loop,
                 args=(
                     service, workload, index, count,
-                    config.inflight, collector, failures,
+                    inflight, collector, failures,
                 ),
-                name=f"soak-{roster[index][0]}",
+                name=f"soak-{client_id}",
                 daemon=True,
             )
             threads.append(thread)

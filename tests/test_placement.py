@@ -15,9 +15,11 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import ArraySpec, ExecutionOptions, Solver
 from repro.instrumentation import counters
@@ -28,9 +30,96 @@ from repro.service import (
     canonical_key_bytes,
     stable_placement_hash,
 )
+from repro.service import placement as placement_module
 
 W = 4
 N = 8
+
+_SOLVER = Solver(ArraySpec(W))
+
+#: Shape specs per kind, grouped: specs in one group name one shape.
+_SHAPE_SPELLINGS = {
+    "matvec": (((N, N), (np.int64(N), N), [N, N]), ((N, 12),)),
+    "matmul": (((4, 4, 4), ((4, 4), (4, 4))), ((4, 8, 4),)),
+    "jacobi": ((N, (N, N), np.int64(N)), (6,)),
+    "lu": ((N, (N, N)), (6,)),
+}
+#: Option values, grouped: values in one group compare equal, so a
+#: Solver caches them as one plan and placement must encode them alike.
+_OPTION_SPELLINGS = {
+    "sor_omega": ((1, 1.0), (1.5,)),
+    "record_trace": ((0, False), (True, 1)),
+    "sparse_tolerance": ((-0.0, 0.0), (1e-12,)),
+    "criteria": (
+        (
+            ConvergenceCriteria(),
+            ConvergenceCriteria(rtol=0),
+            ConvergenceCriteria(rtol=0.0),
+        ),
+        (ConvergenceCriteria(atol=1e-9, max_iter=7),),
+    ),
+}
+
+_option_groups = st.tuples(
+    *(st.integers(0, len(groups) - 1) for groups in _OPTION_SPELLINGS.values())
+)
+_stage_layouts = st.sampled_from(sorted(_SHAPE_SPELLINGS)).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind),
+        st.integers(0, len(_SHAPE_SPELLINGS[kind]) - 1),
+        _option_groups,
+    )
+)
+#: A key's layout names its value (kind, shape group, option groups);
+#: graph layouts are ``("__graph__", (stage, stage), option groups)``.
+_key_layouts = st.one_of(
+    _stage_layouts,
+    st.tuples(
+        st.just("__graph__"),
+        st.tuples(_stage_layouts, _stage_layouts),
+        _option_groups,
+    ),
+)
+
+
+def _spell(draw, layout):
+    """Build a solver key for ``layout``, each part spelled at random."""
+    kind, shape, option_groups = layout
+    options = ExecutionOptions(**{
+        name: draw(st.sampled_from(groups[group]))
+        for (name, groups), group in zip(
+            _OPTION_SPELLINGS.items(), option_groups
+        )
+    })
+    if kind == "__graph__":
+        stages = tuple(_spell(draw, stage) for stage in shape)
+        return ("__graph__", stages, W, options)
+    spec = draw(st.sampled_from(_SHAPE_SPELLINGS[kind][shape]))
+    return _SOLVER.plan_key(kind, shape=spec, options=options)
+
+
+@st.composite
+def _key_pairs(draw):
+    """Two solver-built keys, and whether their layouts name one value."""
+    first = draw(_key_layouts)
+    second = first if draw(st.booleans()) else draw(_key_layouts)
+    return _spell(draw, first), _spell(draw, second), first == second
+
+
+def _respelled(kind, **field):
+    """The pair of ``kind`` keys that differ only in how one option
+    field's equal values are spelled."""
+    ((name, (left, right)),) = field.items()
+    keys = []
+    for value in (left, right):
+        options = ExecutionOptions(**{name: value})
+        if kind == "__graph__":
+            stage = _SOLVER.plan_key("matvec", shape=(N, N), options=options)
+            keys.append(("__graph__", (stage, stage), W, options))
+        else:
+            shape = _SHAPE_SPELLINGS[kind][0][0]
+            keys.append(_SOLVER.plan_key(kind, shape=shape, options=options))
+    return keys[0], keys[1], True
 
 #: Computes the stable hashes and shard placements of string-bearing
 #: routing keys; the parent runs it under different PYTHONHASHSEED values
@@ -152,6 +241,14 @@ class TestPlacementTable:
             table.assign("key", 2)
         with pytest.raises(ValueError, match="shard must be in"):
             table.assign("key", -1)
+        # A shard is an integer: no silent truncation of 1.5 or True.
+        for bad in (1.5, True, np.True_, "1", None):
+            with pytest.raises(TypeError, match="shard must be an integer"):
+                table.assign("key", bad)
+        assert table.overrides() == {}
+        table.assign("key", np.int64(1))
+        assert table.overrides() == {"key": 1}
+        assert type(table.overrides()["key"]) is int
 
     def test_snapshot_reports_lookups_overrides_and_load(self):
         table = PlacementTable(2)
@@ -162,11 +259,12 @@ class TestPlacementTable:
         assert snap.n_shards == 2
         assert snap.lookups == 3
         assert snap.override_hits == 2
+        assert snap.encodes == 1  # only "cold" took the hash policy
         assert snap.overrides == {"hot": 1}
         assert snap.assignments["hot"] == 1
         assert sum(snap.shard_load.values()) == 2  # hot + cold tracked
         described = table.describe()
-        assert "3 lookup(s)" in described
+        assert "3 lookup(s), 1 encode(s)" in described
         assert "1 override(s) (2 hit(s))" in described
 
     def test_tracking_is_bounded_to_newest_keys(self):
@@ -180,6 +278,107 @@ class TestPlacementTable:
         untracked = PlacementTable(2, track_limit=0)
         untracked.shard_of("whatever")
         assert untracked.snapshot().assignments == {}
+
+
+class TestPlacementMemo:
+    @settings(max_examples=150, deadline=None)
+    @example(pair=_respelled("matvec", sor_omega=(1, 1.0)))
+    @example(pair=_respelled("jacobi", record_trace=(0, False)))
+    @example(pair=_respelled("matvec", sparse_tolerance=(-0.0, 0.0)))
+    @example(pair=_respelled(
+        "jacobi",
+        criteria=(ConvergenceCriteria(rtol=0), ConvergenceCriteria(rtol=0.0)),
+    ))
+    @example(pair=_respelled("__graph__", sor_omega=(1, 1.0)))
+    @given(pair=_key_pairs())
+    def test_equal_solver_keys_encode_equally_and_route_by_hash(self, pair):
+        """The memo's soundness condition: solver-built keys that compare
+        equal encode to the same bytes, so a table warmed by one answers
+        for the other exactly as the hash policy would."""
+        first, second, one_value = pair
+        assert (first == second) == one_value
+        if first == second:
+            assert canonical_key_bytes(first) == canonical_key_bytes(second)
+        table = PlacementTable(5)
+        table.shard_of(first)
+        assert table.shard_of(second) == stable_placement_hash(second) % 5
+
+    @pytest.mark.parametrize("looked_up", [False, True])
+    def test_release_forgets_a_shard_routed_under_the_override(
+        self, looked_up
+    ):
+        table = PlacementTable(4)
+        key = ("jacobi", ((N, N), (N,)), W, ExecutionOptions())
+        hashed = stable_placement_hash(key) % 4
+        table.assign(key, (hashed + 1) % 4)
+        if looked_up:
+            assert table.shard_of(key) == (hashed + 1) % 4
+        assert table.release(key)
+        assert table.shard_of(key) == hashed
+
+    def test_warm_key_is_not_re_encoded(self, monkeypatch):
+        encoded = []
+
+        def counting_hash(key):
+            encoded.append(key)
+            return stable_placement_hash(key)
+
+        monkeypatch.setattr(
+            placement_module, "stable_placement_hash", counting_hash
+        )
+        key = ("matvec", ((N, N), (N,)), W, ExecutionOptions())
+        table = PlacementTable(3, track_limit=2)
+        shards = {table.shard_of(key) for _ in range(5)}
+        assert shards == {stable_placement_hash(key) % 3}
+        assert len(encoded) == table.snapshot().encodes == 1
+        # A key evicted from the bounded map is encoded again.
+        table.shard_of("other")
+        table.shard_of("third")
+        table.shard_of(key)
+        assert len(encoded) == table.snapshot().encodes == 4
+        # With tracking off there is no memo: every lookup encodes.
+        untracked = PlacementTable(3, track_limit=0)
+        for _ in range(3):
+            untracked.shard_of(key)
+        assert untracked.snapshot().encodes == 3
+        assert len(encoded) == 7
+
+    def test_concurrent_lookups_route_by_hash(self):
+        keys = [
+            ("matvec", ((n, n), (n,)), W, ExecutionOptions())
+            for n in range(4, 24)
+        ]
+        expected = {key: stable_placement_hash(key) % 4 for key in keys}
+        # Fewer tracked slots than keys, so evictions race the lookups.
+        table = PlacementTable(4, track_limit=8)
+        wrong, finished = [], []
+
+        def route(offset):
+            for step in range(400):
+                key = keys[(offset + step) % len(keys)]
+                if table.shard_of(key) != expected[key]:
+                    wrong.append(key)
+            finished.append(offset)
+
+        threads = [
+            threading.Thread(target=route, args=(offset,))
+            for offset in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == list(range(8))
+        assert wrong == []
+        snap = table.snapshot()
+        assert snap.lookups == 8 * 400
+        assert len(snap.assignments) <= 8
 
 
 class TestServiceRouting:
@@ -233,6 +432,18 @@ class TestServiceRouting:
             for options in (left, right):
                 service.solve("matvec", a, x, options=options)
             assert counters.delta(before).plan_builds == 1
+
+    def test_warm_submits_do_not_re_encode(self, rng):
+        a, x = rng.normal(size=(N, N)), rng.normal(size=N)
+        with SolverService(ArraySpec(W), n_shards=3) as service:
+            service.solve("matvec", a, x)
+            before = service.placement.snapshot()
+            futures = [service.submit("matvec", a, x) for _ in range(50)]
+            for future in futures:
+                future.result(timeout=30.0)
+            after = service.placement.snapshot()
+        assert after.lookups - before.lookups >= 50
+        assert after.encodes == before.encodes
 
     def test_stats_carry_the_placement_snapshot(self, rng):
         a, x = rng.normal(size=(N, N)), rng.normal(size=N)
