@@ -39,16 +39,16 @@ Pieces:
   rewrite into single ``fused`` stages, applied whenever the base
   options resolve to the ``vectorized`` backend.
 * :mod:`~repro.graph.program` — :class:`PipelineProgram` (the reusable
-  compiled artifact), :class:`ProgramSegment` (its level-aligned
-  partition units) and :class:`PipelineResult` (per-stage solutions,
+  compiled artifact), :class:`ProgramSegment` (its placed partition
+  units: a run of levels on one shard) and :class:`PipelineResult` (per-stage solutions,
   outputs, residuals, latencies, cold/warm build accounting, and — when
   served — per-stage shard placements with modeled array-time
   accounting).
 
 Whole graphs also execute through :mod:`repro.service`:
-``service.submit_graph(graph)`` splits a multi-level pipeline into
-placed segments streamed across shards (single-segment graphs run on
-one home shard), with every stage plan compiled once and kept hot.
+``service.submit_graph(graph)`` compiles a graph once and splits it into
+placed segments streamed across shards, with every stage plan compiled
+once and kept hot.
 """
 
 from .compiler import GraphCompiler

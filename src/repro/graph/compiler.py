@@ -29,9 +29,9 @@ into a :class:`~repro.graph.program.PipelineProgram`:
 
 The emitted program is *partitionable*: because stages carry their
 dependency levels and resolved plans, :meth:`PipelineProgram.segments`
-can split it into level-aligned
-:class:`~repro.graph.program.ProgramSegment` units (optionally per
-placed shard) that the serving layer executes across shards,
+can split it under a placement into
+:class:`~repro.graph.program.ProgramSegment` units — runs of levels on
+one shard — that the serving layer executes across shards,
 bit-identically to :meth:`PipelineProgram.run`.
 """
 
@@ -66,15 +66,12 @@ class GraphCompiler:
         Apply the matmul→matvec associativity rewrite (changes
         floating-point association; off by default so graph execution is
         bit-identical to stage-by-stage solves).
-    pair:
-        Pair independent same-plan matvec stages onto shared overlapped
-        array runs (bit-identical values; on by default).
     options:
         Base :class:`~repro.api.config.ExecutionOptions` the stages'
         per-problem overrides merge into; defaults to the solver's own
-        options.  The service worker threads a graph request's options
-        through here so routed graphs compile under exactly the options
-        their routing keys were derived from.
+        options.  The service threads a graph request's options through
+        here so a served graph compiles under exactly the options its
+        routing keys were derived from.
     """
 
     def __init__(
@@ -82,12 +79,10 @@ class GraphCompiler:
         solver: "Solver",
         *,
         fuse: bool = False,
-        pair: bool = True,
         options: Optional[ExecutionOptions] = None,
     ):
         self._solver = solver
         self._fuse = bool(fuse)
-        self._pair = bool(pair)
         self._options = options
 
     @property
@@ -138,11 +133,10 @@ class GraphCompiler:
                     plan_cached=cached,
                 )
             )
-        pairs = _mark_pairs(stages) if self._pair else ()
         return PipelineProgram(
             stages=tuple(stages),
             outputs=graph.outputs,
-            pairs=tuple(pairs),
+            pairs=tuple(_mark_pairs(stages)),
             fused_rewrites=rewrites,
             fused_epilogues=epilogues,
             # Counted from the per-stage cache-hit flags, not the

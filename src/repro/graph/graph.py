@@ -21,7 +21,7 @@ The graph itself holds no plans and no solver: it is a pure, reusable
 description.  :meth:`plan_keys` derives the per-node cache/routing keys
 for a given array size and option defaults — the same keys the
 :class:`~repro.api.solver.Solver` string path computes, which is how
-:mod:`repro.service` routes a whole pipeline to its home shard.
+:mod:`repro.service` picks a graph job's home shard.
 """
 
 from __future__ import annotations

@@ -14,14 +14,14 @@ workload re-executed under new operand values costs k plan executions,
 not k Python-API round-trips with re-validation and cache probes.
 
 Programs are *partitionable*: :meth:`PipelineProgram.segments` splits the
-stage list into level-aligned :class:`ProgramSegment` units — one per
-dependency level by default, or one per ``(level, shard)`` when given a
-placement policy — and :meth:`run` is itself just the sequential
-execution of those segments.  The serving layer
-(:mod:`repro.service`) executes the same segments on their placed shards
-with outputs streamed between them, bit-identical to :meth:`run` because
-both walk identical plans over identical operand bindings in level
-order.
+stage list into :class:`ProgramSegment` units under a placement policy —
+one per maximal run of consecutive levels placed wholly on one shard, and
+one per ``(level, shard)`` for a level split across shards — and
+:meth:`run` executes the unplaced program, which is one segment.  The
+serving layer (:mod:`repro.service`) executes the placed segments on
+their shards with outputs streamed between them, bit-identical to
+:meth:`run` because both walk identical plans over identical operand
+bindings in level order.
 
 :class:`PipelineResult` aggregates the per-stage
 :class:`~repro.api.solution.Solution` objects, the requested graph
@@ -90,21 +90,26 @@ class PipelineStage:
 
 @dataclass(frozen=True)
 class ProgramSegment:
-    """A level-aligned slice of a program: the unit of placed execution.
+    """A run of levels placed on one shard: the unit of placed execution.
 
-    Every stage in a segment sits on the same dependency level, so a
-    segment's inputs are fully determined by strictly earlier levels —
-    the property that lets the serving layer run one segment per shard
-    and stream outputs between segments without ever reordering value
-    flow relative to :meth:`PipelineProgram.run`.  ``pairs`` are the
-    overlapped matvec pairs falling entirely inside this segment (pair
-    members share one plan, hence one placement, so a pair can never
-    straddle segments).
+    A segment holds either every stage of one or more consecutive levels
+    placed wholly on ``shard``, or one shard's share of a level split
+    across shards.  Its stages run in ``(level, index)`` order, so every
+    input comes from an earlier stage of the segment or from a segment
+    of a strictly earlier level — the property that lets the serving
+    layer run each segment on its shard and stream outputs between
+    segments without ever reordering value flow relative to
+    :meth:`PipelineProgram.run`.  ``level`` is the first level of the
+    run.  ``pairs`` are the overlapped matvec pairs falling inside this
+    segment (pair members share one plan and one level, hence one
+    placement, so a pair can never straddle segments).
     """
 
     level: int
     stages: Tuple[PipelineStage, ...]
     pairs: Tuple[Tuple[int, int], ...] = ()
+    #: The shard the placement put every stage of this segment on.
+    shard: int = 0
 
     @property
     def stage_indices(self) -> Tuple[int, ...]:
@@ -278,26 +283,40 @@ class PipelineProgram:
         self,
         placement: Optional[Callable[[Hashable], int]] = None,
     ) -> Tuple[ProgramSegment, ...]:
-        """Split the program into level-aligned execution segments.
+        """Split the program into placed execution segments.
 
-        With no ``placement``, one segment per dependency level.  With a
-        placement policy (a plan-key → shard callable, e.g.
-        ``PlacementTable.shard_of``), each level splits further into one
-        segment per shard, ordered by ``(level, shard)`` — the partition
-        the serving layer streams across shards.  Executing the segments
-        in order is exactly :meth:`run`'s schedule, so any execution that
-        respects segment order within a level's *dependencies* (levels
-        are independent within themselves) is bit-identical to it.
+        ``placement`` is a plan-key → shard callable (e.g.
+        ``PlacementTable.shard_of``), called once per stage; with none,
+        every stage is on shard 0.  A maximal run of consecutive levels
+        whose stages all sit on one shard is one segment; a level split
+        across shards gets one segment per ``(level, shard)`` and ends the
+        run on both sides.  With no placement the whole program is one
+        segment.  Segments come in level order, and executing them in that
+        order is exactly :meth:`run`'s schedule; segments sharing a
+        ``level`` are independent of one another.
         """
-        grouped: Dict[Tuple[int, int], List[PipelineStage]] = {}
-        for stage in self._stages:
-            shard = 0 if placement is None else int(placement(stage.plan.key))
-            grouped.setdefault((stage.level, shard), []).append(stage)
+        runs: List[Tuple[int, int, List[PipelineStage]]] = []
+        extendable = False  # may the last run absorb a one-shard level?
+        for group in self.level_partition():
+            by_shard: Dict[int, List[PipelineStage]] = {}
+            for stage in group:
+                shard = 0 if placement is None else int(placement(stage.plan.key))
+                by_shard.setdefault(shard, []).append(stage)
+            level = group[0].level
+            if len(by_shard) > 1:
+                runs.extend(
+                    (level, shard, by_shard[shard]) for shard in sorted(by_shard)
+                )
+                extendable = False
+                continue
+            shard, stages = next(iter(by_shard.items()))
+            if extendable and runs[-1][1] == shard:
+                runs[-1][2].extend(stages)
+            else:
+                runs.append((level, shard, stages))
+            extendable = True
         segments: List[ProgramSegment] = []
-        for level, _shard in sorted(grouped):
-            stages = tuple(
-                sorted(grouped[(level, _shard)], key=lambda s: s.index)
-            )
+        for level, shard, stages in runs:
             indices = {stage.index for stage in stages}
             pairs = tuple(
                 (first, second)
@@ -305,7 +324,9 @@ class PipelineProgram:
                 if first in indices and second in indices
             )
             segments.append(
-                ProgramSegment(level=level, stages=stages, pairs=pairs)
+                ProgramSegment(
+                    level=level, stages=tuple(stages), pairs=pairs, shard=shard
+                )
             )
         return tuple(segments)
 
@@ -364,11 +385,12 @@ class PipelineProgram:
     def run(self, tracer: Optional[Tracer] = None) -> "PipelineResult":
         """Execute every stage in dependency order; returns the result.
 
-        Walks the level-aligned segments in order — stage outputs feed
-        downstream operand slots in memory; paired stages execute
-        together through the plan's overlapped contraflow path (values
-        identical to sequential execution); everything else streams
-        through its plan one stage at a time.
+        Runs the unplaced program as its one segment, in ``(level,
+        index)`` order — stage outputs feed downstream operand slots in
+        memory; paired stages execute together through the plan's
+        overlapped contraflow path (values identical to sequential
+        execution); everything else streams through its plan one stage
+        at a time.
 
         Pass an enabled :class:`~repro.obs.tracing.Tracer` to profile
         the run: a ``pipeline.run`` root span opens with per-stage
@@ -394,8 +416,8 @@ class PipelineProgram:
         # Level order, not stage-list order: a paired partner's
         # dependencies may sit *after* the pair's first member in the
         # graph's topological order, but they always sit on a strictly
-        # lower level, so walking level segments makes every pair fire
-        # with both members' inputs resolved.
+        # lower level, so the segment's (level, index) order makes every
+        # pair fire with both members' inputs resolved.
         with root:
             for segment in self.segments():
                 segment.execute(outputs, solutions, latencies)

@@ -3,10 +3,10 @@
 Two halves, one package:
 
 * :mod:`repro.obs.tracing` — request-scoped span trees.  A
-  :class:`Tracer` follows one request (or one multi-shard pipelined
-  graph job) from submit to resolution: admission wait, queue wait,
-  batch assembly, plan lookup (hit/miss), execution, handoff-lane
-  transits and per-shard segment spans, all in one tree.  Disabled by
+  :class:`Tracer` follows one request (or one graph job) from submit
+  to resolution: admission wait, queue wait, batch assembly, plan
+  lookup (hit/miss), execution, handoff-lane transits and per-shard
+  segment spans, all in one tree.  Disabled by
   default with a guarded no-op path (:data:`NULL_SPAN` /
   :data:`NULL_TRACER`) so untraced serving pays ~nothing.
 

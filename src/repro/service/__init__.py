@@ -38,7 +38,7 @@ Pieces, front to back:
 
 The layer is observable end to end: construct the service with an
 enabled :class:`~repro.obs.tracing.Tracer` and every request (and every
-pipelined graph job) produces one span tree — admission wait, queue
+graph job) produces one span tree — admission wait, queue
 wait, batch assembly, plan lookup, execute, handoff-lane transits, and
 per-shard segment executions — exportable as Chrome trace-event JSON
 (:func:`repro.obs.chrome_trace`) with one track per shard worker and
@@ -52,20 +52,18 @@ and its inner per-shape plans (plans of that shard's cache) stay hot
 across jobs, and the telemetry accounts the per-kind sweep totals
 (``iterations_by_kind``).
 
-Whole pipeline graphs (:mod:`repro.graph`) are first-class requests too.
-A multi-level graph takes the **cross-shard pipelined path**: the service
-compiles it once against a shared compile solver, splits the program into
-level-aligned :class:`~repro.graph.program.ProgramSegment` units placed
-per stage plan key, and streams the segments across shards through the
-handoff lanes (:mod:`repro.service.pipeline` coordinates each job) —
-independent same-level stages execute on distinct shards, deep graphs
-overlap across requests, and results stay bit-identical to single-shard
-execution.  Single-segment graphs keep the classic home-shard path:
-routed by the tuple of their per-stage plan keys to one shard, where a
-shard-local :class:`~repro.graph.compiler.GraphCompiler` lowers them
-against the private plan cache.  Either way every stage plan compiles
-once per service and re-submitted same-shaped graphs execute with zero
-plan builds.  The telemetry's pipeline columns (``graphs``,
+Whole pipeline graphs (:mod:`repro.graph`) are first-class requests too,
+and every graph takes one path: the service compiles it once against a
+shared compile solver, splits the program into
+:class:`~repro.graph.program.ProgramSegment` units placed per stage plan
+key — a run of levels on one shard is one segment — and streams the
+segments across shards through the handoff lanes
+(:mod:`repro.service.pipeline` coordinates each job): independent
+same-level stages execute on distinct shards, deep graphs overlap across
+requests, and results stay bit-identical to
+:meth:`~repro.graph.program.PipelineProgram.run`.  Every stage plan
+compiles once per service and re-submitted same-shaped graphs execute
+with zero plan builds.  The telemetry's pipeline columns (``graphs``,
 ``graph_stages``, ``graph_fused``, ``segments``, ``handoffs``, stage
 latency percentiles, the placement snapshot) account them.
 
@@ -94,7 +92,7 @@ from .qos import (
     priority_name,
     resolve_priority,
 )
-from .request import GraphJob, RequestTrace, SolveRequest
+from .request import RequestTrace, SolveRequest
 from .service import SolverService
 from .telemetry import ServiceStats, ShardStats, ShardTelemetry
 from .workers import ShardWorker
@@ -104,7 +102,6 @@ __all__ = [
     "BACKPRESSURE_POLICIES",
     "BoundedRequestQueue",
     "ClientRateLimiter",
-    "GraphJob",
     "PRIORITY_HIGH",
     "PRIORITY_LOW",
     "PRIORITY_NORMAL",

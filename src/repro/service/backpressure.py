@@ -31,9 +31,9 @@ under that same lock on every put, take and drain, so a drained queue
 always reads 0 and the gauges' high-water marks are the deepest the
 queue ever got.
 
-Cross-shard pipelined graph execution adds a second, higher-priority
-*handoff lane*: when a shard finishes one segment of a pipelined graph,
-the next level's segments enter their target shards through
+Graph execution adds a second, higher-priority *handoff lane*: when a
+shard finishes one segment of a graph job, the next wave's segments
+enter their target shards through
 :meth:`BoundedRequestQueue.put_handoff` — never blocking (the dispatching
 worker thread must not stall) and never shedding (a mid-pipeline segment
 carries upstream work that would be lost), but bounded by
@@ -234,7 +234,7 @@ class BoundedRequestQueue:
         (the segment carries already-executed upstream levels); a lane at
         ``handoff_capacity`` raises
         :class:`~repro.errors.ServiceOverloadedError` so the dispatching
-        worker can fail the whole pipelined request instead of queueing
+        worker can fail the whole graph request instead of queueing
         without bound.
         """
         with self._cond:

@@ -1,28 +1,27 @@
-"""Cross-shard pipelined graph jobs: segments, placement, completion.
+"""Graph jobs: placed segments, handoff waves, completion.
 
-The classic serving path pins a whole compiled graph to one home shard.
-This module is the coordination layer for the pipelined alternative: the
-service compiles a graph once (against its shared compile solver), splits
-the program into level-aligned :class:`~repro.graph.program.ProgramSegment`
-units placed per plan key by the
-:class:`~repro.service.placement.PlacementTable`, and admits the level-0
-segments to their shards.  Each shard worker that finishes a segment
-reports back to the job, which releases the next level's segments into
-the target shards' *handoff lanes*
-(:meth:`~repro.service.backpressure.BoundedRequestQueue.put_handoff`) —
-macro-systolic flow: stage outputs stream between shards, and level k of
-one request overlaps level k−1 of the next.
+Every graph the service serves runs here.  The service compiles a graph
+once (against its shared compile solver), splits the program into
+:class:`~repro.graph.program.ProgramSegment` units placed per plan key by
+the :class:`~repro.service.placement.PlacementTable` — a run of levels
+on one shard is one segment — and admits the first wave of segments to
+their shards.  Each shard worker that finishes a segment reports back to
+the job, which releases the next wave into the target shards' *handoff
+lanes* (:meth:`~repro.service.backpressure.BoundedRequestQueue.put_handoff`)
+— macro-systolic flow: stage outputs stream between shards only where
+the placement crosses shards, and level k of one request overlaps level
+k−1 of the next.
 
 A :class:`PipelinedGraphJob` owns the parts every segment needs to agree
 on: the caller's future (resolved exactly once), the shared per-stage
 output/solution/latency slots (segments write index-disjoint entries),
-the level cursor that decides when the next wave dispatches, and the
+the wave cursor that decides when the next wave dispatches, and the
 failure latch — one failed or shed segment fails the *whole* request and
 makes every sibling segment a no-op, so no orphan ever executes against
 a dead future.
 
-Value flow is bit-identical to :meth:`PipelineProgram.run`: segments only
-dispatch after every segment of the previous level completed, and both
+Value flow is bit-identical to :meth:`PipelineProgram.run`: a wave only
+dispatches after every segment of the previous wave completed, and both
 paths execute identical plans over identical operand bindings in level
 order.
 """
@@ -35,7 +34,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
-from ..api.config import ExecutionOptions
 from ..api.solution import Solution
 from ..graph.program import PipelineProgram, PipelineResult, ProgramSegment
 from .qos import PRIORITY_NORMAL
@@ -47,17 +45,15 @@ __all__ = ["PipelinedGraphJob", "SegmentTask"]
 
 @dataclass
 class SegmentTask:
-    """One placed segment of a pipelined graph job.
+    """One placed segment of a graph job.
 
-    Wraps the :class:`ProgramSegment` with its target shard and the
-    :class:`SolveRequest` that carries it through that shard's queue
-    (``request.segment`` points back here; the request's own future is
-    never surfaced — the job's parent future is the caller-visible one).
+    Wraps the :class:`ProgramSegment` with the :class:`SolveRequest` that
+    carries it through its shard's queue (``request.segment`` points back
+    here; the request's own future is never surfaced — the job's parent
+    future is the caller-visible one).
     """
 
     job: "PipelinedGraphJob"
-    position: int
-    shard: int
     segment: ProgramSegment
     request: SolveRequest = field(init=False)
     #: Trace plumbing, written by the dispatching thread before the task
@@ -74,7 +70,6 @@ class SegmentTask:
             kind="graph_segment",
             operands=(),
             plan_key=self.job.graph_key,
-            options=self.job.options,
             deadline=self.job.deadline,
             priority=self.job.priority,
             client_id=self.job.client_id,
@@ -82,17 +77,21 @@ class SegmentTask:
         )
 
     @property
+    def shard(self) -> int:
+        return self.segment.shard
+
+    @property
     def level(self) -> int:
         return self.segment.level
 
 
 class PipelinedGraphJob:
-    """Shared state of one graph request executing across shards.
+    """Shared state of one graph request executing as placed segments.
 
-    All cross-segment coordination (start latch, failure latch, level
+    All cross-segment coordination (start latch, failure latch, wave
     cursor) serializes on one lock; segment *execution* itself touches
-    only index-disjoint slots of the shared per-stage lists, so shards on
-    the same level run genuinely concurrently.
+    only index-disjoint slots of the shared per-stage lists, so shards in
+    the same wave run genuinely concurrently.
     """
 
     def __init__(
@@ -100,31 +99,22 @@ class PipelinedGraphJob:
         program: PipelineProgram,
         graph_key: Hashable,
         segments: Sequence[ProgramSegment],
-        shards: Sequence[int],
-        home_shard: int,
         home_telemetry: ShardTelemetry,
         dispatch: Callable[["SegmentTask"], None],
-        options: Optional[ExecutionOptions] = None,
         deadline: Optional[float] = None,
         trace: Optional[RequestTrace] = None,
         priority: int = PRIORITY_NORMAL,
         client_id: Optional[str] = None,
     ):
-        if len(segments) != len(shards):
-            raise ValueError(
-                f"got {len(segments)} segments but {len(shards)} placements"
-            )
         self.program = program
         self.graph_key = graph_key
-        self.options = options
         self.deadline = deadline
-        #: The whole job's admission class; every level-0 segment request
-        #: carries it, so a full shard queue sheds a low-class pipeline
+        #: The whole job's admission class; every first-wave segment
+        #: request carries it, so a full shard queue sheds a low-class job
         #: before a high-class one (the failure latch then retires the
         #: job's siblings).  Handoff-lane segments are shed-exempt.
         self.priority = int(priority)
         self.client_id = client_id
-        self.home_shard = home_shard
         self.home_telemetry = home_telemetry
         self.dispatch = dispatch
         #: Trace context of the whole job; segment spans hang off its root.
@@ -142,31 +132,30 @@ class PipelinedGraphJob:
         self.solutions: List[Optional[Solution]] = [None] * n
         self.latencies: List[float] = [0.0] * n
         placements = [0] * n
-        self._tasks_by_level: List[List[SegmentTask]] = []
+        # Segments sharing a first level are one wave: independent of
+        # each other, dependent only on earlier waves.
+        self._waves: List[List[SegmentTask]] = []
         last_level: Optional[int] = None
-        for position, (segment, shard) in enumerate(zip(segments, shards)):
-            task = SegmentTask(
-                job=self, position=position, shard=int(shard), segment=segment
-            )
+        for segment in segments:
             if segment.level != last_level:
-                self._tasks_by_level.append([])
+                self._waves.append([])
                 last_level = segment.level
-            self._tasks_by_level[-1].append(task)
+            self._waves[-1].append(SegmentTask(job=self, segment=segment))
             for stage in segment.stages:
-                placements[stage.index] = int(shard)
+                placements[stage.index] = segment.shard
         self.placements: Tuple[int, ...] = tuple(placements)
         self._lock = threading.Lock()
         self._failed = False
         self._started = False
         self._start_ok = False
         self._clock_start = 0.0
-        self._level_cursor = 0
-        self._pending_in_level = len(self._tasks_by_level[0])
+        self._wave_cursor = 0
+        self._pending_in_wave = len(self._waves[0])
 
     # -- introspection ----------------------------------------------------------
     @property
     def n_segments(self) -> int:
-        return sum(len(tasks) for tasks in self._tasks_by_level)
+        return sum(len(wave) for wave in self._waves)
 
     @property
     def failed(self) -> bool:
@@ -174,13 +163,8 @@ class PipelinedGraphJob:
             return self._failed
 
     def first_tasks(self) -> Tuple[SegmentTask, ...]:
-        """The level-0 wave the service admits through the front door."""
-        return tuple(self._tasks_by_level[0])
-
-    def all_tasks(self) -> Tuple[SegmentTask, ...]:
-        return tuple(
-            task for tasks in self._tasks_by_level for task in tasks
-        )
+        """The first wave, which the service admits through the front door."""
+        return tuple(self._waves[0])
 
     def latency(self, now: Optional[float] = None) -> float:
         """Seconds since the job entered the service."""
@@ -243,21 +227,21 @@ class PipelinedGraphJob:
     def complete_segment(self) -> Tuple[Tuple[SegmentTask, ...], bool]:
         """Account one finished segment; returns (next wave, finished).
 
-        The next level's tasks are released exactly when the last segment
-        of the current level lands; ``finished`` is True exactly once —
-        for the segment that completed the final level.
+        The next wave's tasks are released exactly when the last segment
+        of the current wave lands; ``finished`` is True exactly once —
+        for the segment that completed the final wave.
         """
         with self._lock:
             if self._failed:
                 return (), False
-            self._pending_in_level -= 1
-            if self._pending_in_level > 0:
+            self._pending_in_wave -= 1
+            if self._pending_in_wave > 0:
                 return (), False
-            self._level_cursor += 1
-            if self._level_cursor >= len(self._tasks_by_level):
+            self._wave_cursor += 1
+            if self._wave_cursor >= len(self._waves):
                 return (), True
-            wave = tuple(self._tasks_by_level[self._level_cursor])
-            self._pending_in_level = len(wave)
+            wave = tuple(self._waves[self._wave_cursor])
+            self._pending_in_wave = len(wave)
             return wave, False
 
     def assemble(self) -> PipelineResult:

@@ -1,21 +1,14 @@
 """The unit of work flowing through the serving layer.
 
 A :class:`SolveRequest` pairs one solve call (kind, operands, execution
-arguments, options) with the ``concurrent.futures.Future`` the caller
+arguments) with the ``concurrent.futures.Future`` the caller
 holds, the plan key that routes it, and the timing fields the telemetry
 and deadline machinery need.  Requests are created by
 :class:`~repro.service.service.SolverService.submit` and consumed by
 exactly one shard worker; the future is resolved exactly once.
 
-Whole-pipeline jobs (``SolverService.submit_graph``) ride the same
-request type with a :class:`GraphJob` payload: the routing key is then
-the tuple of the graph's per-stage plan keys, so a multi-stage graph
-always lands on the one shard holding every stage plan warm, and the
-worker compiles/executes it through its shard-local
-:class:`~repro.graph.compiler.GraphCompiler`.
-
-Cross-shard *pipelined* graph jobs split instead into per-level segment
-requests: each carries a
+Graph jobs (``SolverService.submit_graph``) ride the same request type
+as placed segments: each segment request carries a
 :class:`~repro.service.pipeline.SegmentTask` in ``segment`` and resolves
 the shared parent future through its
 :class:`~repro.service.pipeline.PipelinedGraphJob` rather than its own
@@ -29,14 +22,13 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Optional, Tuple, TYPE_CHECKING
 
-from ..api.config import ExecutionOptions
 from ..obs.tracing import Span, Tracer
 from .qos import PRIORITY_NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .pipeline import SegmentTask
 
-__all__ = ["GraphJob", "RequestTrace", "SolveRequest"]
+__all__ = ["RequestTrace", "SolveRequest"]
 
 
 @dataclass
@@ -57,19 +49,6 @@ class RequestTrace:
     admitted_at: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class GraphJob:
-    """A whole-pipeline payload: the graph plus its compile policy.
-
-    ``fuse`` opts into the matmul→matvec associativity rewrite (changes
-    floating-point association, hence off by default — see
-    :class:`~repro.graph.compiler.GraphCompiler`).
-    """
-
-    graph: Any
-    fuse: bool = False
-
-
 @dataclass
 class SolveRequest:
     """One in-flight solve: operands, routing key, future, and timing.
@@ -79,13 +58,13 @@ class SolveRequest:
     :class:`~repro.errors.DeadlineExceededError` instead of executing.
     ``kwargs`` carries kind-specific execution arguments (``lower=False``,
     ``x0=...``); a request with kwargs is never batch-flushed because
-    ``solve_batch`` has no per-entry argument channel.  ``graph`` carries
-    a whole-pipeline :class:`GraphJob` (the request then has no operands
-    of its own and is likewise never batch-flushed).
+    ``solve_batch`` has no per-entry argument channel.  A graph segment
+    request has no operands of its own and is likewise never
+    batch-flushed.
 
     ``plan_key`` is the routing key: the usual 4-tuple
     ``(kind, shapes, w, options)`` for single solves, and
-    ``("__graph__", stage keys, w, options)`` for pipeline jobs — always
+    ``("__graph__", stage keys, w, options)`` for graph segments — always
     hashable, always stable for a given workload shape.
 
     ``priority`` is the request's admission class (higher = more
@@ -99,14 +78,11 @@ class SolveRequest:
     kind: str
     operands: Tuple[Any, ...]
     plan_key: Hashable
-    options: Optional[ExecutionOptions] = None
     kwargs: Dict[str, Any] = field(default_factory=dict)
     priority: int = PRIORITY_NORMAL
     client_id: Optional[str] = None
-    graph: Optional[GraphJob] = None
-    #: One placed segment of a cross-shard pipelined graph job; the worker
-    #: executes it against the parent job's shared state instead of this
-    #: request's own future.
+    #: One placed segment of a graph job; the worker executes it against
+    #: the parent job's shared state instead of this request's own future.
     segment: Optional["SegmentTask"] = None
     deadline: Optional[float] = None
     future: "Future[Any]" = field(default_factory=Future)
@@ -121,7 +97,7 @@ class SolveRequest:
     @property
     def batchable(self) -> bool:
         """Whether the request may ride a multi-entry ``solve_batch`` flush."""
-        return not self.kwargs and self.graph is None and self.segment is None
+        return not self.kwargs and self.segment is None
 
     def expired(self, now: Optional[float] = None) -> bool:
         """True when the request's deadline has already passed."""

@@ -26,22 +26,24 @@ admission batcher then flushes same-plan neighbours together, so a burst
 of identical requests costs one queue round-trip and, for matvec, rides
 the paper's overlapped contraflow execution in pairs.
 
-Multi-level graphs take the *pipelined* path: ``submit_graph`` compiles
-the graph once against the service's shared compile solver, splits the
-program into level-aligned segments placed per stage plan key, and
-streams segments across shards through bounded handoff lanes — level k
-of one request overlaps level k−1 of the next (the paper's systolic flow
-lifted one architectural layer up), with results bit-identical to
-single-shard :meth:`~repro.graph.program.PipelineProgram.run`.
+Every graph takes one path: ``submit_graph`` compiles it once against
+the service's shared compile solver, splits the program into segments
+placed per stage plan key — a run of levels on one shard is one
+segment — and streams segments across shards through bounded handoff
+lanes where the placement crosses shards: level k of one request
+overlaps level k−1 of the next (the paper's systolic flow lifted one
+architectural layer up), with results bit-identical to
+:meth:`~repro.graph.program.PipelineProgram.run`.
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, wait as wait_for
 from typing import (
-    Any, Hashable, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING,
-    Union,
+    Any, Hashable, List, Mapping, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, Union,
 )
 
 from ..api.config import ArraySpec, ExecutionOptions
@@ -65,7 +67,7 @@ from .qos import (
     PRIORITY_NORMAL, ClientRateLimiter, RateLimit, priority_name,
     resolve_priority,
 )
-from .request import GraphJob, RequestTrace, SolveRequest
+from .request import RequestTrace, SolveRequest
 from .telemetry import ServiceStats, ShardTelemetry
 from .workers import ShardWorker
 
@@ -129,7 +131,7 @@ class SolverService:
         (``None`` = wait indefinitely).
     store:
         Optional :class:`~repro.store.PlanStore` shared by every shard
-        solver (and the pipelined-graph compile solver): plan-cache
+        solver (and the graph compile solver): plan-cache
         misses try disk before compiling, fresh compiles write through.
     warm_start:
         With a ``store``, preload every persisted plan onto its placed
@@ -174,6 +176,10 @@ class SolverService:
         self._policy = backpressure
         self._submit_timeout = submit_timeout
         self._closed = False
+        # Futures of admitted graph jobs not yet resolved: a draining
+        # close() waits on them while the handoff lanes are still open.
+        self._jobs: "Set[Future[PipelineResult]]" = set()
+        self._jobs_lock = threading.Lock()
         self._store = store
         self._limiter: Optional[ClientRateLimiter] = None
         if rate_limits or default_rate_limit is not None:
@@ -194,10 +200,10 @@ class SolverService:
         # instruments live here, labelled by shard.
         self._metrics = MetricsRegistry()
         self._placement = PlacementTable(int(n_shards))
-        # Pipelined graphs compile here — one shared, lock-guarded plan
-        # cache — so a re-submitted graph splits into segments carrying
-        # the *same* warm plan objects (zero rebuilds), and a given plan
-        # key always executes on its one placed shard.  Kept out of
+        # Graphs compile here — one shared, lock-guarded plan cache — so a
+        # re-submitted graph splits into segments carrying the *same* warm
+        # plan objects (zero rebuilds), and a given plan key always
+        # executes on its one placed shard.  Kept out of
         # ``stats().cache``: that column reports the shard-local serving
         # caches.
         self._compile_solver = Solver(
@@ -284,8 +290,8 @@ class SolverService:
 
         Each valid artifact in the store is deserialized once and
         adopted into the plan cache of the shard its key routes to —
-        plus the shared compile solver, so pipelined graphs reuse the
-        same warm stage plans.  Plans compiled for a different array
+        plus the shared compile solver, so graphs reuse the same warm
+        stage plans.  Plans compiled for a different array
         geometry (``w``) are skipped.  Returns the number of plans
         preloaded.  Idempotent; also callable later to pick up
         artifacts written by other processes.
@@ -335,9 +341,9 @@ class SolverService:
     def shard_index(self, key: "PlanKey | Any") -> int:
         """Which shard a routing key maps to (stable across processes).
 
-        Single solves route by their 4-tuple plan key; whole-pipeline
-        jobs by ``("__graph__", stage keys, w, options)``; pipelined
-        graph *segments* by their individual stage plan keys.  Routing
+        Single solves route by their 4-tuple plan key, graph segments by
+        their stage plan keys, and a graph job's whole-job accounting by
+        ``("__graph__", stage keys, w, options)``.  Routing
         goes through the :class:`PlacementTable`, whose default policy is
         a stable value hash — unlike built-in ``hash()``, it does not
         vary with ``PYTHONHASHSEED``, so a warm shard layout reproduces
@@ -390,7 +396,6 @@ class SolverService:
             kind=kind,
             operands=tuple(operands),
             plan_key=key,
-            options=options,
             kwargs=dict(kwargs),
             deadline=None if timeout is None else time.monotonic() + timeout,
             priority=level,
@@ -428,7 +433,6 @@ class SolverService:
         fuse: bool = False,
         options: Optional[ExecutionOptions] = None,
         timeout: Optional[float] = None,
-        pipeline: Optional[bool] = None,
         priority: Union[str, int] = "normal",
         client_id: Optional[str] = None,
     ) -> "Future[PipelineResult]":
@@ -436,27 +440,25 @@ class SolverService:
 
         The graph (or single typed problem) is validated synchronously —
         cycles, unknown kinds and cross-stage shape mismatches fail at
-        the call site.  Multi-level graphs on a multi-shard service take
-        the *pipelined* path: the program compiles once against the
-        service's shared compile solver, splits into level-aligned
-        segments placed per stage plan key, and streams across shards
-        through the handoff lanes — bit-identical to single-shard
-        execution, but independent same-level stages run on distinct
-        shards and deep graphs overlap across requests.  Single-segment
-        graphs keep the classic home-shard path, routed *as a unit* by
-        the tuple of their per-stage plan keys (zero recompiles after
-        warmup either way).  The future resolves to a
-        :class:`~repro.graph.program.PipelineResult`.
+        the call site.  The program compiles once, against the service's
+        shared compile solver, and splits into segments placed per stage
+        plan key: a run of consecutive levels whose stages all sit on one
+        shard is one segment, and a level split across shards is one
+        segment per shard.  Segments stream between shards through the
+        handoff lanes, so independent same-level stages run on distinct
+        shards and deep graphs overlap across requests; on one shard a
+        graph is one segment.  The future resolves to a
+        :class:`~repro.graph.program.PipelineResult` bit-identical to
+        :meth:`~repro.graph.program.PipelineProgram.run`, and a
+        re-submitted same-shaped graph builds no plans.
 
         ``fuse`` opts into the matmul→matvec associativity rewrite
-        (changes floating-point association; routing still uses the
-        unfused keys, so fused and unfused submissions of one graph
-        share a home shard).  ``pipeline=False`` forces the classic
-        single-shard path; ``pipeline=True`` merely *allows* splitting
-        (a single-segment program still runs home-shard).
+        (changes floating-point association; the job's home shard, where
+        its whole-job accounting lands, follows the unfused keys, so
+        fused and unfused submissions of one graph share it).
         ``priority`` / ``client_id`` are the same admission QoS controls
-        as :meth:`submit`; a whole pipelined job carries one class, and
-        shedding any of its level-0 segments retires the whole job.
+        as :meth:`submit`; a whole job carries one class, and shedding any
+        of its first-wave segments retires the whole job.
         """
         if self._closed:
             raise ServiceClosedError("cannot submit to a closed service")
@@ -482,40 +484,26 @@ class SolverService:
             if trace is not None:
                 trace.root.finish(status="error", error=exc)
             raise exc
-        if pipeline is not False and len(self._shards) > 1:
-            # The compile span is *activated* so the shared solver's
-            # plan-lookup children (hit/miss, cold builds) nest under it.
-            span = (
-                trace.root.child("graph_compile", category="compile")
-                if trace is not None else NULL_SPAN
-            )
-            try:
-                with span:
-                    program = GraphCompiler(
-                        self._compile_solver, fuse=fuse, options=options
-                    ).compile(graph)
-                    segments = program.segments(self._placement.shard_of)
-            except Exception as exc:
-                if trace is not None:
-                    trace.root.finish(status="error", error=exc)
-                raise
-            if len(segments) > 1:
-                return self._admit_pipelined(
-                    program, key, segments, options, deadline, trace,
-                    priority=level, client_id=client_id,
-                )
-        request = SolveRequest(
-            kind="graph",
-            operands=(),
-            plan_key=key,
-            options=options,
-            graph=GraphJob(graph=graph, fuse=fuse),
-            deadline=deadline,
-            trace=trace,
-            priority=level,
-            client_id=client_id,
+        # The compile span is *activated* so the shared solver's
+        # plan-lookup children (hit/miss, cold builds) nest under it.
+        span = (
+            trace.root.child("graph_compile", category="compile")
+            if trace is not None else NULL_SPAN
         )
-        return self._admit(request)
+        try:
+            with span:
+                program = GraphCompiler(
+                    self._compile_solver, fuse=fuse, options=options
+                ).compile(graph)
+                segments = program.segments(self._placement.shard_of)
+        except Exception as exc:
+            if trace is not None:
+                trace.root.finish(status="error", error=exc)
+            raise
+        return self._admit_graph(
+            program, key, segments, deadline, trace,
+            priority=level, client_id=client_id,
+        )
 
     def _admit(self, request: SolveRequest) -> "Future[Any]":
         """Route one request to its home shard and enqueue it."""
@@ -546,45 +534,44 @@ class SolverService:
             self._fail_shed(worker, shed)
         return request.future
 
-    def _admit_pipelined(
+    def _admit_graph(
         self,
         program: PipelineProgram,
         key: Hashable,
         segments: Tuple[ProgramSegment, ...],
-        options: Optional[ExecutionOptions],
         deadline: Optional[float],
         trace: Optional[RequestTrace] = None,
         priority: int = PRIORITY_NORMAL,
         client_id: Optional[str] = None,
     ) -> "Future[PipelineResult]":
-        """Admit one cross-shard pipelined graph job.
+        """Admit one graph job as its placed segments.
 
-        The level-0 wave enters through the shards' *admission* queues —
+        The first wave enters through the shards' *admission* queues —
         subject to the service's backpressure policy exactly like any
-        request — while later levels will flow worker-to-worker through
-        the handoff lanes.  Whole-job accounting (submitted / completed /
+        request — while later waves flow worker-to-worker through the
+        handoff lanes.  Whole-job accounting (submitted / completed /
         graph rows) lands on the job's home shard: the one the graph key
-        routes to, so pipelined and classic submissions of the same graph
-        report to the same place.
+        routes to.
         """
         home = self._placement.shard_of(key)
         job = PipelinedGraphJob(
             program=program,
             graph_key=key,
             segments=segments,
-            shards=[
-                self._placement.shard_of(segment.stages[0].plan.key)
-                for segment in segments
-            ],
-            home_shard=home,
             home_telemetry=self._shards[home].telemetry,
             dispatch=self._dispatch_segment,
-            options=options,
             deadline=deadline,
             trace=trace,
             priority=priority,
             client_id=client_id,
         )
+        with self._jobs_lock:
+            if self._closed:
+                closed = ServiceClosedError("cannot submit to a closed service")
+                job.fail(closed)  # closes the trace root
+                raise closed
+            self._jobs.add(job.future)
+        job.future.add_done_callback(self._forget_job)
         wait = None
         if trace is not None:
             trace.root.annotate(
@@ -594,7 +581,7 @@ class SolverService:
         for task in job.first_tasks():
             worker = self._shards[task.shard]
             if trace is not None:
-                # Level-0 queue-wait spans start at admission time; the
+                # First-wave queue-wait spans start at admission time; the
                 # consuming worker backdates them from this stamp.
                 task.dispatched_at = trace.tracer.now()
             try:
@@ -603,7 +590,7 @@ class SolverService:
                 worker.telemetry.record_rejected()
                 if wait is not None:
                     wait.finish(status="error", error=exc)
-                # Level-0 siblings already queued on other shards become
+                # First-wave siblings already queued on other shards become
                 # no-ops: the job is latched failed before they execute.
                 job.fail(exc)
                 raise
@@ -620,12 +607,16 @@ class SolverService:
         self._shards[home].telemetry.record_submitted("graph")
         return job.future
 
-    def _dispatch_segment(self, task: SegmentTask) -> None:
-        """Hand one next-level segment to its shard's handoff lane.
+    def _forget_job(self, future: "Future[PipelineResult]") -> None:
+        with self._jobs_lock:
+            self._jobs.discard(future)
 
-        Called by whichever worker completed a level; raises (for the
+    def _dispatch_segment(self, task: SegmentTask) -> None:
+        """Hand one next-wave segment to its shard's handoff lane.
+
+        Called by whichever worker completed a wave; raises (for the
         caller to fail the whole job) when the target lane is full or the
-        service is closing.
+        service closed without draining.
         """
         worker = self._shards[task.shard]
         try:
@@ -641,7 +632,7 @@ class SolverService:
         The victim is the queue's weakest candidate — lowest priority
         class, nearest deadline, oldest — and may be the *arriving*
         request itself when everything queued outranks it.  A shed
-        *segment* fails its whole pipelined job — its siblings (queued,
+        *segment* fails its whole graph job — its siblings (queued,
         in flight, or yet to dispatch) all become no-ops — so a
         mid-pipeline eviction can never strand a partial graph.
         """
@@ -718,13 +709,29 @@ class SolverService:
     def close(self, wait: bool = True) -> None:
         """Stop accepting work and shut the shards down.
 
-        With ``wait`` (the default) every queued request is drained and
-        resolved before workers exit; otherwise pending requests fail with
-        :class:`~repro.errors.ServiceClosedError`.  Idempotent.
+        With ``wait`` (the default) every admitted request runs and
+        resolves before workers exit: the service first waits for every
+        admitted graph job — whose later waves still need the handoff
+        lanes — then drains the queues.  Otherwise pending requests fail
+        with :class:`~repro.errors.ServiceClosedError`.  Idempotent.
+
+        Raises :class:`RuntimeError`, leaving the service open, when
+        called on a shard worker thread — where a future's done-callback
+        runs — since that worker can neither finish the jobs it waits on
+        nor join itself.
         """
-        if self._closed:
-            return
-        self._closed = True
+        with self._jobs_lock:
+            if self._closed:
+                return
+            if any(worker.is_current for worker in self._shards):
+                raise RuntimeError(
+                    "close() cannot run on a shard worker thread; close the "
+                    "service from another thread"
+                )
+            self._closed = True
+            jobs = list(self._jobs)
+        if wait:
+            wait_for(jobs)
         for worker in self._shards:
             worker.request_stop(drain=wait)
             worker.queue.close()

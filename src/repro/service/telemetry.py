@@ -133,8 +133,8 @@ class StatsColumns:
     #: Stage executions per kind across pipeline jobs (the per-layer view:
     #: an MLP graph shows up as dense/bias/relu/quantize/dequantize here).
     graph_stages_by_kind: Mapping[str, int]
-    #: Pipelined-graph segments executed (each a level-aligned slice of
-    #: some cross-shard pipelined job).
+    #: Graph segments executed (each a run of one job's levels placed
+    #: on one shard).
     segments: int
     #: Mid-pipeline segments handed into a handoff lane.
     handoffs: int
@@ -307,7 +307,7 @@ class ShardTelemetry:
             self._stage_latency.extend(stage_latencies)
 
     def record_segment(self) -> None:
-        """Account one pipelined-graph segment executed on this shard."""
+        """Account one graph segment executed on this shard."""
         self._counts["segments"].inc()
 
     def record_handoff(self) -> None:

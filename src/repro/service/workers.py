@@ -16,17 +16,13 @@ groups, and flush each group — multi-request matvec groups through
 other group member individually through ``Solver.solve``.  By default a
 window is the next request plus whatever queued while the worker was
 busy, with no linger: an idle shard starts a request at once, and a busy
-one flushes its backlog as a batch.  Whole-pipeline
-jobs (requests carrying a :class:`~repro.service.request.GraphJob`)
-compile and execute through a shard-local
-:class:`~repro.graph.compiler.GraphCompiler` bound to the shard's private
-solver, so every stage plan of a routed graph compiles once per service
-and re-submissions execute with zero plan builds.  *Pipelined* graph jobs
-(requests carrying a :class:`~repro.service.pipeline.SegmentTask`)
-execute one placed program segment against the parent job's shared state,
-then hand the next level's segments to their shards' handoff lanes — the
-cross-shard macro-systolic path.  All failures resolve futures; the
-worker thread itself never dies on a request error.
+one flushes its backlog as a batch.  Graph jobs arrive as segment
+requests (carrying a :class:`~repro.service.pipeline.SegmentTask`): the
+worker executes one placed program segment — a run of levels on this
+shard — against the parent job's shared state, then hands the next
+wave's segments to their shards' handoff lanes, the cross-shard
+macro-systolic path.  All failures resolve futures; the worker thread
+itself never dies on a request error.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from typing import List, Optional
 
 from ..api.solver import Solver
 from ..errors import DeadlineExceededError, ServiceClosedError
-from ..graph.compiler import GraphCompiler
 from ..obs.tracing import NULL_SPAN
 from .backpressure import BoundedRequestQueue
 from .batcher import AdmissionBatcher
@@ -101,6 +96,11 @@ class ShardWorker:
     @property
     def alive(self) -> bool:
         return self._thread.is_alive()
+
+    @property
+    def is_current(self) -> bool:
+        """True when called on this worker's own thread."""
+        return threading.current_thread() is self._thread
 
     # -- the worker loop ----------------------------------------------------------
     def _run(self) -> None:
@@ -223,16 +223,10 @@ class ShardWorker:
                 # so set_result is infallible — and the caller it wakes
                 # may read stats() immediately.
                 self.telemetry.record_completed(request.latency())
-                self._record_iterations(request.kind, solution)
+                _record_iterations(self.telemetry, request.kind, solution)
                 request.resolve(solution)
             return
         self._execute_one(live[0], options)
-
-    def _record_iterations(self, kind: str, solution) -> None:
-        """Account multi-iteration solves (jacobi, sor, cg, ...) per kind."""
-        iterations = solution.stats.get("iterations")
-        if isinstance(iterations, int) and iterations > 0:
-            self.telemetry.record_iterations(kind, iterations)
 
     def _execute_one(self, request: SolveRequest, options) -> None:
         """Solve one (RUNNING) request, resolving its future either way.
@@ -240,9 +234,6 @@ class ShardWorker:
         Telemetry is recorded *before* the future resolves: resolution
         wakes the caller, who may snapshot stats straight away.
         """
-        if request.graph is not None:
-            self._execute_graph(request)
-            return
         span = NULL_SPAN
         if request.trace is not None:
             span = request.trace.root.child(
@@ -262,65 +253,20 @@ class ShardWorker:
             request.fail(exc)
             return
         self.telemetry.record_completed(request.latency())
-        self._record_iterations(request.kind, solution)
+        _record_iterations(self.telemetry, request.kind, solution)
         request.resolve(solution)
 
-    def _execute_graph(self, request: SolveRequest) -> None:
-        """Compile and run one whole-pipeline job on this shard's solver.
-
-        Compilation resolves every stage plan through the shard's private
-        plan cache, so a re-submitted graph is pure warm execution; the
-        per-graph telemetry (stage count, fused stages, per-stage
-        latencies) feeds the fleet snapshot's pipeline columns.
-        """
-        job = request.graph
-        assert job is not None
-        span = NULL_SPAN
-        if request.trace is not None:
-            span = request.trace.root.child(
-                "execute", track=self.track, category="execute", kind="graph"
-            )
-        try:
-            # The request's options (when given) are the base the routing
-            # keys were derived from; compiling under the same base keeps
-            # the home-shard zero-recompile guarantee for graphs that
-            # carry per-request options.  The activated span collects the
-            # compile's plan lookups and the program's stage spans.
-            with span:
-                compiler = GraphCompiler(
-                    self.solver, fuse=job.fuse, options=request.options
-                )
-                result = compiler.run(job.graph)
-        except Exception as exc:
-            self.telemetry.record_failed(request.latency())
-            request.fail(exc)
-            return
-        self.telemetry.record_completed(request.latency())
-        self.telemetry.record_graph(
-            stages=len(result.solutions),
-            fused=(
-                result.fused_pairs + result.fused_rewrites
-                + result.fused_epilogues
-            ),
-            stage_latencies=result.stage_seconds,
-            levels=(max(result.levels) + 1) if result.levels else 0,
-            kinds=result.kinds,
-        )
-        for kind, solution in zip(result.kinds, result.solutions):
-            self._record_iterations(kind, solution)
-        request.resolve(result)
-
     def _execute_segment(self, request: SolveRequest) -> None:
-        """Run one placed segment of a cross-shard pipelined graph job.
+        """Run one placed segment of a graph job.
 
         The parent job coordinates everything cross-segment: a sibling's
         failure (or a shed, or a caller cancel) makes this a no-op, the
-        level cursor releases the next wave into the handoff lanes, and
-        the segment that lands the final level assembles the result and
+        wave cursor releases the next wave into the handoff lanes, and
+        the segment that lands the final wave assembles the result and
         resolves the parent future.  All whole-job telemetry (completed /
         failed / expired / graph rows) goes to the job's *home* shard so
-        the fleet snapshot counts each pipelined graph exactly once;
-        this shard records only its own segment execution.
+        the fleet snapshot counts each graph exactly once; this shard
+        records only its own segment execution.
         """
         task = request.segment
         assert task is not None
@@ -330,7 +276,7 @@ class ShardWorker:
         if request.expired():
             if job.fail(
                 DeadlineExceededError(
-                    f"pipelined graph request exceeded its deadline after "
+                    f"graph request exceeded its deadline after "
                     f"{job.latency():.3f}s (level {task.level} still queued)"
                 )
             ):
@@ -341,9 +287,9 @@ class ShardWorker:
         trace = job.trace
         seg_span = NULL_SPAN
         if trace is not None:
-            # The lane transit (or admission-queue wait, for level 0) is
-            # reconstructed retroactively from the dispatch stamp — both
-            # endpoints known, nothing to leak.
+            # The lane transit (or admission-queue wait, for the first
+            # wave) is reconstructed retroactively from the dispatch
+            # stamp — both endpoints known, nothing to leak.
             if task.dispatched_at is not None and request.dequeued_at is not None:
                 transit_name = (
                     "handoff_transit" if task.from_shard is not None
@@ -407,7 +353,12 @@ class ShardWorker:
             kinds=result.kinds,
         )
         for kind, solution in zip(result.kinds, result.solutions):
-            iterations = solution.stats.get("iterations")
-            if isinstance(iterations, int) and iterations > 0:
-                job.home_telemetry.record_iterations(kind, iterations)
+            _record_iterations(job.home_telemetry, kind, solution)
         job.resolve(result)
+
+
+def _record_iterations(telemetry: ShardTelemetry, kind: str, solution) -> None:
+    """Account multi-iteration solves (jacobi, sor, cg, ...) per kind."""
+    iterations = solution.stats.get("iterations")
+    if isinstance(iterations, int) and iterations > 0:
+        telemetry.record_iterations(kind, iterations)

@@ -3,8 +3,8 @@
 A :class:`SoakWorkload` turns one seed into one reproducible stream of
 mixed serving traffic: plain matvec (the bread-and-butter kind, in
 several shapes so requests spread across shards), matmul, iterative
-jacobi sweeps, two-stage matvec pipeline graphs (which take the
-cross-shard pipelined path on a multi-shard service) and neural-network
+jacobi sweeps, two-stage matvec pipeline graphs (served as placed
+segments, across shards where the placement splits them) and neural-network
 forward passes (a float MLP graph and its int8-quantized twin).  Every
 request carries a priority class and a client id drawn from fixed
 client pools — ``interactive-*`` submit high, ``standard-*`` normal,

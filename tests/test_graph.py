@@ -348,16 +348,6 @@ class TestGraphCompiler:
         assert np.array_equal(result.output("s"), reference.solve("matvec", a, j).values)
         assert np.array_equal(result.output("p"), reference.solve("matvec", prod, x).values)
 
-    def test_pairing_can_be_disabled(self, rng):
-        n = 6
-        a, b = (rng.normal(size=(n, n)) for _ in range(2))
-        x = rng.normal(size=n)
-        left = MatVec(a, x, name="l")
-        right = MatVec(b, x, name="r")
-        solver = Solver(ArraySpec(W))
-        program = GraphCompiler(solver, pair=False).compile(Graph(left, right))
-        assert program.pairs == ()
-
     def test_warm_three_stage_graph_reports_zero_plan_builds(self, rng):
         n = 8
         a = rng.normal(size=(n, n))
@@ -555,13 +545,92 @@ class TestProgramSegments:
         program = GraphCompiler(Solver(ArraySpec(W))).compile(
             self._chain(rng)
         )
-        segments = program.segments()
+        # Unplaced, the whole program is one segment in level order.
+        [whole] = program.segments()
+        assert whole.level == 0 and whole.shard == 0
+        assert [stage.level for stage in whole.stages] == [0, 1]
+        # A placement alternating levels between shards: one per level.
+        segments = program.segments(
+            lambda key: 0 if key[0] == "matmul" else 1
+        )
         assert [segment.level for segment in segments] == [0, 1]
+        assert [segment.shard for segment in segments] == [0, 1]
         covered = [
             index for segment in segments for index in segment.stage_indices
         ]
         assert sorted(covered) == list(range(len(program.stages)))
         assert segments[0].plan_keys()[0][0] == "matmul"
+
+    @staticmethod
+    def _placed(program, shard_by_name):
+        """Segments under a placement given per stage name (distinct keys)."""
+        by_key = {
+            stage.plan.key: shard_by_name[stage.name]
+            for stage in program.stages
+        }
+        assert len(by_key) == len(program.stages)
+        return program.segments(by_key.__getitem__)
+
+    @staticmethod
+    def _names(segment):
+        return [stage.name for stage in segment.stages]
+
+    def test_one_shard_chain_is_one_segment_in_level_order(self, rng):
+        n = 6
+        a, b, c, d = (rng.normal(size=(n, n)) for _ in range(4))
+        x = rng.normal(size=n)
+        left = MatVec(a, x, name="left")
+        right = MatVec(b, x, name="right")
+        join = MatVec(c, left, right, name="join")
+        top = MatVec(d, join, name="top")
+        program = GraphCompiler(Solver(ArraySpec(W))).compile(Graph(top))
+        assert program.pairs  # left/right share one plan on level 0
+        [whole] = program.segments(lambda key: 2)
+        assert whole.level == 0 and whole.shard == 2
+        assert whole.stages == tuple(
+            sorted(program.stages, key=lambda s: (s.level, s.index))
+        )
+        assert self._names(whole)[2:] == ["join", "top"]
+        assert whole.pairs == program.pairs
+
+    def test_consecutive_levels_on_one_shard_merge(self, rng):
+        # A@0 -> B@0 -> C@1 -> D@1: two runs, so two segments.
+        x = rng.normal(size=6)
+        a = MatVec(rng.normal(size=(5, 6)), x, name="A")
+        b = MatVec(rng.normal(size=(4, 5)), a, name="B")
+        c = MatVec(rng.normal(size=(3, 4)), b, name="C")
+        d = MatVec(rng.normal(size=(2, 3)), c, name="D")
+        program = GraphCompiler(Solver(ArraySpec(W))).compile(Graph(d))
+        segments = self._placed(program, {"A": 0, "B": 0, "C": 1, "D": 1})
+        assert [self._names(s) for s in segments] == [["A", "B"], ["C", "D"]]
+        assert [s.level for s in segments] == [0, 2]
+        assert [s.shard for s in segments] == [0, 1]
+        n = len(program.stages)
+        outputs, solutions, latencies = [None] * n, [None] * n, [0.0] * n
+        for segment in segments:
+            segment.execute(outputs, solutions, latencies)
+        reference = GraphCompiler(Solver(ArraySpec(W))).run(Graph(d))
+        for ours, theirs in zip(solutions, reference.solutions):
+            assert np.array_equal(ours.values, theirs.values)
+
+    def test_split_level_ends_the_run(self, rng):
+        # A@0 | B@0, C@1 | D@0 | E@0: the split level keeps A and B apart,
+        # and the one-shard levels after it start a new run.
+        x = rng.normal(size=6)
+        a = MatVec(rng.normal(size=(5, 6)), x, name="A")
+        b = MatVec(rng.normal(size=(4, 5)), a, name="B")
+        c = MatVec(rng.normal(size=(3, 5)), a, name="C")
+        d = MatVec(rng.normal(size=(4, 3)), c, b, name="D")
+        e = MatVec(rng.normal(size=(6, 4)), d, name="E")
+        program = GraphCompiler(Solver(ArraySpec(W))).compile(Graph(e))
+        segments = self._placed(
+            program, {"A": 0, "B": 0, "C": 1, "D": 0, "E": 0}
+        )
+        assert [self._names(s) for s in segments] == [
+            ["A"], ["B"], ["C"], ["D", "E"],
+        ]
+        assert [s.level for s in segments] == [0, 1, 1, 2]
+        assert [s.shard for s in segments] == [0, 0, 1, 0]
 
     def test_placement_splits_levels_per_shard(self, rng):
         n = 6

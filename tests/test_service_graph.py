@@ -17,6 +17,7 @@ no orphaned segments, no leaked handoff slots.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.api import ArraySpec, ExecutionOptions, Solver
 from repro.errors import (
     DeadlineExceededError,
     GraphCycleError,
+    ServiceClosedError,
     ServiceOverloadedError,
     ShapeError,
 )
@@ -42,6 +44,7 @@ from repro.graph import (
 from repro.instrumentation import counters
 from repro.iterative import ConvergenceCriteria
 from repro.nn import Bias, Relu
+from repro.obs import Tracer
 from repro.service import SolverService
 
 W = 4
@@ -335,21 +338,44 @@ class TestPipelinedGraphExecution:
         assert stats.graphs == 4
         assert stats.segments == 16
 
-    def test_pipeline_false_forces_the_classic_home_shard_path(self, rng):
-        graph = _diamond(rng)
-        with SolverService(ArraySpec(W), n_shards=2) as service:
-            _pin_branches(service, graph)
-            pipelined = service.solve_graph(graph)
-            classic = service.submit_graph(graph, pipeline=False).result()
+    def test_single_level_graph_compiles_and_builds_once_per_submit(
+        self, rng
+    ):
+        """One compile per submit on every service size: the compile
+        solver builds the plan, and no shard builds it a second time."""
+        a, b = rng.normal(size=(N, N)), rng.normal(size=(N, N))
+        x = rng.normal(size=N)
+        graph = Graph(MatVec(a, x, name="left"), MatVec(b, x, name="right"))
+        with SolverService(ArraySpec(W), n_shards=4) as service:
+            before = counters.snapshot()
+            cold = service.solve_graph(graph)
+            cold_delta = counters.delta(before)
+            before = counters.snapshot()
+            warm = [service.solve_graph(graph) for _ in range(3)]
+            warm_delta = counters.delta(before)
+        assert cold_delta.plan_builds == 1  # the two stages share one plan
+        assert cold_delta.graph_compiles == 1
+        assert warm_delta.graph_compiles == 3
+        assert warm_delta.plan_builds == 0
+        reference = GraphCompiler(Solver(ArraySpec(W))).run(graph)
+        for result in [cold, *warm]:
+            assert np.array_equal(result.output("left"), reference.output("left"))
+            assert np.array_equal(
+                result.output("right"), reference.output("right")
+            )
+
+    def test_one_shard_service_runs_a_chain_as_one_segment(self, pipeline):
+        graph, _operands = pipeline
+        with SolverService(ArraySpec(W), n_shards=1) as service:
+            result = service.solve_graph(graph)
             stats = service.stats()
-        assert pipelined.placements != ()
-        assert classic.placements == ()
-        assert np.array_equal(
-            classic.output("join"), pipelined.output("join")
-        )
-        # Only the pipelined submission produced segments/handoffs.
-        assert stats.segments == 4
-        assert stats.graphs == 2
+        reference = GraphCompiler(Solver(ArraySpec(W))).run(graph)
+        assert len(set(result.levels)) == 3
+        for ours, theirs in zip(result.solutions, reference.solutions):
+            assert np.array_equal(ours.values, theirs.values)
+        assert stats.segments == 1
+        assert stats.handoffs == 0
+        assert stats.graphs == 1 and stats.completed == 1
 
 
 class TestGraphBackpressure:
@@ -463,3 +489,133 @@ class TestGraphBackpressure:
             stats = service.stats()
         assert stats.rejected >= 1
         assert stats.graphs == 2  # the admitted jobs both completed
+
+
+def _two_level_graphs(rng, count: int):
+    """Chains ``MatVec(m2, MatVec(m1, x))`` whose levels have distinct plan
+    keys (m2 is taller than m1), so a placement can split them."""
+    graphs = []
+    for _ in range(count):
+        m1, m2 = rng.normal(size=(N, N)), rng.normal(size=(N + 2, N))
+        graphs.append(MatVec(m2, MatVec(m1, rng.normal(size=N))))
+    return graphs
+
+
+def _pin_levels(service, graph) -> None:
+    """Level 0 on shard 0, level 1 on the last shard: on a multi-shard
+    service every job hands its second level across shards."""
+    first, second = Graph(graph).plan_keys(W, ExecutionOptions())
+    service.placement.assign(first, 0)
+    service.placement.assign(second, service.n_shards - 1)
+
+
+def _assert_nothing_leaked(service, tracer) -> None:
+    assert tracer.open_spans == 0
+    for worker in service.shards:
+        assert worker.queue.handoff_depth == 0
+        assert worker.telemetry.handoff_depth.value == 0
+
+
+class TestGraphShutdown:
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_draining_close_resolves_every_admitted_graph(
+        self, rng, n_shards
+    ):
+        """close(wait=True) straight after submitting: every job's second
+        level still reaches its shard, and every future is its result."""
+        reference = GraphCompiler(Solver(ArraySpec(W)))
+        for _ in range(5):
+            graphs = _two_level_graphs(rng, 10)
+            tracer = Tracer()
+            service = SolverService(
+                ArraySpec(W), n_shards=n_shards, tracer=tracer
+            )
+            _pin_levels(service, graphs[0])
+            futures = [service.submit_graph(graph) for graph in graphs]
+            service.close(wait=True)
+            for graph, future in zip(graphs, futures):
+                assert future.done()
+                assert np.array_equal(
+                    future.result().values, reference.run(graph).values
+                )
+            _assert_nothing_leaked(service, tracer)
+            stats = service.stats()
+            assert stats.graphs == len(graphs)
+            assert stats.handoffs == (len(graphs) if n_shards > 1 else 0)
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_close_without_drain_fails_pending_graphs(
+        self, rng, n_shards, monkeypatch
+    ):
+        """close(wait=False) fails every job still queued with
+        ServiceClosedError; the job in flight completes on one shard and
+        fails at its handoff on two."""
+        gate = threading.Event()
+        original = ProgramSegment.execute
+
+        def gated(self, outputs, solutions, latencies):
+            gate.wait(timeout=30)
+            return original(self, outputs, solutions, latencies)
+
+        monkeypatch.setattr(ProgramSegment, "execute", gated)
+        graphs = _two_level_graphs(rng, 10)
+        tracer = Tracer()
+        service = SolverService(
+            ArraySpec(W), n_shards=n_shards, tracer=tracer, max_batch_size=1
+        )
+        _pin_levels(service, graphs[0])
+        in_flight = service.submit_graph(graphs[0])
+        TestGraphBackpressure._wait_admissions_empty(service)
+        queued = [service.submit_graph(graph) for graph in graphs[1:]]
+        timer = threading.Timer(0.05, gate.set)
+        timer.start()
+        service.close(wait=False)
+        timer.join()
+        for future in queued:
+            with pytest.raises(ServiceClosedError):
+                future.result(timeout=5.0)
+        if n_shards == 1:
+            assert in_flight.result(timeout=5.0).values is not None
+        else:
+            with pytest.raises(ServiceClosedError):
+                in_flight.result(timeout=5.0)
+        _assert_nothing_leaked(service, tracer)
+
+    def test_close_from_a_done_callback_is_refused_and_leaves_it_open(
+        self, rng, monkeypatch
+    ):
+        """A done-callback runs on a shard worker, which can neither wait
+        for the jobs behind it nor join itself: close() there raises and
+        the service keeps serving."""
+        gate = threading.Event()
+        original = ProgramSegment.execute
+
+        def gated(self, outputs, solutions, latencies):
+            gate.wait(timeout=30)
+            return original(self, outputs, solutions, latencies)
+
+        monkeypatch.setattr(ProgramSegment, "execute", gated)
+        graphs = _two_level_graphs(rng, 3)
+        refused = []
+
+        def close_from_callback(_future) -> None:
+            try:
+                service.close()
+            except RuntimeError as exc:
+                refused.append(exc)
+
+        service = SolverService(ArraySpec(W), n_shards=2)
+        _pin_levels(service, graphs[0])
+        first = service.submit_graph(graphs[0])
+        first.add_done_callback(close_from_callback)  # before it can finish
+        gate.set()
+        first.result(timeout=5.0)
+        rest = [service.submit_graph(graph) for graph in graphs[1:]]
+        service.close()
+        assert len(refused) == 1 and "worker thread" in str(refused[0])
+        reference = GraphCompiler(Solver(ArraySpec(W)))
+        for graph, future in zip(graphs[1:], rest):
+            assert np.array_equal(
+                future.result(timeout=5.0).values, reference.run(graph).values
+            )
+        assert service.closed

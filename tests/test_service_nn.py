@@ -84,13 +84,11 @@ class TestServiceNN:
         assert "stage kinds:" in stats.describe()
 
     @pytest.mark.parametrize(
-        "n_shards, pipeline",
-        [(1, None), (4, False), (4, None)],
-        ids=["one_shard", "home_shard", "pipelined"],
+        "n_shards", [1, 4], ids=["one_shard", "pipelined"]
     )
-    def test_graph_fused_counts_fused_epilogues(self, rng, n_shards, pipeline):
+    def test_graph_fused_counts_fused_epilogues(self, rng, n_shards):
         """The fleet's fused-stage count is the direct result's, epilogue
-        groups included, on the home-shard and the pipelined path."""
+        groups included, on one shard and across shards."""
         mlp = MLP([
             (rng.normal(size=(6, 5)), rng.normal(size=6)),
             (rng.normal(size=(3, 6)), rng.normal(size=3)),
@@ -102,12 +100,10 @@ class TestServiceNN:
         )
         assert direct.fused_epilogues == 2  # dense -> bias (-> relu) per layer
         with SolverService(ArraySpec(W), n_shards=n_shards) as service:
-            result = service.submit_graph(graph, pipeline=pipeline).result(
-                timeout=30
-            )
+            result = service.submit_graph(graph).result(timeout=30)
             stats = service.stats()
-        # Only the unforced multi-shard submission splits into segments.
-        assert (stats.segments > 0) == (n_shards > 1 and pipeline is None)
+        # Every served graph runs as placed segments.
+        assert stats.segments > 0
         assert result.fused_epilogues == direct.fused_epilogues
         assert stats.graph_fused == fused
         assert (
