@@ -20,13 +20,15 @@ all others.  The engines here exploit that:
 * **Hexagonal array (DBT mat-mul).**  Every result-band position
   accumulates its products in increasing inner-index order, and the
   spiral feedback hands each accumulation-chain position the *final*
-  value of its predecessor.  Followed through the operand provenance,
-  the chain of padded element ``(alpha, gamma)`` folds every padded inner
-  index exactly once, cyclically from a start ``s < w`` fixed by
-  geometry — the *start map*.  So the whole execution is one rank-1
-  update of the padded accumulator per inner index, masked by the start
-  map for the first ``w - 1`` indices and again for the ``w - 1`` it
-  wraps around to; every chain position's value is read off the
+  value of its predecessor.  The DBT operands depend only on shape and
+  ``w``, so which element each position accumulates, and the chain order,
+  are index arithmetic on block numbers (:func:`hex_fold_geometry`).
+  Followed along its chain, padded element ``(alpha, gamma)`` folds every
+  padded inner index exactly once, cyclically from a start ``s < w``
+  fixed by geometry — the *start map*.  So the whole execution is one
+  rank-1 update of the padded accumulator per inner index, masked by the
+  start map for the first ``w - 1`` indices and again for the ``w - 1``
+  it wraps around to; every chain position's value is read off the
   accumulator at the step where its element has folded that position's
   terms.  Each element still adds the simulator's products in the
   simulator's order, so values are bit-identical; the few folds that
@@ -50,6 +52,7 @@ request ``backend="simulate"`` for those.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -57,6 +60,7 @@ import numpy as np
 
 from ..errors import PlanError
 from ..matrices.banded import BandMatrix
+from ..matrices.padding import block_count
 from ..systolic.hex_array import HexRunResult
 from ..systolic.linear_array import LinearRunResult
 from ..systolic.metrics import (
@@ -68,8 +72,10 @@ from ..systolic.stream import DataStream
 
 __all__ = [
     "LinearSweepPlan",
+    "HexFoldGeometry",
     "HexSweepPlan",
     "HexStructuralMetrics",
+    "hex_fold_geometry",
     "hex_structural_metrics",
     "LinearRunMetrics",
     "build_banded_linear_run",
@@ -500,6 +506,132 @@ def hex_structural_metrics(
 _TERM_CHUNK = 1 << 15
 
 
+@dataclass(frozen=True, eq=False)
+class HexFoldGeometry:
+    """Every accumulation chain of one DBT mat-mul ``C = A B + E``.
+
+    ``shape`` is ``(n, p, m)`` and ``w`` the array size.  Chain ``c``
+    accumulates padded element ``targets[c] = (alpha, gamma)``: its
+    product-band positions ``(i, j)`` are the ``lengths[c]`` consecutive
+    rows of ``positions`` from ``sum(lengths[:c])`` on, in token entry
+    order, and it folds the padded inner range cyclically from inner
+    index ``starts[c]``.  :func:`hex_fold_geometry` computes it in closed
+    form; :func:`repro.core.recovery.fold_geometry_from_chains` reads it
+    off a placement position by position.
+    """
+
+    shape: Tuple[int, int, int]
+    w: int
+    targets: np.ndarray
+    lengths: np.ndarray
+    positions: np.ndarray
+    starts: np.ndarray
+
+
+def _token_windows(
+    i: np.ndarray, j: np.ndarray, w: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entry cycle, exit cycle and first inner band index of C tokens.
+
+    :meth:`~repro.systolic.hex_array.HexagonalArray.c_token_window` for
+    product-band positions ``(i, j)`` of the DBT operands (``A~`` upper,
+    ``B~`` lower, both of bandwidth ``w``): the token of ``(i, j)``
+    crosses the cells ``u = k - i`` from ``max(0, j - i)`` to
+    ``min(w - 1, j - i + w - 1)``, so its first product is at inner band
+    index ``max(i, j)``.
+    """
+    lo = np.maximum(i, j)
+    return i + j + lo, i + j + np.minimum(i, j) + w, lo
+
+
+def hex_fold_geometry(n: int, p: int, m: int, w: int) -> HexFoldGeometry:
+    """The fold geometry of ``C[n,m] = A[n,p] B[p,m]`` from the DBT index maps.
+
+    ``A~`` is ``m_bar`` copies of the block-row band ``A^b`` (``n_bar
+    p_bar`` block rows each) and ``B~`` is each strip band repeated
+    ``n_bar`` times, both followed by a ``w - 1`` tail; so band row ``i``
+    of ``A~`` holds padded row ``alpha`` of ``A``, band column ``j`` of
+    ``B~`` padded column ``gamma`` of ``B``, and band index ``k`` pairs
+    padded inner index ``k mod p_pad`` — all index arithmetic on block
+    numbers.  Every product-band position with ``|i - j| < w`` outside
+    the tail corner accumulates element ``(alpha(i), gamma(j))``; grouped
+    by element and ordered by token entry cycle, the positions are the
+    chains of :class:`~repro.core.recovery.PartialResultMap`, and a
+    chain's start is the inner index of its first position's first term.
+    """
+    n_bar, p_bar, m_bar = (block_count(size, w) for size in (n, p, m))
+    p_pad, m_pad = p_bar * w, m_bar * w
+    copy = n_bar * p_pad  # band rows of one copy of A^b (and of one B strip)
+    tail = m_bar * copy
+    dimension = tail + w - 1
+    offsets = np.arange(1 - w, w)
+    i = np.repeat(np.arange(dimension), offsets.size)
+    j = i + np.tile(offsets, dimension)
+    # Inside the band, outside the tail corner (whose output is discarded).
+    keep = (j >= 0) & (j < dimension) & ((i < tail) | (j < tail))
+    i, j = i[keep], j[keep]
+    alpha = (i % copy) // p_pad * w + i % w
+    gamma = (j // copy) % m_bar * w + j % w
+    target = alpha * m_pad + gamma
+    entry, _leave, first_k = _token_windows(i, j, w)
+    order = np.lexsort((entry, target))
+    target = target[order]
+    heads = np.flatnonzero(np.diff(target, prepend=-1))
+    return HexFoldGeometry(
+        shape=(int(n), int(p), int(m)),
+        w=int(w),
+        targets=np.stack(np.divmod(target[heads], m_pad), axis=1),
+        lengths=np.diff(heads, append=target.size),
+        positions=np.stack((i[order], j[order]), axis=1),
+        starts=first_k[order][heads] % p_pad,
+    )
+
+
+class _FeedbackDelays(Mapping):
+    """Position -> spiral feedback delay, made a dict on first read.
+
+    Holds the non-head chain positions and their delays as arrays; a
+    solve passes it on untouched, so only a caller that reads the map
+    pays for a Python dict of every fed-back position.
+    """
+
+    def __init__(self, positions: np.ndarray, delays: np.ndarray):
+        self._positions = positions
+        self._delays = delays
+        self._table: Optional[Dict[Tuple[int, int], int]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {**self.__dict__, "_table": None}
+
+    def _lookup(self) -> Dict[Tuple[int, int], int]:
+        table = self._table
+        if table is None:  # a racing reader builds an equal dict
+            table = self._table = dict(
+                zip(map(tuple, self._positions.tolist()), self._delays.tolist())
+            )
+        return table
+
+    def __getitem__(self, position: Tuple[int, int]) -> int:
+        return self._lookup()[position]
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        return iter(self._lookup())
+
+    def __len__(self) -> int:
+        return len(self._delays)
+
+    # The dict's own views: a walk over them runs at dict speed, not one
+    # __getitem__ call per entry.
+    def keys(self):
+        return self._lookup().keys()
+
+    def items(self):
+        return self._lookup().items()
+
+    def values(self):
+        return self._lookup().values()
+
+
 class HexSweepPlan:
     """Value-independent skeleton of the step-major mat-mul fold.
 
@@ -514,29 +646,23 @@ class HexSweepPlan:
     holds) is its element's accumulator once it has folded the position's
     cumulative term count, read at that step.
 
-    Built from the partial-result chains with array arithmetic: term counts
-    per position from the u-window formulas, one operand provenance lookup
-    per chain for its start, feedback delays from the token windows.
+    Built from a :class:`HexFoldGeometry` with array arithmetic: term
+    counts and feedback delays per position from the token windows, the
+    start map and the step reads from the chains.  A plan's geometry comes
+    from :func:`hex_fold_geometry`; no operand band or placement is built.
     """
 
-    def __init__(self, operands, placement, useful_operations: int):
-        w = operands.w
-        self._w = int(w)
-        self._n, self._p = operands.a_shape
-        _p2, self._m = operands.b_shape
-        self._n_pad = operands.n_bar * w
-        self._p_pad = p_pad = operands.p_bar * w
-        self._m_pad = m_pad = operands.m_bar * w
-        self._useful = int(useful_operations)
-
-        a_band = operands.a_operand.band
-        b_band = operands.b_operand.band
-        self._dim = dim = a_band.rows
-        la, ua = a_band.lower, a_band.upper
-        lb, ub = b_band.lower, b_band.upper
+    def __init__(self, geometry: HexFoldGeometry):
+        self._w = w = geometry.w
+        self._n, self._p, self._m = geometry.shape
+        n_bar, p_bar, m_bar = (block_count(size, w) for size in geometry.shape)
+        self._n_pad = n_bar * w
+        self._p_pad = p_pad = p_bar * w
+        self._m_pad = m_pad = m_bar * w
+        self._useful = self._n * self._p * self._m
+        self._dim = dim = n_bar * p_bar * m_bar * w + w - 1
         self._metrics = metrics = hex_structural_metrics(
-            a_band.rows, a_band.cols, la, ua,
-            b_band.rows, b_band.cols, lb, ub,
+            dim, dim, 0, w - 1, dim, dim, w - 1, 0
         )
         self._report = UtilizationReport(
             processing_elements=w * w,
@@ -550,25 +676,14 @@ class HexSweepPlan:
         )
 
         # Chain positions back to back, each chain in fold order.
-        chains = placement.chains
-        targets = np.array(list(chains), dtype=np.intp).reshape(-1, 2)
-        lengths = np.array(
-            [chain.length for chain in chains.values()], dtype=np.intp
-        )
-        positions = np.array(
-            [position for chain in chains.values() for position in chain.positions],
-            dtype=np.intp,
-        ).reshape(-1, 2)
+        targets, lengths = geometry.targets, geometry.lengths
+        positions, starts = geometry.positions, geometry.starts
         heads = np.cumsum(lengths) - lengths
         chain_of = np.repeat(np.arange(len(lengths)), lengths)
         i, j = positions[:, 0], positions[:, 1]
-        dc = j - i
-        # The u-window of each position (HexagonalArray.c_token_window);
-        # clipped to the band rows it is the position's inner-index run.
-        u_min = np.maximum(-la, dc - ub)
-        u_max = np.minimum(ua, dc + lb)
-        u_first = np.maximum(u_min, -i)
-        terms = np.maximum(np.minimum(u_max, dim - 1 - i) - u_first + 1, 0)
+        entry, leave, first_k = _token_windows(i, j, w)
+        # Each position folds its inner band indices first_k .. last_k.
+        terms = np.minimum(np.minimum(i, j) + w, dim) - first_k
         running = np.cumsum(terms)
         folded = running - np.repeat(running[heads] - terms[heads], lengths)
         totals = folded[heads + lengths - 1]
@@ -578,20 +693,6 @@ class HexSweepPlan:
                 f"the chain of C element {tuple(targets[bad].tolist())} folds "
                 f"{int(totals[bad])} terms, not the padded inner size {p_pad}"
             )
-
-        # The start map: the inner index of each chain's first term.
-        first = np.minimum.reduceat(
-            np.where(terms > 0, np.arange(len(terms)), len(terms)), heads
-        )
-        a_provenance = operands.a_operand.provenance
-        starts = np.empty(len(lengths), dtype=np.intp)
-        for chain, key in enumerate(
-            zip(i[first].tolist(), (i + u_first)[first].tolist())
-        ):
-            origin = a_provenance.get(key)
-            if origin is None:
-                raise PlanError(f"band position {key} of A~ carries no element")
-            starts[chain] = origin[1]
         if np.any(starts >= w):
             bad = int(np.flatnonzero(starts >= w)[0])
             raise PlanError(
@@ -608,20 +709,19 @@ class HexSweepPlan:
         )
 
         # Feedback delay: a position's token entry minus its predecessor's
-        # exit; an empty u-window collapses onto the clipped diagonal.
-        empty = u_min > u_max
-        clipped = np.clip(dc, -la, ua)
-        entry = 2 * i + j + np.where(empty, clipped, u_min)
-        leave = 2 * i + j + np.where(empty, clipped, u_max) + 1
+        # exit.
         linked = np.ones(len(positions), dtype=bool)
         linked[heads] = False
         successors = np.flatnonzero(linked)
         delays = entry[successors] - leave[successors - 1]
-        self._feedback_delays = dict(
-            zip(map(tuple, positions[successors].tolist()), delays.tolist())
-        )
-        self._feedback = FeedbackStats.from_delays(
-            delays.tolist(), regular_threshold=regular_delay_threshold(w)
+        self._feedback_delays = _FeedbackDelays(positions[successors], delays)
+        regular = int(np.count_nonzero(delays <= regular_delay_threshold(w)))
+        self._feedback = FeedbackStats(
+            count=delays.size,
+            min_delay=int(delays.min()) if delays.size else None,
+            max_delay=int(delays.max()) if delays.size else None,
+            regular=regular,
+            irregular=delays.size - regular,
         )
 
         # Reads: after step g (-1 = the seed, then one per inner index
@@ -640,7 +740,7 @@ class HexSweepPlan:
             dtype=np.intp,
         )
         diagonal_starts = np.cumsum(diagonal_lengths) - diagonal_lengths
-        band_index = diagonal_starts[dc + c_lower] + np.where(dc >= 0, i, j)
+        band_index = diagonal_starts[j - i + c_lower] + np.minimum(i, j)
         self._band_gather = np.full(
             template.band_positions(), len(positions), dtype=np.intp
         )

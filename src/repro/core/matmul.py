@@ -6,8 +6,12 @@ façade.  The pipeline itself lives in
 :class:`~repro.core.plans.MatMulPlan`:
 
 1. build the transformed operand bands ``A~`` and ``B~`` (structure once
-   per shape, values streamed per solve),
-2. derive the partial-result placement and the spiral feedback plan,
+   per shape, values streamed per solve) — on the ``simulate`` backend;
+   the ``vectorized`` one builds them only when read,
+2. derive the partial-result placement and the spiral feedback plan from
+   the bands' provenance (``simulate``); the ``vectorized`` sweep plans
+   the same chains in closed form from the DBT index maps
+   (:func:`~repro.backends.vectorized.hex_fold_geometry`),
 3. stream the bands through the cycle-accurate hexagonal simulator with
    the addend and all fed-back partial results entering through the ``C``
    input ports, so no arithmetic happens outside the array, and
@@ -20,7 +24,7 @@ façade.  The pipeline itself lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
@@ -29,6 +33,9 @@ from ..systolic.metrics import FeedbackStats
 from .analytic import MatMulModel
 from .operands import MatMulOperands
 from .recovery import FeedbackClassification, PartialResultMap, classify_feedback_delays
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; plans imports this module
+    from .plans import MatMulPlan
 
 __all__ = ["MatMulSolution"]
 
@@ -39,16 +46,29 @@ class MatMulSolution:
 
     ``feedback`` digests the run's feedback delays, regular/irregular
     split included: the vectorized engine computes it once per plan,
-    ``simulate`` measures it on every run.
+    ``simulate`` measures it on every run.  ``plan`` is the plan that ran.
     """
 
     c: np.ndarray
     w: int
-    operands: MatMulOperands
-    placement: PartialResultMap
     run: HexRunResult
     model: MatMulModel
     feedback: FeedbackStats
+    plan: "MatMulPlan"
+
+    @property
+    def operands(self) -> MatMulOperands:
+        """The plan's structural operand bands.
+
+        A vectorized plan builds them on the first access: its sweep
+        never reads them.
+        """
+        return self.plan.operands
+
+    @property
+    def placement(self) -> PartialResultMap:
+        """The plan's partial-result placement, built like :attr:`operands`."""
+        return self.plan.placement
 
     @property
     def measured_steps(self) -> int:
@@ -69,7 +89,9 @@ class MatMulSolution:
 
     @property
     def feedback_delays(self) -> Dict[Tuple[int, int], int]:
-        return dict(self.run.feedback_delays)
+        # Through the items view: a vectorized run's lazy map is no dict,
+        # and dict() of it would make one __getitem__ call per entry.
+        return dict(self.run.feedback_delays.items())
 
     def feedback_classification(self) -> FeedbackClassification:
         """Measured feedback delays split into regular and irregular ones."""

@@ -14,8 +14,10 @@ plan builds only what its resolved backend runs.
   and produce bit-identical values and metrics: a lane-rotated prefix sum
   for mat-vec, and for mat-mul one rank-1 update per inner index masked
   by the start map (where each ``C`` element's chain begins its cyclic
-  fold), derived from the accumulation chains.  Everything else about a
-  run — step counts, utilization report, feedback events and the
+  fold), planned from the accumulation chains that
+  :func:`~repro.backends.vectorized.hex_fold_geometry` computes in closed
+  form from the DBT index maps.  Everything else about a run — step
+  counts, utilization report, feedback events and the
   :class:`~repro.systolic.metrics.FeedbackStats` digest — is geometry too,
   so it is computed at plan build and shared by every solve.
 * ``backend="simulate"`` (the default for direct construction, and the
@@ -28,11 +30,13 @@ plan builds only what its resolved backend runs.
   chain), or for the matrix-matrix case the spiral feedback token plan.
   It measures every metric on every run.
 
-The simulate-only template is never built by a vectorized mat-vec plan
-unless asked for: the first access to :attr:`MatVecPlan.transform`,
-:meth:`MatVecPlan.build_problem` or a solution's ``transforms`` builds it
-(once, also when threads race).  No value-bearing
-:class:`~repro.core.dbt.DBTByRowsTransform` or
+A vectorized plan never builds the simulate-only state unless asked
+for: the first access to :attr:`MatVecPlan.transform`,
+:meth:`MatVecPlan.build_problem` or a solution's ``transforms`` builds the
+mat-vec template, and the first read of :attr:`MatMulPlan.operands`,
+:attr:`MatMulPlan.placement` or a solution's ``placement`` builds the
+mat-mul operand bands and placement (once, also when threads race).  No
+value-bearing :class:`~repro.core.dbt.DBTByRowsTransform` or
 :class:`~repro.core.operands.MatMulOperands` is constructed on the execute
 path either way, which is what makes repeated same-shape solves — the hot
 path of any serving workload — cheap.
@@ -52,7 +56,12 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Ty
 import numpy as np
 
 from ..backends.registry import SIMULATE, VECTORIZED, resolve_backend
-from ..backends.vectorized import HexSweepPlan, LinearRunMetrics, LinearSweepPlan
+from ..backends.vectorized import (
+    HexSweepPlan,
+    LinearRunMetrics,
+    LinearSweepPlan,
+    hex_fold_geometry,
+)
 from ..errors import BackendError, ShapeError
 from ..matrices.banded import BandMatrix
 from ..matrices.dense import as_matrix, as_vector
@@ -80,6 +89,41 @@ __all__ = [
 ]
 
 _T = TypeVar("_T")
+
+
+class _LazyState:
+    """Plan state built on first use: once, even when threads race.
+
+    A plan builds simulate-only state its backend never runs through
+    :meth:`_built`; the lock guarding it is not pickled.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+    def _built(self, attr: str, build: Callable[[], _T]) -> _T:
+        """``self.<attr>``, built by ``build`` once, even when threads race.
+
+        ``build`` runs under the plan's one (non-reentrant) lock, so it
+        must not itself call :meth:`_built`.
+        """
+        value = getattr(self, attr)
+        if value is None:
+            with self._lock:
+                value = getattr(self, attr)
+                if value is None:
+                    value = build()
+                    setattr(self, attr, value)
+        return value
 
 
 class _BandGather:
@@ -186,7 +230,7 @@ class _LinearSimulation:
         )
 
 
-class MatVecPlan:
+class MatVecPlan(_LazyState):
     """Shape-keyed execution plan for ``y = A x + b`` on the linear array.
 
     Immutable once built; :meth:`execute` only streams operand values.  A
@@ -214,6 +258,7 @@ class MatVecPlan:
     ):
         if n < 1 or m < 1:
             raise ShapeError(f"matvec plan needs positive dimensions, got ({n}, {m})")
+        super().__init__()
         self._n = int(n)
         self._m = int(m)
         self._w = validate_array_size(w)
@@ -221,7 +266,6 @@ class MatVecPlan:
         self._backend = resolve_backend(backend, record_trace=self._record_trace)
         self._useful = self._n * self._m
         self._model = MatVecModel(n=self._n, m=self._m, w=self._w, overlapped=False)
-        self._lock = threading.Lock()
         self._simulation: Optional[_LinearSimulation] = None
         self._sweep: Optional[LinearSweepPlan] = None
         self._metrics: Optional[LinearRunMetrics] = None
@@ -239,26 +283,6 @@ class MatVecPlan:
             self._metrics = LinearRunMetrics(self._w, [self._sweep])
         else:
             self._simulation_state()  # what a simulate plan runs: build it now
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    def _built(self, attr: str, build: Callable[[], _T]) -> _T:
-        """``self.<attr>``, built by ``build`` once, even when threads race."""
-        value = getattr(self, attr)
-        if value is None:
-            with self._lock:
-                value = getattr(self, attr)
-                if value is None:
-                    value = build()
-                    setattr(self, attr, value)
-        return value
 
     def _simulation_state(self) -> _LinearSimulation:
         return self._built(
@@ -602,17 +626,19 @@ class _HexSimulation:
         return plan
 
 
-class MatMulPlan:
+class MatMulPlan(_LazyState):
     """Shape-keyed execution plan for ``C = A B + E`` on the hexagonal array.
 
-    Captures the zero-valued operand bands, the partial-result placement
-    and (optionally, at *plan* time — structure is all that matters) the
-    DBT structural verification; every solution refers to them.  A
-    vectorized plan adds the :class:`HexSweepPlan` — the step-major fold
-    schedule read off the chains, plus the run metrics and feedback digest
-    every solve shares.  The operand refill gathers and the spiral
-    feedback token plan are simulate-only state, built only by simulate
-    plans.
+    Immutable once built; :meth:`execute` only streams operand values.  A
+    vectorized plan holds the :class:`HexSweepPlan` — the step-major fold
+    schedule, run metrics and feedback digest every solve shares — built
+    from the closed-form :func:`~repro.backends.vectorized.hex_fold_geometry`.
+    The zero-valued operand bands (:attr:`operands`) and the partial-result
+    placement (:attr:`placement`) are simulate-only state: a simulate plan
+    builds them at plan build, with the operand refill gathers and the
+    spiral feedback token plan; a vectorized one on the first read of
+    either, or of a solution's.  ``verify_structure`` audits the operand
+    bands at plan build on either backend.
     """
 
     def __init__(
@@ -628,28 +654,29 @@ class MatMulPlan:
             raise ShapeError(
                 f"matmul plan needs positive dimensions, got ({n}, {p}, {m})"
             )
+        super().__init__()
         self._backend = resolve_backend(backend)
         self._n = int(n)
         self._p = int(p)
         self._m = int(m)
         self._w = validate_array_size(w)
-        operands = MatMulOperands(
-            np.zeros((self._n, self._p)), np.zeros((self._p, self._m)), self._w
-        )
+        self._useful = self._n * self._p * self._m
+        self._model = MatMulModel(n=self._n, p=self._p, m=self._m, w=self._w)
+        self._operands: Optional[MatMulOperands] = None
+        self._placement: Optional[PartialResultMap] = None
+        self._hex_sweep: Optional[HexSweepPlan] = None
+        self._simulation: Optional[_HexSimulation] = None
         if verify_structure:
+            operands = self.operands
             operands.verify_product_coverage()
             if not operands.inner_origins_consistent():
                 raise ShapeError("operand bands pair inconsistent inner indices")
-        self._operands = operands
-        self._placement = PartialResultMap(operands)
-        self._useful = self._n * self._p * self._m
-        self._model = MatMulModel(n=self._n, p=self._p, m=self._m, w=self._w)
-        self._hex_sweep: Optional[HexSweepPlan] = None
-        self._simulation: Optional[_HexSimulation] = None
         if self._backend == VECTORIZED:
-            self._hex_sweep = HexSweepPlan(operands, self._placement, self._useful)
+            self._hex_sweep = HexSweepPlan(
+                hex_fold_geometry(self._n, self._p, self._m, self._w)
+            )
         else:
-            self._simulation = _HexSimulation(operands, self._placement)
+            self._simulation = _HexSimulation(self.operands, self.placement)
 
     # -- geometry -----------------------------------------------------------------
     @property
@@ -668,12 +695,27 @@ class MatMulPlan:
 
     @property
     def operands(self) -> MatMulOperands:
-        """The structural operand template (its band values are zeros)."""
-        return self._operands
+        """The structural operand template (its band values are zeros).
+
+        Simulate-only state: a vectorized plan builds it on first access.
+        """
+        return self._built(
+            "_operands",
+            lambda: MatMulOperands(
+                np.zeros((self._n, self._p)), np.zeros((self._p, self._m)), self._w
+            ),
+        )
 
     @property
     def placement(self) -> PartialResultMap:
-        return self._placement
+        """The partial-result placement read off :attr:`operands`.
+
+        Simulate-only state: a vectorized plan builds it on first access.
+        """
+        # Built first: inside the placement's build, which holds the plan's
+        # lock, building them would take that lock a second time.
+        operands = self.operands
+        return self._built("_placement", lambda: PartialResultMap(operands))
 
     @property
     def model(self) -> MatMulModel:
@@ -714,7 +756,7 @@ class MatMulPlan:
                 c_plan=simulation.token_plan(e),
                 useful_operations=self._useful,
             )
-            c = self._placement.recover_c(run.c_band)
+            c = self.placement.recover_c(run.c_band)
             feedback = FeedbackStats.from_delays(
                 run.feedback_delays.values(),
                 regular_threshold=regular_delay_threshold(self._w),
@@ -722,11 +764,10 @@ class MatMulPlan:
         return MatMulSolution(
             c=c,
             w=self._w,
-            operands=self._operands,
-            placement=self._placement,
             run=run,
             model=self._model,
             feedback=feedback,
+            plan=self,
         )
 
 

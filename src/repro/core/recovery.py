@@ -21,11 +21,15 @@ provenance maps built by :class:`~repro.core.operands.MatMulOperands`:
   carried out of the array, and the last position carries the finished
   result.
 
-The derived plan is what the paper's spiral feedback computes; the module
-also classifies the measured feedback delays into the *regular* ones
-(bounded by a constant that depends only on ``w``) and the *irregular*
-ones (growing with the problem size), which per Section 3 only occur for
-the first and last original block rows.
+The derived plan is what the paper's spiral feedback computes.  The
+simulate backend runs it; the vectorized sweep plans the same chains in
+closed form (:func:`~repro.backends.vectorized.hex_fold_geometry`), and
+:func:`fold_geometry_from_chains` reads that geometry off a placement
+position by position, as the reference the closed form is tested
+against.  The module also classifies the measured feedback delays into
+the *regular* ones (bounded by a constant that depends only on ``w``)
+and the *irregular* ones (growing with the problem size), which per
+Section 3 only occur for the first and last original block rows.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import RecoveryError
+from ..backends.vectorized import HexFoldGeometry
+from ..errors import PlanError, RecoveryError
 from ..matrices.banded import BandMatrix
 from ..systolic.feedback import ExternalSource
 from ..systolic.hex_array import CTokenPlan, HexFeedbackSource, HexagonalArray
@@ -47,6 +52,7 @@ __all__ = [
     "PartialResultMap",
     "FeedbackClassification",
     "classify_feedback_delays",
+    "fold_geometry_from_chains",
 ]
 
 
@@ -201,6 +207,51 @@ class PartialResultMap:
             for position in chain.positions[1:]:
                 targets[position] = target
         return targets
+
+
+def fold_geometry_from_chains(
+    operands: MatMulOperands, chains: Dict[Tuple[int, int], AccumulationChain]
+) -> HexFoldGeometry:
+    """The fold geometry of ``chains`` (:attr:`PartialResultMap.chains`).
+
+    The per-position reference of
+    :func:`~repro.backends.vectorized.hex_fold_geometry`: the chains keep
+    their entry order, and each start is read off the ``A~`` provenance
+    of the chain's first product, which must carry an element of ``A``
+    (:class:`~repro.errors.PlanError` otherwise).
+    """
+    a_band = operands.a_operand.band
+    b_band = operands.b_operand.band
+    provenance = operands.a_operand.provenance
+    starts = []
+    for chain in chains.values():
+        first = next(
+            (
+                (i, k)
+                for i, j in chain.positions
+                for k in range(
+                    max(0, i - a_band.lower, j - b_band.upper),
+                    min(operands.dimension, i + a_band.upper + 1, j + b_band.lower + 1),
+                )
+            ),
+            None,
+        )
+        origin = provenance.get(first)
+        if origin is None:
+            raise PlanError(f"band position {first} of A~ carries no element")
+        starts.append(origin[1])
+    (n, p), (_p, m) = operands.a_shape, operands.b_shape
+    return HexFoldGeometry(
+        shape=(n, p, m),
+        w=operands.w,
+        targets=np.array(list(chains), dtype=np.intp).reshape(-1, 2),
+        lengths=np.array([chain.length for chain in chains.values()], dtype=np.intp),
+        positions=np.array(
+            [position for chain in chains.values() for position in chain.positions],
+            dtype=np.intp,
+        ).reshape(-1, 2),
+        starts=np.array(starts, dtype=np.intp),
+    )
 
 
 @dataclass(frozen=True)

@@ -574,9 +574,7 @@ class SolverService:
         job.future.add_done_callback(self._forget_job)
         wait = None
         if trace is not None:
-            trace.root.annotate(
-                home_shard=home, segments=job.n_segments, pipelined=True
-            )
+            trace.root.annotate(home_shard=home, segments=job.n_segments)
             wait = trace.root.child("admission_wait", category="queue")
         for task in job.first_tasks():
             worker = self._shards[task.shard]

@@ -53,13 +53,12 @@ MAGIC = b"RPROPLAN"
 
 #: Bump on any incompatible payload change.  Readers reject every other
 #: version (newer *or* older) — a version skew is a recompile, never a
-#: best-effort parse of bytes written by different code.  Version 6:
-#: executors hold no inner plans — a jacobi, lu or triangular artifact
-#: carries only its configured executor, and each inner mat-vec /
-#: mat-mul plan is an artifact of its own key — and the per-shape engine
-#: classes a version-5 payload pickled are gone, so a version-5 payload
-#: could not even be unpickled.
-FORMAT_VERSION = 6
+#: best-effort parse of bytes written by different code.  Version 7: a
+#: vectorized mat-mul plan's payload is its sweep, built from the
+#: closed-form fold geometry, with the feedback delays as arrays; a
+#: version-6 payload also carried the operand bands, the placement and a
+#: dict of every delay.
+FORMAT_VERSION = 7
 
 _VERSION_STRUCT = struct.Struct(">I")
 _CHECKSUM_SIZE = 16

@@ -30,7 +30,7 @@ tokens of the same stream ever occupy the same cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ArraySizeError, FeedbackError, ScheduleError, ShapeError, SimulationError
 from ..matrices.banded import BandMatrix
@@ -101,7 +101,7 @@ class HexRunResult:
     last_output_cycle: int
     token_entry: Dict[Tuple[int, int], int]
     token_exit: Dict[Tuple[int, int], int]
-    feedback_delays: Dict[Tuple[int, int], int] = field(default_factory=dict)
+    feedback_delays: Mapping[Tuple[int, int], int] = field(default_factory=dict)
     cell_busy: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
     @property

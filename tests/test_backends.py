@@ -19,17 +19,21 @@ from __future__ import annotations
 import itertools
 import sys
 import threading
-from types import SimpleNamespace
+import time
 
 import numpy as np
 import pytest
 
 from repro.api import ArraySpec, ExecutionOptions, InnerPlans, Solver
 from repro.backends import available_backends, resolve_backend
-from repro.backends.vectorized import HexSweepPlan
+from repro.backends.vectorized import HexSweepPlan, hex_fold_geometry
 from repro.core.operands import MatMulOperands
-from repro.core.plans import MatVecPlan
-from repro.core.recovery import AccumulationChain, PartialResultMap
+from repro.core.plans import MatMulPlan, MatVecPlan
+from repro.core.recovery import (
+    AccumulationChain,
+    PartialResultMap,
+    fold_geometry_from_chains,
+)
 from repro.errors import BackendError, PlanError, ShapeError
 from repro.instrumentation import counters
 from repro.systolic.linear_array import LinearContraflowArray
@@ -413,6 +417,29 @@ def _structural_zero(operands, chains):
     del operands.a_operand.provenance[_first_term(operands, chains[(0, 0)])]
 
 
+def chains_and_starts(geometry):
+    """``{(alpha, gamma): (chain positions in fold order, start)}``."""
+    heads = np.cumsum(geometry.lengths) - geometry.lengths
+    return {
+        tuple(target): (
+            tuple(map(tuple, geometry.positions[head : head + length].tolist())),
+            start,
+        )
+        for target, head, length, start in zip(
+            geometry.targets.tolist(), heads.tolist(),
+            geometry.lengths.tolist(), geometry.starts.tolist(),
+        )
+    }
+
+
+def assert_closed_form_matches_placement(n: int, p: int, m: int, w: int):
+    operands = MatMulOperands(np.zeros((n, p)), np.zeros((p, m)), w)
+    reference = fold_geometry_from_chains(operands, PartialResultMap(operands).chains)
+    assert chains_and_starts(hex_fold_geometry(n, p, m, w)) == (
+        chains_and_starts(reference)
+    ), (n, p, m, w)
+
+
 class TestMatMulFoldOrder:
     """The geometry the step-major fold relies on, and the plan's guard."""
 
@@ -433,6 +460,17 @@ class TestMatMulFoldOrder:
                     (start + t) % p_pad for t in range(p_pad)
                 ], (n, p, m, target)
 
+    @pytest.mark.parametrize("w", range(1, 9))
+    def test_closed_form_geometry_matches_the_placement(self, w):
+        """The plan's closed-form chains and starts are the ones read off
+        the placement and ``A~``'s provenance, position by position."""
+        for n, p, m in itertools.product(self.SIZES, repeat=3):
+            assert_closed_form_matches_placement(n, p, m, w)
+
+    @pytest.mark.parametrize("n, p, m, w", [(17, 33, 20, 4), (30, 7, 45, 6)])
+    def test_closed_form_geometry_matches_on_uneven_shapes(self, n, p, m, w):
+        assert_closed_form_matches_placement(n, p, m, w)
+
     @pytest.mark.parametrize(
         "tamper, message",
         [
@@ -443,11 +481,17 @@ class TestMatMulFoldOrder:
         ids=["missing_terms", "late_start", "structural_zero"],
     )
     def test_plan_build_rejects_a_broken_fold(self, tamper, message):
+        """The plan refuses a geometry whose folds miss terms or start late.
+
+        The structural-zero lookup belongs to the per-position reference:
+        a closed-form geometry reads no provenance, so only the reference
+        can meet a band slot without an element.
+        """
         operands = MatMulOperands(np.zeros((5, 9)), np.zeros((9, 4)), 3)
         chains = PartialResultMap(operands).chains
         tamper(operands, chains)
         with pytest.raises(PlanError, match=message):
-            HexSweepPlan(operands, SimpleNamespace(chains=chains), 5 * 9 * 4)
+            HexSweepPlan(fold_geometry_from_chains(operands, chains))
 
 
 def _race(threads: int, fn):
@@ -466,16 +510,20 @@ def _race(threads: int, fn):
         except Exception as exc:  # re-raised below, on the test's thread
             errors.append(exc)
 
+    # Daemon threads joined against one deadline: a deadlocked first read
+    # fails the test within a minute instead of hanging the process.
     workers = [
-        threading.Thread(target=run, args=(index,)) for index in range(threads)
+        threading.Thread(target=run, args=(index,), daemon=True)
+        for index in range(threads)
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for worker in workers:
             worker.start()
+        deadline = time.monotonic() + 60.0
         for worker in workers:
-            worker.join(timeout=60.0)
+            worker.join(timeout=max(0.0, deadline - time.monotonic()))
     finally:
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
@@ -513,6 +561,19 @@ class TestGeometryOncePerPlan:
         delta = counters.delta(before)
         assert all(solution.stats.get("paired") for solution in paired)
         assert delta.plan_builds == 3  # plain, overlapped, int8 dense
+        assert delta.transform_constructions == 0
+
+    def test_vectorized_matmul_solves_build_no_operands(self, rng):
+        a, b, e = (
+            rng.normal(size=(9, 7)), rng.normal(size=(7, 10)),
+            rng.normal(size=(9, 10)),
+        )
+        before = counters.snapshot()
+        solver = solver_for(3, "vectorized")
+        for _cold_then_warm in range(2):
+            solver.solve("matmul", a, b, e)
+        delta = counters.delta(before)
+        assert delta.plan_builds == 1
         assert delta.transform_constructions == 0
 
     def test_vectorized_matmul_never_classifies(self, rng, monkeypatch):
@@ -583,6 +644,61 @@ class TestLazyTemplate:
         run = LinearContraflowArray(self.W).run(plan.build_problem(a, x, b))
         y = plan.transform.recover_y(run.y_per_problem[0])
         assert np.array_equal(y, plan.execute(a, x, b).y)
+
+
+def _operand_geometry(operands):
+    """Everything structural a mat-mul operand template carries."""
+    return [
+        (band.band, band.provenance, band.row_origin.tolist(),
+         band.col_origin.tolist())
+        for band in (operands.a_operand, operands.b_operand)
+    ]
+
+
+class TestLazyMatMulState:
+    """A vectorized mat-mul plan builds its operand bands and placement on
+    demand: once, also when threads race the first read, and equal to a
+    simulate plan's.  Building the placement reads the operands, so a
+    first read of either must not take the plan's lock twice."""
+
+    SHAPE = (9, 7, 10)
+    W = 3
+
+    @pytest.mark.parametrize("read", ["operands", "placement", "solution"])
+    def test_state_matches_simulate_under_a_race(self, read, rng):
+        n, p, m = self.SHAPE
+        reference = MatMulPlan(n, p, m, self.W, backend="simulate")
+        solution = solver_for(self.W, "vectorized").solve(
+            "matmul", rng.normal(size=(n, p)), rng.normal(size=(p, m))
+        )
+        plan = solution.raw.plan
+        first_read = {
+            "operands": lambda: plan.operands,
+            "placement": lambda: plan.placement,
+            "solution": lambda: solution.raw.placement,
+        }[read]
+        before = counters.snapshot()
+        results = _race(8, first_read)
+        assert counters.delta(before).transform_constructions == 1
+        assert all(result is results[0] for result in results)
+        assert solution.raw.operands is plan.operands
+        assert solution.raw.placement is plan.placement
+        assert _operand_geometry(plan.operands) == _operand_geometry(
+            reference.operands
+        )
+        assert plan.placement.chains == reference.placement.chains
+
+    def test_lazy_delay_map_matches_simulate(self, rng):
+        n, p, m = self.SHAPE
+        operands = (
+            rng.normal(size=(n, p)), rng.normal(size=(p, m)),
+            rng.normal(size=(n, m)),
+        )
+        simulated, vectorized = both("matmul", self.W, operands)
+        delays = vectorized.raw.run.feedback_delays
+        assert len(delays) == vectorized.feedback.count
+        assert dict(delays) == simulated.raw.run.feedback_delays
+        assert vectorized.raw.feedback_delays == simulated.raw.feedback_delays
 
 
 class TestBlockedPipelineEquivalence:

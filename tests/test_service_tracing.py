@@ -95,12 +95,12 @@ class TestPipelinedGraphTrace:
         root = roots[0]
         assert root.name == "request graph"
         assert root.status == "ok"
-        assert root.args["pipelined"] is True
 
         # Span nesting matches the level partition: one segment span per
         # placed segment, all direct children of the root, branches on
         # their pinned shard tracks.
         segments = [span for span in spans if span.category == "segment"]
+        assert root.args["segments"] == len(segments)
         assert all(span.parent_id == root.span_id for span in segments)
         by_level = {}
         for span in segments:
