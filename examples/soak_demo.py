@@ -4,11 +4,11 @@ Three acts, narrated on stdout:
 
 1. **Cold run** — a service with a fresh :class:`~repro.store.PlanStore`
    replays a seeded soak stream.  Every distinct plan compiles once and
-   is written through to disk as a checksummed artifact.
-2. **Warm restart** — a brand-new service opens the same store, preloads
-   every artifact onto its placed shard (``warm_start``), and replays
-   the same stream with **zero** plan builds: restart cost collapsed to
-   a directory read.
+   its key is written through to disk as a checksummed artifact.
+2. **Warm restart** — a brand-new service opens the same store, builds
+   every stored plan key on its placed shard (``warm_start``), and
+   replays the same stream with **zero** plan builds after construction:
+   restart cost moved ahead of the first request.
 3. **Overload** — tiny queues under ``shed_oldest`` plus per-client rate
    limits on the batch clients, with the high class's in-flight window
    sized to fit one shard's queue.  The low class absorbs the overload

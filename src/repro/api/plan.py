@@ -131,9 +131,9 @@ class ExecutionPlan:
 
         Held through a weak reference, so a cached plan never keeps its
         solver alive (a plan -> solver -> cache -> plan cycle would leave
-        every dropped solver to the cycle collector).  Never persisted:
-        a solver binds the plans it builds, loads from its store or
-        adopts.  ``None`` for an unbound plan or a dropped solver.
+        every dropped solver to the cycle collector).  A solver binds the
+        plans it builds or adopts.  ``None`` for an unbound plan or a
+        dropped solver.
         """
         ref = self._source
         return None if ref is None else ref()
@@ -263,12 +263,13 @@ class InnerPlans:
     :meth:`~repro.api.solver.Solver.resolve_plan` under
     ``ExecutionOptions(backend=<parent backend>)``: the key a plain solve
     of that shape uses, so an inner ``(n, n)`` mat-vec is the same cached,
-    stored, traced and counted plan as a plain ``MatVec`` of that shape.
+    traced and counted plan as a plain ``MatVec`` of that shape, and its
+    key is stored like one.
     Later uses within the solve are counted as hits without a lookup.
 
     The tally belongs to this solve alone, so it stays exact while other
     threads share the solver.  A miss is an inner plan the solve had to
-    build; a store load counts as a hit, as it does for the solver.
+    build.
     """
 
     __slots__ = ("_source", "_options", "_executors", "_hits", "_misses")

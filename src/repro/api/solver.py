@@ -67,11 +67,12 @@ class Solver:
         plans of this cache too, so they count against it: a triangular
         solve of ``k`` blocks holds up to ``k`` inner mat-vec plans.
     store:
-        Optional :class:`~repro.store.PlanStore`.  A plan-cache miss
-        then tries the store before compiling (a disk read instead of a
-        cold build — no ``plan_builds`` bump), and every fresh compile
-        writes through to the store best-effort (write failures are
-        counted, never raised on the solve path).
+        Optional :class:`~repro.store.PlanStore`, written through: every
+        plan this solver builds has its key saved, best-effort (write
+        failures are counted, never raised on the solve path).  The
+        solver never reads the store — loading a key costs a build
+        anyway — so :meth:`~repro.service.service.SolverService.warm_start`
+        builds a store's plans before the first request instead.
     """
 
     def __init__(
@@ -344,17 +345,34 @@ class Solver:
         base = options if options is not None else self._options
         return base.merged(**overrides) if overrides else base
 
+    def preload(self, key: PlanKey) -> Optional[ExecutionPlan]:
+        """Build the plan of a stored ``key`` into this cache; no write-back.
+
+        The warm-start entry point.  Returns ``None``, building nothing,
+        when the key is already cached; raises what a cold build raises.
+        """
+        kind, shapes, w, options = key
+        if w != self._spec.w:
+            raise ValueError(
+                f"cannot preload a w={w} plan into a w={self._spec.w} solver"
+            )
+        handler = get_handler(kind)
+        shapes = handler.shapes(shape=shapes)
+        key = make_plan_key(handler.kind, shapes, w, options)
+        if key in self._cache:
+            return None
+        return self._build(key, handler, shapes, options)
+
     def adopt_plan(self, plan: ExecutionPlan) -> None:
         """Install an externally obtained plan into this solver's cache.
 
-        The warm-start entry point: a plan deserialized from a
-        :class:`~repro.store.PlanStore` (or handed over from another
-        solver) becomes a cache hit for its own key.  The plan must
-        match this solver's array spec — executors are compiled against
-        one geometry.  The cache holds a copy bound to this solver (see
-        :attr:`~repro.api.plan.ExecutionPlan.source`): one decoded plan
-        may be adopted by several solvers, and each must resolve its
-        inner plans through its own cache.
+        A plan handed over from another solver becomes a cache hit for
+        its own key.  The plan must match this solver's array spec —
+        executors are compiled against one geometry.  The cache holds a
+        copy bound to this solver (see
+        :attr:`~repro.api.plan.ExecutionPlan.source`): one plan may be
+        adopted by several solvers, and each must resolve its inner plans
+        through its own cache.
         """
         if plan.spec.w != self._spec.w:
             raise ValueError(
@@ -377,20 +395,6 @@ class Solver:
                     kind=handler.kind, cache="hit",
                 ).finish()
             return plan, True
-        if self._store is not None:
-            stored = self._store.load(key)
-            if stored is not None:
-                # A disk read instead of a cold build: no plan_builds
-                # bump, and the caller sees it as a (store-tier) hit.
-                stored = stored.bound_to(self)
-                self._cache.put(key, stored)
-                if parent is not None:
-                    parent.child(
-                        "plan_lookup", category="plan",
-                        kind=handler.kind, cache="store",
-                    ).finish()
-                return stored, True
-        counters.bump("plan_builds")
         span = (
             NULL_SPAN if parent is None
             else parent.child(
@@ -399,33 +403,37 @@ class Solver:
             )
         )
         with span:
-            executor = handler.build(self._spec, opts, shapes)
-            plan = ExecutionPlan(
-                kind=handler.kind,
-                shapes=shapes,
-                spec=self._spec,
-                options=opts,
-                executor=executor,
-                handler=handler,
-                source=self,
-            )
-            self._cache.put(key, plan)
-        self._persist(plan)
+            plan = self._build(key, handler, shapes, opts)
+        self._persist(key)
         return plan, False
 
-    def _persist(self, plan: ExecutionPlan) -> None:
-        """Best-effort write-through to the plan store.
+    def _build(self, key: PlanKey, handler, shapes, opts) -> ExecutionPlan:
+        """Build the plan of ``key`` and cache it (the one build path)."""
+        counters.bump("plan_builds")
+        plan = ExecutionPlan(
+            kind=handler.kind,
+            shapes=shapes,
+            spec=self._spec,
+            options=opts,
+            executor=handler.build(self._spec, opts, shapes),
+            handler=handler,
+            source=self,
+        )
+        self._cache.put(key, plan)
+        return plan
+
+    def _persist(self, key: PlanKey) -> None:
+        """Best-effort write-through of a freshly built plan's key.
 
         An unwritable store must never fail the solve that just compiled
         a perfectly good plan, so write errors are swallowed here (the
-        store has already counted them).  Called once, at build time: a
-        plan holds no state that execution warms, and an executor's
-        inner plans are plans of this cache, each written when built.
+        store has already counted them).  An executor's inner plans are
+        plans of this cache, each written when built.
         """
         if self._store is None:
             return
         try:
-            self._store.save(plan.key, plan)
+            self._store.save(key)
         except PlanStoreError:
             pass
 

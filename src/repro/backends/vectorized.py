@@ -140,8 +140,8 @@ class LinearSweepPlan:
     i mod w + 1, ...`` wrapping modulo ``M_pad``; rows with equal
     ``i mod w`` share a lane of the ``(N_bar, w, M_pad)`` view, so that
     order is ``w`` strided slice pairs, not a gather table.  The plan
-    holds only geometry and the structural metric ingredients (so it
-    pickles small); :meth:`sweep` only streams values.
+    holds only geometry and the structural metric ingredients, no array
+    that grows with the problem; :meth:`sweep` only streams values.
     """
 
     def __init__(self, w: int, n: int, m: int, n_bar: int, m_bar: int,
@@ -600,9 +600,6 @@ class _FeedbackDelays(Mapping):
         self._delays = delays
         self._table: Optional[Dict[Tuple[int, int], int]] = None
 
-    def __getstate__(self) -> Dict[str, object]:
-        return {**self.__dict__, "_table": None}
-
     def _lookup(self) -> Dict[Tuple[int, int], int]:
         table = self._table
         if table is None:  # a racing reader builds an equal dict
@@ -713,9 +710,17 @@ class HexSweepPlan:
         linked = np.ones(len(positions), dtype=bool)
         linked[heads] = False
         successors = np.flatnonzero(linked)
-        delays = entry[successors] - leave[successors - 1]
+        self._delays = delays = entry[successors] - leave[successors - 1]
         self._feedback_delays = _FeedbackDelays(positions[successors], delays)
-        regular = int(np.count_nonzero(delays <= regular_delay_threshold(w)))
+        threshold = regular_delay_threshold(w)
+        regular = int(np.count_nonzero(delays <= threshold))
+        # The few irregular delays (first and last block rows), labelled
+        # with their C element in a simulated run's order: delay
+        # descending, then token entry, then position.
+        late = np.flatnonzero(delays > threshold)
+        fed = successors[late]
+        order = np.lexsort((j[fed], i[fed], entry[fed], -delays[late]))
+        self._irregular = (targets[chain_of[fed[order]]], delays[late][order])
         self._feedback = FeedbackStats(
             count=delays.size,
             min_delay=int(delays.min()) if delays.size else None,
@@ -760,6 +765,22 @@ class HexSweepPlan:
     def feedback(self) -> FeedbackStats:
         """Digest of :attr:`feedback_delays`, regular/irregular split included."""
         return self._feedback
+
+    def feedback_split(
+        self,
+    ) -> Tuple[Dict[int, int], List[Tuple[Tuple[int, int], int]]]:
+        """The regular delays as a delay -> count map and the irregular
+        ones as ``(C element, delay)`` pairs, as
+        :func:`~repro.core.recovery.classify_feedback_delays` splits a
+        simulated run's."""
+        delays = self._delays
+        regular = delays[delays <= regular_delay_threshold(self._w)]
+        values, counts = np.unique(regular, return_counts=True)
+        labels, late = self._irregular
+        return (
+            dict(zip(values.tolist(), counts.tolist())),
+            list(zip(map(tuple, labels.tolist()), late.tolist())),
+        )
 
     # -- value streaming ----------------------------------------------------------
     def _terms(

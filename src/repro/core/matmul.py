@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Dict, Tuple
 import numpy as np
 
 from ..systolic.hex_array import HexRunResult
-from ..systolic.metrics import FeedbackStats
+from ..systolic.metrics import FeedbackStats, regular_delay_threshold
 from .analytic import MatMulModel
 from .operands import MatMulOperands
 from .recovery import FeedbackClassification, PartialResultMap, classify_feedback_delays
@@ -94,9 +94,22 @@ class MatMulSolution:
         return dict(self.run.feedback_delays.items())
 
     def feedback_classification(self) -> FeedbackClassification:
-        """Measured feedback delays split into regular and irregular ones."""
-        return classify_feedback_delays(
-            self.run.feedback_delays, self.placement.feedback_targets(), self.w
+        """Measured feedback delays split into regular and irregular ones.
+
+        A vectorized run's delays are its plan's, split and labelled from
+        the fold geometry with no operand band built; a simulated run's
+        are labelled through the placement.
+        """
+        sweep = self.plan.sweep_plan
+        if sweep is None:
+            return classify_feedback_delays(
+                self.run.feedback_delays, self.placement.feedback_targets(), self.w
+            )
+        regular, irregular = sweep.feedback_split()
+        return FeedbackClassification(
+            regular_threshold=regular_delay_threshold(self.w),
+            regular_delays=regular,
+            irregular=irregular,
         )
 
     def summary(self) -> str:

@@ -95,19 +95,10 @@ class _LazyState:
     """Plan state built on first use: once, even when threads race.
 
     A plan builds simulate-only state its backend never runs through
-    :meth:`_built`; the lock guarding it is not pickled.
+    :meth:`_built`.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     def _built(self, attr: str, build: Callable[[], _T]) -> _T:
@@ -721,6 +712,11 @@ class MatMulPlan(_LazyState):
     def model(self) -> MatMulModel:
         return self._model
 
+    @property
+    def sweep_plan(self) -> Optional[HexSweepPlan]:
+        """The step-major fold (``None`` on the simulate backend)."""
+        return self._hex_sweep
+
     # -- value streaming ------------------------------------------------------------
     def execute(
         self,
@@ -781,7 +777,7 @@ class InnerPlanExecutor:
     product is a plan of that solver's cache.  Without ``plans`` (an
     executor used outside a :class:`~repro.api.solver.Solver`) the
     executor lazily keeps one private solver on its backend, so its
-    repeated solves stay warm too.  That solver is never pickled.
+    repeated solves stay warm too.
     """
 
     def __init__(self, w: int, backend: str = "auto"):
@@ -796,11 +792,6 @@ class InnerPlanExecutor:
     @property
     def backend(self) -> str:
         return self._backend
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        state["_own_source"] = None
-        return state
 
     def _inner_plans(self, plans: "Optional[InnerPlans]") -> "InnerPlans":
         """``plans``, or a fresh view of this executor's private solver."""

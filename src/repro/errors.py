@@ -109,14 +109,22 @@ class GraphCycleError(GraphError):
 
 
 class PlanStoreError(ReproError):
-    """A persisted plan artifact could not be written.
+    """A plan-store artifact could not be written.
 
     Raised only on the *write* side of :class:`repro.store.PlanStore`
-    (an unwritable directory, a full disk, an unpicklable executor).
+    (an unwritable directory, a full disk, a key it cannot encode).
     The read side never raises: any unreadable, corrupt, truncated or
-    version-skewed artifact is reported as a miss-with-error so the
-    caller falls back to compiling — persistence can slow a cold start
-    but can never take a serving process down.
+    version-skewed artifact is counted and skipped, so a warm start
+    builds one plan fewer — persistence can slow a cold start but can
+    never take a serving process down.
+    """
+
+
+class PlanFormatError(ReproError):
+    """A plan-store artifact failed validation: framing, checksum or key.
+
+    Internal to the store layer: :class:`repro.store.PlanStore` counts it
+    and skips the artifact, so it never escapes to a caller.
     """
 
 

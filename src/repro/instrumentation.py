@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Generic, Hashable, Optional, TypeVar
+from typing import Dict, Generic, Hashable, Optional, TypeVar
 
 from .obs.metrics import Counter, MetricsRegistry
 
@@ -88,9 +88,7 @@ class LRUCache(Generic[_K, _V]):
     cache shared between threads never tears its LRU state or loses a
     count.  Values are never built under the lock: two threads missing
     on one key may both build, and the later :meth:`put` wins — a rare
-    duplicate build instead of a compile held under a lock.  The lock is
-    dropped on pickling and recreated on load; entries and counts
-    survive the round trip.
+    duplicate build instead of a compile held under a lock.
     """
 
     def __init__(self, maxsize: int):
@@ -101,17 +99,6 @@ class LRUCache(Generic[_K, _V]):
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> Dict[str, Any]:
-        with self._lock:
-            state = self.__dict__.copy()
-            state["_entries"] = self._entries.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     def get(self, key: _K) -> Optional[_V]:
@@ -192,13 +179,11 @@ class Counters:
     graph_compiles: int = 0
     graph_runs: int = 0
     fused_matvec_pairs: int = 0
-    #: Plan persistence (:mod:`repro.store`): disk lookups that produced a
-    #: usable plan, lookups that found nothing, artifacts that failed
-    #: validation or could not be written (a bad artifact falls back to a
-    #: recompile, a failed write is never raised on the solve path), and
-    #: artifacts written.
+    #: Plan persistence (:mod:`repro.store`): valid keys read, artifacts
+    #: that failed validation, keys that did not build or artifacts that
+    #: could not be written (a bad artifact is skipped, a failed write is
+    #: never raised on the solve path), and artifacts written.
     plan_store_hits: int = 0
-    plan_store_misses: int = 0
     plan_store_errors: int = 0
     plan_store_writes: int = 0
 

@@ -42,8 +42,6 @@ class AdmissionBatcher:
     much latency for the chance that same-plan requests pile up and flush
     together; at the default of 0 it does not linger, and a window is the
     first request plus the backlog already queued behind it.
-    ``idle_poll`` bounds the wait for the first request so the owning
-    worker can re-check its stop flag.
 
     ``clock`` is the monotonic time source for the window cutoff.  It
     must be a *monotonic* clock — ``time.monotonic`` by default, never
@@ -57,7 +55,6 @@ class AdmissionBatcher:
         queue: BoundedRequestQueue,
         max_batch_size: int = 32,
         max_batch_delay: float = DEFAULT_MAX_BATCH_DELAY,
-        idle_poll: float = 0.05,
         clock: Callable[[], float] = time.monotonic,
     ):
         if max_batch_size < 1:
@@ -67,7 +64,6 @@ class AdmissionBatcher:
         self._queue = queue
         self._max_batch_size = int(max_batch_size)
         self._max_batch_delay = float(max_batch_delay)
-        self._idle_poll = float(idle_poll)
         self._clock = clock
 
     @property
@@ -79,15 +75,16 @@ class AdmissionBatcher:
         return self._max_batch_delay
 
     def next_window(self) -> List[SolveRequest]:
-        """One admission window, in arrival order (empty on an idle poll).
+        """One admission window, in arrival order (empty once the queue
+        is closed and drained).
 
-        Blocks up to ``idle_poll`` for the first request, then lingers up
-        to ``max_batch_delay`` (or until the window is full) gathering
-        companions.  Once the cutoff has passed it drains what is already
-        queued without waiting, so at the default zero delay a window is
-        the first request plus the backlog.
+        Blocks until the first request arrives or the queue closes, then
+        lingers up to ``max_batch_delay`` (or until the window is full)
+        gathering companions.  Once the cutoff has passed it drains what
+        is already queued without waiting, so at the default zero delay a
+        window is the first request plus the backlog.
         """
-        first = self._queue.get(timeout=self._idle_poll)
+        first = self._queue.get()
         if first is None:
             return []
         window = [first]

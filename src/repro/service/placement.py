@@ -45,17 +45,31 @@ import numbers
 import operator
 import threading
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, Dict, Hashable, List, Mapping
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Tuple
+
+from ..api.config import ExecutionOptions
+from ..errors import PlanFormatError
+from ..iterative.criteria import ConvergenceCriteria
 
 __all__ = [
     "PlacementSnapshot",
     "PlacementTable",
     "canonical_key_bytes",
+    "decode_key_bytes",
     "stable_placement_hash",
 ]
 
 #: How many recently-routed keys a table keeps for snapshots, by default.
 DEFAULT_TRACK_LIMIT = 256
+
+#: The only classes :func:`decode_key_bytes` constructs, by encoded name.
+_KEY_DATACLASSES: Dict[str, Callable[..., Any]] = {
+    cls.__name__: cls for cls in (ExecutionOptions, ConvergenceCriteria)
+}
+
+#: The deepest nesting :func:`decode_key_bytes` reads.  A fused plan key,
+#: the deepest, nests 4 levels (key, shapes, stage, dims).
+_MAX_DEPTH = 8
 
 
 def _encode(value: Any, out: List[bytes]) -> None:
@@ -114,6 +128,70 @@ def canonical_key_bytes(key: Hashable) -> bytes:
     encoded: List[bytes] = []
     _encode(key, encoded)
     return b"".join(encoded)
+
+
+def decode_key_bytes(data: bytes) -> Any:
+    """The plan key whose :func:`canonical_key_bytes` are ``data``.
+
+    Reads bools, ints, floats, strings and tuples, and builds no class
+    but the two option dataclasses, each through its validating
+    constructor.  Anything else raises
+    :class:`~repro.errors.PlanFormatError`: an unknown tag or class,
+    malformed or trailing bytes, nesting deeper than ``_MAX_DEPTH``, a
+    refused option, or bytes that do not re-encode to themselves.
+    """
+    try:
+        key, end = _decode(data, 0, 0)
+    except PlanFormatError:
+        raise
+    except Exception as exc:  # a refused option, a malformed number
+        raise PlanFormatError(f"undecodable key: {exc!r}") from exc
+    if end != len(data):
+        raise PlanFormatError(f"{len(data) - end} byte(s) after the key")
+    if canonical_key_bytes(key) != data:
+        raise PlanFormatError("key bytes are not in canonical form")
+    return key
+
+
+def _decode(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    """The value encoded at ``data[pos:]`` and the offset just past it."""
+    if depth > _MAX_DEPTH:
+        raise PlanFormatError(f"key nests deeper than {_MAX_DEPTH} levels")
+    tag = data[pos:pos + 1]
+    if tag == b"b" and data[pos + 1:pos + 2] in (b"0", b"1"):
+        if data[pos + 2:pos + 3] == b";":
+            return data[pos + 1:pos + 2] == b"1", pos + 3
+    if tag in (b"i", b"f"):
+        end = data.index(b";", pos)
+        text = data[pos + 1:end].decode("ascii")
+        return (int(text) if tag == b"i" else float(text)), end + 1
+    if tag in (b"s", b"t", b"d"):
+        colon = data.index(b":", pos)
+        head = data[pos + 1:colon].decode("ascii")
+        pos = colon + 1
+        if tag == b"s":
+            size = int(head)
+            text = data[pos:pos + size]
+            if size < 0 or len(text) != size:
+                raise PlanFormatError("string runs past the end of the key")
+            return text.decode("utf-8"), pos + size
+        if tag == b"t":
+            items: List[Any] = []
+            for _ in range(int(head)):
+                item, pos = _decode(data, pos, depth + 1)
+                items.append(item)
+            return tuple(items), pos
+        cls = _KEY_DATACLASSES.get(head)
+        if cls is None:
+            raise PlanFormatError(f"class {head!r} may not appear in a key")
+        values: Dict[str, Any] = {}
+        while data[pos:pos + 1] != b";":
+            name, pos = _decode(data, pos, depth + 1)
+            if not isinstance(name, str) or name in values:
+                raise PlanFormatError(f"bad field name {name!r} in {head}")
+            values[name], pos = _decode(data, pos, depth + 1)
+        return cls(**values), pos + 1
+    raise PlanFormatError(f"no key value starts at byte {pos}")
 
 
 def stable_placement_hash(key: Hashable) -> int:

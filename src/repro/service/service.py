@@ -131,13 +131,10 @@ class SolverService:
         (``None`` = wait indefinitely).
     store:
         Optional :class:`~repro.store.PlanStore` shared by every shard
-        solver (and the graph compile solver): plan-cache
-        misses try disk before compiling, fresh compiles write through.
-    warm_start:
-        With a ``store``, preload every persisted plan onto its placed
-        shard at construction (and into the compile solver), so a cold
-        process answers request #1 at warm-cache latency with zero plan
-        builds.  Ignored without a store.
+        solver (and the graph compile solver): every plan they build has
+        its key written through, and construction builds every stored
+        plan of this ``w`` (:meth:`warm_start`), so a cold process
+        answers request #1 at warm-cache latency with zero plan builds.
     rate_limits / default_rate_limit:
         Per-client admission budgets: a mapping of client id →
         :class:`~repro.service.qos.RateLimit` (bare numbers mean
@@ -157,10 +154,8 @@ class SolverService:
         max_batch_delay: float = DEFAULT_MAX_BATCH_DELAY,
         plan_cache_size: int = 128,
         submit_timeout: Optional[float] = None,
-        idle_poll: float = 0.05,
         tracer: Optional[Tracer] = None,
         store: "Optional[PlanStore]" = None,
-        warm_start: bool = True,
         rate_limits: Optional[Mapping[str, "RateLimit | float | int"]] = None,
         default_rate_limit: "RateLimit | float | int | None" = None,
     ):
@@ -228,14 +223,12 @@ class SolverService:
                 telemetry=telemetry,
                 max_batch_size=max_batch_size,
                 max_batch_delay=max_batch_delay,
-                idle_poll=idle_poll,
             )
             self._shards.append(worker)
-        # Preload persisted plans onto their placed shards before any
-        # worker thread runs, so request #1 of a cold process hits a warm
-        # cache (zero plan builds).
-        if store is not None and warm_start:
-            self.warm_start()
+        # Build the stored plans on their placed shards before any worker
+        # thread runs, so request #1 of a cold process hits a warm cache
+        # (zero plan builds).
+        self.warm_start()
         for worker in self._shards:
             worker.start()
 
@@ -286,31 +279,37 @@ class SolverService:
         return self._limiter
 
     def warm_start(self) -> int:
-        """Preload every persisted plan onto its placed shard.
+        """Build every stored plan of this service's ``w``; the number built.
 
-        Each valid artifact in the store is deserialized once and
-        adopted into the plan cache of the shard its key routes to —
-        plus the shared compile solver, so graphs reuse the same warm
-        stage plans.  Plans compiled for a different array
-        geometry (``w``) are skipped.  Returns the number of plans
-        preloaded.  Idempotent; also callable later to pick up
-        artifacts written by other processes.
-
-        Each solver adopts its own bound copy of the decoded plan (see
-        :meth:`~repro.api.solver.Solver.adopt_plan`), so the copies share
-        one executor.  That is safe: an executor holds no per-solve state
-        — its lazily built geometry is built under a lock — and its inner
-        plans resolve through the adopting solver's own cache.
+        The shard a key routes to builds its plan once, and every other
+        shard and the compile solver adopt it: a jacobi, LU, triangular
+        or PRT solve takes its inner products from its own shard's cache,
+        and graphs reuse warm stage plans.  The copies share an executor,
+        which holds no per-solve state.  A key already cached on its
+        shard is skipped, so a second call builds nothing; a key that
+        does not build is counted in the store's errors.  Nothing is
+        written back.  Also callable later, for keys other processes
+        wrote.
         """
         if self._store is None:
             return 0
         count = 0
-        for key, plan in self._store.plans():
-            if plan.spec.w != self._spec.w:
+        solvers = [worker.solver for worker in self._shards]
+        solvers.append(self._compile_solver)
+        for key in self._store.keys():
+            if key[2] != self._spec.w:
                 continue
-            shard = self._placement.shard_of(key)
-            self._shards[shard].solver.adopt_plan(plan)
-            self._compile_solver.adopt_plan(plan)
+            home = self._shards[self._placement.shard_of(key)].solver
+            try:
+                plan = home.preload(key)
+            except Exception:  # unbuildable: as unusable as a corrupt file
+                self._store.count_error()
+                continue
+            if plan is None:
+                continue
+            for solver in solvers:
+                if solver is not home:
+                    solver.adopt_plan(plan)
             count += 1
         return count
 
@@ -735,10 +734,10 @@ class SolverService:
             worker.queue.close()
         for worker in self._shards:
             worker.join()
-        # A submit racing with close() can slip a request into a queue
-        # after its worker took the exit path but before queue.close()
-        # took effect; no worker will ever see it, so fail it here rather
-        # than strand the caller's future.
+        # A worker exits only once its queue is closed and drained, and a
+        # closed queue admits nothing, so a request left here belongs to a
+        # worker thread that died; fail it rather than strand the caller's
+        # future.
         closed = ServiceClosedError("service closed before the request ran")
         for worker in self._shards:
             for request in worker.queue.drain():

@@ -53,7 +53,6 @@ class ShardWorker:
         telemetry: ShardTelemetry,
         max_batch_size: int,
         max_batch_delay: float,
-        idle_poll: float = 0.05,
         name: Optional[str] = None,
     ):
         self.shard_id = shard_id
@@ -66,9 +65,7 @@ class ShardWorker:
             queue,
             max_batch_size=max_batch_size,
             max_batch_delay=max_batch_delay,
-            idle_poll=idle_poll,
         )
-        self._stopping = False
         self._drain_on_stop = True
         self._thread = threading.Thread(
             target=self._run,
@@ -83,11 +80,10 @@ class ShardWorker:
     def request_stop(self, drain: bool = True) -> None:
         """Ask the worker to exit; with ``drain`` it finishes queued work first.
 
-        The caller must also :meth:`BoundedRequestQueue.close` the queue so
-        an idle worker wakes immediately.
+        The caller must then :meth:`BoundedRequestQueue.close` the queue:
+        an idle worker blocks on it until a request arrives or it closes.
         """
         self._drain_on_stop = drain
-        self._stopping = True
 
     def join(self, timeout: Optional[float] = None) -> None:
         if self._thread.is_alive():
@@ -106,11 +102,9 @@ class ShardWorker:
     def _run(self) -> None:
         while True:
             window = self._batcher.next_window()
-            if not window:
-                if self._stopping and len(self.queue) == 0:
-                    return
-                continue
-            if self._stopping and not self._drain_on_stop:
+            if not window:  # the queue is closed and drained
+                return
+            if not self._drain_on_stop:
                 closed = ServiceClosedError(
                     "service closed without draining pending requests"
                 )

@@ -3,7 +3,7 @@
 :func:`run_soak` stands up a :class:`~repro.service.service.SolverService`
 (or drives one the caller built), replays the
 :class:`~repro.soak.workload.SoakWorkload` warm-up set so every plan the
-stream will ever need is resident (compiled or store-loaded), snapshots
+stream will ever need is resident (compiled or warm-started), snapshots
 the process counters, then runs one closed-loop submitting thread per
 client — each thread keeps a bounded in-flight window, so offered load
 tracks service capacity instead of building an unbounded backlog.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Deque, Dict, List, Mapping, Optional
 
 from ..errors import (
@@ -328,13 +328,7 @@ def run_soak(
         )
         store_stats = None
         if service.store is not None:
-            described = service.store.stats
-            store_stats = {
-                "hits": described.hits,
-                "misses": described.misses,
-                "errors": described.errors,
-                "writes": described.writes,
-            }
+            store_stats = asdict(service.store.stats)
         return SoakResult(
             config=config,
             elapsed=elapsed,

@@ -17,7 +17,7 @@ per shape), so a million-request stream costs a million lightweight
 importantly, the set of plan keys is closed and known up front:
 :meth:`SoakWorkload.warmup_items` yields one item per distinct plan
 signature, so a harness that replays them once has compiled (or
-store-loaded) every plan the stream will ever need.  Zero plan builds
+warm-started) every plan the stream will ever need.  Zero plan builds
 after warm-up is then a hard assertion, not a hope.
 
 Per-client streams are split by seeding each client's RNG with
@@ -244,7 +244,7 @@ class SoakWorkload:
     def warmup_items(self) -> List[WorkItem]:
         """One item per distinct plan signature in the stream.
 
-        Replaying these once compiles (or store-loads) every plan any
+        Replaying these once compiles (or finds warm) every plan any
         stream item will ever resolve — afterwards the stream runs with
         zero plan builds.  All warmup items ride an anonymous high
         class, exempt from rate limits and last to shed.

@@ -1,31 +1,29 @@
-"""Plan persistence: compiled plans as durable on-disk artifacts.
+"""Plan persistence: plan keys as durable on-disk artifacts.
 
 The plan/execute split keys every compiled plan by ``(kind, shapes, w,
-options)`` and nothing else — plans are value-independent, so the ~100x
-cold-compile penalty a fresh process pays on request #1 buys an
-artifact any *other* process could have reused.  This package closes
-that loop:
+options)`` and nothing else — plans are value-independent, so a plan is
+a pure function of its key.  This package persists the keys a process
+has built, so that another process can build the same plans before its
+first request instead of on it:
 
 * :mod:`repro.store.format` — the framed artifact encoding: magic,
-  format version, payload checksum, pickled plan payload.  Validation
-  happens before trust; version skew and corruption are recompiles,
-  never crashes.
+  format version, payload checksum, and the key's canonical encoding.
+  Nothing is unpickled; version skew and corruption skip an artifact.
 * :class:`~repro.store.store.PlanStore` — a content-addressed artifact
   directory (filenames are digests of the key's canonical placement
   encoding), with an atomic write path and a never-raising read path.
 
-Wire-up: pass ``store=`` to :class:`~repro.api.solver.Solver` and a
-cache miss tries disk before compiling (write-through on compile); pass
-``store=`` to :class:`~repro.service.service.SolverService` and every
-shard solver shares the store — with ``warm_start=True`` (the default
-when a store is given) the service preloads each persisted plan onto
-its placed shard at construction, so a cold process answers request #1
-at warm-cache latency with zero plan builds.
+Wire-up: pass ``store=`` to :class:`~repro.api.solver.Solver` and every
+plan it builds has its key written through; the solver never reads the
+store.  Pass ``store=`` to :class:`~repro.service.service.SolverService`
+and its solvers write through to it, and construction builds every
+stored plan of the service's ``w`` on its placed shard, so a cold
+process answers request #1 at warm-cache latency with zero plan builds.
 
-Accounting: every load hit, miss, invalid artifact, write and failed
-write is counted twice over, once per scope — per instance in
-:attr:`PlanStore.stats`, and process-wide in the ``plan_store_hits`` /
-``plan_store_misses`` / ``plan_store_errors`` / ``plan_store_writes``
+Accounting: every valid key read, invalid artifact (or key that did not
+build), write and failed write is counted twice over, once per scope —
+per instance in :attr:`PlanStore.stats`, and process-wide in the
+``plan_store_hits`` / ``plan_store_errors`` / ``plan_store_writes``
 counters of :data:`repro.instrumentation.counters` (``repro.*``
 counters of the process metrics registry).
 """

@@ -1,64 +1,57 @@
 """The on-disk plan artifact format: framing, versioning, checksums.
 
-One artifact holds one compiled plan.  The layout is a fixed header
-followed by a pickled payload::
+One artifact holds one plan key.  The layout is a fixed header followed
+by the key's canonical encoding::
 
     offset  size  field
     0       8     magic            b"RPROPLAN"
     8       4     format version   big-endian uint32 (FORMAT_VERSION)
     12      16    payload checksum BLAKE2b-128 of the payload bytes
-    28      -     payload          pickle of a PlanPayload mapping
+    28      -     payload          canonical_key_bytes(key)
 
-The payload carries everything needed to rebuild an
-:class:`~repro.api.plan.ExecutionPlan` *except* the registry handler and
-the plan's source solver:
-``{"key", "kind", "shapes", "spec", "options", "executor"}``.  Handlers
-are process-local singletons resolved from the problem registry
-(:func:`~repro.api.registry.get_handler`) at load time, so an artifact
-never freezes registry state and a loaded plan dispatches through the
-same handler object a freshly compiled one would; the solver that loads
-a plan binds itself as its source.  An executor that runs inner products
-(jacobi, lu, triangular, ...) holds no plans, so its artifact is a few
-hundred bytes: each inner plan is an artifact of its own key.
+A plan is a pure function of its key ``(kind, shapes, w, options)``, so
+the key, a few hundred bytes whatever the plan's size, is all a reader
+needs to build it again (as FFTW re-plans from its stored wisdom).
 
-Reading is strictly validate-then-trust: magic, version and checksum are
-checked *before* the payload is unpickled, and the decoded plan's
-recomputed key must equal the key stored in the payload.  Every reader
-in :class:`~repro.store.store.PlanStore` treats any
-:class:`PlanFormatError` as "artifact unusable, recompile" — corruption
-degrades a cold start, it never crashes a process.
+Reading is validate-then-trust: magic, version and checksum are checked
+before :func:`~repro.service.placement.decode_key_bytes` parses the
+payload, and the result must be a key of a registered kind and a valid
+array size.  Nothing is unpickled.  Every defect raises
+:class:`~repro.errors.PlanFormatError`, which
+:class:`~repro.store.store.PlanStore` counts and skips.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
 import struct
-from typing import Any, Dict, Tuple
 
-from ..api.plan import ExecutionPlan, PlanKey, make_plan_key
+from ..api.config import ExecutionOptions
+from ..api.plan import PlanKey
 from ..api.registry import get_handler
+from ..errors import PlanFormatError
+from ..matrices.padding import validate_array_size
+from ..service.placement import canonical_key_bytes, decode_key_bytes
 
 __all__ = [
     "FORMAT_VERSION",
     "HEADER_SIZE",
     "MAGIC",
     "PlanFormatError",
-    "decode_plan",
-    "encode_plan",
+    "decode_key",
+    "encode_key",
 ]
 
 #: Artifact file signature; anything else is not a plan artifact.
 MAGIC = b"RPROPLAN"
 
 #: Bump on any incompatible payload change.  Readers reject every other
-#: version (newer *or* older) — a version skew is a recompile, never a
-#: best-effort parse of bytes written by different code.  Version 7: a
-#: vectorized mat-mul plan's payload is its sweep, built from the
-#: closed-form fold geometry, with the feedback delays as arrays; a
-#: version-6 payload also carried the operand bands, the placement and a
-#: dict of every delay.
-FORMAT_VERSION = 7
+#: version (newer *or* older) — a version skew is a skipped artifact,
+#: never a best-effort parse of bytes written by different code.
+#: Version 8: the payload is the plan key's canonical encoding, so the
+#: version moves only with that encoding, never with plan internals;
+#: versions up to 7 held a pickled plan.
+FORMAT_VERSION = 8
 
 _VERSION_STRUCT = struct.Struct(">I")
 _CHECKSUM_SIZE = 16
@@ -67,48 +60,31 @@ _CHECKSUM_SIZE = 16
 HEADER_SIZE = len(MAGIC) + _VERSION_STRUCT.size + _CHECKSUM_SIZE
 
 
-class PlanFormatError(Exception):
-    """An artifact failed validation (framing, checksum, or payload).
-
-    Internal to the store layer: :class:`~repro.store.store.PlanStore`
-    converts it into a counted fallback-to-compile, so it never escapes
-    to solver callers.
-    """
-
-
 def _checksum(payload: bytes) -> bytes:
     return hashlib.blake2b(payload, digest_size=_CHECKSUM_SIZE).digest()
 
 
-def encode_plan(plan: ExecutionPlan) -> bytes:
-    """Serialize one compiled plan into artifact bytes.
+def encode_key(key: PlanKey) -> bytes:
+    """The artifact bytes of one plan key.
 
-    Raises :class:`pickle.PicklingError` (or whatever the executor's
-    reduction raises) when the plan cannot be serialized; the store's
-    write path wraps that into :class:`~repro.errors.PlanStoreError`.
+    Raises :class:`TypeError` for a key holding a value the canonical
+    encoding does not cover; the store's write path wraps that into
+    :class:`~repro.errors.PlanStoreError`.
     """
-    payload_dict: Dict[str, Any] = {
-        "key": plan.key,
-        "kind": plan.kind,
-        "shapes": plan.shapes,
-        "spec": plan.spec,
-        "options": plan.options,
-        "executor": plan.executor,
-    }
-    payload = pickle.dumps(payload_dict, protocol=pickle.HIGHEST_PROTOCOL)
+    payload = canonical_key_bytes(key)
     return b"".join(
         (MAGIC, _VERSION_STRUCT.pack(FORMAT_VERSION), _checksum(payload), payload)
     )
 
 
-def decode_plan(data: bytes) -> Tuple[PlanKey, ExecutionPlan]:
-    """Validate artifact bytes and rebuild the plan they carry.
+def decode_key(data: bytes) -> PlanKey:
+    """Validate artifact bytes and read back the plan key they carry.
 
-    Returns ``(key, plan)``.  Raises :class:`PlanFormatError` on any
-    defect: short/garbled header, wrong magic, version skew, checksum
-    mismatch, unpicklable or structurally wrong payload, or a payload
-    whose stored key disagrees with the key recomputed from its own
-    fields (a tampered or miskeyed artifact).
+    Raises :class:`~repro.errors.PlanFormatError` on any defect:
+    short/garbled header, wrong magic, version skew, checksum mismatch,
+    a payload :func:`~repro.service.placement.decode_key_bytes` refuses,
+    or a value that is not a plan key of a registered kind and a valid
+    array size.
     """
     if len(data) < HEADER_SIZE:
         raise PlanFormatError(
@@ -127,37 +103,17 @@ def decode_plan(data: bytes) -> Tuple[PlanKey, ExecutionPlan]:
     payload = data[HEADER_SIZE:]
     if _checksum(payload) != expected:
         raise PlanFormatError("payload checksum mismatch (corrupt artifact)")
+    key = decode_key_bytes(payload)
     try:
-        decoded = pickle.loads(payload)
+        kind, shapes, w, options = key
+        get_handler(kind)
+        validate_array_size(w)
     except Exception as exc:
-        raise PlanFormatError(f"payload unpicklable: {exc!r}") from exc
-    if not isinstance(decoded, dict):
-        raise PlanFormatError(
-            f"payload is {type(decoded).__name__}, expected a mapping"
-        )
-    try:
-        key = decoded["key"]
-        kind = decoded["kind"]
-        shapes = decoded["shapes"]
-        spec = decoded["spec"]
-        options = decoded["options"]
-        executor = decoded["executor"]
-    except KeyError as exc:
-        raise PlanFormatError(f"payload missing field {exc.args[0]!r}") from exc
-    try:
-        handler = get_handler(kind)
-    except Exception as exc:
-        raise PlanFormatError(f"unknown plan kind {kind!r}") from exc
-    if make_plan_key(kind, shapes, spec.w, options) != key:
-        raise PlanFormatError(
-            "stored key disagrees with the payload's own fields"
-        )
-    plan = ExecutionPlan(
-        kind=kind,
-        shapes=shapes,
-        spec=spec,
-        options=options,
-        executor=executor,
-        handler=handler,
-    )
-    return key, plan
+        raise PlanFormatError(f"not a usable plan key: {exc!r}") from exc
+    if not (
+        isinstance(shapes, tuple)
+        and type(w) is int
+        and isinstance(options, ExecutionOptions)
+    ):
+        raise PlanFormatError("payload is not a (kind, shapes, w, options) key")
+    return key

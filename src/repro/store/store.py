@@ -1,24 +1,22 @@
-"""The plan store: a content-addressed directory of compiled plans.
+"""The plan store: a content-addressed directory of plan keys.
 
-Plans are value-independent — keyed only by ``(kind, shapes, w,
-options)`` — which makes a compiled gather table a perfect durable
-artifact: any process that derives the same key can reuse the same
-compiled geometry.  A :class:`PlanStore` is a flat directory of
-artifacts in the :mod:`repro.store.format` framing, each named by a
+Plans are value-independent — a pure function of ``(kind, shapes, w,
+options)`` — so the key is all a process needs to rebuild a plan that
+any other process built.  A :class:`PlanStore` is a flat directory of
+keys in the :mod:`repro.store.format` framing, each named by a
 BLAKE2b-128 digest of the key's canonical placement encoding
 (:func:`repro.service.placement.canonical_key_bytes` — the same bytes
 that route the key to a shard, so the on-disk name and the shard
 placement can never disagree about what a key *is*).
 
-Contract, load side: :meth:`PlanStore.load` returns the plan or
-``None`` — never raises.  A missing artifact is a miss; an unreadable,
-truncated, corrupt, version-skewed or miskeyed artifact is an *error*
-(counted separately, ``plan_store_errors``) but still just ``None``:
-the caller compiles as if the store were cold.  Write side:
+Contract, read side: :meth:`PlanStore.keys` returns every valid key and
+never raises.  An unreadable, truncated, corrupt, version-skewed or
+misnamed artifact is counted (``plan_store_errors``) and skipped, as is
+a key a reader fails to build (:meth:`count_error`).  Write side:
 :meth:`save` is atomic (temp file + ``os.replace``) so a crashed writer
 can never leave a half-written artifact that a later reader would have
-to distrust; a plan it cannot encode or write is counted as an error
-and raised as :class:`~repro.errors.PlanStoreError` — which the
+to distrust; a key it cannot encode or write is counted as an error and
+raised as :class:`~repro.errors.PlanStoreError` — which the
 :class:`~repro.api.solver.Solver` write-through path catches, keeping
 persistence strictly best-effort on the serving path.
 """
@@ -30,13 +28,13 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
-from ..api.plan import ExecutionPlan, PlanKey
-from ..errors import PlanStoreError
+from ..api.plan import PlanKey
+from ..errors import PlanFormatError, PlanStoreError
 from ..instrumentation import counters
 from ..service.placement import canonical_key_bytes
-from .format import PlanFormatError, decode_plan, encode_plan
+from .format import decode_key, encode_key
 
 __all__ = ["PlanStore", "StoreStats"]
 
@@ -59,19 +57,12 @@ class StoreStats:
     """Lifetime accounting of one :class:`PlanStore` instance."""
 
     hits: int = 0
-    misses: int = 0
     errors: int = 0
     writes: int = 0
 
-    def describe(self) -> str:
-        return (
-            f"PlanStore: {self.hits} hit(s), {self.misses} miss(es), "
-            f"{self.errors} error(s), {self.writes} write(s)"
-        )
-
 
 class PlanStore:
-    """A directory of persisted :class:`~repro.api.plan.ExecutionPlan`.
+    """A directory of persisted plan keys.
 
     Parameters
     ----------
@@ -82,8 +73,8 @@ class PlanStore:
         for serving fleets that warm-start from a shared artifact
         directory they must not mutate.
 
-    Thread-safe: filesystem operations are naturally concurrent (loads
-    read distinct immutable files, saves replace atomically) and the
+    Thread-safe: filesystem operations are naturally concurrent (reads
+    open distinct immutable files, saves replace atomically) and the
     stats counters serialize on one lock.
     """
 
@@ -94,27 +85,15 @@ class PlanStore:
             self._root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._hits = 0
-        self._misses = 0
         self._errors = 0
         self._writes = 0
 
     # -- introspection ----------------------------------------------------------
     @property
-    def root(self) -> Path:
-        return self._root
-
-    @property
-    def readonly(self) -> bool:
-        return self._readonly
-
-    @property
     def stats(self) -> StoreStats:
         with self._lock:
             return StoreStats(
-                hits=self._hits,
-                misses=self._misses,
-                errors=self._errors,
-                writes=self._writes,
+                hits=self._hits, errors=self._errors, writes=self._writes
             )
 
     def path_for(self, key: PlanKey) -> Path:
@@ -125,7 +104,7 @@ class PlanStore:
         return self.path_for(key).is_file()
 
     def __len__(self) -> int:
-        """Artifacts currently on disk (not loads or validity)."""
+        """Artifacts currently on disk (not reads or validity)."""
         try:
             return sum(
                 1 for entry in self._root.iterdir()
@@ -140,46 +119,12 @@ class PlanStore:
         counters.bump(bump)
 
     # -- the read side (never raises) ---------------------------------------------
-    def load(self, key: PlanKey) -> Optional[ExecutionPlan]:
-        """The persisted plan for ``key``, or ``None``.
-
-        A missing artifact counts a miss; an invalid one counts an
-        error.  Both return ``None`` so the caller falls back to
-        compiling — the store can only ever *remove* cold-start cost.
-        The loaded plan's key must equal the requested key (a hash
-        collision or renamed artifact is treated as corruption).
-        """
-        path = self.path_for(key)
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            self._count("_misses", "plan_store_misses")
-            return None
-        except OSError:
-            self._count("_errors", "plan_store_errors")
-            return None
-        try:
-            stored_key, plan = decode_plan(data)
-        except PlanFormatError:
-            self._count("_errors", "plan_store_errors")
-            return None
-        if stored_key != key:
-            self._count("_errors", "plan_store_errors")
-            return None
-        self._count("_hits", "plan_store_hits")
-        return plan
-
     def keys(self) -> List[PlanKey]:
-        """The keys of every *valid* artifact on disk (invalid: counted)."""
-        return [key for key, _plan in self.plans()]
+        """The key of every valid artifact on disk, in filename order.
 
-    def plans(self) -> Iterator[Tuple[PlanKey, ExecutionPlan]]:
-        """Iterate every valid persisted plan (for warm-starting).
-
-        Invalid artifacts are skipped and counted as errors; iteration
-        never raises.  Each yielded plan is a fresh deserialization —
-        callers own placing it somewhere its executions serialize (the
-        service adopts each plan onto its placed shard).
+        Each valid artifact counts a hit.  An unreadable or invalid one,
+        or one whose name is not its key's digest, counts an error and
+        is skipped.
         """
         try:
             entries = sorted(
@@ -187,49 +132,46 @@ class PlanStore:
                 if entry.name.endswith(SUFFIX)
             )
         except OSError:
-            return
+            return []
+        keys: List[PlanKey] = []
         for path in entries:
             try:
-                data = path.read_bytes()
-            except OSError:
-                self._count("_errors", "plan_store_errors")
-                continue
-            try:
-                key, plan = decode_plan(data)
-            except PlanFormatError:
-                self._count("_errors", "plan_store_errors")
+                key = decode_key(path.read_bytes())
+            except (OSError, PlanFormatError):
+                self.count_error()
                 continue
             if path.name != _artifact_name(key):
-                self._count("_errors", "plan_store_errors")
+                self.count_error()
                 continue
             self._count("_hits", "plan_store_hits")
-            yield key, plan
+            keys.append(key)
+        return keys
+
+    def count_error(self) -> None:
+        """Count one unusable artifact: invalid, or a key that did not build."""
+        self._count("_errors", "plan_store_errors")
 
     # -- the write side -----------------------------------------------------------
-    def save(self, key: PlanKey, plan: ExecutionPlan) -> Optional[Path]:
-        """Persist ``plan`` under ``key`` atomically; the artifact path.
+    def save(self, key: PlanKey) -> Optional[Path]:
+        """Persist ``key`` atomically; the artifact path.
 
         Returns ``None`` (silently) on a readonly store.  Raises
-        :class:`~repro.errors.PlanStoreError` when the plan cannot be
+        :class:`~repro.errors.PlanStoreError` when the key cannot be
         encoded or the artifact cannot be written (after counting the
         failure in :attr:`stats` and ``plan_store_errors``) — callers on
         a hot path catch it and keep serving from the in-memory cache.
         """
         if self._readonly:
             return None
-        if plan.key != key:
-            raise PlanStoreError(
-                f"plan key {plan.key!r} does not match store key {key!r}"
-            )
-        path = self.path_for(key)
         try:
-            data = encode_plan(plan)
-        except Exception as exc:
-            self._count("_errors", "plan_store_errors")
-            raise PlanStoreError(
-                f"cannot serialize plan {plan.describe()}: {exc!r}"
-            ) from exc
-        tmp = path.with_name(path.name + f".tmp.{os.getpid()}.{id(plan):x}")
+            data = encode_key(key)
+        except TypeError as exc:
+            self.count_error()
+            raise PlanStoreError(f"cannot encode plan key {key!r}: {exc!r}") from exc
+        path = self.path_for(key)
+        tmp = path.with_name(
+            f"{path.name}.tmp.{os.getpid()}.{threading.get_ident():x}"
+        )
         try:
             tmp.write_bytes(data)
             os.replace(tmp, path)
@@ -238,7 +180,7 @@ class PlanStore:
                 tmp.unlink()
             except OSError:
                 pass
-            self._count("_errors", "plan_store_errors")
+            self.count_error()
             raise PlanStoreError(
                 f"cannot write plan artifact {path}: {exc!r}"
             ) from exc
@@ -263,15 +205,3 @@ class PlanStore:
             except OSError:
                 pass
         return removed
-
-    def describe(self) -> str:
-        return (
-            f"PlanStore at {self._root} "
-            f"({len(self)} artifact(s){', readonly' if self._readonly else ''}); "
-            + self.stats.describe()
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PlanStore(root={str(self._root)!r}, readonly={self._readonly})"
-        )

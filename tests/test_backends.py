@@ -440,6 +440,18 @@ def assert_closed_form_matches_placement(n: int, p: int, m: int, w: int):
     ), (n, p, m, w)
 
 
+def assert_classification_matches_simulate(n: int, p: int, m: int, w: int):
+    """A vectorized solution's feedback classification is the simulator's,
+    labelled from the fold geometry with no transform built."""
+    a, b = np.zeros((n, p)), np.zeros((p, m))
+    simulated = MatMulPlan(n, p, m, w, backend="simulate").execute(a, b)
+    solution = MatMulPlan(n, p, m, w, backend="vectorized").execute(a, b)
+    before = counters.snapshot()
+    classification = solution.feedback_classification()
+    assert counters.delta(before).transform_constructions == 0, (n, p, m, w)
+    assert classification == simulated.feedback_classification(), (n, p, m, w)
+
+
 class TestMatMulFoldOrder:
     """The geometry the step-major fold relies on, and the plan's guard."""
 
@@ -470,6 +482,16 @@ class TestMatMulFoldOrder:
     @pytest.mark.parametrize("n, p, m, w", [(17, 33, 20, 4), (30, 7, 45, 6)])
     def test_closed_form_geometry_matches_on_uneven_shapes(self, n, p, m, w):
         assert_closed_form_matches_placement(n, p, m, w)
+
+    @pytest.mark.parametrize("w", range(1, 9))
+    def test_feedback_classification_matches_simulate(self, w):
+        for n, p, m in itertools.product(self.SIZES, repeat=3):
+            assert_classification_matches_simulate(n, p, m, w)
+
+    def test_feedback_classification_matches_simulate_at_64_cubed(self):
+        """448 irregular positions at 64x64x64, w=8, in the simulator's
+        order, without the operand bands a placement needs."""
+        assert_classification_matches_simulate(64, 64, 64, 8)
 
     @pytest.mark.parametrize(
         "tamper, message",

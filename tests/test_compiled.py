@@ -6,21 +6,21 @@ Three layers of contract:
   time (:class:`~repro.backends.vectorized.LinearSweepPlan`) must
   reproduce the ``simulate`` oracle's band-row outputs and results bit
   for bit, for the float sweep and the int8 sweep alike, across a
-  (w, shape) grid, and it must pickle small (geometry only, no gather
-  tables);
+  (w, shape) grid, and it must hold geometry only (no gather table);
 * **fusion** — under the ``vectorized`` backend, head→epilogue chains
   collapse into single fused stages whose values are bit-identical to
   the stage-by-stage ``simulate`` pipeline, and the rewrite refuses
   every unsafe shape (multi-consumer heads, per-node options,
   intermediate outputs);
 
-plus persistence: lowered and fused plans round-trip through
-:class:`~repro.store.PlanStore` and fail open to recompilation.
+plus persistence: the keys of lowered and fused plans round-trip through
+:class:`~repro.store.PlanStore` into a warm-started service, and a
+corrupt artifact fails open to a build on the first request.
 """
 
 from __future__ import annotations
 
-import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +30,9 @@ from repro.backends.vectorized import LinearRunMetrics, LinearSweepPlan
 from repro.core.plans import MatVecPlan
 from repro.graph import Graph, GraphCompiler
 from repro.graph.fusion import Fused, fuse_epilogue_chains
+from repro.instrumentation import counters
 from repro.nn import Bias, Dense, Dequantize, Quantize, Relu
+from repro.service import SolverService
 from repro.store import PlanStore
 
 
@@ -124,17 +126,20 @@ class TestCompiledLinearKernels:
             tuple(e) for e in parent.feedback_events
         ]
 
-    def test_compiled_plan_is_picklable(self):
+    def test_compiled_plan_holds_geometry_only(self):
         plan = MatVecPlan(256, 256, 4, backend="vectorized").sweep_plan
-        blob = pickle.dumps(plan)
+        state = sum(
+            value.nbytes if isinstance(value, np.ndarray)
+            else sys.getsizeof(value)
+            for value in vars(plan).values()
+        )
         # Geometry only: a (256, 256) gather table alone would be 512 KiB.
-        assert len(blob) < 4096
-        clone = pickle.loads(blob)
+        assert state < 4096
         rng = np.random.default_rng(9)
         a = rng.standard_normal((256, 256))
         x = rng.standard_normal(256)
-        assert np.array_equal(clone.sweep(a, x, None)[1],
-                              plan.sweep(a, x, None)[1])
+        _bands, y = plan.sweep(a, x, None)
+        assert np.allclose(y[:256], a @ x)
 
 
 class TestEpilogueFusion:
@@ -337,6 +342,14 @@ class TestEpilogueFusion:
 class TestCompiledPersistence:
     W = 3
 
+    def _service(self, root, readonly=True):
+        """A vectorized service warm-started from the store at ``root``."""
+        return SolverService(
+            self.W, n_shards=2,
+            options=ExecutionOptions(backend="vectorized"),
+            store=PlanStore(root, readonly=readonly),
+        )
+
     def test_compiled_plan_round_trips_through_store(self, tmp_path, rng):
         a = rng.standard_normal((9, 7))
         x = rng.standard_normal(7)
@@ -346,12 +359,13 @@ class TestCompiledPersistence:
             store=PlanStore(tmp_path),
         )
         first = writer.solve("matvec", a, x)
-        reader = Solver(
-            ArraySpec(self.W),
-            options=ExecutionOptions(backend="vectorized"),
-            store=PlanStore(tmp_path, readonly=True),
-        )
-        second = reader.solve("matvec", a, x)
+        reader = self._service(tmp_path)
+        try:
+            before = counters.snapshot()
+            second = reader.submit("matvec", a, x).result(30.0)
+            assert counters.delta(before).plan_builds == 0
+        finally:
+            reader.close()
         assert np.array_equal(second.values, first.values)
         assert reader.store.stats.hits == 1
 
@@ -370,35 +384,35 @@ class TestCompiledPersistence:
             store=PlanStore(tmp_path),
         )
         first = GraphCompiler(writer).compile(graph()).run()
-        store = PlanStore(tmp_path, readonly=True)
-        assert any(key[0] == "fused" for key in store.keys())
-        reader = Solver(
-            ArraySpec(self.W),
-            options=ExecutionOptions(backend="vectorized"),
-            store=store,
-        )
-        program = GraphCompiler(reader).compile(graph())
-        assert program.compile_plan_builds == 0  # warm from the store
-        assert np.array_equal(program.run().values, first.values)
+        reader = self._service(tmp_path)
+        try:
+            assert any(key[0] == "fused" for key in reader.store.keys())
+            before = counters.snapshot()
+            replayed = reader.submit_graph(graph()).result(30.0)
+            # Re-compiled on the warm-started compile solver: no builds.
+            assert counters.delta(before).plan_builds == 0
+        finally:
+            reader.close()
+        assert np.array_equal(replayed.values, first.values)
         assert np.array_equal(first.values, staged(graph(), self.W).values)
 
     def test_corrupt_artifact_fails_open_to_recompile(self, tmp_path, rng):
         a = rng.standard_normal((6, 6))
         x = rng.standard_normal(6)
-        store = PlanStore(tmp_path)
         writer = Solver(
-            ArraySpec(self.W),
-            options=ExecutionOptions(backend="vectorized"),
-            store=store,
-        )
-        expected = writer.solve("matvec", a, x)
-        for artifact in tmp_path.iterdir():
-            artifact.write_bytes(b"garbage")
-        reader = Solver(
             ArraySpec(self.W),
             options=ExecutionOptions(backend="vectorized"),
             store=PlanStore(tmp_path),
         )
-        solution = reader.solve("matvec", a, x)
+        expected = writer.solve("matvec", a, x)
+        for artifact in tmp_path.iterdir():
+            artifact.write_bytes(b"garbage")
+        reader = self._service(tmp_path, readonly=False)
+        try:
+            before = counters.snapshot()
+            solution = reader.submit("matvec", a, x).result(30.0)
+            assert counters.delta(before).plan_builds == 1
+        finally:
+            reader.close()
         assert np.array_equal(solution.values, expected.values)
         assert reader.store.stats.errors >= 1

@@ -132,9 +132,11 @@ class TestAdmissionBatcher:
         assert len(batcher.next_window()) == 3
         assert len(batcher.next_window()) == 2
 
-    def test_idle_poll_returns_empty_window(self):
+    def test_closed_empty_queue_yields_empty_window(self):
+        # An open, empty queue blocks the batcher until a request arrives.
         queue = BoundedRequestQueue(4)
-        batcher = AdmissionBatcher(queue, idle_poll=0.01)
+        queue.close()
+        batcher = AdmissionBatcher(queue)
         assert batcher.next_window() == []
 
     def test_group_by_plan_preserves_arrival_order(self):
@@ -281,7 +283,6 @@ def _stalled_service(monkeypatch, policy: str, queue_depth: int):
         backpressure=policy,
         max_batch_size=1,
         max_batch_delay=0.0,
-        idle_poll=0.01,
     )
     gate = threading.Event()
     shard_solver = service.shards[0].solver
@@ -848,7 +849,6 @@ class TestBatcherClock:
             queue,
             max_batch_size=8,
             max_batch_delay=5.0,
-            idle_poll=0.01,
             clock=lambda: float(next(ticks)),
         )
         start = time.monotonic()
@@ -870,7 +870,6 @@ class TestBatcherClock:
             queue,
             max_batch_size=4,
             max_batch_delay=30.0,
-            idle_poll=0.01,
             clock=lambda: 123.456,
         )
         start = time.monotonic()
@@ -884,9 +883,7 @@ class TestBatcherClock:
         queue = BoundedRequestQueue(8)
         queue.put(_request())
         monkeypatch.setattr(time, "time", lambda: -1e12)
-        batcher = AdmissionBatcher(
-            queue, max_batch_size=4, max_batch_delay=0.005, idle_poll=0.01
-        )
+        batcher = AdmissionBatcher(queue, max_batch_size=4, max_batch_delay=0.005)
         start = time.monotonic()
         assert len(batcher.next_window()) == 1
         assert time.monotonic() - start < 1.0
@@ -918,14 +915,12 @@ class TestSelfClockingAdmission:
             return original(timeout=timeout)
 
         monkeypatch.setattr(queue, "get", spy)
-        batcher = AdmissionBatcher(queue, idle_poll=0.01)
+        batcher = AdmissionBatcher(queue)
         assert batcher.next_window() == [request]
-        assert timeouts == [0.01]  # the first request only
+        assert timeouts == [None]  # the first request only, unbounded
 
     def test_backlog_flushes_as_one_group(self, rng, monkeypatch):
-        service = SolverService(
-            ArraySpec(W), n_shards=1, queue_depth=32, idle_poll=0.01
-        )
+        service = SolverService(ArraySpec(W), n_shards=1, queue_depth=32)
         entered, gate = threading.Event(), threading.Event()
         shard_solver = service.shards[0].solver
         original = shard_solver.solve

@@ -505,7 +505,6 @@ class TestQosPathsCloseTheirSpans:
             backpressure="shed_oldest",
             max_batch_size=1,
             max_batch_delay=0.0,
-            idle_poll=0.01,
             tracer=tracer,
         )
         gate = threading.Event()
