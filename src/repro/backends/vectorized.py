@@ -10,7 +10,7 @@ all others.  The engines here exploit that:
   one original (padded) row ``i`` — upper triangle of pass ``s``, lower
   triangle of pass ``s``, upper triangle of pass ``s + 1``, ... — visits
   the padded columns *cyclically starting at* ``i mod w``.  So the whole
-  execution is one lane-rotated multiply of the padded operands into a
+  execution is one rotated multiply of the padded operands into a
   ``b``-seeded accumulator followed by one in-place sequential prefix
   sum, whose every ``w``-th column is a band-row output (the values the
   simulator's feedback registers carry).  Because each row folds its
@@ -31,9 +31,17 @@ all others.  The engines here exploit that:
   it wraps around to; every chain position's value is read off the
   accumulator at the step where its element has folded that position's
   terms.  Each element still adds the simulator's products in the
-  simulator's order, so values are bit-identical; the few folds that
-  meet a NaN are redone in scalar arithmetic, because which of two NaN
-  operands a vector loop returns is not fixed.
+  simulator's order, so values are bit-identical.
+
+Only the order in which each row or element folds is fixed; how the
+operands move is free.  So each plan picks its body once, at build, by
+its accumulator size against :data:`_SMALL_BODY_ELEMENTS`: a small plan
+gathers or stacks its whole sweep through precomputed index tables in a
+few NumPy calls, a large one streams lane by lane or step by step and
+holds no table that grows with the problem.  The rows and elements whose
+fold meets a NaN are redone in scalar arithmetic under the simulator's
+NaN rule (:func:`~repro.systolic.cell.mac`): which of two NaN operands a
+vector loop returns is not fixed.
 
 Timing and utilization are not simulated either: the step counts, MAC
 counts, feedback delays and register peaks are computed from the same
@@ -61,6 +69,7 @@ import numpy as np
 from ..errors import PlanError
 from ..matrices.banded import BandMatrix
 from ..matrices.padding import block_count
+from ..systolic.cell import mac
 from ..systolic.hex_array import HexRunResult
 from ..systolic.linear_array import LinearRunResult
 from ..systolic.metrics import (
@@ -84,6 +93,17 @@ __all__ = [
 ]
 
 
+#: Largest sweep, in float64 accumulator elements (128 KiB), that a plan
+#: runs on its small body: a mat-vec plan's ``(N_pad, M_pad + 1)``
+#: accumulator, a mat-mul plan's ``(p_pad + w, n_pad, m_pad)`` term
+#: stack.  Below it a sweep is a few whole-array NumPy calls through
+#: gather tables the plan holds; above it the lane and step-major bodies
+#: run, which hold no table that grows with the problem and stream a
+#: large problem's products with less memory traffic.  Each plan compares
+#: once, at build.
+_SMALL_BODY_ELEMENTS = 1 << 14
+
+
 def _linear_alpha(w: int) -> int:
     """The simulator's ``y``-injection offset for an upper band (lower=0)."""
     return max(0, w - 1)
@@ -103,6 +123,18 @@ def _padded(
     out = np.zeros(shape, dtype=values.dtype)
     out[tuple(slice(0, size) for size in values.shape)] = values
     return out
+
+
+def _has_nan(values: np.ndarray) -> bool:
+    """Whether a float array holds a NaN.
+
+    Its dot product with itself is NaN exactly then: every square is NaN
+    or non-negative, so no ``inf - inf`` arises, and a dot is one cheap
+    call where ``np.isnan(values).any()`` is two.
+    """
+    flat = values.reshape(-1)
+    square = flat.dot(flat)
+    return bool(square != square)
 
 
 def _rotated_products(a3: np.ndarray, x_pad: np.ndarray, out: np.ndarray) -> None:
@@ -137,11 +169,21 @@ class LinearSweepPlan:
     """Value-independent skeleton of the diagonal-sweep mat-vec execution.
 
     Row ``i`` of the padded problem consumes padded columns ``i mod w,
-    i mod w + 1, ...`` wrapping modulo ``M_pad``; rows with equal
-    ``i mod w`` share a lane of the ``(N_bar, w, M_pad)`` view, so that
-    order is ``w`` strided slice pairs, not a gather table.  The plan
-    holds only geometry and the structural metric ingredients, no array
-    that grows with the problem; :meth:`sweep` only streams values.
+    i mod w + 1, ...`` wrapping modulo ``M_pad``, from a seed of ``b[i]``
+    (or +0.0), into one row of an ``(N_pad, M_pad + 1)`` accumulator.
+    The plan picks its body once, at build, by that accumulator's size:
+
+    * up to :data:`_SMALL_BODY_ELEMENTS`, the *gather* body: the plan
+      holds a flat rotation index (each row's seed slot, then its
+      products in that cyclic order) and a flat band-output index, so a
+      sweep is one multiply, one ``take``, the prefix sum and one
+      ``take`` — few NumPy calls, which is what a small sweep costs;
+    * above it, the *lane* body: rows with equal ``i mod w`` share a
+      lane of the ``(N_bar, w, M_pad)`` view, so that order is ``w``
+      strided slice pairs, not a gather table, and the plan holds only
+      geometry — nothing that grows with the problem.
+
+    Both bodies fold the same products in the same order.
     """
 
     def __init__(self, w: int, n: int, m: int, n_bar: int, m_bar: int,
@@ -151,10 +193,21 @@ class LinearSweepPlan:
         self._m = int(m)
         self._n_bar = int(n_bar)
         self._m_bar = int(m_bar)
-        self._n_pad = self._n_bar * self._w
-        self._m_pad = self._m_bar * self._w
+        self._n_pad = n_pad = self._n_bar * self._w
+        self._m_pad = m_pad = self._m_bar * self._w
         self._band_rows = self._n_bar * self._m_bar * self._w
         self._useful = int(useful_operations)
+        self._rotation: Optional[np.ndarray] = None
+        self._band_index: Optional[np.ndarray] = None
+        if n_pad * (m_pad + 1) <= _SMALL_BODY_ELEMENTS:
+            rows = np.arange(n_pad)[:, None]
+            rotation = np.empty((n_pad, m_pad + 1), dtype=np.intp)
+            rotation[:, :1] = n_pad * m_pad + rows  # the seeds follow the products
+            rotation[:, 1:] = rows * m_pad + (rows % w + np.arange(m_pad)) % m_pad
+            self._rotation = rotation
+            self._band_index = self._band_order(
+                np.arange(rotation.size).reshape(rotation.shape)[:, w::w]
+            )
 
     # -- geometry / structural metrics ----------------------------------------
     @property
@@ -174,6 +227,11 @@ class LinearSweepPlan:
     def mac_operations(self) -> int:
         """Every in-band position of the completely filled band: ``rows * w``."""
         return self._band_rows * self._w
+
+    @property
+    def body(self) -> str:
+        """``"gather"`` or ``"lane"``: the sweep body the plan chose at build."""
+        return "lane" if self._rotation is None else "gather"
 
     def feedback_events(self, offset: int = 0) -> List[Tuple[int, int, int]]:
         """``(band_row, push_cycle, pop_cycle)`` for every fed-back value.
@@ -195,6 +253,12 @@ class LinearSweepPlan:
         return events
 
     # -- value streaming --------------------------------------------------------
+    def _band_order(self, snapshots: np.ndarray) -> np.ndarray:
+        """Every row's pass snapshots ``(N_pad, m_bar)`` in the simulator's
+        band-row order: block row, then pass, then lane."""
+        w, n_bar, m_bar = self._w, self._n_bar, self._m_bar
+        return snapshots.T.reshape(m_bar, n_bar, w).transpose(1, 0, 2).reshape(-1)
+
     def sweep(
         self,
         matrix: np.ndarray,
@@ -203,30 +267,77 @@ class LinearSweepPlan:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Fold one operand set through the sweep: multiply, rotate, prefix sum.
 
-        The products are written *already rotated* into columns
-        ``1..M_pad`` of an accumulator whose column 0 holds ``b``
+        The products land *already rotated* in columns ``1..M_pad`` of an
+        accumulator whose column 0 holds ``b`` (or +0.0): gathered
+        through the rotation index, or written lane by lane
         (:func:`_rotated_products`).  ``np.add.accumulate`` is a
         sequential accumulate — each output is the previous output plus
         the next input, never a pairwise tree — so one in-place prefix
         sum along the contiguous axis is the simulator's per-row fold
         ``((b + p_0) + p_1) + ...`` verbatim, and column ``(j + 1) w`` is
-        exactly the pass-``j`` partial snapshot.
+        exactly the pass-``j`` partial snapshot.  Rows that end NaN are
+        redone under the simulator's NaN rule (:meth:`_refold_nans`).
 
         Returns ``(band_outputs, y_padded)``: the per-band-row outputs (one
         partial snapshot per pass, ordered exactly like the simulator's
         ``y_per_problem`` entries) and the final padded result vector.
         """
-        w, n_bar, m_bar, m_pad = self._w, self._n_bar, self._m_bar, self._m_pad
-        a3 = _padded(matrix, (self._n_pad, m_pad)).reshape(n_bar, w, m_pad)
+        w, n_bar, n_pad, m_pad = self._w, self._n_bar, self._n_pad, self._m_pad
+        a_pad = _padded(matrix, (n_pad, m_pad))
         x_pad = _padded(x, (m_pad,))
-        acc = np.empty((self._n_pad, m_pad + 1))
-        acc[:, 0] = 0.0 if b is None else _padded(b, (self._n_pad,))
-        _rotated_products(a3, x_pad, acc.reshape(n_bar, w, m_pad + 1)[:, :, 1:])
-        np.add.accumulate(acc, axis=1, out=acc)
-        band_outputs = (
-            acc[:, w::w].T.reshape(m_bar, n_bar, w).transpose(1, 0, 2).reshape(-1)
-        )
-        return band_outputs, acc[:, -1].copy()
+        seeds = 0.0 if b is None else _padded(b, (n_pad,))
+        rotation = self._rotation
+        if rotation is not None:
+            size = n_pad * m_pad
+            products = np.empty(size + n_pad)
+            np.multiply(a_pad, x_pad, out=products[:size].reshape(n_pad, m_pad))
+            products[size:] = seeds
+            acc = products.take(rotation)
+            np.add.accumulate(acc, axis=1, out=acc)
+            band_outputs = acc.take(self._band_index)
+        else:
+            acc = np.empty((n_pad, m_pad + 1))
+            acc[:, 0] = seeds
+            _rotated_products(
+                a_pad.reshape(n_bar, w, m_pad), x_pad,
+                acc.reshape(n_bar, w, m_pad + 1)[:, :, 1:],
+            )
+            np.add.accumulate(acc, axis=1, out=acc)
+            band_outputs = self._band_order(acc[:, w::w])
+        y = acc[:, -1].copy()
+        if _has_nan(y):
+            self._refold_nans(a_pad, x_pad, b, y, band_outputs)
+        return band_outputs, y
+
+    def _refold_nans(
+        self,
+        a_pad: np.ndarray,
+        x_pad: np.ndarray,
+        b: Optional[np.ndarray],
+        y: np.ndarray,
+        band_outputs: np.ndarray,
+    ) -> None:
+        """Redo in Python floats, as the simulator does, every row that ends NaN.
+
+        Given two NaN operands, NumPy's loops may return either one; the
+        simulator's cells follow :func:`~repro.systolic.cell.mac`'s rule.
+        A NaN accumulator stays NaN, so the rows that end NaN are exactly
+        those whose fold met one; each is refolded in the simulator's
+        order and its ``y`` and band outputs are overwritten in place.
+        """
+        w, m_bar, m_pad = self._w, self._m_bar, self._m_pad
+        x_row = x_pad.tolist()
+        for row in np.flatnonzero(np.isnan(y)).tolist():
+            value = 0.0 if b is None or row >= self._n else float(b[row])
+            a_row = a_pad[row].tolist()
+            lane = row % w
+            first = (row - lane) * m_bar + lane  # band row of pass 0
+            columns = itertools.chain(range(lane, m_pad), range(lane))
+            for step, column in enumerate(columns, 1):
+                value = mac(value, a_row[column], x_row[column])
+                if step % w == 0:
+                    band_outputs[first + (step // w - 1) * w] = value
+            y[row] = value
 
     def int_sweep(
         self,
@@ -241,7 +352,8 @@ class LinearSweepPlan:
         fold: every partial is a contiguous cyclic range sum recoverable
         from one elementwise product, one blocked reduction and one small
         row-wise prefix sum — the same integers the simulator's cells
-        accumulate.  Operands must be integer arrays (the caller
+        accumulate.  The products are rotated by the plan's body, as in
+        :meth:`sweep`.  Operands must be integer arrays (the caller
         quantizes and zero-point-shifts); the whole datapath runs in
         int32, the accumulator width of the quantized hardware.  The caller
         guarantees operands and true accumulators fit int32 — int8-range
@@ -255,27 +367,35 @@ class LinearSweepPlan:
                     f"int_sweep needs integer operands, got {name} of dtype "
                     f"{np.asarray(operand).dtype}"
                 )
-        w, n_bar, m_bar, m_pad = self._w, self._n_bar, self._m_bar, self._m_pad
+        w, n_bar, m_bar = self._w, self._n_bar, self._m_bar
+        n_pad, m_pad = self._n_pad, self._m_pad
         # Narrow codes (int8) multiply straight into the int32 products;
         # wider integers are cast to the int32 datapath first.
         a = np.asarray(matrix)
         dtype = a.dtype if np.can_cast(a.dtype, np.int32) else np.int32
-        a3 = _padded(a, (self._n_pad, m_pad), dtype).reshape(n_bar, w, m_pad)
+        a_pad = _padded(a, (n_pad, m_pad), dtype)
+        x_pad = _padded(x, (m_pad,), np.int32)
+        rotation = self._rotation
+        if rotation is not None:
+            # The seed slots stay unset: column 0 of the gather is dropped.
+            products = np.empty(rotation.size, dtype=np.int32)
+            np.multiply(a_pad, x_pad, out=products[: n_pad * m_pad].reshape(n_pad, m_pad))
+            rotated = products.take(rotation)[:, 1:]
+        else:
+            rotated = np.empty((n_pad, m_pad), dtype=np.int32)
+            _rotated_products(
+                a_pad.reshape(n_bar, w, m_pad), x_pad, rotated.reshape(n_bar, w, m_pad)
+            )
         # After the rotation pass j of every row is the contiguous column
         # block [j w, (j+1) w): one blocked einsum reduce plus a small
         # prefix sum reproduces every snapshot.
-        products = np.empty((n_bar, w, m_pad), dtype=np.int32)
-        _rotated_products(a3, _padded(x, (m_pad,), np.int32), products)
         pass_sums = np.einsum(
-            "rjt->rj", products.reshape(self._n_pad, m_bar, w), dtype=np.int32
+            "rjt->rj", rotated.reshape(n_pad, m_bar, w), dtype=np.int32
         )
         partials = np.cumsum(pass_sums, axis=1, dtype=np.int32)
         if b is not None:
-            partials += _padded(b, (self._n_pad,), np.int32)[:, None]
-        band_outputs = (
-            partials.T.reshape(m_bar, n_bar, w).transpose(1, 0, 2).reshape(-1)
-        )
-        return band_outputs, partials[:, -1].copy()
+            partials += _padded(b, (n_pad,), np.int32)[:, None]
+        return self._band_order(partials), partials[:, -1].copy()
 
 
 class LinearRunMetrics:
@@ -501,8 +621,10 @@ def hex_structural_metrics(
 # --------------------------------------------------------------------------- #
 # Hexagonal array: DBT matrix-matrix sweeps
 # --------------------------------------------------------------------------- #
-#: Largest chunk of rank-1 terms one mat-mul solve materializes, in float64
-#: elements (256 KiB): never the whole ``(p_pad, n_pad, m_pad)`` product set.
+#: Largest chunk of rank-1 terms the step-major body materializes, in
+#: float64 elements (256 KiB): never the whole ``(p_pad, n_pad, m_pad)``
+#: product set of a plan above :data:`_SMALL_BODY_ELEMENTS`.  (The stacked
+#: body writes its whole term stack, which that bound keeps at 128 KiB.)
 _TERM_CHUNK = 1 << 15
 
 
@@ -630,7 +752,7 @@ class _FeedbackDelays(Mapping):
 
 
 class HexSweepPlan:
-    """Value-independent skeleton of the step-major mat-mul fold.
+    """Value-independent skeleton of the mat-mul fold.
 
     The accumulation chain of every padded ``C`` element folds the whole
     padded inner range once, in cyclic order from a start ``s < w`` that
@@ -642,6 +764,21 @@ class HexSweepPlan:
     simulator's order.  A chain position's value (what ``run.c_band``
     holds) is its element's accumulator once it has folded the position's
     cumulative term count, read at that step.
+
+    The plan picks its body once, at build, by the size of the
+    ``(p_pad + w, n_pad, m_pad)`` stack of seed and terms:
+
+    * up to :data:`_SMALL_BODY_ELEMENTS`, the *stacked* body writes every
+      term into one stack, overwrites the terms the start map masks off
+      with -0.0 (``x + (-0.0)`` is ``x`` bit for bit for every non-NaN
+      ``x``), runs one ``np.add.accumulate`` down the stack and reads
+      every chain position into the band storage with one ``take``;
+    * above it, the *step-major* body adds one masked term at a time,
+      a bounded chunk of terms made at once, and reads each step's
+      chain positions as it goes.
+
+    A fold that meets a NaN runs step-major and is then redone in scalar
+    arithmetic (:meth:`_refold_nans`).
 
     Built from a :class:`HexFoldGeometry` with array arithmetic: term
     counts and feedback delays per position from the token windows, the
@@ -751,6 +888,24 @@ class HexSweepPlan:
         )
         self._band_gather[band_index[order]] = np.arange(len(positions))
 
+        # The stacked body: plane g + 1 of the stack holds the accumulator
+        # after step g, so the read of position q is element
+        # (step_q + 1, target_q), and the slot after the stack is the zero.
+        plane = self._n_pad * m_pad
+        stack_size = (p_pad + w) * plane
+        self._stack_reads: Optional[np.ndarray] = None
+        self._stack_masked: Optional[np.ndarray] = None
+        if stack_size <= _SMALL_BODY_ELEMENTS:
+            reads = (step[order] + 1) * plane + target_flat[chain_of][order]
+            self._stack_reads = np.append(reads, stack_size)[self._band_gather]
+            # Terms 0 .. w - 2 count where the element has started, their
+            # repeats after inner index p_pad - 1 where it had not.
+            late = self._start > np.arange(w - 1)[:, None]
+            self._stack_masked = np.concatenate((
+                np.flatnonzero(late) + plane,
+                np.flatnonzero(~late) + (p_pad + 1) * plane,
+            ))
+
     # -- structural metrics ------------------------------------------------------
     @property
     def metrics(self) -> HexStructuralMetrics:
@@ -800,13 +955,18 @@ class HexSweepPlan:
                 at[k0:k1, :, None], b_pad[k0:k1, None, :], out=chunk[: k1 - k0]
             )
 
+    @property
+    def body(self) -> str:
+        """``"stacked"`` or ``"step-major"``: the body the plan chose at build."""
+        return "step-major" if self._stack_reads is None else "stacked"
+
     def execute(
         self,
         a: np.ndarray,
         b: np.ndarray,
         e: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, HexRunResult]:
-        """Fold one operand set through the step-major sweep.
+        """Fold one operand set through the plan's body.
 
         Returns the recovered dense ``C`` (original shape) and a
         :class:`HexRunResult` whose band holds every chain position's value
@@ -814,36 +974,21 @@ class HexSweepPlan:
         ``feedback_delays`` is the plan's own mapping, shared by every run:
         treat it as read-only.
         """
-        n, m, w, p_pad = self._n, self._m, self._w, self._p_pad
-        a_pad = _padded(a, (self._n_pad, p_pad))
-        b_pad = _padded(b, (p_pad, self._m_pad))
-        acc = np.zeros((self._n_pad, self._m_pad))
-        if e is not None:
-            # + 0.0 normalizes -0.0 addends, which the simulator never
-            # injects (it skips values comparing equal to zero).
-            np.add(e, 0.0, out=acc[:n, :m])
-        flat = acc.reshape(-1)
-        reads = [flat[self._reads[0]]]
-        terms = itertools.chain(
-            self._terms(a_pad.T, b_pad, p_pad), self._terms(a_pad.T, b_pad, w - 1)
+        a_pad = _padded(a, (self._n_pad, self._p_pad))
+        b_pad = _padded(b, (self._p_pad, self._m_pad))
+        acc, storage = (
+            self._stacked(a_pad, b_pad, e) or self._step_major(a_pad, b_pad, e)
         )
-        for term, where, read in zip(terms, self._masks, self._reads[1:]):
-            np.add(acc, term, out=acc, where=where)
-            reads.append(flat[read])
-        reads.append(np.zeros(1))
-        values = np.concatenate(reads)
-        if np.isnan(flat).any():
-            self._refold_nans(a_pad, b_pad, e, flat, values)
-        c = acc[:n, :m].copy()
+        c = acc[: self._n, : self._m].copy()
 
         metrics = self._metrics
         c_band = BandMatrix(
             self._dim, self._dim, metrics.c_lower, metrics.c_upper,
-            storage=values[self._band_gather],
+            storage=storage,
         )
         run = HexRunResult(
-            w1=w,
-            w2=w,
+            w1=self._w,
+            w2=self._w,
             c_band=c_band,
             report=self._report,
             total_cycles=metrics.total_cycles,
@@ -858,6 +1003,58 @@ class HexSweepPlan:
         )
         return c, run
 
+    def _seed(self, acc: np.ndarray, e: Optional[np.ndarray]) -> None:
+        """Zero ``acc`` (an ``(n_pad, m_pad)`` view) and add ``E + 0.0``.
+
+        ``+ 0.0`` normalizes -0.0 addends, which the simulator never
+        injects (it skips values comparing equal to zero).
+        """
+        acc[...] = 0.0
+        if e is not None:
+            np.add(e, 0.0, out=acc[: self._n, : self._m])
+
+    def _stacked(
+        self, a_pad: np.ndarray, b_pad: np.ndarray, e: Optional[np.ndarray]
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The stacked body: ``(final accumulator, band storage)``, or
+        ``None`` on a plan above the bound or a fold that meets a NaN."""
+        if self._stack_reads is None:
+            return None
+        p_pad, w = self._p_pad, self._w
+        stack = np.empty((p_pad + w) * self._n_pad * self._m_pad + 1)
+        stack[-1] = 0.0
+        terms = stack[:-1].reshape(p_pad + w, self._n_pad, self._m_pad)
+        self._seed(terms[0], e)
+        np.multiply(a_pad.T[:, :, None], b_pad[:, None, :], out=terms[1 : p_pad + 1])
+        terms[p_pad + 1 :] = terms[1:w]
+        stack[self._stack_masked] = -0.0
+        np.add.accumulate(terms, axis=0, out=terms)
+        acc = terms[-1]
+        if _has_nan(acc):
+            return None
+        return acc, stack.take(self._stack_reads)
+
+    def _step_major(
+        self, a_pad: np.ndarray, b_pad: np.ndarray, e: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The step-major body: ``(final accumulator, band storage)``."""
+        p_pad, w = self._p_pad, self._w
+        acc = np.empty((self._n_pad, self._m_pad))
+        self._seed(acc, e)
+        flat = acc.reshape(-1)
+        reads = [flat[self._reads[0]]]
+        terms = itertools.chain(
+            self._terms(a_pad.T, b_pad, p_pad), self._terms(a_pad.T, b_pad, w - 1)
+        )
+        for term, where, read in zip(terms, self._masks, self._reads[1:]):
+            np.add(acc, term, out=acc, where=where)
+            reads.append(flat[read])
+        reads.append(np.zeros(1))
+        values = np.concatenate(reads)
+        if _has_nan(flat):
+            self._refold_nans(a_pad, b_pad, e, flat, values)
+        return acc, values[self._band_gather]
+
     def _refold_nans(
         self,
         a_pad: np.ndarray,
@@ -869,10 +1066,10 @@ class HexSweepPlan:
         """Redo in Python floats, as the simulator does, every fold that met a NaN.
 
         Given two NaN operands, NumPy's vector loops may return either
-        one, while the simulator's scalar ``c += a * b`` keeps a fixed one.
-        A NaN accumulator stays NaN, so the elements that end NaN are
-        exactly those whose fold met one; their values and chain reads are
-        overwritten in place.
+        one; the simulator's MACs follow :func:`~repro.systolic.cell.mac`'s
+        rule.  A NaN accumulator stays NaN, so the elements that end NaN
+        are exactly those whose fold met one; their values and chain reads
+        are overwritten in place.
         """
         p_pad, m_pad = self._p_pad, self._m_pad
         nan = np.isnan(flat)
@@ -887,7 +1084,7 @@ class HexSweepPlan:
             b_col = b_pad[:, gamma].tolist()
             fold = [value]
             for beta in itertools.chain(range(start, p_pad), range(start)):
-                value += a_row[beta] * b_col[beta]
+                value = mac(value, a_row[beta], b_col[beta])
                 fold.append(value)
             folds[element] = fold
             flat[element] = value

@@ -20,6 +20,7 @@ Notation: ``n_bar = ceil(n / w)`` etc., written ``n_bar`` / ``p_bar`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..matrices.padding import block_count, validate_array_size
 
@@ -146,6 +147,9 @@ def matmul_irregular_delay_wraparound(n_bar: int, p_bar: int, m_bar: int, w: int
 # --------------------------------------------------------------------------- #
 # Convenience models bundling the formulas for one problem instance
 # --------------------------------------------------------------------------- #
+# The block counts and predictions are evaluated once per model: a plan's
+# model is shared by every solution the plan returns, and each of them
+# reports the predicted steps and utilization.
 @dataclass(frozen=True)
 class MatVecModel:
     """Analytic model of one ``y = A x + b`` problem on a ``w``-cell array."""
@@ -155,19 +159,19 @@ class MatVecModel:
     w: int
     overlapped: bool = False
 
-    @property
+    @cached_property
     def n_bar(self) -> int:
         return block_count(self.n, self.w)
 
-    @property
+    @cached_property
     def m_bar(self) -> int:
         return block_count(self.m, self.w)
 
-    @property
+    @cached_property
     def steps(self) -> int:
         return matvec_steps(self.n_bar, self.m_bar, self.w, self.overlapped)
 
-    @property
+    @cached_property
     def utilization(self) -> float:
         return matvec_utilization(self.n_bar, self.m_bar, self.w, self.overlapped)
 
@@ -197,23 +201,23 @@ class MatMulModel:
     m: int
     w: int
 
-    @property
+    @cached_property
     def n_bar(self) -> int:
         return block_count(self.n, self.w)
 
-    @property
+    @cached_property
     def p_bar(self) -> int:
         return block_count(self.p, self.w)
 
-    @property
+    @cached_property
     def m_bar(self) -> int:
         return block_count(self.m, self.w)
 
-    @property
+    @cached_property
     def steps(self) -> int:
         return matmul_steps(self.n_bar, self.p_bar, self.m_bar, self.w)
 
-    @property
+    @cached_property
     def utilization(self) -> float:
         return matmul_utilization(self.n_bar, self.p_bar, self.m_bar, self.w)
 

@@ -179,10 +179,11 @@ class Counters:
     graph_compiles: int = 0
     graph_runs: int = 0
     fused_matvec_pairs: int = 0
-    #: Plan persistence (:mod:`repro.store`): valid keys read, artifacts
-    #: that failed validation, keys that did not build or artifacts that
-    #: could not be written (a bad artifact is skipped, a failed write is
-    #: never raised on the solve path), and artifacts written.
+    #: Plan persistence (:mod:`repro.store`): stored keys a warm start
+    #: built into plans, artifacts that failed validation, keys that did
+    #: not build or artifacts that could not be written (a bad artifact is
+    #: skipped, a failed write is never raised on the solve path), and
+    #: artifacts written.
     plan_store_hits: int = 0
     plan_store_errors: int = 0
     plan_store_writes: int = 0

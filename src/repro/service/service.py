@@ -286,10 +286,10 @@ class SolverService:
         or PRT solve takes its inner products from its own shard's cache,
         and graphs reuse warm stage plans.  The copies share an executor,
         which holds no per-solve state.  A key already cached on its
-        shard is skipped, so a second call builds nothing; a key that
-        does not build is counted in the store's errors.  Nothing is
-        written back.  Also callable later, for keys other processes
-        wrote.
+        shard is skipped, so a second call builds nothing; each key built
+        counts one store hit, and a key that does not build is counted in
+        the store's errors.  Nothing is written back.  Also callable
+        later, for keys other processes wrote.
         """
         if self._store is None:
             return 0
@@ -307,6 +307,7 @@ class SolverService:
                 continue
             if plan is None:
                 continue
+            self._store.count_hit()
             for solver in solvers:
                 if solver is not home:
                     solver.adopt_plan(plan)

@@ -20,12 +20,15 @@ and its solvers write through to it, and construction builds every
 stored plan of the service's ``w`` on its placed shard, so a cold
 process answers request #1 at warm-cache latency with zero plan builds.
 
-Accounting: every valid key read, invalid artifact (or key that did not
-build), write and failed write is counted twice over, once per scope —
-per instance in :attr:`PlanStore.stats`, and process-wide in the
-``plan_store_hits`` / ``plan_store_errors`` / ``plan_store_writes``
-counters of :data:`repro.instrumentation.counters` (``repro.*``
-counters of the process metrics registry).
+Accounting: every stored key a warm start built into a plan (a hit),
+invalid artifact (or key that did not build), write and failed write
+is counted twice over, once per scope — per instance in
+:attr:`PlanStore.stats`, and process-wide in the ``plan_store_hits`` /
+``plan_store_errors`` / ``plan_store_writes`` counters of
+:data:`repro.instrumentation.counters` (``repro.*`` counters of the
+process metrics registry).  Reading the keys counts nothing, so a
+second warm start that builds nothing moves no counter, and a key of
+another ``w`` is no hit.
 """
 
 from .format import FORMAT_VERSION, MAGIC, PlanFormatError

@@ -122,9 +122,10 @@ class PlanStore:
     def keys(self) -> List[PlanKey]:
         """The key of every valid artifact on disk, in filename order.
 
-        Each valid artifact counts a hit.  An unreadable or invalid one,
-        or one whose name is not its key's digest, counts an error and
-        is skipped.
+        Reading counts no hit: a hit is a stored key a warm start built
+        (:meth:`count_hit`).  An unreadable or invalid artifact, or one
+        whose name is not its key's digest, counts an error and is
+        skipped.
         """
         try:
             entries = sorted(
@@ -143,9 +144,12 @@ class PlanStore:
             if path.name != _artifact_name(key):
                 self.count_error()
                 continue
-            self._count("_hits", "plan_store_hits")
             keys.append(key)
         return keys
+
+    def count_hit(self) -> None:
+        """Count one stored key that a warm start built into a plan."""
+        self._count("_hits", "plan_store_hits")
 
     def count_error(self) -> None:
         """Count one unusable artifact: invalid, or a key that did not build."""

@@ -19,7 +19,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["CellState", "InnerProductStepCell", "MacEvent"]
+__all__ = ["CellState", "InnerProductStepCell", "MacEvent", "mac"]
+
+
+def mac(y: float, a: float, x: float) -> float:
+    """One multiply-accumulate ``y + a * x`` under a fixed rule for NaNs.
+
+    IEEE 754 leaves open which NaN an operation returns when two NaN
+    operands meet, and so does CPython: its specializing interpreter
+    switches float arithmetic to a fast path after warm-up, and that path
+    can return the other operand's NaN.  So when the result is NaN:
+
+    * in ``y + a * x``, a NaN accumulator ``y`` wins over a NaN product;
+    * in ``a * x``, a NaN coefficient ``a`` wins over a NaN ``x``;
+    * the result is quieted (``+ 0.0``).
+
+    A NaN made from no NaN operand (``0 * inf``, ``inf - inf``) is the
+    operation's own.  Where at most one NaN enters each operation the
+    result is what plain ``y + a * x`` gives, and the check costs only
+    the rare NaN branch: hot loops compute ``y + a * x`` themselves and
+    call this only when the result is NaN.
+    """
+    result = y + a * x
+    if result != result:
+        for operand in (y, a, x):
+            if operand != operand:
+                return operand + 0.0
+    return result
 
 
 @dataclass
@@ -81,13 +107,15 @@ class InnerProductStepCell:
         A multiply-accumulate happens only when the coefficient, the ``x``
         operand and the accumulating ``y`` operand are all present; in
         every other case the ``y`` value (possibly a bubble) is forwarded
-        untouched.  The cell keeps activity counters used for the
-        utilization reports.
+        untouched.  Where NaNs meet, :func:`mac`'s rule picks the result.
+        The cell keeps activity counters used for the utilization reports.
         """
         self.total_cycles += 1
         y = self.state.y_value
-        if a_value is not None and self.state.x_value is not None and y is not None:
-            y = y + a_value * self.state.x_value
+        x = self.state.x_value
+        if a_value is not None and x is not None and y is not None:
+            result = y + a_value * x
+            y = result if result == result else mac(y, a_value, x)
             self.mac_count += 1
             self.busy_cycles += 1
         return y

@@ -35,6 +35,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from ..errors import ArraySizeError, FeedbackError, ScheduleError, ShapeError, SimulationError
 from ..matrices.banded import BandMatrix
 from ..matrices.padding import validate_array_size
+from .cell import mac
 from .feedback import ExternalSource
 from .metrics import UtilizationReport
 
@@ -365,7 +366,9 @@ class HexagonalArray:
             raise SimulationError(
                 f"MAC for C position {position} fired before the token entered the array"
             )
-        values[position] += band_a.get(i, k) * band_b.get(k, j)
+        y, a, x = values[position], band_a.get(i, k), band_b.get(k, j)
+        result = y + a * x
+        values[position] = result if result == result else mac(y, a, x)
         cell = (k - i, j - k)
         cell_busy[cell] = cell_busy.get(cell, 0) + 1
 

@@ -8,10 +8,12 @@ equality of values, step counts, utilizations and feedback statistics
 (for mat-mul also the bits of every accumulation-chain value in
 ``run.c_band``), and feed the mat-vec and mat-mul sweeps hostile
 operands (odd layouts, NaN/Inf, signed zeros, degenerate shapes, integer
-dtypes).  The step-major mat-mul fold rests on a geometric fact, checked
-here from the chains and operand provenance alone: every padded ``C``
-element folds the whole padded inner range, cyclically from a start
-below ``w``.
+dtypes).  Each plan picks a small or a large kernel body at build by its
+size, and every grid runs on both: the shapes here are all small, and the
+``*LargeBody`` classes rerun the grids with the bound patched to 0.  The
+mat-mul folds rest on a geometric fact, checked here from the chains and
+operand provenance alone: every padded ``C`` element folds the whole
+padded inner range, cyclically from a start below ``w``.
 """
 
 from __future__ import annotations
@@ -20,13 +22,20 @@ import itertools
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from repro.api import ArraySpec, ExecutionOptions, InnerPlans, Solver
-from repro.backends import available_backends, resolve_backend
-from repro.backends.vectorized import HexSweepPlan, hex_fold_geometry
+from repro.backends import available_backends, resolve_backend, vectorized
+from repro.backends.vectorized import (
+    HexSweepPlan,
+    LinearSweepPlan,
+    hex_fold_geometry,
+)
 from repro.core.operands import MatMulOperands
 from repro.core.plans import MatMulPlan, MatVecPlan
 from repro.core.recovery import (
@@ -36,6 +45,7 @@ from repro.core.recovery import (
 )
 from repro.errors import BackendError, PlanError, ShapeError
 from repro.instrumentation import counters
+from repro.matrices.padding import block_count
 from repro.systolic.linear_array import LinearContraflowArray
 
 
@@ -85,6 +95,19 @@ def _signed_zeros(rng):
     return a, x, b
 
 
+def _nan_signs(rng):
+    """Folds meeting NaNs of both signs: a NaN coefficient wins over a NaN
+    ``x`` and a NaN accumulator over a NaN product, in the simulator, while
+    NumPy's loops and CPython's float fast path may pick either NaN."""
+    a, x, b = rng.normal(size=(8, 8)), rng.normal(size=8), rng.normal(size=8)
+    negative_nan = np.copysign(np.nan, -1.0)
+    a[:, 1], a[:, 6] = np.nan, negative_nan
+    x[1], x[3], x[6] = negative_nan, negative_nan, np.nan
+    a[2, 4], x[4] = 0.0, np.inf  # 0 * inf: the default NaN
+    b[5] = negative_nan
+    return a, x, b
+
+
 #: Mat-vec operands the fast sweep must treat exactly like the simulator:
 #: layouts it might be tempted to use without a copy, non-finite values,
 #: signed zeros, shapes at or below the array size, integer dtypes.
@@ -101,6 +124,7 @@ HOSTILE = {
         rng.normal(size=(8, 8)), rng.normal(size=8), rng.normal(size=8)
     ),
     "nan_inf": _non_finite,
+    "nan_signs": _nan_signs,
     "signed_zero": _signed_zeros,
     "signed_zero_no_b": lambda rng: _signed_zeros(rng)[:2],
     "w_ge_n": lambda rng: (
@@ -184,6 +208,20 @@ def assert_metrics_match(simulated, vectorized):
     assert vectorized.predicted_utilization == simulated.predicted_utilization
     # count, min/max delay and (mat-mul) the regular/irregular split
     assert vectorized.feedback == simulated.feedback
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def assert_band_outputs_match(simulated, vectorized):
+    """``run.y_per_problem`` holds the simulator's band-row outputs, bit
+    for bit: every pass snapshot, padded rows included."""
+    expected, outputs = simulated.raw.run.y_per_problem, vectorized.raw.run.y_per_problem
+    assert len(outputs) == len(expected)
+    for actual, wanted in zip(outputs, expected):
+        assert_bits_equal(np.asarray(actual, dtype=float), wanted)
 
 
 def assert_chain_values_match(simulated, vectorized):
@@ -304,6 +342,7 @@ class TestMatVecEquivalence:
                 simulated.values.view(np.uint64),
             )
             assert_metrics_match(simulated, vectorized)
+            assert_band_outputs_match(simulated, vectorized)
 
     @pytest.mark.parametrize("backend", ["simulate", "vectorized"])
     def test_zero_row_matrix_is_a_typed_error(self, backend):
@@ -362,6 +401,300 @@ class TestMatMulEquivalence:
             )
             assert_metrics_match(simulated, vectorized)
             assert_chain_values_match(simulated, vectorized)
+
+
+NEGATIVE_NAN = np.copysign(np.nan, -1.0)
+
+
+def _nan_collision_case(w: int, t: int):
+    """Seeded mat-vec operands: ``n, m`` in 1..12 and NaNs of random sign
+    on a random subset of ``A``, ``x`` and ``b`` (no ``b`` on even ``t``)."""
+    rng = np.random.default_rng(1000 * w + t)
+    n, m = (int(size) for size in rng.integers(1, 13, size=2))
+
+    def spoil(values):
+        hit = rng.random(values.shape) < 0.3
+        signs = np.where(rng.random(values.shape) < 0.5, np.nan, NEGATIVE_NAN)
+        values[hit] = signs[hit]
+        return values
+
+    a, x, b = (spoil(rng.normal(size=shape)) for shape in ((n, m), (m,), (n,)))
+    return (a, x) if t % 2 == 0 else (a, x, b)
+
+
+class TestNaNCollisions:
+    """Where two NaNs meet, the simulator and both engines follow one rule
+    (:func:`repro.systolic.cell.mac`): a NaN accumulator wins over a NaN
+    product and a NaN coefficient over a NaN ``x``.  IEEE 754 fixes
+    neither, and CPython's float fast path after warm-up picks the other
+    operand, so without the rule the oracle's own answer changed with
+    interpreter warm-up."""
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 8])
+    def test_seeded_matvec_search_matches_simulator(self, w):
+        with np.errstate(invalid="ignore"):
+            for t in range(40):
+                operands = _nan_collision_case(w, t)
+                simulated, solutions = cold_and_warm("matvec", w, operands)
+                for vectorized_solution in solutions:
+                    assert_bits_equal(vectorized_solution.values, simulated.values)
+                    assert_band_outputs_match(simulated, vectorized_solution)
+
+    @pytest.mark.parametrize("backend", ["simulate", "vectorized"])
+    @pytest.mark.parametrize(
+        "kind, case", [("matvec", _nan_signs), ("matmul", _matmul_nan_signs)]
+    )
+    def test_repeat_solves_return_identical_bits(self, kind, case, backend):
+        operands = case(np.random.default_rng(4))
+        solver = solver_for(4, backend)
+        with np.errstate(invalid="ignore"):
+            solutions = [solver.solve(kind, *operands) for _repeat in range(3)]
+        first = solutions[0]
+        assert np.isnan(first.values).any()
+        for repeat in solutions[1:]:
+            assert_bits_equal(repeat.values, first.values)
+            if kind == "matvec":
+                assert_band_outputs_match(first, repeat)
+            else:
+                assert_bits_equal(
+                    repeat.raw.run.c_band.to_dense(), first.raw.run.c_band.to_dense()
+                )
+
+
+# --------------------------------------------------------------------------- #
+# The small and large kernel bodies, on both sides of the bound
+# --------------------------------------------------------------------------- #
+BOUND = vectorized._SMALL_BODY_ELEMENTS
+
+
+def _bound(elements: int):
+    """The body bound set to ``elements`` for the plans built inside."""
+    return mock.patch.object(vectorized, "_SMALL_BODY_ELEMENTS", elements)
+
+
+def _linear_sweep(n: int, m: int, w: int) -> LinearSweepPlan:
+    return LinearSweepPlan(
+        w, n, m, block_count(n, w), block_count(m, w), useful_operations=n * m
+    )
+
+
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, NEGATIVE_NAN])
+
+
+def _hostile(rng, shape, share: float, nans: bool):
+    """Normal values with a ``share`` of signed zeros, infinities and
+    (when ``nans``) NaNs of both signs."""
+    values = rng.normal(size=shape)
+    specials = _SPECIALS if nans else _SPECIALS[:4]
+    hit = rng.random(shape) < share
+    values[hit] = rng.choice(specials, size=shape)[hit]
+    return values
+
+
+def _int8_extremes(rng, shape):
+    """int8 codes with a third of them at -128 or 127."""
+    codes = rng.integers(-128, 128, size=shape).astype(np.int8)
+    hit = rng.random(shape) < 1 / 3
+    codes[hit] = np.where(rng.random(shape) < 0.5, -128, 127)[hit]
+    return codes
+
+
+#: ``(w, shape, body)`` on each side of the bound.  Mat-vec counts the
+#: ``(n_pad, m_pad + 1)`` accumulator, mat-mul the ``(p_pad + w, n_pad,
+#: m_pad)`` term stack.
+MATVEC_BOUND_SHAPES = [
+    (8, (128, 120), "gather"),  # 128 x 121 = 15,488 elements
+    (8, (128, 128), "lane"),  # 128 x 129 = 16,512
+    (1, (128, 127), "gather"),  # 128 x 128 = 16,384: exactly the bound
+    (1, (128, 128), "lane"),  # 128 x 129
+    (8, (3, 2040), "gather"),  # w >= n: 8 x 2,041 = 16,328
+    (8, (3, 2048), "lane"),  # 8 x 2,049 = 16,392
+]
+MATMUL_BOUND_SHAPES = [
+    (4, (24, 24, 24), "stacked"),  # 28 x 24 x 24 = 16,128
+    (4, (24, 28, 24), "step-major"),  # 32 x 24 x 24 = 18,432
+    (2, (24, 26, 24), "stacked"),  # 28 x 24 x 24 = 16,128
+    (2, (24, 28, 24), "step-major"),  # 30 x 24 x 24 = 17,280
+    (8, (3, 248, 3), "stacked"),  # w >= n: 256 x 8 x 8 = 16,384
+    (8, (3, 256, 3), "step-major"),  # 264 x 8 x 8 = 16,896
+]
+
+
+class TestBodyBound:
+    """Each plan picks its body at build by one module bound; shapes just
+    under and just over it match the simulator bit for bit."""
+
+    @pytest.mark.parametrize("w, shape, body", MATVEC_BOUND_SHAPES)
+    def test_matvec_shapes_at_the_bound_match_simulator(self, w, shape, body):
+        n, m = shape
+        rng = np.random.default_rng(n * m + w)
+        operands = (
+            _hostile(rng, (n, m), 0.01, nans=True),
+            _hostile(rng, m, 0.01, nans=False),
+            _hostile(rng, n, 0.05, nans=True),
+        )
+        solver = solver_for(w, "vectorized")
+        assert solver.plan("matvec", shape=shape).executor.sweep_plan.body == body
+        with np.errstate(invalid="ignore"):
+            simulated = solver_for(w, "simulate").solve("matvec", *operands)
+            solution = solver.solve("matvec", *operands)
+        assert_bits_equal(solution.values, simulated.values)
+        assert_band_outputs_match(simulated, solution)
+        assert_metrics_match(simulated, solution)
+
+    @pytest.mark.parametrize("w, shape, body", MATVEC_BOUND_SHAPES)
+    def test_int8_shapes_at_the_bound_match_simulator(self, w, shape, body):
+        n, m = shape
+        rng = np.random.default_rng(n + m + w)
+        matrix, x = _int8_extremes(rng, (n, m)), _int8_extremes(rng, m)
+        zero_point = -128 if w == 1 else 127
+        solution = solver_for(w, "vectorized", dtype_mode="int8").solve(
+            "dense", matrix, x, x_zero_point=zero_point
+        )
+        expected = matrix.astype(np.int64) @ (x.astype(np.int64) - zero_point)
+        assert solution.values.dtype == np.int32
+        assert np.array_equal(solution.values, expected)
+        # Both bodies give the same int32 band outputs: the check at w = 1,
+        # where the simulator would take seconds.
+        with _bound(0):
+            lane = _linear_sweep(n, m, w)
+        sweep = _linear_sweep(n, m, w)
+        assert sweep.body == body
+        shifted = x.astype(np.int32) - np.int32(zero_point)
+        for got, want in zip(sweep.int_sweep(matrix, shifted, None),
+                             lane.int_sweep(matrix, shifted, None)):
+            assert np.array_equal(got, want)
+        if w > 1:
+            simulated = solver_for(w, "simulate", dtype_mode="int8").solve(
+                "dense", matrix, x, x_zero_point=zero_point
+            )
+            assert np.array_equal(solution.values, simulated.values)
+            assert_band_outputs_match(simulated, solution)
+
+    @pytest.mark.parametrize(
+        "w, shape, body", [case for case in MATVEC_BOUND_SHAPES if case[0] > 1]
+    )
+    def test_paired_shapes_at_the_bound_match_simulator(self, w, shape, body):
+        n, m = shape
+        rng = np.random.default_rng(n * w + m)
+        batch = [
+            (_hostile(rng, (n, m), 0.01, nans=True), rng.normal(size=m))
+            for _pair in range(2)
+        ]
+        with np.errstate(invalid="ignore"):
+            simulated = [
+                solver_for(w, "simulate").solve("matvec", *operands)
+                for operands in batch
+            ]
+            paired = solver_for(w, "vectorized").solve_batch("matvec", batch)
+        for index, (expected, solution) in enumerate(zip(simulated, paired)):
+            assert solution.stats.get("paired")
+            assert_bits_equal(solution.values, expected.values)
+            assert_bits_equal(
+                np.asarray(solution.raw.run.y_per_problem[index]),
+                expected.raw.run.y_per_problem[0],
+            )
+
+    @pytest.mark.parametrize("w, shape, body", MATMUL_BOUND_SHAPES)
+    def test_matmul_shapes_at_the_bound_match_simulator(self, w, shape, body):
+        n, p, m = shape
+        rng = np.random.default_rng(n * p * m + w)
+        operands = (
+            _hostile(rng, (n, p), 0.01, nans=False),
+            _hostile(rng, (p, m), 0.01, nans=False),
+            _hostile(rng, (n, m), 0.05, nans=False),
+        )
+        solver = solver_for(w, "vectorized")
+        assert solver.plan("matmul", shape=shape).executor.sweep_plan.body == body
+        with np.errstate(invalid="ignore"):
+            simulated = solver_for(w, "simulate").solve("matmul", *operands)
+            solution = solver.solve("matmul", *operands)
+        assert_bits_equal(solution.values, simulated.values)
+        assert_metrics_match(simulated, solution)
+        assert_chain_values_match(simulated, solution)
+
+    def test_kernel_large_plans_keep_the_large_bodies(self):
+        """The benchmark's large shapes (w=8) are far above the bound."""
+        solver = Solver(ArraySpec(w=8), options=ExecutionOptions(backend="vectorized"))
+        bodies = [
+            solver.plan(kind, shape=shape).executor.sweep_plan.body
+            for kind, shape in [
+                ("matvec", (512, 512)), ("matvec", (1024, 1024)),
+                ("matmul", (64, 64, 64)),
+            ]
+        ]
+        assert bodies == ["lane", "lane", "step-major"]
+
+    def test_small_plan_holds_only_its_two_indices(self):
+        """A gather plan's tables are its rotation index (at most the
+        bound) and its band-output index; a lane plan holds no array."""
+        small, large = _linear_sweep(128, 120, 8), _linear_sweep(128, 128, 8)
+        arrays = [value for value in vars(small).values() if isinstance(value, np.ndarray)]
+        assert sorted(array.size for array in arrays) == [128 * 15, 128 * 121]
+        assert max(array.size for array in arrays) <= BOUND
+        assert not any(isinstance(value, np.ndarray) for value in vars(large).values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        w=st.sampled_from([1, 2, 3, 4, 8]),
+        n=st.integers(1, 160),
+        m=st.integers(1, 160),
+        seed=st.integers(0, 2**32 - 1),
+        share=st.sampled_from([0.0, 0.02, 0.5]),
+        nans=st.booleans(),
+        with_b=st.booleans(),
+    )
+    def test_matvec_bodies_agree(self, w, n, m, seed, share, nans, with_b):
+        """Gather and lane bodies give the same bits on any shape, either
+        side of the bound, float and int8."""
+        rng = np.random.default_rng(seed)
+        with _bound(2**62):
+            gather = _linear_sweep(n, m, w)
+        with _bound(0):
+            lane = _linear_sweep(n, m, w)
+        assert (gather.body, lane.body) == ("gather", "lane")
+        a = _hostile(rng, (n, m), share, nans)
+        x = _hostile(rng, m, share, nans)
+        b = _hostile(rng, n, share, nans) if with_b else None
+        with np.errstate(invalid="ignore", over="ignore"):
+            for got, want in zip(gather.sweep(a, x, b), lane.sweep(a, x, b)):
+                assert_bits_equal(got, want)
+        codes, x_codes = _int8_extremes(rng, (n, m)), _int8_extremes(rng, m)
+        bias = rng.integers(-(2**20), 2**20, size=n) if with_b else None
+        for got, want in zip(gather.int_sweep(codes, x_codes, bias),
+                             lane.int_sweep(codes, x_codes, bias)):
+            assert got.dtype == want.dtype == np.int32
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        w=st.sampled_from([1, 2, 3, 4, 8]),
+        n=st.integers(1, 24),
+        p=st.integers(1, 24),
+        m=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+        share=st.sampled_from([0.0, 0.02, 0.5]),
+        nans=st.booleans(),
+        with_e=st.booleans(),
+    )
+    def test_matmul_bodies_agree(self, w, n, p, m, seed, share, nans, with_e):
+        """Stacked and step-major bodies give the same ``C`` and chain
+        values on any shape, either side of the bound."""
+        rng = np.random.default_rng(seed)
+        geometry = hex_fold_geometry(n, p, m, w)
+        with _bound(2**62):
+            stacked = HexSweepPlan(geometry)
+        with _bound(0):
+            step_major = HexSweepPlan(geometry)
+        assert (stacked.body, step_major.body) == ("stacked", "step-major")
+        a = _hostile(rng, (n, p), share, nans)
+        b = _hostile(rng, (p, m), share, nans)
+        e = _hostile(rng, (n, m), share, nans) if with_e else None
+        with np.errstate(invalid="ignore", over="ignore"):
+            c, run = stacked.execute(a, b, e)
+            expected_c, expected_run = step_major.execute(a, b, e)
+        assert_bits_equal(c, expected_c)
+        assert_bits_equal(run.c_band.to_dense(), expected_run.c_band.to_dense())
 
 
 def _band_terms(operands, i, j):
@@ -915,3 +1248,28 @@ class TestSharedEngineBackend:
         )
         assert plan.executor.backend == "simulate"
         assert source.cache_stats.misses == 1  # the block's plan, already cached
+
+
+@pytest.fixture
+def large_bodies():
+    """Every plan the test builds runs the large-n bodies: the lane
+    mat-vec sweep and the step-major mat-mul fold."""
+    with _bound(0):
+        yield
+
+
+# The grids above run every shape on the small bodies (all of them are
+# below the bound); these run them again on the large ones.
+@pytest.mark.usefixtures("large_bodies")
+class TestMatVecEquivalenceLargeBody(TestMatVecEquivalence):
+    pass
+
+
+@pytest.mark.usefixtures("large_bodies")
+class TestMatMulEquivalenceLargeBody(TestMatMulEquivalence):
+    pass
+
+
+@pytest.mark.usefixtures("large_bodies")
+class TestNNEquivalenceLargeBody(TestNNEquivalence):
+    pass

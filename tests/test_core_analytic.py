@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.api import ArraySpec, ExecutionOptions, Solver
+from repro.core import analytic
 from repro.core.analytic import (
     MatMulModel,
     MatVecModel,
@@ -121,3 +124,41 @@ class TestModels:
         assert model.regular_feedback_registers == matmul_regular_feedback_registers(3)
         assert model.irregular_feedback_registers == 9
         assert model.utilization_limit == pytest.approx(1.0 / 3.0)
+
+
+class TestPredictionsOncePerPlan:
+    """Every solution of a plan shares the plan's model, and the model
+    evaluates its block counts and predictions once: a warm solve reports
+    them without evaluating any formula."""
+
+    FORMULAS = (
+        "block_count", "validate_array_size", "matvec_steps",
+        "matvec_utilization", "matmul_steps", "matmul_utilization",
+    )
+
+    @pytest.mark.parametrize("backend", ["simulate", "vectorized"])
+    def test_warm_solve_evaluates_no_analytic_formula(self, backend, monkeypatch):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(6, 5))
+        cases = [
+            ("matvec", (a, rng.normal(size=5)), {}),
+            ("matvec", (rng.normal(size=(9, 9)), rng.normal(size=9)),
+             {"overlapped": True}),
+            ("matmul", (a, rng.normal(size=(5, 7))), {}),
+        ]
+        solver = Solver(ArraySpec(w=3), options=ExecutionOptions(backend=backend))
+        cold = [
+            solver.solve(kind, *operands, **kwargs)
+            for kind, operands, kwargs in cases
+        ]
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a warm solve evaluated an analytic formula")
+
+        for name in self.FORMULAS:
+            monkeypatch.setattr(analytic, name, forbidden)
+        for (kind, operands, kwargs), first in zip(cases, cold):
+            warm = solver.solve(kind, *operands, **kwargs)
+            assert warm.predicted_steps == first.predicted_steps
+            assert warm.predicted_utilization == first.predicted_utilization
+            assert warm.raw.model is first.raw.model

@@ -265,11 +265,17 @@ class TestWarmStart:
     def test_second_warm_start_builds_nothing(self, tmp_path):
         rng = np.random.default_rng(12)
         _write_store(tmp_path, _workloads(rng))
-        service = SolverService(W, n_shards=2, store=PlanStore(tmp_path))
+        store = PlanStore(tmp_path)
+        service = SolverService(W, n_shards=2, store=store)
         try:
+            hits = store.stats.hits
+            assert hits > 0  # one per key the construction built
             before = counters.snapshot()
             assert service.warm_start() == 0
             assert counters.delta(before).plan_builds == 0
+            # A hit is a key built into a plan; reading keys counts none.
+            assert store.stats.hits == hits
+            assert counters.delta(before).plan_store_hits == 0
         finally:
             service.close()
 
@@ -581,11 +587,14 @@ class TestStoreSurface:
         service = SolverService(W, n_shards=1, store=PlanStore(tmp_path))
         service.submit("matvec", a, x).result(30.0)
         service.close()
-        other = SolverService(
-            W + 2, n_shards=1, store=PlanStore(tmp_path, readonly=True)
-        )
+        store = PlanStore(tmp_path, readonly=True)
+        before = counters.snapshot()
+        other = SolverService(W + 2, n_shards=1, store=store)
         try:
             assert other.warm_start() == 0
+            # A key of another w is read but never built: no hit.
+            assert store.stats.hits == 0
+            assert counters.delta(before).plan_store_hits == 0
         finally:
             other.close()
 

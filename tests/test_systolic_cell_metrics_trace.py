@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
-from repro.systolic.cell import InnerProductStepCell
+from repro.systolic.cell import InnerProductStepCell, mac
 from repro.systolic.metrics import UtilizationReport, utilization
 from repro.systolic.stream import DataStream, ScheduledValue
 from repro.systolic.trace import (
@@ -50,6 +52,62 @@ class TestInnerProductStepCell:
 
     def test_fresh_cell_utilization_zero(self):
         assert InnerProductStepCell(0).utilization == 0.0
+
+
+def _bits(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+POSITIVE_NAN = _from_bits(0x7FF8000000000000)
+NEGATIVE_NAN = _from_bits(0xFFF8000000000000)
+SIGNALING_NAN = _from_bits(0x7FF0000000000001)
+
+
+class TestNaNRule:
+    """When two NaNs meet, the accumulator's wins over the product's and the
+    coefficient's over ``x``'s — the same answer cold and after CPython's
+    float fast path has warmed up (which picks the other operand)."""
+
+    CASES = [
+        # (y, a, x) -> the NaN that wins
+        ((NEGATIVE_NAN, POSITIVE_NAN, 1.0), NEGATIVE_NAN),
+        ((POSITIVE_NAN, NEGATIVE_NAN, NEGATIVE_NAN), POSITIVE_NAN),
+        ((1.0, NEGATIVE_NAN, POSITIVE_NAN), NEGATIVE_NAN),
+        ((1.0, POSITIVE_NAN, NEGATIVE_NAN), POSITIVE_NAN),
+        ((NEGATIVE_NAN, 0.0, float("inf")), NEGATIVE_NAN),
+    ]
+
+    @pytest.mark.parametrize("warm_up", [0, 2000])
+    def test_mac_picks_a_fixed_nan(self, warm_up):
+        for _ in range(warm_up):
+            mac(1.0, 2.0, 3.0)
+        for operands, expected in self.CASES:
+            assert _bits(mac(*operands)) == _bits(expected), operands
+
+    @pytest.mark.parametrize("warm_up", [0, 2000])
+    def test_cell_step_picks_a_fixed_nan(self, warm_up):
+        cell = InnerProductStepCell(0)
+        for _ in range(warm_up):
+            cell.load(y_value=1.0, y_tag=None, x_value=2.0, x_tag=None)
+            cell.step(3.0)
+        for (y, a, x), expected in self.CASES:
+            cell.load(y_value=y, y_tag=None, x_value=x, x_tag=None)
+            assert _bits(cell.step(a)) == _bits(expected), (y, a, x)
+
+    def test_result_is_quieted(self):
+        assert _bits(mac(SIGNALING_NAN, 1.0, 2.0)) == 0x7FF8000000000001
+        assert _bits(mac(1.0, SIGNALING_NAN, NEGATIVE_NAN)) == 0x7FF8000000000001
+
+    def test_one_nan_or_none_is_plain_arithmetic(self):
+        assert mac(1.0, 2.0, 3.0) == 7.0
+        assert _bits(mac(-0.0, -0.0, 1.0)) == _bits(-0.0)
+        assert _bits(mac(1.0, NEGATIVE_NAN, 2.0)) == _bits(NEGATIVE_NAN)
+        # 0 * inf: the operation's own NaN, as plain arithmetic makes it.
+        assert _bits(mac(1.0, 0.0, float("inf"))) == _bits(1.0 + 0.0 * float("inf"))
 
 
 class TestUtilization:
