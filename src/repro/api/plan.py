@@ -72,7 +72,8 @@ class ExecutionPlan:
     """
 
     __slots__ = (
-        "_kind", "_shapes", "_spec", "_options", "_executor", "_handler", "_source",
+        "_kind", "_shapes", "_spec", "_options", "_executor", "_handler",
+        "_source", "_key",
     )
 
     def __init__(
@@ -93,6 +94,9 @@ class ExecutionPlan:
         object.__setattr__(self, "_handler", handler)
         object.__setattr__(
             self, "_source", None if source is None else weakref.ref(source)
+        )
+        object.__setattr__(
+            self, "_key", make_plan_key(kind, shapes, spec.w, options)
         )
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -170,7 +174,8 @@ class ExecutionPlan:
 
     @property
     def key(self) -> PlanKey:
-        return make_plan_key(self._kind, self._shapes, self._spec.w, self._options)
+        """The plan's cache and routing key, assembled once at construction."""
+        return self._key
 
     def _span(self, name: str):
         """An ambient child span for one plan execution (or the no-op).

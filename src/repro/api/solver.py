@@ -30,12 +30,12 @@ request carry the other.
 from __future__ import annotations
 
 from typing import (
-    List, Mapping, Optional, Sequence, Tuple, Type, TYPE_CHECKING,
+    Hashable, List, Mapping, Optional, Sequence, Tuple, Type, TYPE_CHECKING,
 )
 
 from ..errors import PlanStoreError
 from ..graph.problems import Problem, problem_types
-from ..instrumentation import counters
+from ..instrumentation import LRUCache, counters
 from ..obs.tracing import NULL_SPAN, active_span
 from .config import ArraySpec, ExecutionOptions
 from .plan import ExecutionPlan, CacheStats, PlanCache, PlanKey, make_plan_key
@@ -46,6 +46,7 @@ from .solution import Solution
 from . import problems as _problems  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..graph.compiler import LoweredGraph
     from ..store import PlanStore
 
 __all__ = ["Solver"]
@@ -66,6 +67,8 @@ class Solver:
         iterative, blocked and prt kinds run inside their own solves are
         plans of this cache too, so they count against it: a triangular
         solve of ``k`` blocks holds up to ``k`` inner mat-vec plans.
+        The graph memo beside it (:attr:`lowered_graphs`) holds up to as
+        many graph signatures.
     store:
         Optional :class:`~repro.store.PlanStore`, written through: every
         plan this solver builds has its key saved, best-effort (write
@@ -85,6 +88,9 @@ class Solver:
         self._spec = ArraySpec.of(spec)
         self._options = options if options is not None else ExecutionOptions()
         self._cache = PlanCache(plan_cache_size)
+        self._lowered: "LRUCache[Hashable, LoweredGraph]" = LRUCache(
+            plan_cache_size
+        )
         self._store = store
 
     # -- introspection ----------------------------------------------------------
@@ -104,6 +110,20 @@ class Solver:
     def cache_stats(self) -> CacheStats:
         """Hit/miss/eviction accounting of the plan cache."""
         return self._cache.stats
+
+    @property
+    def lowered_graphs(self) -> "LRUCache[Hashable, LoweredGraph]":
+        """The graph memo: one value-free lowering per graph signature.
+
+        :class:`~repro.graph.compiler.GraphCompiler` keys it by
+        ``(Graph.signature() structure, fuse, base options)``.  An entry
+        holds the stage plan keys, and a compile still looks each stage's
+        plan up in this solver's plan cache.  It also keeps the program of
+        its last all-cached compile, whose stages hold their plans: a
+        plan evicted from the cache lives on until its signature compiles
+        again or the entry leaves the memo.
+        """
+        return self._lowered
 
     @property
     def store(self) -> "Optional[PlanStore]":
@@ -131,13 +151,14 @@ class Solver:
 
     # -- lifetime ---------------------------------------------------------------
     def reset(self) -> None:
-        """Drop every cached plan while preserving ``cache_stats`` history.
+        """Drop every cached plan and graph lowering, keeping ``cache_stats``.
 
         After a reset the next same-shape solve recompiles its plan, but
         lifetime hit/miss/eviction accounting survives — the natural
         behaviour for services that recycle solvers between load phases.
         """
         self._cache.clear()
+        self._lowered.clear()
 
     def __enter__(self) -> "Solver":
         return self
@@ -382,7 +403,18 @@ class Solver:
         self._cache.put(plan.key, plan.bound_to(self))
 
     def _plan_for(self, handler, shapes, opts) -> Tuple[ExecutionPlan, bool]:
-        key = make_plan_key(handler.kind, shapes, self._spec.w, opts)
+        return self.resolve_key(
+            make_plan_key(handler.kind, shapes, self._spec.w, opts)
+        )
+
+    def resolve_key(self, key: PlanKey) -> Tuple[ExecutionPlan, bool]:
+        """Compile-or-fetch the plan of a whole plan key of this solver.
+
+        Returns ``(plan, from_cache)``.  The one cache lookup every solve
+        and compile goes through; a memoized graph lowering calls it with
+        the stage keys it stored, so a warm compile derives no key.
+        """
+        kind, shapes, _w, opts = key
         plan = self._cache.get(key)
         # Ambient tracing: when some caller (a traced service worker)
         # activated a span, plan lookups report under it — cache hits as
@@ -392,18 +424,18 @@ class Solver:
             if parent is not None:
                 parent.child(
                     "plan_lookup", category="plan",
-                    kind=handler.kind, cache="hit",
+                    kind=kind, cache="hit",
                 ).finish()
             return plan, True
         span = (
             NULL_SPAN if parent is None
             else parent.child(
                 "plan_lookup", category="plan",
-                kind=handler.kind, cache="miss",
+                kind=kind, cache="miss",
             )
         )
         with span:
-            plan = self._build(key, handler, shapes, opts)
+            plan = self._build(key, get_handler(kind), shapes, opts)
         self._persist(key)
         return plan, False
 

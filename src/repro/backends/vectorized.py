@@ -887,6 +887,11 @@ class HexSweepPlan:
             template.band_positions(), len(positions), dtype=np.intp
         )
         self._band_gather[band_index[order]] = np.arange(len(positions))
+        # Every run's band views its storage through this geometry; the
+        # plan keeps it over a zero-stride view, so it holds no values.
+        self._band = template.with_storage(
+            np.broadcast_to(0.0, (template.band_positions(),))
+        )
 
         # The stacked body: plane g + 1 of the stack holds the accumulator
         # after step g, so the read of position q is element
@@ -982,10 +987,7 @@ class HexSweepPlan:
         c = acc[: self._n, : self._m].copy()
 
         metrics = self._metrics
-        c_band = BandMatrix(
-            self._dim, self._dim, metrics.c_lower, metrics.c_upper,
-            storage=storage,
-        )
+        c_band = self._band.with_storage(storage)
         run = HexRunResult(
             w1=self._w,
             w2=self._w,
@@ -1104,7 +1106,10 @@ def full_band_block_matvec(block: np.ndarray, x: np.ndarray) -> np.ndarray:
     """One dense block as a full-bandwidth band on the ``2w - 1`` cell array.
 
     Folds the diagonals in cell order (``-(w-1) .. w-1``), which is the
-    order the naive baseline's simulated array accumulates them in.
+    order the naive baseline's simulated array accumulates them in.  A
+    row that ends NaN is folded again through
+    :func:`~repro.systolic.cell.mac`, in the same order from the same
+    +0.0, so where two NaNs meet it keeps the simulated cell's NaN.
     """
     size = block.shape[0]
     y = np.zeros(size, dtype=float)
@@ -1114,6 +1119,12 @@ def full_band_block_matvec(block: np.ndarray, x: np.ndarray) -> np.ndarray:
             y[: size - d] += diagonal * x[d:]
         else:
             y[-d:] += diagonal * x[: size + d]
+    if _has_nan(y):
+        for row in np.flatnonzero(np.isnan(y)).tolist():
+            acc = 0.0
+            for col in range(size):
+                acc = mac(acc, float(block[row, col]), float(x[col]))
+            y[row] = acc
     return y
 
 
@@ -1122,10 +1133,17 @@ def full_band_block_matmul(a_block: np.ndarray, b_block: np.ndarray) -> np.ndarr
 
     Every result position accumulates its products in increasing inner
     index order, so a rank-1 update sweep reproduces the simulator's
-    values bit for bit.
+    values bit for bit; a position that ends NaN is folded again through
+    :func:`~repro.systolic.cell.mac` in that order, from +0.0.
     """
     size = a_block.shape[0]
     c = np.zeros((size, b_block.shape[1]), dtype=float)
     for k in range(size):
         c += a_block[:, k : k + 1] * b_block[k : k + 1, :]
+    if _has_nan(c):
+        for i, j in np.argwhere(np.isnan(c)).tolist():
+            acc = 0.0
+            for k in range(size):
+                acc = mac(acc, float(a_block[i, k]), float(b_block[k, j]))
+            c[i, j] = acc
     return c

@@ -42,13 +42,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..backends.registry import VECTORIZED, resolve_backend
-from ..backends.vectorized import build_banded_linear_run
+from ..backends.vectorized import _has_nan, build_banded_linear_run
 from ..errors import TransformError
 from ..instrumentation import counters
 from ..matrices.banded import BandMatrix
 from ..matrices.blocks import BlockGrid
 from ..matrices.dense import as_matrix, as_vector
 from ..matrices.padding import pad_vector, validate_array_size
+from ..systolic.cell import mac
 from ..systolic.feedback import ExternalSource, FeedbackSource
 from ..systolic.linear_array import LinearContraflowArray, LinearProblem, LinearRunResult
 from ..core.analytic import matvec_steps
@@ -416,7 +417,9 @@ class BlockSparseMatVec:
         order on top of its initial value (its ``b`` block for the first
         row of an original block row, the previous row's output — the
         ``w``-register feedback value — otherwise), reproducing the
-        simulator's per-row accumulation order exactly.
+        simulator's per-row accumulation order exactly.  A row that ends
+        NaN is folded again through :func:`~repro.systolic.cell.mac`, so
+        where two NaNs meet it keeps the simulated cell's NaN.
         """
         w = self._w
         plans = transform.plans
@@ -435,12 +438,23 @@ class BlockSparseMatVec:
             segment = outputs[base : base + w]
             if plan.is_first:
                 start = plan.original_row * w
-                segment[:] = padded_b[start : start + w]
+                initial = padded_b[start : start + w]
             else:
-                segment[:] = previous
+                initial = previous
                 feedback_rows.extend(range(base, base + w))
+            segment[:] = initial
             for d in range(w):
                 segment += diagonals[d][base : base + w] * x_t[base + d : base + d + w]
+            if _has_nan(segment):
+                for r in np.flatnonzero(np.isnan(segment)).tolist():
+                    acc = float(initial[r])
+                    for d in range(w):
+                        acc = mac(
+                            acc,
+                            float(diagonals[d][base + r]),
+                            float(x_t[base + r + d]),
+                        )
+                    segment[r] = acc
             previous = segment
         return build_banded_linear_run(
             w,

@@ -27,6 +27,17 @@ into a :class:`~repro.graph.program.PipelineProgram`:
   resolve to the ``vectorized`` backend; ``simulate`` compilations —
   the oracle, and the only traced path — run stage by stage.
 
+None of this reads an operand value: the lowering is a function of the
+graph's :meth:`~repro.graph.graph.Graph.signature` structure, ``fuse``
+and the base options.  So it runs once per signature, on a copy of the
+graph whose value slots hold :class:`~repro.graph.graph.Slot`
+placeholders, and is memoized as a :class:`LoweredGraph` in the solver's
+graph memo (:attr:`~repro.api.solver.Solver.lowered_graphs`, bounded
+like the plan cache).  Every compile then looks each stage plan up by
+its stored key and binds the graph's values by slot address (node and
+slot, never object identity): the planner reuse of FFTW (Frigo and
+Johnson, Proc. IEEE 2005) applied to whole graphs.
+
 The emitted program is *partitionable*: because stages carry their
 dependency levels and resolved plans, :meth:`PipelineProgram.segments`
 can split it under a placement into
@@ -38,20 +49,24 @@ bit-identically to :meth:`PipelineProgram.run`.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING,
+)
 
 from ..api.config import ExecutionOptions
+from ..api.plan import PlanKey, make_plan_key
+from ..api.registry import get_handler
 from ..backends.registry import VECTORIZED, resolve_backend
 from ..instrumentation import counters
 from .fusion import fuse_epilogue_chains
-from .graph import Graph, as_graph
+from .graph import Graph, Slot, as_graph
 from .problems import MatMul, MatVec, Problem, Ref
 from .program import Binding, PipelineProgram, PipelineResult, PipelineStage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.solver import Solver
 
-__all__ = ["GraphCompiler"]
+__all__ = ["GraphCompiler", "LoweredGraph"]
 
 
 class GraphCompiler:
@@ -95,75 +110,198 @@ class GraphCompiler:
 
     def compile(self, graph: "Graph | Problem") -> PipelineProgram:
         """Lower a graph (or a single problem) to a pipeline program."""
+        lowered, values = self.lower(graph)
+        return lowered.bind(self._solver, values)
+
+    def lower(
+        self, graph: "Graph | Problem"
+    ) -> Tuple["LoweredGraph", Tuple[Any, ...]]:
+        """The graph's memoized lowering and its slot values.
+
+        The lowering is looked up in the solver's graph memo by the
+        graph's signature structure, ``fuse`` and the base options; a
+        miss lowers the graph once (rewrites, stage keys, levels, home
+        keys) and memoizes it.  The values are the graph's own, in slot
+        order, for :meth:`LoweredGraph.bind`.
+        """
         graph = as_graph(graph)
-        counters.bump("graph_compiles")
-        base_options = (
-            self._options if self._options is not None else self._solver.options
-        )
-        rewrites = 0
-        if self._fuse:
-            graph, rewrites = _fuse_matmul_chains(graph)
-        epilogues = 0
-        if (
-            not base_options.record_trace
-            and resolve_backend(base_options.backend) == VECTORIZED
-        ):
-            graph, epilogues = fuse_epilogue_chains(graph, base_options)
-        stages: List[PipelineStage] = []
-        for index, node in enumerate(graph.nodes):
-            options = node.resolved_options(base_options)
-            plan, cached = self._solver.resolve_plan(
-                node.kind, shape=graph.spec(index), options=options
-            )
-            stages.append(
-                PipelineStage(
-                    index=index,
-                    name=graph.names[index],
-                    kind=node.kind,
-                    plan=plan,
-                    operands=tuple(
-                        _binding(graph, value)
-                        for value in node.operand_values()
-                    ),
-                    kwargs={
-                        key: _binding(graph, value)
-                        for key, value in node.execute_kwargs().items()
-                    },
-                    level=graph.levels[index],
-                    plan_cached=cached,
-                )
-            )
-        return PipelineProgram(
-            stages=tuple(stages),
-            outputs=graph.outputs,
-            pairs=tuple(_mark_pairs(stages)),
-            fused_rewrites=rewrites,
-            fused_epilogues=epilogues,
-            # Counted from the per-stage cache-hit flags, not the
-            # process-global counter: exact even while other service
-            # shards compile concurrently.
-            compile_plan_builds=sum(
-                1 for stage in stages if not stage.plan_cached
-            ),
-        )
+        base = self._options if self._options is not None else self._solver.options
+        structure, values = graph.signature()
+        key = (structure, self._fuse, base)
+        memo = self._solver.lowered_graphs
+        lowered = memo.get(key)
+        if lowered is None:
+            lowered = self._lower(graph, base)
+            memo.put(key, lowered)
+        return lowered, values
 
     def run(self, graph: "Graph | Problem") -> PipelineResult:
         """Compile (warm compiles hit the plan cache) and execute a graph."""
         return self.compile(graph).run()
 
+    def _lower(self, graph: Graph, base: ExecutionOptions) -> "LoweredGraph":
+        """Lower one graph signature, from a copy holding no values."""
+        node_keys = graph.plan_keys(self._solver.w, base)
+        lowered = graph.placeholders()
+        rewrites = 0
+        if self._fuse:
+            lowered, rewrites = _fuse_matmul_chains(lowered)
+        epilogues = 0
+        if (
+            not base.record_trace
+            and resolve_backend(base.backend) == VECTORIZED
+        ):
+            lowered, epilogues = fuse_epilogue_chains(lowered, base)
+        stages: List[_StageSkeleton] = []
+        for index, node in enumerate(lowered.nodes):
+            handler = get_handler(node.kind)
+            stages.append(
+                _StageSkeleton(
+                    index=index,
+                    name=lowered.names[index],
+                    kind=node.kind,
+                    key=make_plan_key(
+                        handler.kind,
+                        handler.shapes(shape=lowered.spec(index)),
+                        self._solver.w,
+                        node.resolved_options(base),
+                    ),
+                    operands=tuple(
+                        _binding(lowered, value)
+                        for value in node.operand_values()
+                    ),
+                    kwargs={
+                        key: _binding(lowered, value)
+                        for key, value in node.execute_kwargs().items()
+                    },
+                    level=lowered.levels[index],
+                )
+            )
+        return LoweredGraph(
+            stages=tuple(stages),
+            outputs=lowered.outputs,
+            node_keys=node_keys,
+            fused_rewrites=rewrites,
+            fused_epilogues=epilogues,
+        )
+
+
+class _StageSkeleton(NamedTuple):
+    """One lowered stage without its plan: what a lowering stores."""
+
+    index: int
+    name: str
+    kind: str
+    key: PlanKey
+    operands: Tuple[Binding, ...]
+    kwargs: Dict[str, Binding]
+    level: int
+
+
+class LoweredGraph:
+    """The value-free lowering of one graph signature: a memo entry.
+
+    Holds what a compile derives from the graph's structure alone — the
+    rewritten stages with their plan keys, slot and stage bindings and
+    levels, the outputs, the fusion counts, and ``node_keys``, the
+    per-node :meth:`~repro.graph.graph.Graph.plan_keys` that route a
+    served graph's whole-job accounting.  :meth:`bind` makes a program of
+    it for one graph's values; the overlapped pairs and the program of
+    the last all-cached plans are kept from earlier binds.
+    """
+
+    def __init__(
+        self,
+        stages: Tuple[_StageSkeleton, ...],
+        outputs: Tuple[Tuple[str, int], ...],
+        node_keys: Tuple[PlanKey, ...],
+        fused_rewrites: int,
+        fused_epilogues: int,
+    ):
+        self._stages = stages
+        self._keys = tuple(stage.key for stage in stages)
+        self._outputs = outputs
+        self.node_keys = node_keys
+        self._fused_rewrites = fused_rewrites
+        self._fused_epilogues = fused_epilogues
+        # Set by binds.  The pairs once: pairing reads the plans.  The
+        # resident program by every bind that cannot reuse it: its own
+        # program when every plan was cached, else None, so an evicted
+        # plan is held only until the signature compiles again.  Racing
+        # binds compute equal values, so a race costs a rebuild.
+        self._pairs: Optional[Tuple[Tuple[int, int], ...]] = None
+        self._resident: Optional[PipelineProgram] = None
+
+    def bind(self, solver: "Solver", values: Tuple[Any, ...]) -> PipelineProgram:
+        """A program of this lowering over ``values``, plans from ``solver``.
+
+        The per-request step of every compile.  One plan-cache lookup per
+        stage, by its stored key and in stage order, exactly as a cold
+        compile makes them (a plan evicted since is rebuilt and charged
+        as a cold compile); nothing is re-derived.  When every plan was
+        cached and is the one the resident program (the last all-cached
+        bind's) holds, the program shares its stages and unplaced
+        segment.
+        """
+        counters.bump("graph_compiles")
+        resolved = [solver.resolve_key(key) for key in self._keys]
+        resident = self._resident
+        if resident is not None and all(
+            cached and plan is stage.plan
+            for (plan, cached), stage in zip(resolved, resident.stages)
+        ):
+            return resident.bound(values)
+        stages = tuple(
+            PipelineStage(
+                index=skeleton.index,
+                name=skeleton.name,
+                kind=skeleton.kind,
+                plan=plan,
+                operands=skeleton.operands,
+                kwargs=skeleton.kwargs,
+                level=skeleton.level,
+                plan_cached=cached,
+            )
+            for skeleton, (plan, cached) in zip(self._stages, resolved)
+        )
+        pairs = self._pairs
+        if pairs is None:
+            pairs = self._pairs = tuple(_mark_pairs(stages))
+        # Counted from the per-stage cache-hit flags, not the
+        # process-global counter: exact even while other service shards
+        # compile concurrently.
+        builds = sum(1 for _plan, cached in resolved if not cached)
+        program = PipelineProgram(
+            stages=stages,
+            outputs=self._outputs,
+            pairs=pairs,
+            fused_rewrites=self._fused_rewrites,
+            compile_plan_builds=builds,
+            fused_epilogues=self._fused_epilogues,
+            values=values,
+        )
+        self._resident = None if builds else program.bound(())
+        return program
+
 
 def _binding(graph: Graph, value: object) -> Binding:
     if isinstance(value, Ref):
         return Binding(source=graph.index_of(value.node), item=value.item)
-    return Binding(value=value)
+    if isinstance(value, Slot):
+        return Binding(slot=value.index)
+    raise TypeError(
+        f"a lowered stage holds a {type(value).__name__} outside every "
+        f"declared slot; its problem type's slots must name each attribute "
+        f"behind operand_values() and execute_kwargs()"
+    )
 
 
-def _mark_pairs(stages: List[PipelineStage]) -> List[Tuple[int, int]]:
-    """Pairs of independent (same-level) stages sharing a pairable plan."""
-    groups: Dict[Tuple[int, int], List[int]] = {}
+def _mark_pairs(stages: Tuple[PipelineStage, ...]) -> List[Tuple[int, int]]:
+    """Pairs of independent (same-level) stages sharing a pairable plan key."""
+    groups: Dict[Tuple[int, PlanKey], List[int]] = {}
     for stage in stages:
         if stage.plan.supports_pairing:
-            groups.setdefault((stage.level, id(stage.plan)), []).append(
+            groups.setdefault((stage.level, stage.plan.key), []).append(
                 stage.index
             )
     pairs: List[Tuple[int, int]] = []

@@ -114,6 +114,16 @@ class Fused(Problem):
     def execute_kwargs(self) -> Dict[str, Any]:
         return dict(self.stage_kwargs)
 
+    def slot_values(self) -> Tuple[Any, ...]:
+        return self.head_operands + tuple(self.stage_kwargs.values())
+
+    def with_slot_values(self, values: Tuple[Any, ...]) -> "Fused":
+        clone = copy.copy(self)
+        heads = len(self.head_operands)
+        clone.head_operands = tuple(values[:heads])
+        clone.stage_kwargs = dict(zip(self.stage_kwargs, values[heads:]))
+        return clone
+
     def option_overrides(self) -> Dict[str, Any]:
         return {"dtype_mode": self.dtype_mode}
 

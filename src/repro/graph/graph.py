@@ -26,6 +26,7 @@ for a given array size and option defaults — the same keys the
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +35,29 @@ from ..api.config import ExecutionOptions
 from ..errors import GraphCycleError, GraphError
 from .problems import Problem, Ref
 
-__all__ = ["Graph", "as_graph"]
+__all__ = ["Graph", "Slot", "as_graph"]
+
+#: The :meth:`Graph.signature` mark of a slot that holds a value.
+_VALUE = "value"
+
+
+class Slot:
+    """Stands in for the value in slot ``index`` of a graph's signature.
+
+    :meth:`Graph.placeholders` puts one in every value slot, so a program
+    lowered from that graph records where each operand comes from, not
+    what it was.  ``shape`` is the value's, which is all the lowering
+    reads of it.
+    """
+
+    __slots__ = ("index", "shape")
+
+    def __init__(self, index: int, shape: Tuple[int, ...]):
+        self.index = index
+        self.shape = shape
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Slot({self.index}, shape={self.shape})"
 
 
 def _ensure_handlers() -> None:
@@ -78,15 +101,16 @@ class Graph:
             problem: name for name, problem in requested if name is not None
         }
 
-        self._nodes: Tuple[Problem, ...] = self._toposort(
+        order, dependencies = self._toposort(
             [problem for _name, problem in requested]
         )
+        self._nodes: Tuple[Problem, ...] = order
         self._index: Dict[Problem, int] = {
             node: index for index, node in enumerate(self._nodes)
         }
         self._names: Tuple[str, ...] = self._assign_names()
         self._deps: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(sorted({self._index[dep] for dep in self._dependencies(node)}))
+            tuple(sorted({self._index[dep] for dep in dependencies[node]}))
             for node in self._nodes
         )
         self._levels: Tuple[int, ...] = self._assign_levels()
@@ -102,15 +126,23 @@ class Graph:
     # -- construction internals -----------------------------------------------------
     @staticmethod
     def _dependencies(node: Problem) -> List[Problem]:
-        deps = [ref.node for ref in node.iter_refs()]
+        deps = [
+            value.node for value in node.slot_values() if isinstance(value, Ref)
+        ]
         deps.extend(node.after)
         return deps
 
-    def _toposort(self, roots: Sequence[Problem]) -> Tuple[Problem, ...]:
-        """Iterative DFS post-order; grey-node re-entry is a cycle."""
+    def _toposort(
+        self, roots: Sequence[Problem]
+    ) -> Tuple[Tuple[Problem, ...], Dict[Problem, List[Problem]]]:
+        """Iterative DFS post-order; grey-node re-entry is a cycle.
+
+        Returns the order and each node's dependencies, found once.
+        """
         WHITE, GREY, BLACK = 0, 1, 2
         state: Dict[Problem, int] = {}
         order: List[Problem] = []
+        dependencies: Dict[Problem, List[Problem]] = {}
         for root in roots:
             if state.get(root, WHITE) == BLACK:
                 continue
@@ -134,7 +166,8 @@ class Graph:
                     )
                 state[node] = GREY
                 stack.append((node, True))
-                for dep in self._dependencies(node):
+                deps = dependencies[node] = self._dependencies(node)
+                for dep in deps:
                     mark = state.get(dep, WHITE)
                     if mark == GREY:
                         raise GraphCycleError(
@@ -144,7 +177,7 @@ class Graph:
                         )
                     if mark == WHITE:
                         stack.append((dep, False))
-        return tuple(order)
+        return tuple(order), dependencies
 
     def _assign_names(self) -> Tuple[str, ...]:
         """Unique per-node names: explicit names must not clash with each
@@ -258,6 +291,78 @@ class Graph:
     def output_shape(self, index: int):
         """The inferred output shape of node ``index``."""
         return self._output_shapes[index]
+
+    def signature(self) -> Tuple[Tuple, Tuple[Any, ...]]:
+        """``(structure, values)``: what the graph lowers by, and its values.
+
+        ``structure`` is hashable and holds no operand value.  It lists
+        the outputs, then per node in topological order: the problem
+        type, its raw and assigned names, its shape spec, its per-node
+        options and option overrides, each slot of
+        :meth:`~repro.graph.problems.Problem.slot_values` as a
+        ``(node index, item)`` reference, ``None`` or ``"value"``, and
+        the indices of its ``.then`` predecessors.  Two graphs with equal
+        structures lower to the same program.
+
+        ``values`` holds the value slots in that walk's order: slot ``k``
+        is the ``k``-th ``"value"`` mark, so a value is addressed by its
+        node and slot, never by its identity.
+        """
+        index = self._index
+        structure: List[Any] = [self._outputs]
+        values: List[Any] = []
+        for position, node in enumerate(self._nodes):
+            marks: List[Any] = []
+            for value in node.slot_values():
+                if isinstance(value, Ref):
+                    marks.append((index[value.node], value.item))
+                elif value is None:
+                    marks.append(None)
+                else:
+                    marks.append(_VALUE)
+                    values.append(value)
+            structure.append((
+                type(node),
+                node.name,
+                self._names[position],
+                self._specs[position],
+                node.options,
+                tuple(node.option_overrides().items()),
+                tuple(marks),
+                tuple([index[predecessor] for predecessor in node.after]),
+            ))
+        return tuple(structure), tuple(values)
+
+    def placeholders(self) -> "Graph":
+        """This graph with a :class:`Slot` in place of every slot value.
+
+        The copy shares this graph's order, names, levels and shapes, so
+        it lowers exactly as this graph does; the program lowered from it
+        holds slot numbers (those of :meth:`signature`) instead of values.
+        """
+        clones: Dict[Problem, Problem] = {}
+        count = 0
+        for node in self._nodes:
+            slots: List[Any] = []
+            for value in node.slot_values():
+                if isinstance(value, Ref):
+                    slots.append(Ref(clones[value.node], value.item))
+                elif value is None:
+                    slots.append(None)
+                else:
+                    shape = tuple(int(dim) for dim in np.shape(value))
+                    slots.append(Slot(count, shape))
+                    count += 1
+            clone = node.with_slot_values(tuple(slots))
+            clone.after = tuple(clones[p] for p in node.after)
+            clones[node] = clone
+        graph = copy.copy(self)
+        graph._nodes = tuple(clones[node] for node in self._nodes)
+        graph._index = {node: i for i, node in enumerate(graph._nodes)}
+        graph._name_overrides = {
+            clones[node]: name for node, name in self._name_overrides.items()
+        }
+        return graph
 
     def plan_keys(
         self, w: int, options: Optional[ExecutionOptions] = None

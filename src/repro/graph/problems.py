@@ -30,6 +30,7 @@ The stable ``kind -> problem class`` mapping is :func:`problem_types`.
 
 from __future__ import annotations
 
+import copy
 from typing import (
     Any,
     Callable,
@@ -116,6 +117,10 @@ class Problem:
     kind: ClassVar[str] = ""
     #: What the node's ``Solution.values`` holds, for composition rules.
     produces: ClassVar[str] = "vector"
+    #: The attributes behind :meth:`operand_values` and then
+    #: :meth:`execute_kwargs`, one per slot and in their order: what
+    #: :meth:`slot_values` reads and :meth:`with_slot_values` replaces.
+    slots: ClassVar[Tuple[str, ...]] = ()
 
     #: Binary numpy ops defer to our reflected methods (``A @ problem``).
     __array_ufunc__ = None
@@ -239,6 +244,21 @@ class Problem:
     def execute_kwargs(self) -> Dict[str, Any]:
         """Kind-specific execution arguments (``lower=``, ``x0=``, ...)."""
         return {}
+
+    def slot_values(self) -> Tuple[Any, ...]:
+        """Every operand and execution-argument slot, in :attr:`slots` order.
+
+        Each is a :class:`Ref`, ``None`` (an unset optional slot) or a
+        value; a slot's position here is its address within the node.
+        """
+        return tuple([getattr(self, name) for name in self.slots])
+
+    def with_slot_values(self, values: Tuple[Any, ...]) -> "Problem":
+        """A shallow copy of this node holding ``values`` in its slots."""
+        clone = copy.copy(self)
+        for name, value in zip(self.slots, values):
+            setattr(clone, name, value)
+        return clone
 
     def option_overrides(self) -> Dict[str, Any]:
         """Per-problem :class:`ExecutionOptions` overrides (``None`` = unset)."""
@@ -391,6 +411,7 @@ class MatVec(Problem):
 
     kind = "matvec"
     produces = "vector"
+    slots = ("matrix", "x", "b")
 
     def __init__(
         self,
@@ -451,6 +472,7 @@ class MatMul(Problem):
 
     kind = "matmul"
     produces = "matrix"
+    slots = ("a", "b", "e")
 
     def __init__(
         self,
@@ -498,6 +520,7 @@ class Triangular(Problem):
 
     kind = "triangular"
     produces = "vector"
+    slots = ("matrix", "b", "lower")
 
     def __init__(
         self,
@@ -543,6 +566,7 @@ class LU(Problem):
 
     kind = "lu"
     produces = "factors"
+    slots = ("matrix",)
 
     def __init__(
         self,
@@ -584,6 +608,7 @@ class _SystemProblem(Problem):
     """
 
     produces = "vector"
+    slots = ("matrix", "b", "x0")
 
     def __init__(
         self,
@@ -680,6 +705,7 @@ class Power(Problem):
 
     kind = "power"
     produces = "vector"
+    slots = ("matrix", "x0")
 
     def __init__(
         self,
@@ -758,6 +784,8 @@ def register_problem_type(cls: Type[Problem]) -> Type[Problem]:
     :func:`problem_types` the single source of truth that
     ``Solver.problem_types()`` and every handler's ``problem_class``
     read.  Usable as a class decorator; last registration per kind wins.
+    The class declares its :attr:`Problem.slots`: graphs find their
+    dependencies, signatures and operand values through them.
     """
     global _PROBLEM_TYPES_VIEW
     if not (isinstance(cls, type) and issubclass(cls, Problem)):
@@ -766,6 +794,8 @@ def register_problem_type(cls: Type[Problem]) -> Type[Problem]:
         )
     if not cls.kind:
         raise ValueError(f"{cls.__name__} declares no kind")
+    if not cls.slots:
+        raise ValueError(f"{cls.__name__} declares no slots")
     _PROBLEM_TYPES[cls.kind] = cls
     _PROBLEM_TYPES_VIEW = MappingProxyType(dict(sorted(_PROBLEM_TYPES.items())))
     return cls

@@ -4,9 +4,12 @@ A :class:`PipelineProgram` is what :class:`~repro.graph.compiler.GraphCompiler`
 lowers a :class:`~repro.graph.graph.Graph` to: per-stage
 :class:`~repro.api.plan.ExecutionPlan` objects (resolved through — and
 deduplicated by — the owning solver's plan cache), operand bindings that
-feed stage outputs into downstream slots, dependency levels marking
-parallelizable stages, and the pairs of independent same-plan matvec
-stages that execute together on one overlapped array run.
+feed stage outputs or the program's bound values into downstream slots,
+dependency levels marking parallelizable stages, and the pairs of
+independent same-plan matvec stages that execute together on one
+overlapped array run.  The bindings hold slot numbers, never values, so
+programs of one graph signature share their stages and differ only in
+the values they are bound to (:meth:`PipelineProgram.bound`).
 
 Running a program streams values only: a warm program performs **zero**
 plan or transform construction, which is the whole point — a multi-stage
@@ -33,6 +36,7 @@ modeled array-time accounting of the level-parallel schedule.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
@@ -55,18 +59,20 @@ __all__ = [
 class Binding:
     """One operand (or kwarg) slot of a compiled stage.
 
-    Either a concrete ``value``, or a reference to the output of stage
-    ``source`` (with ``item`` selecting one element of a multi-valued
-    output, e.g. an LU factor).
+    Either the program's bound value number ``slot`` (its graph slot
+    address, see :meth:`~repro.graph.graph.Graph.signature`), or a
+    reference to the output of stage ``source`` (with ``item`` selecting
+    one element of a multi-valued output, e.g. an LU factor).  Holds no
+    value itself, so one lowering serves every run of its signature.
     """
 
-    value: Any = None
+    slot: Optional[int] = None
     source: Optional[int] = None
     item: Optional[int] = None
 
-    def resolve(self, outputs: List[Any]) -> Any:
+    def resolve(self, outputs: List[Any], values: Tuple[Any, ...]) -> Any:
         if self.source is None:
-            return self.value
+            return values[self.slot]  # type: ignore[index]
         produced = outputs[self.source]
         if self.item is not None:
             return produced[self.item]
@@ -102,7 +108,8 @@ class ProgramSegment:
     :meth:`PipelineProgram.run`.  ``level`` is the first level of the
     run.  ``pairs`` are the overlapped matvec pairs falling inside this
     segment (pair members share one plan and one level, hence one
-    placement, so a pair can never straddle segments).
+    placement, so a pair can never straddle segments).  ``values`` are
+    the program's bound operand values, which slot bindings index.
     """
 
     level: int
@@ -110,6 +117,7 @@ class ProgramSegment:
     pairs: Tuple[Tuple[int, int], ...] = ()
     #: The shard the placement put every stage of this segment on.
     shard: int = 0
+    values: Tuple[Any, ...] = ()
 
     @property
     def stage_indices(self) -> Tuple[int, ...]:
@@ -137,6 +145,7 @@ class ProgramSegment:
             partner[first] = second
             partner[second] = first
         stage_by_index = {stage.index: stage for stage in self.stages}
+        values = self.values
         # One thread-local read; when nothing is tracing every stage
         # below uses the shared no-op span.
         parent = active_span()
@@ -150,14 +159,14 @@ class ProgramSegment:
             if solutions[stage.index] is not None:
                 continue  # already produced as the second half of a pair
             operands = tuple(
-                binding.resolve(outputs) for binding in stage.operands
+                binding.resolve(outputs, values) for binding in stage.operands
             )
             partner_index = partner.get(stage.index)
             start = time.perf_counter()
             if partner_index is not None:
                 partner_stage = stage_by_index[partner_index]
                 partner_operands = tuple(
-                    binding.resolve(outputs)
+                    binding.resolve(outputs, values)
                     for binding in partner_stage.operands
                 )
                 span = (
@@ -183,7 +192,7 @@ class ProgramSegment:
                 finish(partner_index, second, elapsed)
                 continue
             kwargs = {
-                key: binding.resolve(outputs)
+                key: binding.resolve(outputs, values)
                 for key, binding in stage.kwargs.items()
             }
             span = (
@@ -211,6 +220,8 @@ class PipelineProgram:
     compiler applied (only under ``fuse=True``); ``fused_epilogues``
     counts head→epilogue chains collapsed into single ``fused`` stages
     (value-exact; applied whenever options resolve to ``vectorized``).
+    ``values`` are the operand values the stages' slot bindings index,
+    in :meth:`~repro.graph.graph.Graph.signature` order.
     """
 
     def __init__(
@@ -221,6 +232,7 @@ class PipelineProgram:
         fused_rewrites: int = 0,
         compile_plan_builds: int = 0,
         fused_epilogues: int = 0,
+        values: Tuple[Any, ...] = (),
     ):
         self._stages = stages
         self._outputs = outputs
@@ -232,7 +244,33 @@ class PipelineProgram:
         self._fused_rewrites = int(fused_rewrites)
         self._compile_plan_builds = int(compile_plan_builds)
         self._fused_epilogues = int(fused_epilogues)
+        self._values = values
+        self._names = tuple(stage.name for stage in stages)
+        self._kinds = tuple(stage.kind for stage in stages)
+        self._levels = tuple(stage.level for stage in stages)
+        # The unplaced program is one segment in (level, index) order: a
+        # paired partner's dependencies may sit *after* the pair's first
+        # member in the graph's topological order, but always on a
+        # strictly lower level, so every pair fires with both members'
+        # inputs resolved.  Value-free, so bound copies share it.
+        self._unplaced = ProgramSegment(
+            level=min((stage.level for stage in stages), default=0),
+            stages=tuple(sorted(stages, key=lambda s: (s.level, s.index))),
+            pairs=pairs,
+        )
         self._ran = False
+
+    def bound(self, values: Tuple[Any, ...]) -> "PipelineProgram":
+        """This program over other operand values, with its own charge.
+
+        Shares the stages, plans, pairs and unplaced segment; the copy
+        starts unrun, so its first run carries this program's compile
+        charge (zero for a program compiled from cached plans).
+        """
+        program = copy.copy(self)
+        program._values = values
+        program._ran = False
+        return program
 
     # -- introspection ----------------------------------------------------------------
     @property
@@ -325,7 +363,8 @@ class PipelineProgram:
             )
             segments.append(
                 ProgramSegment(
-                    level=level, stages=tuple(stages), pairs=pairs, shard=shard
+                    level=level, stages=tuple(stages), pairs=pairs,
+                    shard=shard, values=self._values,
                 )
             )
         return tuple(segments)
@@ -386,11 +425,11 @@ class PipelineProgram:
         """Execute every stage in dependency order; returns the result.
 
         Runs the unplaced program as its one segment, in ``(level,
-        index)`` order — stage outputs feed downstream operand slots in
-        memory; paired stages execute together through the plan's
-        overlapped contraflow path (values identical to sequential
-        execution); everything else streams through its plan one stage
-        at a time.
+        index)`` order (built once, at construction) — stage outputs
+        feed downstream operand slots in memory; paired stages execute
+        together through the plan's overlapped contraflow path (values
+        identical to sequential execution); everything else streams
+        through its plan one stage at a time.
 
         Pass an enabled :class:`~repro.obs.tracing.Tracer` to profile
         the run: a ``pipeline.run`` root span opens with per-stage
@@ -413,14 +452,12 @@ class PipelineProgram:
         solutions: List[Optional[Solution]] = [None] * n
         outputs: List[Any] = [None] * n
         latencies: List[float] = [0.0] * n
-        # Level order, not stage-list order: a paired partner's
-        # dependencies may sit *after* the pair's first member in the
-        # graph's topological order, but they always sit on a strictly
-        # lower level, so the segment's (level, index) order makes every
-        # pair fire with both members' inputs resolved.
+        unplaced = self._unplaced
         with root:
-            for segment in self.segments():
-                segment.execute(outputs, solutions, latencies)
+            ProgramSegment(
+                unplaced.level, unplaced.stages, unplaced.pairs,
+                values=self._values,
+            ).execute(outputs, solutions, latencies)
         return self.assemble(
             solutions,
             outputs,
@@ -456,8 +493,8 @@ class PipelineProgram:
             if solution is not None
         )
         return PipelineResult(
-            names=tuple(stage.name for stage in self._stages),
-            kinds=tuple(stage.kind for stage in self._stages),
+            names=self._names,
+            kinds=self._kinds,
             solutions=tuple(solutions),  # type: ignore[arg-type]
             outputs=tuple(
                 (name, outputs[index]) for name, index in self._outputs
@@ -468,7 +505,7 @@ class PipelineProgram:
             compile_plan_builds=compile_plan_builds,
             fused_pairs=len(self._pairs),
             fused_rewrites=self._fused_rewrites,
-            levels=tuple(stage.level for stage in self._stages),
+            levels=self._levels,
             placements=tuple(placements),
             fused_epilogues=self._fused_epilogues,
         )

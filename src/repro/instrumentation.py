@@ -163,8 +163,10 @@ class Counters:
     ``service_requests`` / ``service_batches`` by the :mod:`repro.service`
     layer, ``iterative_sweeps`` by the :mod:`repro.iterative` solvers, and
     ``graph_compiles`` / ``graph_runs`` / ``fused_matvec_pairs`` by the
-    :mod:`repro.graph` pipeline layer: one per
-    :meth:`~repro.graph.compiler.GraphCompiler.compile`, one per
+    :mod:`repro.graph` pipeline layer: one per compiled program
+    (:meth:`~repro.graph.compiler.LoweredGraph.bind`, which every
+    :meth:`~repro.graph.compiler.GraphCompiler.compile` and served graph
+    runs, warm or cold), one per
     :meth:`~repro.graph.program.PipelineProgram.run`, and one per pair of
     independent same-plan matvec stages executed through the array's
     overlapped contraflow path.

@@ -15,6 +15,7 @@ the data: each diagonal of the band feeds one input channel of the array.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -74,16 +75,32 @@ class BandMatrix:
             if length > 0:
                 spans.append((offset, end, end + length))
                 end += length
-        if storage is None:
-            storage = np.zeros(end, dtype=float)
-        elif storage.dtype != np.float64 or storage.shape != (end,):
+        #: Each diagonal's ``(offset, start, stop)`` in the flat storage.
+        self._spans: Tuple[Tuple[int, int, int], ...] = tuple(spans)
+        self._view(np.zeros(end, dtype=float) if storage is None else storage)
+
+    def _view(self, storage: np.ndarray) -> None:
+        """Point the diagonals at ``storage``, checked against the spans."""
+        size = self._spans[-1][2] if self._spans else 0
+        if storage.dtype != np.float64 or storage.shape != (size,):
             raise ShapeError(
-                f"band storage must be {end} float64 values, got "
+                f"band storage must be {size} float64 values, got "
                 f"{storage.dtype} of shape {storage.shape}"
             )
         self._diagonals: Dict[int, np.ndarray] = {
-            offset: storage[start:stop] for offset, start, stop in spans
+            offset: storage[start:stop] for offset, start, stop in self._spans
         }
+
+    def with_storage(self, storage: np.ndarray) -> "BandMatrix":
+        """A band of this one's geometry viewing ``storage`` (no copy).
+
+        The diagonal spans are this band's, so nothing is recomputed: an
+        engine that fills one flat storage per run builds the geometry
+        once and views each run's values through it.
+        """
+        band = copy.copy(self)
+        band._view(storage)
+        return band
 
     # -- constructors --------------------------------------------------------
     @classmethod

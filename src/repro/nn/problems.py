@@ -44,6 +44,7 @@ class Dense(Problem):
 
     kind = "dense"
     produces = "vector"
+    slots = ("matrix", "x", "x_zero_point")
 
     def __init__(
         self,
@@ -80,6 +81,7 @@ class _ElementwiseProblem(Problem):
     """Shared slot/shape logic of the vector-in, vector-out stages."""
 
     produces = "vector"
+    slots = ("x",)
 
     def __init__(
         self,
@@ -115,6 +117,7 @@ class Bias(_ElementwiseProblem):
     """``y = x + b`` — the accumulator's bias-add station."""
 
     kind = "bias"
+    slots = ("x", "b")
 
     def __init__(
         self,
@@ -163,6 +166,7 @@ class Quantize(_ElementwiseProblem):
     """Float to int8: ``q = clip(round(x / scale) + zero_point, -128, 127)``."""
 
     kind = "quantize"
+    slots = ("x", "scale", "zero_point")
 
     def __init__(
         self,
@@ -190,6 +194,7 @@ class Dequantize(_ElementwiseProblem):
     """
 
     kind = "dequantize"
+    slots = ("x", "scale", "zero_point")
 
     def __init__(
         self,

@@ -54,7 +54,7 @@ from ..errors import (
     RateLimitedError, ServiceClosedError, ServiceOverloadedError,
 )
 from ..graph.compiler import GraphCompiler
-from ..graph.graph import Graph, as_graph
+from ..graph.graph import Graph
 from ..graph.problems import Problem
 from ..graph.program import PipelineProgram, PipelineResult, ProgramSegment
 from ..obs.metrics import MetricsRegistry
@@ -463,17 +463,22 @@ class SolverService:
         if self._closed:
             raise ServiceClosedError("cannot submit to a closed service")
         level = resolve_priority(priority)
-        graph = as_graph(graph)
         base = options if options is not None else self._options
-        stage_keys = graph.plan_keys(self._spec.w, base)
-        key = ("__graph__", stage_keys, self._spec.w, base)
+        compiler = GraphCompiler(self._compile_solver, fuse=fuse, options=options)
+        # The memoized lowering carries the graph's per-node plan keys
+        # (Graph.plan_keys), so a warm submit derives no key.  A miss
+        # lowers here, before the trace starts; the compile span below
+        # covers the plan lookups and builds.
+        lowered, values = compiler.lower(graph)
+        key = ("__graph__", lowered.node_keys, self._spec.w, base)
         deadline = None if timeout is None else time.monotonic() + timeout
         trace: Optional[RequestTrace] = None
         if self._tracer.enabled:
             trace = RequestTrace(
                 tracer=self._tracer,
                 root=self._tracer.start_trace(
-                    "request graph", kind="graph", nodes=len(stage_keys),
+                    "request graph", kind="graph",
+                    nodes=len(lowered.node_keys),
                     priority=priority_name(level),
                 ),
             )
@@ -492,9 +497,7 @@ class SolverService:
         )
         try:
             with span:
-                program = GraphCompiler(
-                    self._compile_solver, fuse=fuse, options=options
-                ).compile(graph)
+                program = lowered.bind(self._compile_solver, values)
                 segments = program.segments(self._placement.shard_of)
         except Exception as exc:
             if trace is not None:

@@ -45,6 +45,7 @@ from repro.core.recovery import (
 )
 from repro.errors import BackendError, PlanError, ShapeError
 from repro.instrumentation import counters
+from repro.matrices.banded import BandMatrix
 from repro.matrices.padding import block_count
 from repro.systolic.linear_array import LinearContraflowArray
 
@@ -947,6 +948,30 @@ class TestGeometryOncePerPlan:
         assert counters.delta(before).transform_constructions == 0
         assert expected.regular + expected.irregular == expected.count > 0
         assert cold.feedback == warm.feedback == expected
+
+    @pytest.mark.parametrize(
+        "bound, body", [(BOUND, "stacked"), (0, "step-major")]
+    )
+    def test_warm_matmul_band_reuses_the_plan_spans(self, rng, bound, body):
+        a, b, e = (
+            rng.normal(size=(8, 8)), rng.normal(size=(8, 8)),
+            rng.normal(size=(8, 8)),
+        )
+        simulated = solver_for(4, "simulate").solve("matmul", a, b, e)
+        solver = solver_for(4, "vectorized")
+        with _bound(bound):
+            plan = solver.plan("matmul", shape=(8, 8, 8))
+        assert plan.executor.sweep_plan.body == body
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a warm solve recomputed a diagonal span")
+
+        # Only around the solve: the check below builds simulate-side
+        # bands (the placement) of its own.
+        with mock.patch.object(BandMatrix, "diagonal_length", refuse):
+            warm = solver.solve("matmul", a, b, e)
+        assert_bits_equal(warm.values, simulated.values)
+        assert_chain_values_match(simulated, warm)
 
 
 class TestLazyTemplate:

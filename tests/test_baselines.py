@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import ArraySpec, ExecutionOptions, Solver
 from repro.baselines.block_partition import BlockPartitionedMatVec
 from repro.baselines.naive_band import NaiveBlockMatMul, NaiveBlockMatVec
 from repro.baselines.prt import PRTMatVec, PRTTransform
@@ -159,3 +160,73 @@ class TestBlockPartitioned:
             BlockPartitionedMatVec(2).solve(
                 rng.uniform(size=(2, 3)), rng.uniform(size=3), rng.uniform(size=3)
             )
+
+
+NEGATIVE_NAN = np.copysign(np.nan, -1.0)
+
+
+def _spoiled(rng, shape):
+    """Normal values with NaNs of random sign on a random 30% of them."""
+    values = rng.normal(size=shape)
+    hit = rng.random(shape) < 0.3
+    signs = np.where(rng.random(shape) < 0.5, np.nan, NEGATIVE_NAN)
+    values[hit] = signs[hit]
+    return values
+
+
+def _baseline_case(kind: str, w: int, t: int):
+    """Seeded operands of one baseline kind: sizes in 1..8 (1..w for prt,
+    which takes one block), NaNs of random sign on a random 30% of every
+    operand, and no addend on even ``t``."""
+    rng = np.random.default_rng(1000 * w + t)
+    top = w if kind == "prt" else 8
+    n, p, m = (int(size) for size in rng.integers(1, top + 1, size=3))
+    if kind == "naive_matmul":
+        shapes = ((n, p), (p, m), (n, m))
+    else:
+        shapes = ((n, m), (m,), (n,))
+    operands = tuple(_spoiled(rng, shape) for shape in shapes)
+    return operands[:2] if t % 2 == 0 else operands
+
+
+def _solve_both(kind: str, w: int, operands):
+    with np.errstate(invalid="ignore"):
+        return tuple(
+            Solver(ArraySpec(w), ExecutionOptions(backend=backend))
+            .solve(kind, *operands)
+            .values
+            for backend in ("simulate", "vectorized")
+        )
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestBaselineNaNCollisions:
+    """The baselines' vectorized kernels keep the simulator's NaN where two
+    NaNs meet (:func:`repro.systolic.cell.mac`), bit for bit."""
+
+    @pytest.mark.parametrize("w", [2, 3, 4])
+    def test_naive_matvec_probe(self, w):
+        rng = np.random.default_rng(w)
+        a = rng.standard_normal((7, 7))
+        a[:, 1], a[:, 5] = np.nan, NEGATIVE_NAN
+        x = rng.standard_normal(7)
+        x[0] = x[1] = NEGATIVE_NAN
+        x[5] = np.nan
+        simulated, vectorized = _solve_both("naive_matvec", w, (a, x))
+        assert np.isnan(simulated).all()
+        _assert_same_bits(vectorized, simulated)
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["naive_matvec", "naive_matmul", "block_partitioned", "sparse", "prt"],
+    )
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_seeded_search_matches_simulator(self, kind, w):
+        for t in range(12):
+            operands = _baseline_case(kind, w, t)
+            simulated, vectorized = _solve_both(kind, w, operands)
+            _assert_same_bits(vectorized, simulated)

@@ -11,6 +11,9 @@ composition sugar (``@``, ``.then()``, LU factor refs, kwarg refs).
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,7 @@ from repro.graph import (
     Triangular,
     problem_types,
 )
+from repro.graph.problems import register_problem_type
 from repro.instrumentation import counters
 from repro.iterative import ConvergenceCriteria
 
@@ -88,6 +92,18 @@ class TestProblemTypes:
     def test_unknown_kind_without_near_match_lists_kinds(self):
         with pytest.raises(ProblemKindError, match="registered kinds"):
             get_handler("zzzzzzzz")
+
+    def test_every_typed_kind_declares_its_slots(self):
+        """Graphs read operands through slots, so registration needs them."""
+        for cls in problem_types().values():
+            assert cls.slots and len(set(cls.slots)) == len(cls.slots)
+
+        class Slotless(Problem):
+            kind = "slotless"
+
+        with pytest.raises(ValueError, match="declares no slots"):
+            register_problem_type(Slotless)
+        assert "slotless" not in problem_types()
 
 
 # --------------------------------------------------------------------------- #
@@ -529,6 +545,320 @@ class TestGraphCompiler:
         with pytest.raises(KeyError, match="only"):
             result.output("missing")
         assert result.values is result.output("only")
+
+
+def _same_bits(actual, expected) -> bool:
+    """Equal values bit for bit (NaN signs and signed zeros included);
+    factor pairs compare member by member."""
+    if isinstance(expected, tuple):
+        return len(actual) == len(expected) and all(
+            _same_bits(a, e) for a, e in zip(actual, expected)
+        )
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    if actual.dtype != expected.dtype or actual.shape != expected.shape:
+        return False
+    if actual.dtype.kind == "f":
+        return np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+    return np.array_equal(actual, expected)
+
+
+def _pipeline_graph(rng, n=8):
+    """matmul -> matvec, a same-plan matvec pair, a join, refine."""
+    a, b, c, d = (rng.normal(size=(n, n)) for _ in range(4))
+    x = rng.normal(size=n)
+    product = MatMul(a, b, name="product")
+    source = MatVec(product, x, name="source")
+    left = MatVec(c, source, name="left")
+    right = MatVec(d, source, name="right")
+    join = MatVec(a, left, right, name="join")
+    return Graph(Refine(_spd(rng, n), join, name="refined"))
+
+
+def _chain_graph(rng, n=6):
+    """``(A (B C)) x``: two matmul -> matvec rewrites under ``fuse=True``."""
+    a, b, c = (rng.normal(size=(n, n)) for _ in range(3))
+    return Graph((MatMul(a, MatMul(b, c)) @ rng.normal(size=n)).named("y"))
+
+
+def _factor_graph(rng, n=6):
+    """LU factor refs, a ``lower=`` kwarg and an ``x0=`` kwarg ref."""
+    matrix = _spd(rng, n)
+    lu = LU(matrix, name="lu")
+    b = rng.normal(size=n)
+    lower = Triangular(lu.lower, b, name="lower")
+    upper = Triangular(lu.upper, lower, lower=False, name="upper")
+    start = Jacobi(matrix, b, name="start")
+    eig = Power(matrix, x0=start, name="eig")
+    return Graph(upper, eig)
+
+
+def _mlp_graph(rng, int8: bool):
+    from repro.nn import MLP
+
+    layers = [
+        (rng.normal(size=(8, 10)) * 0.4, rng.normal(size=8) * 0.1),
+        (rng.normal(size=(6, 8)) * 0.4, rng.normal(size=6) * 0.1),
+    ]
+    mlp = MLP(layers)
+    x = rng.normal(size=10)
+    if not int8:
+        return mlp.graph(x)
+    calibration = [rng.normal(size=10) for _ in range(3)]
+    return mlp.quantized(calibration).graph(x)
+
+
+#: ``(make_graph, fuse)``: graphs whose second build has the first's
+#: signature and new values.
+MEMO_GRAPHS = {
+    "pipeline": (_pipeline_graph, False),
+    "pipeline_fused": (_pipeline_graph, True),
+    "chain_fused": (_chain_graph, True),
+    "factors": (_factor_graph, False),
+    "mlp_float": (lambda rng: _mlp_graph(rng, int8=False), False),
+    "mlp_int8": (lambda rng: _mlp_graph(rng, int8=True), True),
+}
+
+
+def _assert_same_result(result, reference):
+    assert result.names == reference.names
+    assert result.kinds == reference.kinds
+    assert result.levels == reference.levels
+    assert result.fused_pairs == reference.fused_pairs
+    assert result.fused_rewrites == reference.fused_rewrites
+    assert result.fused_epilogues == reference.fused_epilogues
+    assert [name for name, _values in result.outputs] == [
+        name for name, _values in reference.outputs
+    ]
+    for (_name, values), (_ref_name, expected) in zip(
+        result.outputs, reference.outputs
+    ):
+        assert _same_bits(values, expected)
+    for solution, expected in zip(result.solutions, reference.solutions):
+        assert _same_bits(solution.values, expected.values)
+
+
+class TestCompileMemo:
+    """One lowering per graph signature, bound to each graph's values."""
+
+    @pytest.mark.parametrize("case", sorted(MEMO_GRAPHS))
+    def test_warm_compile_matches_a_fresh_compiler(self, rng, case):
+        make_graph, fuse = MEMO_GRAPHS[case]
+        solver = Solver(ArraySpec(W))
+        compiler = GraphCompiler(solver, fuse=fuse)
+        compiler.run(make_graph(rng))
+        memo = solver.lowered_graphs
+        hits = memo.stats.hits
+        graph = make_graph(rng)
+        warm_program = compiler.compile(graph)
+        assert memo.stats.hits == hits + 1 and len(memo) == 1
+        fresh_program = GraphCompiler(Solver(ArraySpec(W)), fuse=fuse).compile(
+            graph
+        )
+        assert warm_program.pairs == fresh_program.pairs
+        assert warm_program.compile_plan_builds == 0
+        warm = warm_program.run()
+        assert warm.warm
+        _assert_same_result(warm, fresh_program.run())
+        # The resident program: a third same-signature graph shares the
+        # second's stages and still binds its own values.
+        third = make_graph(rng)
+        resident = compiler.compile(third)
+        assert resident.stages is compiler.compile(make_graph(rng)).stages
+        _assert_same_result(
+            resident.run(),
+            GraphCompiler(Solver(ArraySpec(W)), fuse=fuse).run(third),
+        )
+
+    def test_warm_compile_lowers_nothing(self, rng, monkeypatch):
+        solver = Solver(ArraySpec(W))
+        compiler = GraphCompiler(solver, fuse=True)
+        makers = [
+            MEMO_GRAPHS[case][0]
+            for case in ("pipeline", "chain_fused", "mlp_int8")
+        ]
+        for make_graph in makers:
+            compiler.run(make_graph(rng))
+        graphs = [make_graph(rng) for make_graph in makers for _ in range(2)]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a warm compile lowered its graph again")
+
+        monkeypatch.setattr("repro.graph.compiler.fuse_epilogue_chains", refuse)
+        monkeypatch.setattr("repro.graph.compiler._fuse_matmul_chains", refuse)
+        monkeypatch.setattr("repro.graph.compiler._mark_pairs", refuse)
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        monkeypatch.setattr(ExecutionOptions, "merged", refuse)
+        before = counters.snapshot()
+        results = [compiler.run(graph) for graph in graphs]
+        assert counters.delta(before).plan_builds == 0
+        monkeypatch.undo()
+        for graph, result in zip(graphs, results):
+            assert result.warm
+            _assert_same_result(
+                result, GraphCompiler(Solver(ArraySpec(W)), fuse=True).run(graph)
+            )
+
+    def test_a_prefused_graph_binds_its_fused_slots(self, rng):
+        """``Fused`` keeps its slots in two containers of its own."""
+        from repro.graph.fusion import fuse_epilogue_chains
+
+        solver = Solver(ArraySpec(W))
+        for _round in range(2):
+            graph = _mlp_graph(rng, int8=True)
+            fused, chains = fuse_epilogue_chains(graph)
+            assert chains == 2
+            result = GraphCompiler(solver).run(fused)
+            reference = GraphCompiler(Solver(ArraySpec(W))).run(graph)
+            assert result.kinds == reference.kinds == ("quantize", "fused", "fused")
+            assert _same_bits(result.values, reference.values)
+        assert solver.lowered_graphs.stats.hits == 1
+
+    def test_operands_bind_by_slot_not_by_identity(self, rng):
+        """A template reusing one array in two slots must not alias the
+        slots of a later graph that fills them with different arrays."""
+        n = 6
+        a, a1, a2 = (rng.normal(size=(n, n)) for _ in range(3))
+        x = rng.normal(size=n)
+        compiler = GraphCompiler(Solver(ArraySpec(W)))
+        compiler.run(Graph(MatVec(a, MatVec(a, x))))
+        result = compiler.run(Graph(MatVec(a2, MatVec(a1, x))))
+        reference = Solver(ArraySpec(W))
+        inner = reference.solve("matvec", a1, x).values
+        expected = reference.solve("matvec", a2, inner).values
+        assert _same_bits(result.values, expected)
+        assert result.warm
+
+    @staticmethod
+    def _two_stage(rng, n=6, m=8, **changes):
+        """``y = M2 (M1 x)`` with one structural change applied."""
+        m1, m2 = rng.normal(size=(n, m)), rng.normal(size=(n, n))
+        x = rng.normal(size=m)
+        inner_name = changes.get("inner_name", "t")
+        inner = MatVec(
+            m1, x, name=inner_name,
+            options=changes.get("inner_options"),
+            overlapped=changes.get("overlapped"),
+        )
+        b = rng.normal(size=n) if changes.get("with_b") else None
+        outer = MatVec(m2, inner, b, name="y")
+        if changes.get("then"):
+            side = MatVec(rng.normal(size=(n, n)), rng.normal(size=n), name="s")
+            inner.then(side)
+            return Graph(outer, side)
+        if changes.get("two_outputs"):
+            return Graph(outer, inner)
+        if changes.get("renamed_output"):
+            return Graph(out=outer)
+        return Graph(outer)
+
+    #: ``(graph changes, compiler arguments)`` each lowering differently
+    #: from the plain two-stage graph.
+    MISSES = {
+        "b_set": ({"with_b": True}, {}),
+        "shape": ({"m": 9}, {}),
+        "stage_name": ({"inner_name": "t2"}, {}),
+        "two_outputs": ({"two_outputs": True}, {}),
+        "output_name": ({"renamed_output": True}, {}),
+        "node_options": (
+            {"inner_options": ExecutionOptions(backend="simulate")}, {}
+        ),
+        "override": ({"overlapped": True}, {}),
+        "then_edge": ({"then": True}, {}),
+        "fuse": ({}, {"fuse": True}),
+        "base_options": (
+            {}, {"options": ExecutionOptions(backend="simulate")}
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MISSES))
+    def test_each_structural_change_is_a_memo_miss(self, rng, case):
+        changes, arguments = self.MISSES[case]
+        solver = Solver(ArraySpec(W))
+        GraphCompiler(solver).run(self._two_stage(rng))
+        GraphCompiler(solver).run(self._two_stage(rng))
+        memo = solver.lowered_graphs
+        assert (memo.stats.hits, memo.stats.misses, len(memo)) == (1, 1, 1)
+        graph = self._two_stage(rng, **changes)
+        result = GraphCompiler(solver, **arguments).run(graph)
+        assert (memo.stats.misses, len(memo)) == (2, 2)
+        fresh = GraphCompiler(Solver(ArraySpec(W)), **arguments).run(graph)
+        _assert_same_result(result, fresh)
+
+    def test_optional_accumulator_is_a_memo_miss_under_fuse(self, rng):
+        n = 6
+        solver = Solver(ArraySpec(W))
+        compiler = GraphCompiler(solver, fuse=True)
+
+        def graph(with_e: bool):
+            a, b, e = (rng.normal(size=(n, n)) for _ in range(3))
+            product = MatMul(a, b, e if with_e else None)
+            return Graph((product @ rng.normal(size=n)).named("y"))
+
+        plain = compiler.run(graph(False))
+        with_e = compiler.run(graph(True))
+        assert solver.lowered_graphs.stats.misses == 2
+        assert (plain.fused_rewrites, with_e.fused_rewrites) == (1, 0)
+        again = graph(True)
+        _assert_same_result(
+            compiler.run(again),
+            GraphCompiler(Solver(ArraySpec(W)), fuse=True).run(again),
+        )
+
+    def test_evicted_stage_plan_rebuilds_as_a_cold_compile(self, rng):
+        """Plan-cache accounting of a memo hit equals a cold compile's
+        for the same cache state: here a size-1 cache holds one of the
+        two stage plans, so each compile rebuilds both."""
+        solvers = [Solver(ArraySpec(W), plan_cache_size=1) for _ in range(2)]
+        for solver in solvers:
+            GraphCompiler(solver).run(self._two_stage(rng))
+        solvers[1].lowered_graphs.clear()
+        graph = self._two_stage(rng)
+        observed = []
+        for solver in solvers:
+            stats, before = solver.cache_stats, counters.snapshot()
+            program = GraphCompiler(solver).compile(graph)
+            after = solver.cache_stats
+            observed.append((
+                after.hits - stats.hits,
+                after.misses - stats.misses,
+                counters.delta(before).plan_builds,
+                [stage.plan_cached for stage in program.stages],
+                program.compile_plan_builds,
+            ))
+            result = program.run()
+            assert not result.warm
+        assert observed[0] == observed[1] == (0, 2, 2, [False, False], 2)
+        assert solvers[0].lowered_graphs.stats.hits == 1
+
+    def test_memo_keeps_no_evicted_plan_past_a_recompile(self, rng):
+        solver = Solver(ArraySpec(W), plan_cache_size=1)
+        compiler = GraphCompiler(solver)
+
+        def graph():
+            return Graph(MatVec(rng.normal(size=(6, 6)), rng.normal(size=6)))
+
+        compiler.run(graph())
+        plan = weakref.ref(compiler.compile(graph()).stages[0].plan.executor)
+        solver.solve(MatVec(rng.normal(size=(5, 5)), rng.normal(size=5)))
+        gc.collect()
+        # Evicted from the cache, held by the resident program only.
+        assert plan() is not None
+        assert not compiler.run(graph()).warm
+        gc.collect()
+        assert plan() is None
+
+    def test_memo_is_bounded_by_the_plan_cache_size_and_reset(self, rng):
+        solver = Solver(ArraySpec(W), plan_cache_size=2)
+        compiler = GraphCompiler(solver)
+        for m in (5, 6, 7):
+            compiler.run(self._two_stage(rng, m=m))
+        memo = solver.lowered_graphs
+        assert len(memo) == 2 and memo.stats.maxsize == 2
+        assert memo.stats.evictions == 1
+        solver.reset()
+        assert len(memo) == 0
+        compiler.run(self._two_stage(rng, m=7))
+        assert memo.stats.misses == 4
 
 
 class TestProgramSegments:

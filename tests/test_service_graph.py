@@ -619,3 +619,129 @@ class TestGraphShutdown:
                 future.result(timeout=5.0).values, reference.run(graph).values
             )
         assert service.closed
+
+
+def _memo_graphs(rng):
+    """Two signatures without iterative stages (which derive their inner
+    plan keys while they run): an int8 MLP, whose chains fuse, and a
+    two-level matvec chain."""
+    from repro.nn import MLP
+
+    mlp = MLP([
+        (rng.normal(size=(8, 10)) * 0.4, rng.normal(size=8) * 0.1),
+        (rng.normal(size=(6, 8)) * 0.4, rng.normal(size=6) * 0.1),
+    ])
+    quantized = mlp.quantized([rng.normal(size=10) for _ in range(3)])
+    return [
+        quantized.graph(rng.normal(size=10)),
+        Graph(_two_level_graphs(rng, 1)[0]),
+    ]
+
+
+def _same_outputs(result, reference) -> bool:
+    return all(
+        name == ref_name
+        and values.dtype == expected.dtype
+        and np.array_equal(
+            values.view(np.uint64) if values.dtype.kind == "f" else values,
+            expected.view(np.uint64) if expected.dtype.kind == "f" else expected,
+        )
+        for (name, values), (ref_name, expected) in zip(
+            result.outputs, reference.outputs
+        )
+    )
+
+
+class TestServiceCompileMemo:
+    """submit_graph compiles through the compile solver's graph memo."""
+
+    def test_concurrent_same_signature_submissions_bind_their_own_values(
+        self, rng
+    ):
+        rounds = 8
+        graphs = [
+            [graph for _ in range(rounds) for graph in _memo_graphs(rng)]
+            for _client in range(2)
+        ]
+        results: list = [None, None]
+        errors: list = []
+        barrier = threading.Barrier(2)
+        with SolverService(ArraySpec(W), n_shards=2) as service:
+            for graph in _memo_graphs(rng):
+                service.solve_graph(graph)  # one memo entry per signature
+
+            def client(index: int) -> None:
+                try:
+                    barrier.wait(timeout=10)
+                    futures = [service.submit_graph(g) for g in graphs[index]]
+                    results[index] = [f.result(timeout=30) for f in futures]
+                except Exception as exc:  # surfaced below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=client, args=(index,))
+                for index in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            memo = service._compile_solver.lowered_graphs
+            assert len(memo) == 2
+            assert memo.stats.misses == 2
+        assert not errors
+        for client_graphs, client_results in zip(graphs, results):
+            for graph, result in zip(client_graphs, client_results):
+                assert result.warm
+                reference = GraphCompiler(Solver(ArraySpec(W))).compile(graph)
+                assert _same_outputs(result, reference.run())
+
+    def test_warm_submit_derives_no_stage_key(self, rng, monkeypatch):
+        import sys
+
+        from repro.api import plan as plan_module
+
+        original = plan_module.make_plan_key
+        calls: list = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and (
+                getattr(module, "make_plan_key", None) is original
+            ):
+                monkeypatch.setattr(module, "make_plan_key", counting)
+        with SolverService(ArraySpec(W), n_shards=2) as service:
+            for graph in _memo_graphs(rng):
+                service.solve_graph(graph)
+            assert calls  # the cold submits derived their keys
+            calls.clear()
+            for _round in range(3):
+                for graph in _memo_graphs(rng):
+                    assert service.solve_graph(graph).warm
+        assert calls == []
+
+    def test_home_key_is_the_graphs_plan_keys(self, pipeline, monkeypatch):
+        graph, _operands = pipeline
+        keys: list = []
+        admit = SolverService._admit_graph
+
+        def spy(self, program, key, *args, **kwargs):
+            keys.append(key)
+            return admit(self, program, key, *args, **kwargs)
+
+        monkeypatch.setattr(SolverService, "_admit_graph", spy)
+        base = ExecutionOptions()
+        capped = ExecutionOptions(
+            criteria=ConvergenceCriteria(atol=1e-300, max_iter=1)
+        )
+        with SolverService(ArraySpec(W), n_shards=2) as service:
+            for _cold_then_warm in range(2):
+                service.solve_graph(graph)
+                service.solve_graph(graph, fuse=True)
+                service.solve_graph(graph, options=capped)
+        plain = ("__graph__", graph.plan_keys(W, base), W, base)
+        routed = ("__graph__", graph.plan_keys(W, capped), W, capped)
+        assert keys == [plain, plain, routed] * 2
