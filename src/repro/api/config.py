@@ -20,7 +20,12 @@ from dataclasses import dataclass, replace
 
 from ..backends.registry import AUTO_BACKEND, resolve_backend
 from ..errors import ArraySizeError
-from ..iterative.criteria import ConvergenceCriteria, store_declared_types
+from ..iterative.criteria import (
+    ConvergenceCriteria,
+    store_declared_types,
+    store_field_hash,
+    stored_field_hash,
+)
 from ..matrices.padding import validate_array_size
 
 __all__ = ["ArraySpec", "ExecutionOptions"]
@@ -105,7 +110,8 @@ class ExecutionOptions:
     Every bool, int and float field is stored as its declared type
     (``sor_omega=1`` as ``1.0``, ``-0.0`` as ``0.0``), so equal options
     encode to equal plan-key bytes and route to one shard; a value the
-    conversion would change, or a NaN, raises ``ValueError``.
+    conversion would change, or a NaN, raises ``ValueError``.  The hash
+    is computed once, at construction (:func:`store_field_hash`).
     """
 
     record_trace: bool = False
@@ -144,6 +150,9 @@ class ExecutionOptions:
             raise ValueError(
                 f"dtype_mode must be 'float64' or 'int8', got {self.dtype_mode!r}"
             )
+        store_field_hash(self)
+
+    __hash__ = stored_field_hash
 
     def merged(self, **overrides) -> "ExecutionOptions":
         """A copy with the given fields replaced (unknown names raise)."""

@@ -56,10 +56,13 @@ def make_plan_key(
 ) -> PlanKey:
     """The one assembly point for plan cache / service routing keys.
 
-    Everything that derives a key — ``Solver`` (string and typed paths),
-    ``Problem.plan_key``, ``Graph.plan_keys`` — goes through here, so the
-    field set can never silently diverge between the key a request routes
-    by and the key its home shard caches under.
+    Besides :class:`ExecutionPlan` itself, two methods derive a key
+    through it: ``Solver.plan_key`` (behind ``Solver.derive``,
+    ``plan``, ``solve_batch`` and :class:`InnerPlans`) and
+    ``Problem.plan_key`` (behind ``Graph.plan_keys`` and the graph
+    compiler's stages), so the field set can never silently diverge
+    between the key a request routes by and the key its home shard
+    caches under.
     """
     return (kind, shapes, int(w), options)
 
@@ -194,26 +197,17 @@ class ExecutionPlan:
         with self._span("plan.execute"):
             return self._handler.execute(self, *operands, **kwargs)
 
-    def execute_problem(self, problem):
-        """Stream one *typed* problem through the plan; returns a Solution.
-
-        The typed-problem counterpart of :meth:`execute`: the handler
-        consumes the problem object directly instead of re-parsing
-        positional operands and kwargs.
-        """
-        counters.bump("plan_executions")
-        with self._span("plan.execute"):
-            return self._handler.execute_problem(self, problem)
-
     def execute_pair(self, first: Tuple, second: Tuple):
         """Run two independent same-plan problems on one shared array run.
 
-        Only valid when :attr:`supports_pairing` is true.  Returns the two
+        Only valid when :attr:`supports_pairing` is true.  Each operand
+        set is ``(matrix, x)`` or ``(matrix, x, b)``.  Returns the two
         wrapped :class:`~repro.api.solution.Solution` objects, marked
         ``stats["paired"]`` and with the paper's single-problem step and
         utilization predictions dropped (the closed forms do not cover two
         interleaved requests sharing one run).
         """
+        first, second = _matvec_triple(first), _matvec_triple(second)
         counters.bump("plan_executions", 2)
         with self._span("plan.execute_pair"):
             legacy_a, legacy_b = self._executor.execute_pair(first, second)
@@ -237,6 +231,17 @@ class ExecutionPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return self.describe()
+
+
+def _matvec_triple(operands: Tuple) -> Tuple:
+    """Normalize a matvec operand set to ``(matrix, x, b)``."""
+    if len(operands) == 2:
+        return (operands[0], operands[1], None)
+    if len(operands) == 3:
+        return operands
+    raise ValueError(
+        f"matvec operand sets are (matrix, x[, b]); got {len(operands)} items"
+    )
 
 
 class PlanCache(LRUCache[PlanKey, ExecutionPlan]):
@@ -265,7 +270,8 @@ class InnerPlans:
     The executors that run products inside their own solve — the
     iterative kinds, lu, triangular and prt — take one as ``plans``.
     Each distinct inner shape is resolved once per solve through
-    :meth:`~repro.api.solver.Solver.resolve_plan` under
+    :meth:`~repro.api.solver.Solver.resolve_key`, keyed by
+    :meth:`~repro.api.solver.Solver.plan_key` under
     ``ExecutionOptions(backend=<parent backend>)``: the key a plain solve
     of that shape uses, so an inner ``(n, n)`` mat-vec is the same cached,
     traced and counted plan as a plain ``MatVec`` of that shape, and its
@@ -304,8 +310,9 @@ class InnerPlans:
         if executor is not None:
             self._hits += 1
             return executor
-        plan, cached = self._source.resolve_plan(
-            kind, shape=shape, options=self._options
+        source = self._source
+        plan, cached = source.resolve_key(
+            source.plan_key(kind, shape=shape, options=self._options)
         )
         if cached:
             self._hits += 1

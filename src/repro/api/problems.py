@@ -5,19 +5,18 @@ The six primary kinds — ``matvec``, ``matmul``, ``lu``, ``triangular``,
 ``jacobi``, ``sor``, ``cg``, ``refine``, ``power`` — plus the comparison
 baselines the paper cites (``prt``, ``naive_matvec``, ``naive_matmul``,
 ``block_partitioned``) are each wrapped into a
-:class:`~repro.api.registry.ProblemHandler` and registered at import time.  Handlers normalize shapes for the plan-cache
-key, compile the kind's executor, and adapt the kind-specific result into
-the common :class:`~repro.api.solution.Solution` protocol.
+:class:`~repro.api.registry.ProblemHandler` and registered at import
+time.  Handlers normalize shapes for the plan-cache key, compile the
+kind's executor, and adapt the kind-specific result into the common
+:class:`~repro.api.solution.Solution` protocol.
 
-Since the typed-problem redesign the execution entry is
-``execute_problem`` (inherited from the registry base): the typed problem
-object supplies its operand tuple and execution arguments directly, so
-handlers no longer re-parse ``*operands``/``**kwargs`` on the canonical
-path — the positional ``execute`` remains as the low-level primitive the
-legacy string shim and ``solve_batch`` feed.  Primary kinds link to their
-typed classes through :func:`repro.graph.problem_types` (see the
-``problem_class`` property on every handler); the baselines are
-deliberately string-only.
+Every solve executes through a handler's positional ``execute``:
+:meth:`~repro.api.solver.Solver.derive` turns a typed problem (or the
+string call that builds one) into the operand tuple and execution
+arguments ``execute`` takes, and ``solve_batch`` and graph stages feed
+it the same way.  Primary kinds link to their typed classes through
+:func:`repro.graph.problem_types` (see the ``problem_class`` property on
+every handler); the baselines are deliberately string-only.
 """
 
 from __future__ import annotations

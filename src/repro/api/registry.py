@@ -36,6 +36,9 @@ class ProblemHandler:
     ``execute(...)``
         Stream one operand set through a compiled plan and wrap the
         kind-specific result into the common :class:`Solution` protocol.
+        Its positional operands and keyword arguments are what a typed
+        problem's ``operand_values()`` and ``execute_kwargs()`` return,
+        and what :meth:`~repro.api.solver.Solver.derive` hands on.
     """
 
     kind: str = ""
@@ -53,19 +56,6 @@ class ProblemHandler:
 
     def execute(self, plan, *operands, **kwargs) -> Solution:
         raise NotImplementedError
-
-    def execute_problem(self, plan, problem) -> Solution:
-        """Stream one *typed* problem (:mod:`repro.graph`) through a plan.
-
-        The canonical execution entry since the typed-problem redesign:
-        the problem object carries its own operand tuple and execution
-        arguments (``lower=``, ``x0=``, ...), so nothing is re-parsed from
-        ``**kwargs``.  Handlers inherit this adapter; the legacy
-        positional :meth:`execute` remains the low-level primitive.
-        """
-        return self.execute(
-            plan, *problem.operand_values(), **problem.execute_kwargs()
-        )
 
     @property
     def problem_class(self) -> Optional[type]:

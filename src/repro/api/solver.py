@@ -1,9 +1,8 @@
 """The unified solver façade: one front door for every problem kind.
 
 :class:`Solver` ties the pieces together — registry dispatch, the
-plan/execute split, and the LRU plan cache.  Since the typed-problem
-redesign the canonical request representation is a typed problem object
-from :mod:`repro.graph`::
+plan/execute split, and the LRU plan cache.  The canonical request
+representation is a typed problem object from :mod:`repro.graph`::
 
     from repro.api import ArraySpec, Solver
     from repro.graph import MatVec
@@ -12,11 +11,14 @@ from :mod:`repro.graph`::
     first = solver.solve(MatVec(a, x, b))          # cache miss: builds plan
     second = solver.solve(MatVec(a2, x2, b2))      # cache hit: streams values
 
-The legacy string spelling — ``solver.solve("matvec", a, x, b)`` — keeps
-working as a thin shim that builds the equivalent single-node typed
-problem (kinds without a typed class, i.e. the comparison baselines and
-the ``gauss_seidel`` alias, dispatch directly); new code should prefer
-the typed form, and multi-stage workloads should compose problems into a
+The string spelling — ``solver.solve("matvec", a, x, b)`` — builds the
+equivalent typed problem (kinds without a typed class, i.e. the
+comparison baselines and the ``gauss_seidel`` alias, pass their operands
+and keywords through as given).  Either spelling goes through one
+derivation, :meth:`Solver.derive`, which turns the call into its plan
+key, operands and execution arguments; :class:`~repro.service.SolverService`
+routes by the same derivation, so a request runs under the key it was
+routed by.  Multi-stage workloads compose problems into a
 :class:`~repro.graph.graph.Graph` and run them through
 :class:`~repro.graph.compiler.GraphCompiler` so stages fuse, pair, and
 reuse plans as a pipeline.
@@ -30,7 +32,8 @@ request carry the other.
 from __future__ import annotations
 
 from typing import (
-    Hashable, List, Mapping, Optional, Sequence, Tuple, Type, TYPE_CHECKING,
+    Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Type,
+    TYPE_CHECKING,
 )
 
 from ..errors import PlanStoreError
@@ -178,50 +181,65 @@ class Solver:
         """The cache/routing key a solve of this problem would use.
 
         Computed without compiling anything: ``(kind, shapes, w, options)``.
-        This is what :mod:`repro.service` hashes to route a request to a
-        shard, so every same-shaped request lands on the same hot cache.
-        Pass a typed problem object, or a kind string with either an
-        operand set or an explicit ``shape=`` spec.
+        Pass a typed problem object, whose every operand is validated, or
+        a kind string with either an operand set (its shapes are read from
+        the primary operand) or an explicit ``shape=`` spec; keyword
+        arguments of the string form are :class:`ExecutionOptions` field
+        overrides.  A solve derives its key with :meth:`derive`.
         """
         if isinstance(kind, Problem):
             problem = kind
             problem.require_bare(operands, option_overrides, shape)
             problem.concrete_operands()  # stage refs get the clear GraphError
             base = options if options is not None else self._options
-            # One key-assembly path for typed problems: Problem.plan_key
-            # derives the identical (kind, shapes, w, options) tuple the
-            # string branch below computes from operands.
             return problem.plan_key(self._spec.w, base)
         handler = get_handler(kind)
-        opts = self._resolve_options(options, option_overrides)
+        opts = options if options is not None else self._options
+        if option_overrides:
+            opts = opts.merged(**option_overrides)
         if operands:
             shapes = handler.shapes(operands=operands)
         else:
             shapes = handler.shapes(shape=shape)
         return make_plan_key(handler.kind, shapes, self._spec.w, opts)
 
-    def resolve_plan(
+    def derive(
         self,
-        kind: str,
-        *,
-        shape=None,
+        kind: "str | Problem",
+        *operands,
         options: Optional[ExecutionOptions] = None,
-    ) -> Tuple[ExecutionPlan, bool]:
-        """Compile-or-fetch a plan for an explicit shape spec.
+        **kwargs,
+    ) -> Tuple[PlanKey, Tuple, Dict[str, Any]]:
+        """One solve call as ``(plan key, operands, execution kwargs)``.
 
-        Returns ``(plan, from_cache)``.  This is the
-        :class:`~repro.graph.compiler.GraphCompiler` lowering entry, and
-        the lookup behind :class:`~repro.api.plan.InnerPlans`: pipeline
-        stages and the products an executor runs inside its own solve
-        resolve their plans here, so they deduplicate through this
-        solver's LRU cache exactly like direct solves do (``shape``
-        always goes through the handler's normalization, so these keys
-        can never drift from solve keys).
+        The one derivation behind :meth:`solve` and
+        :meth:`~repro.service.service.SolverService.submit`.  A typed
+        problem, or a kind string that names one (built through
+        :meth:`~repro.graph.problems.Problem.from_call`, so a wrong arity
+        raises here), yields its operands, its execution arguments
+        (``lower=``, ``x0=``, ...) and a key whose options carry its
+        overrides (``overlapped=``, ``omega=``, ``criteria=``, ...).  The
+        string-only kinds (the baselines and ``gauss_seidel``) pass their
+        operands and keywords through as given.  Shapes are read from the
+        primary operand; the other operands are checked when the plan
+        executes.  Executing the operands and kwargs under
+        ``options=key[3]`` derives ``key`` again.
         """
-        handler = get_handler(kind)
-        opts = self._resolve_options(options, {})
-        shapes = handler.shapes(shape=shape)
-        return self._plan_for(handler, shapes, opts)
+        if isinstance(kind, Problem):
+            kind.require_bare(operands, kwargs)
+            problem = kind
+        else:
+            problem_class = problem_types().get(kind)
+            if problem_class is None:
+                key = self.plan_key(kind, *operands, options=options)
+                return key, operands, kwargs
+            problem = problem_class.from_call(operands, kwargs, options)
+        base = options if options is not None else self._options
+        operands = problem.concrete_operands()
+        key = self.plan_key(
+            problem.kind, *operands, options=problem.resolved_options(base)
+        )
+        return key, operands, problem.execute_kwargs()
 
     def plan(
         self,
@@ -238,8 +256,10 @@ class Solver:
         overrides (``overlapped=True``, ...) are merged into the solver's
         default options.
         """
-        opts = self._resolve_options(options, option_overrides)
-        return self.resolve_plan(kind, shape=shape, options=opts)[0]
+        key = self.plan_key(
+            kind, shape=shape, options=options, **option_overrides
+        )
+        return self.resolve_key(key)[0]
 
     def solve(
         self,
@@ -252,52 +272,17 @@ class Solver:
 
         The canonical form takes a typed problem object —
         ``solve(MatVec(a, x, b))`` — which carries its own operands,
-        execution arguments and options overrides.  The legacy string
-        spelling ``solve("matvec", a, x, b)`` remains supported as a thin
-        shim that builds the equivalent typed problem (extra keyword
-        arguments are execution arguments of the kind, e.g.
-        ``lower=False`` for ``triangular``; options overrides go through
-        ``options=``); prefer the typed form in new code.
+        execution arguments and options overrides.  The string spelling
+        ``solve("matvec", a, x, b)`` builds the equivalent typed problem,
+        so its keywords are the typed constructor's: execution arguments
+        (``lower=False`` for ``triangular``) and options overrides
+        (``overlapped=True``, ``omega=1.5``).  See :meth:`derive`.
         """
-        if isinstance(kind, Problem):
-            kind.require_bare(operands, kwargs)
-            return self.solve_problem(kind, options=options)
-        problem_class = problem_types().get(kind)
-        if problem_class is not None:
-            # Constructor errors (wrong arity, bad options, unknown
-            # kwargs) propagate: the typed constructors mirror the
-            # handlers' execute signatures exactly, so their diagnostics
-            # are the authoritative ones for these kinds.
-            problem = problem_class.from_call(operands, kwargs, options)
-            return self.solve_problem(problem, options=options)
-        handler = get_handler(kind)
-        opts = self._resolve_options(options, {})
-        shapes = handler.shapes(operands=operands)
-        plan, hit = self._plan_for(handler, shapes, opts)
+        key, operands, kwargs = self.derive(
+            kind, *operands, options=options, **kwargs
+        )
+        plan, hit = self.resolve_key(key)
         solution = plan.execute(*operands, **kwargs)
-        solution.from_cache = hit
-        return solution
-
-    def solve_problem(
-        self,
-        problem: Problem,
-        options: Optional[ExecutionOptions] = None,
-    ) -> Solution:
-        """Plan (with caching) and execute one *typed* problem.
-
-        The single-node fast path of the pipeline machinery: the handler
-        consumes the problem object directly — no kwargs re-parsing — and
-        the plan key derives from the problem's operand specs and options
-        overrides.  Problems referencing other pipeline stages must go
-        through :class:`~repro.graph.compiler.GraphCompiler` instead.
-        """
-        handler = get_handler(problem.kind)
-        base = options if options is not None else self._options
-        opts = problem.resolved_options(base)
-        operands = problem.concrete_operands()
-        shapes = handler.shapes(operands=operands)
-        plan, hit = self._plan_for(handler, shapes, opts)
-        solution = plan.execute_problem(problem)
         solution.from_cache = hit
         return solution
 
@@ -312,32 +297,30 @@ class Solver:
         ``kind`` is a kind string or a typed problem class
         (``solver.solve_batch(MatVec, [(a, x), (a2, x2)])``).  For the
         plain (non-overlapped) matvec kind, requests that share a
-        plan are grouped and executed *pairwise overlapped* — the second
-        problem's schedule slots into the idle cycles of the first — so a
-        uniform batch finishes in roughly half the sequential array time
-        while producing values identical to sequential solves.  Grouping
-        happens by plan, not by adjacency: a shape-interleaved batch
-        (A, B, A, B) still pairs the two A's and the two B's.  Results
-        come back in the original batch order.
+        plan key are grouped and executed *pairwise overlapped* — the
+        second problem's schedule slots into the idle cycles of the first
+        — so a uniform batch finishes in roughly half the sequential array
+        time while producing values identical to sequential solves.
+        Grouping happens by plan key, not by adjacency or plan object: a
+        shape-interleaved batch (A, B, A, B) still pairs the two A's and
+        the two B's, even when a small cache rebuilds A's plan for the
+        third entry.  Results come back in the original batch order.
         """
         if isinstance(kind, type) and issubclass(kind, Problem):
             kind = kind.kind
-        handler = get_handler(kind)
-        opts = self._resolve_options(options, {})
+        get_handler(kind)  # an unknown kind fails even with an empty batch
         entries = [tuple(entry) for entry in batch]
-        if kind == "matvec":
-            entries = [self._matvec_triple(entry) for entry in entries]
-        planned = []
-        for entry in entries:
-            shapes = handler.shapes(operands=entry)
-            planned.append(self._plan_for(handler, shapes, opts))
+        planned = [
+            self.resolve_key(self.plan_key(kind, *entry, options=options))
+            for entry in entries
+        ]
 
         results: List[Optional[Solution]] = [None] * len(entries)
         pending: List[int] = []
-        groups: "dict[int, List[int]]" = {}
+        groups: Dict[PlanKey, List[int]] = {}
         for index, (plan, _hit) in enumerate(planned):
             if plan.supports_pairing:
-                groups.setdefault(id(plan), []).append(index)
+                groups.setdefault(plan.key, []).append(index)
             else:
                 pending.append(index)
         for indices in groups.values():
@@ -358,14 +341,6 @@ class Solver:
         return results
 
     # -- internals ----------------------------------------------------------------
-    def _resolve_options(
-        self,
-        options: Optional[ExecutionOptions],
-        overrides: dict,
-    ) -> ExecutionOptions:
-        base = options if options is not None else self._options
-        return base.merged(**overrides) if overrides else base
-
     def preload(self, key: PlanKey) -> Optional[ExecutionPlan]:
         """Build the plan of a stored ``key`` into this cache; no write-back.
 
@@ -377,12 +352,10 @@ class Solver:
             raise ValueError(
                 f"cannot preload a w={w} plan into a w={self._spec.w} solver"
             )
-        handler = get_handler(kind)
-        shapes = handler.shapes(shape=shapes)
-        key = make_plan_key(handler.kind, shapes, w, options)
+        key = self.plan_key(kind, shape=shapes, options=options)
         if key in self._cache:
             return None
-        return self._build(key, handler, shapes, options)
+        return self._build(key)
 
     def adopt_plan(self, plan: ExecutionPlan) -> None:
         """Install an externally obtained plan into this solver's cache.
@@ -402,19 +375,15 @@ class Solver:
             )
         self._cache.put(plan.key, plan.bound_to(self))
 
-    def _plan_for(self, handler, shapes, opts) -> Tuple[ExecutionPlan, bool]:
-        return self.resolve_key(
-            make_plan_key(handler.kind, shapes, self._spec.w, opts)
-        )
-
     def resolve_key(self, key: PlanKey) -> Tuple[ExecutionPlan, bool]:
         """Compile-or-fetch the plan of a whole plan key of this solver.
 
-        Returns ``(plan, from_cache)``.  The one cache lookup every solve
-        and compile goes through; a memoized graph lowering calls it with
-        the stage keys it stored, so a warm compile derives no key.
+        Returns ``(plan, from_cache)``.  The one cache lookup every solve,
+        :meth:`plan`, :meth:`solve_batch`, graph compile and
+        :class:`~repro.api.plan.InnerPlans` view goes through; a memoized
+        graph lowering calls it with the stage keys it stored, so a warm
+        compile derives no key.
         """
-        kind, shapes, _w, opts = key
         plan = self._cache.get(key)
         # Ambient tracing: when some caller (a traced service worker)
         # activated a span, plan lookups report under it — cache hits as
@@ -424,23 +393,25 @@ class Solver:
             if parent is not None:
                 parent.child(
                     "plan_lookup", category="plan",
-                    kind=kind, cache="hit",
+                    kind=key[0], cache="hit",
                 ).finish()
             return plan, True
         span = (
             NULL_SPAN if parent is None
             else parent.child(
                 "plan_lookup", category="plan",
-                kind=kind, cache="miss",
+                kind=key[0], cache="miss",
             )
         )
         with span:
-            plan = self._build(key, get_handler(kind), shapes, opts)
+            plan = self._build(key)
         self._persist(key)
         return plan, False
 
-    def _build(self, key: PlanKey, handler, shapes, opts) -> ExecutionPlan:
+    def _build(self, key: PlanKey) -> ExecutionPlan:
         """Build the plan of ``key`` and cache it (the one build path)."""
+        kind, shapes, _w, opts = key
+        handler = get_handler(kind)
         counters.bump("plan_builds")
         plan = ExecutionPlan(
             kind=handler.kind,
@@ -468,14 +439,3 @@ class Solver:
             self._store.save(key)
         except PlanStoreError:
             pass
-
-    @staticmethod
-    def _matvec_triple(entry: Tuple) -> Tuple:
-        """Normalize a matvec operand set to ``(matrix, x, b)``."""
-        if len(entry) == 2:
-            return (entry[0], entry[1], None)
-        if len(entry) == 3:
-            return entry
-        raise ValueError(
-            f"matvec operand sets are (matrix, x[, b]); got {len(entry)} items"
-        )

@@ -54,8 +54,7 @@ from typing import (
 )
 
 from ..api.config import ExecutionOptions
-from ..api.plan import PlanKey, make_plan_key
-from ..api.registry import get_handler
+from ..api.plan import PlanKey
 from ..backends.registry import VECTORIZED, resolve_backend
 from ..instrumentation import counters
 from .fusion import fuse_epilogue_chains
@@ -154,17 +153,13 @@ class GraphCompiler:
             lowered, epilogues = fuse_epilogue_chains(lowered, base)
         stages: List[_StageSkeleton] = []
         for index, node in enumerate(lowered.nodes):
-            handler = get_handler(node.kind)
             stages.append(
                 _StageSkeleton(
                     index=index,
                     name=lowered.names[index],
                     kind=node.kind,
-                    key=make_plan_key(
-                        handler.kind,
-                        handler.shapes(shape=lowered.spec(index)),
-                        self._solver.w,
-                        node.resolved_options(base),
+                    key=node.plan_key(
+                        self._solver.w, base, spec=lowered.spec(index)
                     ),
                     operands=tuple(
                         _binding(lowered, value)

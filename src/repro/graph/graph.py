@@ -377,20 +377,11 @@ class Graph:
         tuple depends only on the graph, so it doubles as the service
         routing key of the whole pipeline.
         """
-        from ..api.plan import make_plan_key
-        from ..api.registry import get_handler
-
         base = options if options is not None else ExecutionOptions()
-        keys: List[Tuple] = []
-        for index, node in enumerate(self._nodes):
-            handler = get_handler(node.kind)
-            shapes = handler.shapes(shape=self._specs[index])
-            keys.append(
-                make_plan_key(
-                    node.kind, shapes, w, node.resolved_options(base)
-                )
-            )
-        return tuple(keys)
+        return tuple([
+            node.plan_key(w, base, spec=spec)
+            for node, spec in zip(self._nodes, self._specs)
+        ])
 
     def describe(self) -> str:
         """One line per node: name, kind, level, dependencies, shapes."""

@@ -347,20 +347,27 @@ class Problem:
         return get_handler(self.kind).shapes(shape=spec)
 
     def plan_key(
-        self, w: int, options: Optional[ExecutionOptions] = None
+        self,
+        w: int,
+        options: Optional[ExecutionOptions] = None,
+        spec: Any = None,
     ) -> Tuple:
         """The ``(kind, shapes, w, options)`` cache/routing key of this problem.
 
-        For a stand-alone (ref-free) problem; graph-embedded problems get
-        their keys from :meth:`repro.graph.graph.Graph.plan_keys`, which
-        resolves reference shapes first.
+        ``spec`` is the node's resolved plan shape spec.  Without one the
+        problem must be stand-alone (ref-free) and every operand is
+        validated; a graph passes the spec it resolved through reference
+        shapes (:meth:`repro.graph.graph.Graph.plan_keys`).
         """
         from ..api.plan import make_plan_key
+        from ..api.registry import get_handler
 
+        if spec is None:
+            shapes = self.plan_shapes()
+        else:
+            shapes = get_handler(self.kind).shapes(shape=spec)
         base = options if options is not None else ExecutionOptions()
-        return make_plan_key(
-            self.kind, self.plan_shapes(), w, self.resolved_options(base)
-        )
+        return make_plan_key(self.kind, shapes, w, self.resolved_options(base))
 
     def _concrete_shape_of(self, value: Any, label: str) -> Tuple[int, ...]:
         if isinstance(value, Ref):

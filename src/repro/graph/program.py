@@ -182,8 +182,7 @@ class ProgramSegment:
                 )
                 with span:
                     first, second = stage.plan.execute_pair(
-                        _matvec_triple(operands),
-                        _matvec_triple(partner_operands),
+                        operands, partner_operands
                     )
                 elapsed = time.perf_counter() - start
                 counters.bump("fused_matvec_pairs")
@@ -509,13 +508,6 @@ class PipelineProgram:
             placements=tuple(placements),
             fused_epilogues=self._fused_epilogues,
         )
-
-
-def _matvec_triple(operands: Tuple) -> Tuple:
-    """Normalize matvec operands to the (matrix, x, b) pairing form."""
-    if len(operands) == 2:
-        return (operands[0], operands[1], None)
-    return operands
 
 
 def _solution_steps(solution: Solution) -> int:

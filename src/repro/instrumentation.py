@@ -160,8 +160,7 @@ class Counters:
     :class:`~repro.core.operands.MatMulOperands` and
     :class:`~repro.extensions.sparse.BlockSparseDBTTransform`.
     ``plan_builds`` / ``plan_executions`` are bumped by the api layer,
-    ``service_requests`` / ``service_batches`` by the :mod:`repro.service`
-    layer, ``iterative_sweeps`` by the :mod:`repro.iterative` solvers, and
+    ``iterative_sweeps`` by the :mod:`repro.iterative` solvers, and
     ``graph_compiles`` / ``graph_runs`` / ``fused_matvec_pairs`` by the
     :mod:`repro.graph` pipeline layer: one per compiled program
     (:meth:`~repro.graph.compiler.LoweredGraph.bind`, which every
@@ -175,8 +174,6 @@ class Counters:
     transform_constructions: int = 0
     plan_builds: int = 0
     plan_executions: int = 0
-    service_requests: int = 0
-    service_batches: int = 0
     iterative_sweeps: int = 0
     graph_compiles: int = 0
     graph_runs: int = 0

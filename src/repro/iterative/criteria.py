@@ -15,7 +15,12 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict
 
-__all__ = ["ConvergenceCriteria", "store_declared_types"]
+__all__ = [
+    "ConvergenceCriteria",
+    "store_declared_types",
+    "store_field_hash",
+    "stored_field_hash",
+]
 
 #: Declared field types (postponed annotations, so strings) that an
 #: option dataclass stores exactly.
@@ -61,6 +66,23 @@ def store_declared_types(options: Any) -> None:
         object.__setattr__(options, name, stored)
 
 
+def store_field_hash(options: Any) -> None:
+    """Hash a frozen option dataclass's fields once, at construction.
+
+    A plan key holds its options, and a plan-cache lookup hashes the key
+    twice (probe, then ``move_to_end``); the dataclass-generated
+    ``__hash__`` would rebuild and hash the field tuple each time.  The
+    stored value is that same hash, so equal options still hash equal.
+    """
+    value = hash(tuple([getattr(options, item.name) for item in fields(options)]))
+    object.__setattr__(options, "_hash", value)
+
+
+def stored_field_hash(options: Any) -> int:
+    """The ``__hash__`` of an option dataclass: its stored field hash."""
+    return options._hash
+
+
 @dataclass(frozen=True)
 class ConvergenceCriteria:
     """When an iterative solve stops — and when it must not continue.
@@ -83,7 +105,8 @@ class ConvergenceCriteria:
         just keeps failing the convergence test until ``max_iter``).
 
     Fields are stored as their declared types and NaN is rejected (see
-    :func:`store_declared_types`).
+    :func:`store_declared_types`); the hash is computed once
+    (:func:`store_field_hash`).
     """
 
     atol: float = 1e-10
@@ -105,6 +128,9 @@ class ConvergenceCriteria:
             raise ValueError(
                 f"divergence_ratio must be > 1, got {self.divergence_ratio}"
             )
+        store_field_hash(self)
+
+    __hash__ = stored_field_hash
 
     def tolerance(self, reference: float) -> float:
         """The absolute residual threshold for a given reference norm."""

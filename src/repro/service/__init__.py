@@ -9,9 +9,11 @@ saturated.
 Pieces, front to back:
 
 * :class:`~repro.service.service.SolverService` — the front door.
-  ``submit(kind, *operands)`` validates synchronously, returns a
+  ``submit(kind, *operands)`` derives the request's plan key, operands
+  and execution arguments once (:meth:`~repro.api.solver.Solver.derive`,
+  the derivation ``Solver.solve`` uses), returns a
   ``concurrent.futures.Future`` of the usual
-  :class:`~repro.api.solution.Solution`, and routes by plan key through
+  :class:`~repro.api.solution.Solution`, and routes by that key through
   the placement table.
 * :class:`~repro.service.placement.PlacementTable` — the explicit
   key→shard routing layer: a stable (``PYTHONHASHSEED``-independent)

@@ -58,7 +58,9 @@ class SolveRequest:
     :class:`~repro.errors.DeadlineExceededError` instead of executing.
     ``kwargs`` carries kind-specific execution arguments (``lower=False``,
     ``x0=...``); a request with kwargs is never batch-flushed because
-    ``solve_batch`` has no per-entry argument channel.  A graph segment
+    ``solve_batch`` has no per-entry argument channel.  Options overrides
+    (``overlapped=``, ``omega=``, ...) are not kwargs: the door folds
+    them into the plan key's options.  A graph segment
     request has no operands of its own and is likewise never
     batch-flushed.
 

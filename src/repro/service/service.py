@@ -11,11 +11,12 @@
         solution = future.result()                    # same Solution protocol
         print(service.stats().describe())
 
-``submit`` validates the request synchronously as far as the plan key can
-see — unknown kinds and bad *primary-operand* shapes fail at the call
-site; mismatches among the remaining operands (a wrong-length ``x``)
-surface through the future, isolated to the offending request — then
-routes the request through the service's
+``submit`` derives the request's plan key, operands and execution
+arguments through :meth:`~repro.api.solver.Solver.derive` — unknown
+kinds, bad *primary-operand* shapes and string calls of the wrong arity
+fail at the call site; mismatches among the remaining operands (a
+wrong-length ``x``) surface through the future, isolated to the
+offending request — then routes the request through the service's
 :class:`~repro.service.placement.PlacementTable`: an explicit key→shard
 mapping whose default policy is a *stable* (PYTHONHASHSEED-independent)
 hash, inspectable via ``service.placement`` and rebalanceable per key.
@@ -364,10 +365,24 @@ class SolverService:
     ) -> "Future[Solution]":
         """Admit one solve request; returns the future of its ``Solution``.
 
-        ``kind`` is a kind string with positional operands, or a typed
-        problem object (``service.submit(MatVec(a, x))``), which is
-        unpacked into its canonical kind/operands/arguments so typed and
-        string submissions share plan keys, shards and admission batches.
+        ``kind`` is a typed problem object (``service.submit(MatVec(a,
+        x))``) or a kind string with the typed constructor's positional
+        operands and keywords.  Both spellings go through
+        :meth:`~repro.api.solver.Solver.derive`, so they share plan keys,
+        shards and admission batches, and a request is routed by the key
+        its shard runs it under.  What fails here, at the call site: an
+        unknown kind, a bad primary-operand shape, and, for a kind with a
+        typed class, a string call of the wrong arity
+        (``submit("matvec", a)`` raises ``TypeError``,
+        ``submit("jacobi", A)`` a :class:`~repro.errors.ShapeError`) or an
+        unknown keyword.  A mismatch among the other operands (a
+        wrong-length ``x``) fails through the future.
+
+        Keywords that override options (``overlapped=True``,
+        ``omega=1.5``, ``tolerance=``, ``criteria=``, ``dtype_mode=``)
+        ride in the routing key, so such a request batches like any
+        same-key request.  Execution arguments (``lower=False``,
+        ``x0=...``) do not; requests carrying them are executed singly.
         ``timeout`` is the request's *deadline* budget in seconds: if no
         worker gets to it in time it fails with
         :class:`~repro.errors.DeadlineExceededError`.  ``priority`` is
@@ -376,22 +391,14 @@ class SolverService:
         classes are evicted first.  ``client_id`` names the submitting
         client; when the service has rate limits, a client out of budget
         gets a synchronous :class:`~repro.errors.RateLimitedError`.
-        Extra keyword arguments are kind-specific execution arguments
-        (``lower=False``, ``x0=...``); requests carrying them are
-        executed singly rather than batch-flushed.
         """
         if self._closed:
             raise ServiceClosedError("cannot submit to a closed service")
         level = resolve_priority(priority)
-        if isinstance(kind, Problem):
-            problem = kind
-            problem.require_bare(operands, kwargs)
-            base = options if options is not None else self._options
-            options = problem.resolved_options(base)
-            kind = problem.kind
-            operands = problem.concrete_operands()
-            kwargs = problem.execute_kwargs()
-        key = self.plan_key(kind, *operands, options=options)
+        key, operands, kwargs = self._shards[0].solver.derive(
+            kind, *operands, options=options, **kwargs
+        )
+        kind = key[0]
         request = SolveRequest(
             kind=kind,
             operands=tuple(operands),

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..instrumentation import CacheStats
-from ..instrumentation import counters as _instrumentation_counters
 from ..obs.metrics import Counter, MetricsRegistry, MetricsSnapshot, percentiles
 from .placement import PlacementSnapshot
 from .qos import priority_name
@@ -239,7 +238,6 @@ class ShardTelemetry:
         with self.registry.lock:
             self._counts["submitted"].inc()
             self._tally("service.requests", "kind", kind).inc()
-        _instrumentation_counters.bump("service_requests")
 
     def record_rejected(self) -> None:
         self._counts["rejected"].inc()
@@ -263,7 +261,6 @@ class ShardTelemetry:
         with self.registry.lock:
             self._counts["batches"].inc()
             self._tally("service.batch_size", "size", size).inc()
-        _instrumentation_counters.bump("service_batches")
 
     def record_completed(self, latency: float) -> None:
         with self.registry.lock:

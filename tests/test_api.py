@@ -186,6 +186,49 @@ class TestRegistryDispatch:
         assert np.allclose(mm.values, a.T @ a)
 
 
+class TestDerive:
+    """``Solver.derive``: one call -> (plan key, operands, execution kwargs)."""
+
+    @pytest.mark.parametrize(
+        "kind, overrides, field, value",
+        [
+            ("matvec", {"overlapped": True}, "overlapped", True),
+            ("sor", {"omega": 1.5}, "sor_omega", 1.5),
+            ("sparse", {"tolerance": 0.5}, "sparse_tolerance", 0.5),
+        ],
+    )
+    def test_constructor_overrides_ride_in_the_key(
+        self, solver, rng, kind, overrides, field, value
+    ):
+        a, v = rng.normal(size=(8, 8)), rng.normal(size=8)
+        key, operands, kwargs = solver.derive(kind, a, v, **overrides)
+        assert getattr(key[3], field) == value
+        assert kwargs == {}
+        assert operands[0] is a and operands[1] is v
+        # Executing under the key's options derives the key again.
+        assert solver.derive(kind, *operands, options=key[3], **kwargs)[0] == key
+
+    def test_typed_and_string_calls_derive_alike(self, solver, rng):
+        a, b, x0 = rng.normal(size=(8, 8)), rng.normal(size=8), rng.normal(size=8)
+        typed = solver.derive(Jacobi(a, b, x0=x0))
+        string = solver.derive("jacobi", a, b, x0=x0)
+        assert typed[0] == string[0] == solver.plan_key(Jacobi(a, b))
+        assert typed[2] == string[2] == {"x0": x0}
+
+    def test_string_only_kinds_pass_through(self, solver, rng):
+        a, x = rng.normal(size=(6, 5)), rng.normal(size=5)
+        key, operands, kwargs = solver.derive("naive_matvec", a, x, extra=1)
+        assert key == solver.plan_key("naive_matvec", shape=(6, 5))
+        assert operands == (a, x) and kwargs == {"extra": 1}
+
+    def test_wrong_arity_fails_at_derivation(self, solver, rng):
+        a = rng.normal(size=(8, 8))
+        with pytest.raises(TypeError):
+            solver.derive("matvec", a)
+        with pytest.raises(ShapeError):
+            solver.derive("jacobi", a)
+
+
 class TestPlanCache:
     def test_hit_miss_accounting(self, solver, rng):
         a = rng.normal(size=(10, 7))
@@ -358,6 +401,25 @@ class TestSolveBatch:
         assert batched[0].measured_steps < solver.plan(
             "matvec", shape=shape_a
         ).executor.model.steps * 1.5
+
+    def test_interleaved_shapes_pair_when_the_cache_rebuilds_plans(self, rng):
+        """Pairs form by plan key, so a one-plan cache still pairs all four.
+
+        Each lookup of the (A, B, A, B) batch evicts the other shape's
+        plan, so the third and fourth entries get rebuilt plan objects.
+        """
+        solver = Solver(ArraySpec(w=3), plan_cache_size=1)
+        batch = [
+            (rng.normal(size=shape), rng.normal(size=6))
+            for shape in ((6, 6), (9, 6), (6, 6), (9, 6))
+        ]
+        batched = solver.solve_batch("matvec", batch)
+        assert solver.cache_stats.misses == 4
+        assert all(solution.stats.get("paired") for solution in batched)
+        for entry, solution in zip(batch, batched):
+            assert np.array_equal(
+                solution.values, Solver(ArraySpec(w=3)).solve("matvec", *entry).values
+            )
 
     def test_interleaved_batch_odd_tails_run_plain(self, rng):
         solver = Solver(ArraySpec(w=3))

@@ -4,9 +4,10 @@ The redesign's compatibility contract: for every kind with a typed
 problem class, solving the typed object must be **bit-identical** to the
 legacy string-kind call — same values, same plan key, same cache
 behaviour — across a grid of problem shapes, array sizes and execution
-backends.  The typed path goes through ``Solver.solve_problem`` /
-``ProblemHandler.execute_problem``; the string path through the shim;
-both must land on the same compiled plan.
+backends.  Both spellings go through ``Solver.derive`` and must land on
+the same compiled plan, constructor overrides (``overlapped=``,
+``omega=``, ``tolerance=``, ``criteria=``) spelled as keywords of the
+string call included.
 """
 
 from __future__ import annotations
@@ -174,3 +175,26 @@ class TestTypedStringEquivalence:
         )
         assert np.array_equal(typed.values, legacy.values)
         assert typed.plan_key == legacy.plan_key
+
+    @pytest.mark.parametrize(
+        "problem_type, overrides",
+        [
+            (MatVec, {"overlapped": True}),
+            (SOR, {"omega": 1.4}),
+            (Sparse, {"tolerance": 1e-9}),
+            (Jacobi, {"criteria": ConvergenceCriteria(atol=1e-9, max_iter=6)}),
+        ],
+        ids=["overlapped", "omega", "tolerance", "criteria"],
+    )
+    @pytest.mark.parametrize("n", (6, 8))
+    def test_override_spellings(self, rng, w, backend, n, problem_type, overrides):
+        typed_solver, string_solver = _pair(w, backend)
+        matrix, vector = _spd(rng, n), rng.normal(size=n)
+        if problem_type is Sparse:
+            matrix[: n // 2, : n // 2] = 0.0
+        problem = problem_type(matrix, vector, **overrides)
+        assert problem.resolved_options(typed_solver.options) != typed_solver.options
+        _assert_equivalent(
+            typed_solver, string_solver, problem,
+            problem_type.kind, matrix, vector, **overrides,
+        )

@@ -31,6 +31,7 @@ from repro.service import (
     stable_placement_hash,
 )
 from repro.service import placement as placement_module
+from repro.service.placement import decode_key_bytes
 
 W = 4
 N = 8
@@ -206,6 +207,29 @@ class TestStableHash:
         # Lists and tuples canonicalize identically (shapes sometimes
         # arrive as lists from user code).
         assert stable_placement_hash([1, 2]) == stable_placement_hash((1, 2))
+
+    def test_equal_options_hash_equal_however_built(self):
+        """Options hash once, at construction, whichever way they are
+        built: the constructor, ``merged()`` and the key decoder give
+        equal options one hash, and so one plan-cache entry."""
+        criteria = ConvergenceCriteria(atol=1e-9, max_iter=7)
+        built = ExecutionOptions(sor_omega=1.5, criteria=criteria)
+        merged = ExecutionOptions().merged(
+            sor_omega=1.5, criteria=ConvergenceCriteria().merged(
+                atol=1e-9, max_iter=7
+            ),
+        )
+        key = _SOLVER.plan_key("sor", shape=N, options=built)
+        decoded = decode_key_bytes(canonical_key_bytes(key))[3]
+        for options in (merged, decoded):
+            assert options == built and options is not built
+            assert hash(options) == hash(built)
+            assert hash(options.criteria) == hash(criteria)
+        solver = Solver(ArraySpec(W))
+        for options in (built, merged, decoded):
+            solver.plan("sor", shape=N, options=options)
+        stats = solver.cache_stats
+        assert (stats.size, stats.misses, stats.hits) == (1, 1, 2)
 
     def test_unencodable_key_raises_with_context(self):
         with pytest.raises(TypeError, match="stable placement"):
@@ -432,6 +456,45 @@ class TestServiceRouting:
             for options in (left, right):
                 service.solve("matvec", a, x, options=options)
             assert counters.delta(before).plan_builds == 1
+
+    @pytest.mark.parametrize(
+        "kind, overrides",
+        [
+            ("matvec", {"overlapped": True}),
+            ("sparse", {"tolerance": 0.5}),
+            ("sor", {"omega": 1.5}),
+            ("jacobi", {"criteria": ConvergenceCriteria(atol=1e-9, max_iter=50)}),
+            ("dense", {"dtype_mode": "int8"}),
+        ],
+    )
+    def test_string_override_routes_by_the_key_it_runs_under(
+        self, rng, kind, overrides
+    ):
+        """A constructor override in a string submission is key material:
+        the request routes by its typed twin's key, and only that key's
+        home shard builds and caches the plan."""
+        if kind == "dense":
+            matrix = rng.integers(-5, 5, size=(N, N)).astype(np.int8)
+            vector = rng.integers(-5, 5, size=N).astype(np.int8)
+        else:
+            matrix = rng.normal(size=(N, N)) + 2 * N * np.eye(N)
+            vector = rng.normal(size=N)
+        twin = Solver.problem_types()[kind](matrix, vector, **overrides)
+        with SolverService(ArraySpec(W), n_shards=4) as service:
+            key = service.plan_key(twin)
+            solution = service.submit(kind, matrix, vector, **overrides).result(
+                timeout=30.0
+            )
+            assert solution.plan_key == key
+            assert key in service.placement.snapshot().assignments
+            home = service.shards[service.shard_index(key)]
+            holders = [
+                worker for worker in service.shards if key in worker.solver._cache
+            ]
+            assert holders == [home]
+            before = counters.snapshot()
+            service.submit(twin).result(timeout=30.0)
+            assert counters.delta(before).plan_builds == 0
 
     def test_warm_submits_do_not_re_encode(self, rng):
         a, x = rng.normal(size=(N, N)), rng.normal(size=N)

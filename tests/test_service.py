@@ -27,7 +27,6 @@ from repro.errors import (
     ShapeError,
 )
 from repro.graph import Graph, MatVec
-from repro.instrumentation import counters
 from repro.service import (
     AdmissionBatcher,
     BoundedRequestQueue,
@@ -236,6 +235,17 @@ class TestSolverService:
             with pytest.raises(ShapeError):
                 service.submit("lu", rng.normal(size=(4, 6)))
 
+    def test_string_call_of_the_wrong_arity_fails_at_submit(self, rng):
+        matrix = rng.normal(size=(8, 8))
+        with SolverService(ArraySpec(W), n_shards=1) as service:
+            with pytest.raises(TypeError):
+                service.submit("matvec", matrix)
+            with pytest.raises(ShapeError):
+                service.submit("jacobi", matrix)
+            with pytest.raises(TypeError):
+                service.submit("sor", matrix, rng.normal(size=8), omgea=1.5)
+        assert service.stats().submitted == 0
+
     def test_solve_propagates_execution_errors(self, rng):
         with SolverService(ArraySpec(W), n_shards=1) as service:
             future = service.submit(
@@ -406,7 +416,6 @@ class TestBackpressurePolicies:
 # --------------------------------------------------------------------------- #
 class TestTelemetry:
     def test_stats_account_for_every_request(self, rng):
-        before = counters.snapshot()
         with SolverService(ArraySpec(W), n_shards=2, max_batch_delay=0.001) as service:
             matvec_batch = [
                 (rng.normal(size=(12, 12)), rng.normal(size=12)) for _ in range(12)
@@ -414,7 +423,6 @@ class TestTelemetry:
             service.map("matvec", matvec_batch)
             service.solve("matmul", rng.normal(size=(6, 6)), rng.normal(size=(6, 6)))
             stats = service.stats()
-        delta = counters.delta(before)
 
         assert stats.submitted == 13
         assert stats.completed == 13
@@ -429,8 +437,6 @@ class TestTelemetry:
         assert stats.latency_p95 >= stats.latency_p50
         assert stats.cache.misses == 2  # one compile per distinct plan
         assert stats.cache.hits == 11
-        assert delta.service_requests == 13
-        assert delta.service_batches == stats.batches
 
     def test_batching_actually_groups_requests(self, rng):
         # A stuffed queue + a non-zero admission window => multi-request
