@@ -27,7 +27,8 @@ Key pieces:
   immutable, LRU-cached :class:`~repro.api.plan.ExecutionPlan` keyed by
   ``(kind, shapes, w, options)``; warm solves stream values only.
 * :meth:`~repro.api.solver.Solver.solve_batch` — one plan across a list
-  of operand sets, with automatic pairwise-overlapped matvec execution.
+  of operand sets, with automatic pairwise-overlapped matvec execution
+  (through :meth:`~repro.api.solver.Solver.execute_many`, the group path).
 """
 
 from .config import ArraySpec, ExecutionOptions

@@ -168,10 +168,10 @@ class ExecutionPlan:
     def supports_pairing(self) -> bool:
         """Whether two independent executions can share one array run.
 
-        True only for the plain matvec plan: ``solve_batch`` and the graph
-        compiler route pairs of same-plan stages through
-        :meth:`execute_pair` so the second problem rides the idle
-        contraflow cycles of the first.
+        True only for the plain matvec plan: ``Solver.execute_many`` and
+        the graph compiler route pairs of same-plan problems through
+        :meth:`execute_pair` so the second rides the idle contraflow
+        cycles of the first.
         """
         return bool(getattr(self._executor, "supports_pairing", False))
 
@@ -205,12 +205,13 @@ class ExecutionPlan:
         wrapped :class:`~repro.api.solution.Solution` objects, marked
         ``stats["paired"]`` and with the paper's single-problem step and
         utilization predictions dropped (the closed forms do not cover two
-        interleaved requests sharing one run).
+        interleaved requests sharing one run).  Counted once it has run:
+        a pair that raises reruns as two counted single executions.
         """
         first, second = _matvec_triple(first), _matvec_triple(second)
-        counters.bump("plan_executions", 2)
         with self._span("plan.execute_pair"):
             legacy_a, legacy_b = self._executor.execute_pair(first, second)
+        counters.bump("plan_executions", 2)
         solutions = []
         for legacy in (legacy_a, legacy_b):
             solution = self._handler.wrap(self, legacy)

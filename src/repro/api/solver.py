@@ -26,7 +26,8 @@ reuse plans as a pipeline.
 ``solve_batch`` reuses one plan across a list of operand sets and, for the
 plain matrix-vector kind, automatically routes pairs of requests through
 the array's overlapped execution so the idle contraflow cycles of one
-request carry the other.
+request carry the other, through :meth:`Solver.execute_many`: the one
+group path, which the service's shard workers call too.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ from ..graph.problems import Problem, problem_types
 from ..instrumentation import LRUCache, counters
 from ..obs.tracing import NULL_SPAN, active_span
 from .config import ArraySpec, ExecutionOptions
-from .plan import ExecutionPlan, CacheStats, PlanCache, PlanKey, make_plan_key
+from .plan import (
+    ExecutionPlan, CacheStats, PlanCache, PlanKey, _matvec_triple, make_plan_key,
+)
 from .registry import get_handler, registered_kinds
 from .solution import Solution
 
@@ -295,50 +298,78 @@ class Solver:
         """Solve a list of operand sets, reusing one plan per shape.
 
         ``kind`` is a kind string or a typed problem class
-        (``solver.solve_batch(MatVec, [(a, x), (a2, x2)])``).  For the
-        plain (non-overlapped) matvec kind, requests that share a
-        plan key are grouped and executed *pairwise overlapped* — the
-        second problem's schedule slots into the idle cycles of the first
-        — so a uniform batch finishes in roughly half the sequential array
-        time while producing values identical to sequential solves.
-        Grouping happens by plan key, not by adjacency or plan object: a
-        shape-interleaved batch (A, B, A, B) still pairs the two A's and
-        the two B's, even when a small cache rebuilds A's plan for the
-        third entry.  Results come back in the original batch order.
+        (``solver.solve_batch(MatVec, [(a, x), (a2, x2)])``).  Entries
+        are keyed by their primary operand and each key's entries run as
+        one :meth:`execute_many` group, so plain matvec entries execute
+        *pairwise overlapped* — the second problem's schedule slots into
+        the idle cycles of the first — in about half the sequential array
+        time, with values identical to sequential solves.  A
+        shape-interleaved batch (A, B, A, B) pairs the A's and the B's,
+        and a one-plan cache builds each plan once.  Results come back in
+        batch order; the first failed entry's exception is raised.
         """
         if isinstance(kind, type) and issubclass(kind, Problem):
             kind = kind.kind
         get_handler(kind)  # an unknown kind fails even with an empty batch
         entries = [tuple(entry) for entry in batch]
-        planned = [
-            self.resolve_key(self.plan_key(kind, *entry, options=options))
-            for entry in entries
-        ]
-
-        results: List[Optional[Solution]] = [None] * len(entries)
-        pending: List[int] = []
         groups: Dict[PlanKey, List[int]] = {}
-        for index, (plan, _hit) in enumerate(planned):
-            if plan.supports_pairing:
-                groups.setdefault(plan.key, []).append(index)
-            else:
-                pending.append(index)
-        for indices in groups.values():
-            for position in range(0, len(indices) - 1, 2):
-                first, second = indices[position], indices[position + 1]
-                plan = planned[first][0]
-                paired = plan.execute_pair(entries[first], entries[second])
-                for index, solution in zip((first, second), paired):
-                    solution.from_cache = planned[index][1]
-                    results[index] = solution
-            if len(indices) % 2:
-                pending.append(indices[-1])
-        for index in pending:
-            plan, hit = planned[index]
-            solution = plan.execute(*entries[index])
-            solution.from_cache = hit
-            results[index] = solution
+        for index, entry in enumerate(entries):
+            key = self.plan_key(kind, *entry, options=options)
+            groups.setdefault(key, []).append(index)
+        results: List[Any] = [None] * len(entries)
+        for key, indices in groups.items():
+            group = [(entries[index], {}) for index in indices]
+            for index, outcome in zip(indices, self.execute_many(key, group)):
+                results[index] = outcome
+        for outcome in results:
+            if isinstance(outcome, Exception):
+                raise outcome
         return results
+
+    def execute_many(
+        self,
+        key: PlanKey,
+        entries: Sequence[Tuple[Tuple, Mapping[str, Any]]],
+    ) -> List["Solution | Exception"]:
+        """Execute a group of ``(operands, kwargs)`` entries of one plan key.
+
+        The one path a same-key group takes, from :meth:`solve_batch` and
+        the service's shard workers.  The key is looked up once per entry,
+        as one solve per entry would.  A pairable plan reads every entry
+        as ``(matrix, x[, b])`` and runs the kwargs-free ones two at a
+        time through :meth:`ExecutionPlan.execute_pair`, the paper's
+        odd/even-cycle overlap.  Every other entry, and both entries of a
+        pair that raised, run alone through :meth:`ExecutionPlan.execute`.
+        Returns each entry's :class:`Solution` or the exception it raised,
+        in entry order; a plan that fails to build fails every entry.
+        """
+        try:
+            planned = [self.resolve_key(key) for _ in entries]
+        except Exception as exc:
+            return [exc for _ in entries]
+        outcomes: List[Any] = [None] * len(entries)
+        pairable = bool(planned) and planned[0][0].supports_pairing
+        if pairable:
+            free = [i for i, (_, kwargs) in enumerate(entries) if not kwargs]
+            for first, second in zip(free[0::2], free[1::2]):
+                try:
+                    outcomes[first], outcomes[second] = planned[first][0].execute_pair(
+                        entries[first][0], entries[second][0]
+                    )
+                except Exception:
+                    pass  # both entries run alone below
+        for index, (operands, kwargs) in enumerate(entries):
+            if outcomes[index] is None:
+                try:
+                    if pairable:
+                        operands = _matvec_triple(operands)
+                    outcomes[index] = planned[index][0].execute(*operands, **kwargs)
+                except Exception as exc:
+                    outcomes[index] = exc
+        for (_plan, hit), outcome in zip(planned, outcomes):
+            if not isinstance(outcome, Exception):
+                outcome.from_cache = hit
+        return outcomes
 
     # -- internals ----------------------------------------------------------------
     def preload(self, key: PlanKey) -> Optional[ExecutionPlan]:

@@ -27,8 +27,8 @@ Pieces, front to back:
   next request plus the backlog queued behind it (a self-clocking window:
   no linger by default, so batch size follows load) and groups it by plan
   key, so same-plan requests flush together through
-  ``Solver.solve_batch`` (matvec pairs ride the overlapped contraflow
-  path automatically).
+  ``Solver.execute_many`` (matvec pairs ride the overlapped contraflow
+  path automatically), each resolved from its own outcome.
 * :class:`~repro.service.workers.ShardWorker` — one thread + one private
   :class:`~repro.api.solver.Solver` per shard; a plan compiles once per
   service and stays hot on its home shard.

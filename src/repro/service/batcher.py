@@ -11,9 +11,9 @@ load with no timer.  ``max_batch_delay`` (0 by default) is an optional
 cap on an extra linger after the first request, for a caller that would
 trade that much latency for larger groups.  Every group shares one
 compiled :class:`~repro.api.plan.ExecutionPlan`, so a group flush through
-``Solver.solve_batch`` costs at most one plan compile regardless of group
-size — and for the plain matvec kind, ``solve_batch`` additionally pairs
-group members onto the array's idle contraflow cycles automatically.
+``Solver.execute_many`` costs at most one plan compile regardless of
+group size — and for the plain matvec kind it additionally pairs group
+members onto the array's idle contraflow cycles.
 
 The batcher is pure policy: it owns no thread and mutates nothing but the
 queue it drains, which keeps the windowing/grouping rules independently
@@ -105,21 +105,12 @@ class AdmissionBatcher:
         """Split a window into per-plan-key flush groups.
 
         Groups preserve arrival order (both across groups — ordered by
-        their earliest member — and within a group).  Requests carrying
-        kind-specific execution kwargs — or a whole-pipeline graph job —
-        are not batchable (``solve_batch`` has no per-entry argument
-        channel) and become singleton groups.
+        their earliest member — and within a group).  A request's
+        execution arguments (``lower=``, ``x0=``) ride with it into its
+        group: :meth:`~repro.api.solver.Solver.execute_many` takes them
+        per entry.
         """
-        groups: "Dict[object, List[SolveRequest]]" = {}
-        order: List[List[SolveRequest]] = []
+        groups: Dict[Hashable, List[SolveRequest]] = {}
         for request in window:
-            if not request.batchable:
-                order.append([request])
-                continue
-            key: Hashable = request.plan_key
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = []
-                order.append(group)
-            group.append(request)
-        return order
+            groups.setdefault(request.plan_key, []).append(request)
+        return list(groups.values())

@@ -56,13 +56,12 @@ class SolveRequest:
     ``deadline`` is an absolute ``time.monotonic()`` instant (or ``None``);
     a worker that dequeues the request after it fails the future with
     :class:`~repro.errors.DeadlineExceededError` instead of executing.
-    ``kwargs`` carries kind-specific execution arguments (``lower=False``,
-    ``x0=...``); a request with kwargs is never batch-flushed because
-    ``solve_batch`` has no per-entry argument channel.  Options overrides
-    (``overlapped=``, ``omega=``, ...) are not kwargs: the door folds
-    them into the plan key's options.  A graph segment
-    request has no operands of its own and is likewise never
-    batch-flushed.
+    The worker executes ``operands`` and ``kwargs`` under ``plan_key`` as
+    ``submit`` derived them.  ``kwargs`` carries kind-specific execution
+    arguments (``lower=False``, ``x0=...``), which ride into the
+    request's flush group; options overrides (``overlapped=``,
+    ``omega=``, ...) are folded into the key's options instead.  A graph
+    segment request has no operands of its own and runs alone.
 
     ``plan_key`` is the routing key: the usual 4-tuple
     ``(kind, shapes, w, options)`` for single solves, and
@@ -95,11 +94,6 @@ class SolveRequest:
     #: stamped unconditionally by the queue (one clock read) so traced
     #: requests can reconstruct their queue wait.
     dequeued_at: Optional[float] = None
-
-    @property
-    def batchable(self) -> bool:
-        """Whether the request may ride a multi-entry ``solve_batch`` flush."""
-        return not self.kwargs and self.segment is None
 
     def expired(self, now: Optional[float] = None) -> bool:
         """True when the request's deadline has already passed."""

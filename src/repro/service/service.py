@@ -382,7 +382,8 @@ class SolverService:
         ``omega=1.5``, ``tolerance=``, ``criteria=``, ``dtype_mode=``)
         ride in the routing key, so such a request batches like any
         same-key request.  Execution arguments (``lower=False``,
-        ``x0=...``) do not; requests carrying them are executed singly.
+        ``x0=...``) ride with the request, which batches with its key's
+        other requests too; the worker runs them without re-deriving.
         ``timeout`` is the request's *deadline* budget in seconds: if no
         worker gets to it in time it fails with
         :class:`~repro.errors.DeadlineExceededError`.  ``priority`` is
@@ -692,9 +693,9 @@ class SolverService:
     ) -> List[Solution]:
         """Submit a whole batch and gather results in input order.
 
-        The service-level analogue of ``Solver.solve_batch``: entries fan
-        out across shards by plan key, pile up in admission windows, and
-        come back in the order given.
+        The service-level analogue of the solver's batch solve: entries
+        fan out across shards by plan key, pile up in admission windows,
+        and come back in the order given.
         """
         futures = [
             self.submit(kind, *entry, options=options, timeout=timeout)

@@ -11,12 +11,16 @@ queue, the telemetry lock, and the (now lock-guarded) plan cache.
 
 A worker's loop is: collect an admission window via the
 :class:`~repro.service.batcher.AdmissionBatcher`, split it into plan-keyed
-groups, and flush each group — multi-request matvec groups through
-``Solver.solve_batch`` (riding the overlapped contraflow pairing), every
-other group member individually through ``Solver.solve``.  By default a
-window is the next request plus whatever queued while the worker was
-busy, with no linger: an idle shard starts a request at once, and a busy
-one flushes its backlog as a batch.  Graph jobs arrive as segment
+groups, and flush each group, of one request or many, through one
+:meth:`~repro.api.solver.Solver.execute_many` call.  A request carries
+the plan key, operands and execution arguments ``submit`` derived, so
+the worker derives nothing again; matvec members pair onto the
+overlapped contraflow cycles, and each member resolves or fails from
+its own outcome, so a malformed request fails alone and its neighbours
+run once.  By default a window is the next request plus whatever queued
+while the worker was busy, with no linger: an idle shard starts a
+request at once, and a busy one flushes its backlog as a batch.  Graph
+jobs arrive as segment
 requests (carrying a :class:`~repro.service.pipeline.SegmentTask`): the
 worker executes one placed program segment — a run of levels on this
 shard — against the parent job's shared state, then hands the next
@@ -53,7 +57,6 @@ class ShardWorker:
         telemetry: ShardTelemetry,
         max_batch_size: int,
         max_batch_delay: float,
-        name: Optional[str] = None,
     ):
         self.shard_id = shard_id
         self.solver = solver
@@ -69,7 +72,7 @@ class ShardWorker:
         self._drain_on_stop = True
         self._thread = threading.Thread(
             target=self._run,
-            name=name or f"repro-service-shard-{shard_id}",
+            name=f"repro-service-shard-{shard_id}",
             daemon=True,
         )
 
@@ -158,6 +161,7 @@ class ShardWorker:
             return
         self.telemetry.record_batch(len(live))
         traced = [request for request in live if request.trace is not None]
+        lead = NULL_SPAN
         if traced:
             # Retroactive spans from stamps both endpoints of which are
             # now known: admission → dequeue is queue_wait, dequeue →
@@ -177,78 +181,45 @@ class ShardWorker:
                     "batch_assembly", track=self.track, category="queue",
                     start=request.dequeued_at, batch=len(live),
                 ).finish(end=assembled_at)
-        # Every live member shares a plan key, hence identical resolved
-        # options — the ExecutionOptions embedded in the key itself.
-        options = live[0].plan_key[3]
-        if len(live) > 1:
-            # One physical solve_batch serves the whole flush; the first
-            # traced member's execute span is activated (so plan-lookup /
-            # plan-execute children nest under it) and its siblings get
-            # identical retroactive spans — the shared interval is the
-            # truth of a batched execution.
-            lead = NULL_SPAN
-            if traced:
-                lead = traced[0].trace.root.child(
-                    "execute", track=self.track, category="execute",
-                    batch=len(live),
-                )
-            try:
-                with lead:
-                    solutions = self.solver.solve_batch(
-                        live[0].kind,
-                        [request.operands for request in live],
-                        options=options,
-                    )
-            except Exception:
-                # A plan key only sees operands[0], so one member with
-                # e.g. a wrong-length vector can sink the whole flush.
-                # Re-run the group one by one so the error stays with
-                # the request that caused it.
-                for request in live:
-                    self._execute_one(request, options)
-                return
-            for request in traced[1:]:
-                request.trace.root.child(
-                    "execute", track=self.track, category="execute",
-                    start=lead.start, batch=len(live),
-                ).finish(end=lead.end)
-            for request, solution in zip(live, solutions):
-                # Telemetry first: a RUNNING future cannot be cancelled,
-                # so set_result is infallible — and the caller it wakes
-                # may read stats() immediately.
-                self.telemetry.record_completed(request.latency())
-                _record_iterations(self.telemetry, request.kind, solution)
-                request.resolve(solution)
-            return
-        self._execute_one(live[0], options)
-
-    def _execute_one(self, request: SolveRequest, options) -> None:
-        """Solve one (RUNNING) request, resolving its future either way.
-
-        Telemetry is recorded *before* the future resolves: resolution
-        wakes the caller, who may snapshot stats straight away.
-        """
-        span = NULL_SPAN
-        if request.trace is not None:
-            span = request.trace.root.child(
+            lead = traced[0].trace.root.child(
                 "execute", track=self.track, category="execute",
-                kind=request.kind,
+                kind=live[0].kind, batch=len(live),
             )
-        try:
-            # Activated: the solver's plan_lookup / plan.execute spans
-            # nest under this request's execute span.
-            with span:
-                solution = self.solver.solve(
-                    request.kind, *request.operands,
-                    options=options, **request.kwargs,
-                )
-        except Exception as exc:
-            self.telemetry.record_failed(request.latency())
-            request.fail(exc)
-            return
-        self.telemetry.record_completed(request.latency())
-        _record_iterations(self.telemetry, request.kind, solution)
-        request.resolve(solution)
+        # Activated: the solver's plan_lookup / plan.execute spans nest
+        # under the first traced member's execute span.
+        with lead:
+            outcomes = self.solver.execute_many(
+                live[0].plan_key,
+                [(request.operands, request.kwargs) for request in live],
+            )
+            # Each traced member's execute span closes with its own
+            # outcome: the lead first (before the ``with`` would close it
+            # as ok), then one copy of its interval per other member, the
+            # truth of a group execution.
+            for request, outcome in zip(live, outcomes):
+                if request.trace is None:
+                    continue
+                span = lead
+                if request is not traced[0]:
+                    span = request.trace.root.child(
+                        "execute", track=self.track, category="execute",
+                        start=lead.start, kind=live[0].kind, batch=len(live),
+                    )
+                if isinstance(outcome, Exception):
+                    span.finish(status="error", error=outcome, end=lead.end)
+                else:
+                    span.finish(end=lead.end)
+        for request, outcome in zip(live, outcomes):
+            # Telemetry first: a RUNNING future cannot be cancelled, so
+            # set_result is infallible — and the caller it wakes may read
+            # stats() immediately.
+            if isinstance(outcome, Exception):
+                self.telemetry.record_failed(request.latency())
+                request.fail(outcome)
+            else:
+                self.telemetry.record_completed(request.latency())
+                _record_iterations(self.telemetry, request.kind, outcome)
+                request.resolve(outcome)
 
     def _execute_segment(self, request: SolveRequest) -> None:
         """Run one placed segment of a graph job.

@@ -26,7 +26,8 @@ from repro.errors import (
     ServiceOverloadedError,
     ShapeError,
 )
-from repro.graph import Graph, MatVec
+from repro.graph import Graph, Jacobi, MatVec, Triangular
+from repro.instrumentation import counters
 from repro.service import (
     AdmissionBatcher,
     BoundedRequestQueue,
@@ -150,14 +151,14 @@ class TestAdmissionBatcher:
         groups = AdmissionBatcher.group_by_plan([a1, b1, a2, b2])
         assert groups == [[a1, a2], [b1, b2]]
 
-    def test_requests_with_kwargs_become_singleton_groups(self):
+    def test_requests_with_kwargs_group_by_key(self):
         key = ("triangular", (8,), W, None)
         plain = _request(kind="triangular", key=key)
         lowered = SolveRequest(
             kind="triangular", operands=(), plan_key=key, kwargs={"lower": False}
         )
         groups = AdmissionBatcher.group_by_plan([plain, lowered, plain])
-        assert groups == [[plain, plain], [lowered]]
+        assert groups == [[plain, lowered, plain]]
 
 
 # --------------------------------------------------------------------------- #
@@ -246,6 +247,37 @@ class TestSolverService:
                 service.submit("sor", matrix, rng.normal(size=8), omgea=1.5)
         assert service.stats().submitted == 0
 
+    def test_a_served_request_is_derived_once(self, rng, monkeypatch):
+        calls = {"derive": 0, "solve": 0, "solve_batch": 0}
+
+        def counting(name):
+            original = getattr(Solver, name)
+
+            def counted(self, *args, **kwargs):
+                calls[name] += 1
+                return original(self, *args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(Solver, name, counting(name))
+        a, x = rng.normal(size=(8, 8)), rng.normal(size=8)
+        spd = a @ a.T + 8.0 * np.eye(8)
+        upper = np.triu(a) + 5.0 * np.eye(8)
+        calls_by_spelling = [
+            (("matvec", a, x), {}),
+            ((MatVec(a, x),), {}),
+            (("jacobi", spd, x), {}),
+            ((Jacobi(spd, x),), {}),
+            (("triangular", upper, x), {"lower": False}),
+            ((Triangular(upper, x, lower=False),), {}),
+        ]
+        with SolverService(ArraySpec(W), n_shards=2) as service:
+            for index in range(20):
+                args, kwargs = calls_by_spelling[index % len(calls_by_spelling)]
+                assert service.submit(*args, **kwargs).result(timeout=30)
+        assert calls == {"derive": 20, "solve": 0, "solve_batch": 0}
+
     def test_solve_propagates_execution_errors(self, rng):
         with SolverService(ArraySpec(W), n_shards=1) as service:
             future = service.submit(
@@ -296,13 +328,13 @@ def _stalled_service(monkeypatch, policy: str, queue_depth: int):
     )
     gate = threading.Event()
     shard_solver = service.shards[0].solver
-    original = shard_solver.solve
+    original = shard_solver.execute_many
 
     def gated_solve(*args, **kwargs):
         gate.wait(timeout=30)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(shard_solver, "solve", gated_solve)
+    monkeypatch.setattr(shard_solver, "execute_many", gated_solve)
     return service, gate
 
 
@@ -396,6 +428,52 @@ class TestBackpressurePolicies:
             service.close()
         stats = service.stats()
         assert stats.completed == 2 and stats.failed == 1
+
+    @pytest.mark.parametrize(
+        "kind, bad",
+        [("matvec", 4), ("matvec", 1), ("jacobi", 2)],
+        ids=["matvec-unpaired-tail", "matvec-inside-a-pair", "jacobi"],
+    )
+    def test_bad_member_fails_alone_and_the_group_runs_once(
+        self, rng, monkeypatch, kind, bad
+    ):
+        # A same-key group of five with one wrong-length operand: the
+        # four good members run once each and match their own solves.
+        service, gate = _stalled_service(monkeypatch, "block", queue_depth=8)
+        monkeypatch.setattr(service.shards[0]._batcher, "_max_batch_size", 8)
+        matrix = rng.normal(size=(8, 8))
+        matrix += np.diag(np.abs(matrix).sum(axis=1) + 1.0)
+        first_vector = rng.normal(size=8)
+        vectors = [rng.normal(size=8) for _ in range(5)]
+        vectors[bad] = rng.normal(size=5)
+        solo = counters.snapshot()
+        reference = Solver(ArraySpec(W))
+        expected = [reference.solve(kind, matrix, first_vector)] + [
+            reference.solve(kind, matrix, vector)
+            for index, vector in enumerate(vectors) if index != bad
+        ]
+        solo_sweeps = counters.delta(solo).iterative_sweeps
+        before = counters.snapshot()
+        try:
+            first = service.submit(kind, matrix, first_vector)
+            # Running means its window has closed: the five queue behind.
+            _wait_until(first.running)
+            group = [service.submit(kind, matrix, vector) for vector in vectors]
+            gate.set()
+            with pytest.raises(ShapeError):
+                group.pop(bad).result(timeout=30)
+            for future, want in zip([first, *group], expected):
+                got = future.result(timeout=30)
+                assert got.values.tobytes() == want.values.tobytes()
+        finally:
+            gate.set()
+            service.close()
+        delta = counters.delta(before)
+        assert delta.plan_executions == 6  # one per request
+        assert delta.iterative_sweeps == solo_sweeps
+        stats = service.stats()
+        assert stats.batch_size_histogram == {1: 1, 5: 1}
+        assert stats.completed == 5 and stats.failed == 1
 
     def test_close_without_drain_fails_pending_futures(self, rng, monkeypatch):
         service, gate = _stalled_service(monkeypatch, "block", queue_depth=8)
@@ -929,14 +1007,14 @@ class TestSelfClockingAdmission:
         service = SolverService(ArraySpec(W), n_shards=1, queue_depth=32)
         entered, gate = threading.Event(), threading.Event()
         shard_solver = service.shards[0].solver
-        original = shard_solver.solve
+        original = shard_solver.execute_many
 
         def gated_solve(*args, **kwargs):
             entered.set()
             gate.wait(timeout=30)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(shard_solver, "solve", gated_solve)
+        monkeypatch.setattr(shard_solver, "execute_many", gated_solve)
         a, x = rng.normal(size=(8, 8)), rng.normal(size=8)
         backlog = 6
         try:
@@ -952,3 +1030,47 @@ class TestSelfClockingAdmission:
             gate.set()
             service.close()
         assert service.stats().batch_size_histogram == {1: 1, backlog: 1}
+
+    def test_backlog_with_execution_arguments_flushes_as_one_group(
+        self, rng, monkeypatch
+    ):
+        service = SolverService(ArraySpec(W), n_shards=1, queue_depth=32)
+        entered, gate = threading.Event(), threading.Event()
+        shard_solver = service.shards[0].solver
+        original = shard_solver.execute_many
+
+        def gated(*args, **kwargs):
+            entered.set()
+            gate.wait(timeout=30)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(shard_solver, "execute_many", gated)
+        lower = np.tril(rng.normal(size=(8, 8))) + 5.0 * np.eye(8)
+        calls = [
+            ((lower, rng.normal(size=8)), {})
+            if index % 2 == 0
+            else ((lower.T, rng.normal(size=8)), {"lower": False})
+            for index in range(6)
+        ]
+        reference = Solver(ArraySpec(W))
+        expected = [
+            reference.solve("triangular", *operands, **kwargs)
+            for operands, kwargs in calls
+        ]
+        try:
+            first = service.submit("triangular", lower, rng.normal(size=8))
+            assert entered.wait(timeout=30)
+            queued = [
+                service.submit("triangular", *operands, **kwargs)
+                for operands, kwargs in calls
+            ]
+            gate.set()
+            assert first.result(timeout=30) is not None
+            for future, want in zip(queued, expected):
+                got = future.result(timeout=30)
+                assert got.values.tobytes() == want.values.tobytes()
+        finally:
+            gate.set()
+            service.close()
+        # Half the backlog carries lower=False; one key, so one group.
+        assert service.stats().batch_size_histogram == {1: 1, 6: 1}

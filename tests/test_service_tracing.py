@@ -20,7 +20,9 @@ import numpy as np
 import pytest
 
 from repro.api import ArraySpec, ExecutionOptions, Solver
-from repro.errors import DeadlineExceededError, ServiceOverloadedError
+from repro.errors import (
+    DeadlineExceededError, ServiceOverloadedError, ShapeError,
+)
 from repro.graph import Graph, GraphCompiler, Jacobi, MatMul, MatVec, ProgramSegment, Refine
 from repro.instrumentation import counters
 from repro.iterative import ConvergenceCriteria
@@ -392,6 +394,66 @@ class TestFailurePathsCloseTheirSpans:
         assert statuses.count("ok") == len(futures)
 
 
+    def test_failing_member_of_a_flush_fails_only_its_own_trace(
+        self, rng, monkeypatch
+    ):
+        a = rng.normal(size=(N, N))
+        xs = [rng.normal(size=N), rng.normal(size=N - 3), rng.normal(size=N)]
+        tracer = Tracer()
+        service = SolverService(ArraySpec(W), n_shards=1, tracer=tracer)
+        entered, gate = threading.Event(), threading.Event()
+        shard_solver = service.shards[0].solver
+        original = shard_solver.execute_many
+
+        def gated(*args, **kwargs):
+            entered.set()
+            gate.wait(timeout=30)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(shard_solver, "execute_many", gated)
+        try:
+            first = service.submit("matvec", a, xs[0])
+            # The worker holds `first`, so the next three queue as one
+            # flush of one plan key, the middle one malformed.
+            assert entered.wait(timeout=30)
+            flush = [service.submit("matvec", a, x) for x in xs]
+            gate.set()
+            first.result(timeout=30)
+            outcomes = [future.exception(timeout=30) for future in flush]
+            lone = service.submit("matvec", a, xs[1])
+            with pytest.raises(ShapeError):
+                lone.result(timeout=30)
+        finally:
+            gate.set()
+            service.close()
+        assert [type(exc) for exc in outcomes] == [
+            type(None), ShapeError, type(None)
+        ]
+        assert tracer.open_spans == 0
+        spans = tracer.spans()
+        roots = sorted(_roots(spans), key=lambda root: root.start)
+        assert len(roots) == 5
+        executes = {
+            root.span_id: [
+                span for span in spans
+                if span.name == "execute" and span.parent_id == root.span_id
+            ]
+            for root in roots
+        }
+        # Each flush member has exactly one execute span, of the flush.
+        for root in roots[1:4]:
+            (execute,) = executes[root.span_id]
+            assert execute.args["batch"] == 3
+        assert [root.status for root in roots[1:4]] == ["ok", "error", "ok"]
+        assert [
+            executes[root.span_id][0].status for root in roots[1:4]
+        ] == ["ok", "error", "ok"]
+        # A lone failing request's execute span closes as failed too.
+        (lone_execute,) = executes[roots[4].span_id]
+        assert roots[4].status == "error"
+        assert lone_execute.status == "error"
+        assert lone_execute.args["batch"] == 1
+
 class TestTelemetryPercentiles:
     def test_p99_joins_the_latency_columns(self, rng):
         a, x = rng.normal(size=(N, N)), rng.normal(size=N)
@@ -509,13 +571,13 @@ class TestQosPathsCloseTheirSpans:
         )
         gate = threading.Event()
         shard_solver = service.shards[0].solver
-        original = shard_solver.solve
+        original = shard_solver.execute_many
 
         def gated(*args, **kwargs):
             gate.wait(timeout=30)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(shard_solver, "solve", gated)
+        monkeypatch.setattr(shard_solver, "execute_many", gated)
         try:
             first = service.submit("matvec", a, x, priority="high")
             deadline = time.monotonic() + 2.0
