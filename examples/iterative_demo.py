@@ -54,11 +54,11 @@ def main() -> None:
 
     for kind, options in (
         ("jacobi", None),
-        ("sor", ExecutionOptions(sor_omega=1.4)),
+        ("sor", ExecutionOptions(omega=1.4)),
         ("cg", None),
         ("refine", None),
     ):
-        label = kind if options is None else f"{kind} (omega={options.sor_omega})"
+        label = kind if options is None else f"{kind} (omega={options.omega})"
         solution = solver.solve(kind, matrix, b, options=options)
         result = solution.raw
         print(f"\n[{label}] {'converged' if result.converged else 'did not converge'} "

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import ArraySpec, ExecutionOptions, Solver
+from repro import ArraySpec, ConvergenceCriteria, Solver
 from repro.extensions import SystolicLU
 
 
@@ -52,11 +52,15 @@ def main() -> None:
     print("=" * 70)
 
     print("\n[1] Gauss-Seidel iteration (products on the linear array)")
+    # The kind is SOR at omega = 1; its stopping rule is the one option it
+    # takes as a keyword (no divergence guard, as in the seed iteration).
     gs = solver.solve(
         "gauss_seidel",
         matrix,
         rhs,
-        options=ExecutionOptions(gs_tolerance=1e-10, gs_max_iterations=500),
+        criteria=ConvergenceCriteria(
+            atol=1e-10, rtol=0.0, max_iter=500, divergence_ratio=float("inf")
+        ),
     )
     print(f"    converged: {gs.stats['converged']} after {gs.stats['iterations']} sweeps")
     print(f"    final residual: {gs.stats['residual_norm']:.2e}")

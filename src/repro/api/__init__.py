@@ -21,8 +21,12 @@ Key pieces:
   — the configuration layer replacing the seed's scattered kwargs.
 * :class:`~repro.api.solver.Solver` — registry-dispatched façade over the
   problem kinds (``matvec``, ``matmul``, ``lu``, ``triangular``,
-  ``gauss_seidel``, ``sparse`` and the comparison baselines), returning
-  the common :class:`~repro.api.solution.Solution` protocol.
+  ``sparse``, the iterative kinds, the NN kinds and the comparison
+  baselines), returning the common :class:`~repro.api.solution.Solution`
+  protocol.  A string call builds the kind's typed problem
+  (:func:`repro.graph.problem_types`), so its keywords are the typed
+  constructor's: each option keyword is the :class:`ExecutionOptions`
+  field it overrides.
 * :meth:`~repro.api.solver.Solver.plan` — the explicit compile step: an
   immutable, LRU-cached :class:`~repro.api.plan.ExecutionPlan` keyed by
   ``(kind, shapes, w, options)``; warm solves stream values only.

@@ -86,17 +86,14 @@ class ExecutionOptions:
         Audit the DBT structural conditions; with the plan/execute split
         this runs once at *plan* time, since the conditions are purely
         structural (matmul).
-    sparse_tolerance
+    tolerance
         Magnitude below which a ``w x w`` block counts as zero (sparse).
-    gs_tolerance / gs_max_iterations
-        Legacy convergence control (gauss_seidel); superseded by
-        ``criteria`` for the :mod:`repro.iterative` kinds.
     criteria
         :class:`~repro.iterative.criteria.ConvergenceCriteria` for the
-        iterative kinds (jacobi, sor, cg, refine, power).  Frozen and
-        hashable, so it participates in the plan key like every other
-        option.
-    sor_omega
+        iterative kinds (jacobi, sor, gauss_seidel, cg, refine, power).
+        Frozen and hashable, so it participates in the plan key like
+        every other option.
+    omega
         Relaxation factor for the ``sor`` kind (``1.0`` is Gauss-Seidel;
         convergence needs ``0 < omega < 2``).
     dtype_mode
@@ -107,8 +104,13 @@ class ExecutionOptions:
         other option, so float and int8 plans for the same shape never
         collide.
 
+    A typed problem takes the fields it overrides as keywords of the
+    same names (``MatVec(a, x, overlapped=True)``, ``SOR(a, b,
+    omega=1.5)``); ``record_trace``, ``verify_structure`` and
+    ``backend`` are set only through ``options=``.
+
     Every bool, int and float field is stored as its declared type
-    (``sor_omega=1`` as ``1.0``, ``-0.0`` as ``0.0``), so equal options
+    (``omega=1`` as ``1.0``, ``-0.0`` as ``0.0``), so equal options
     encode to equal plan-key bytes and route to one shard; a value the
     conversion would change, or a NaN, raises ``ValueError``.  The hash
     is computed once, at construction (:func:`store_field_hash`).
@@ -117,35 +119,23 @@ class ExecutionOptions:
     record_trace: bool = False
     overlapped: bool = False
     verify_structure: bool = False
-    sparse_tolerance: float = 0.0
-    gs_tolerance: float = 1e-10
-    gs_max_iterations: int = 200
+    tolerance: float = 0.0
     criteria: ConvergenceCriteria = ConvergenceCriteria()
-    sor_omega: float = 1.0
+    omega: float = 1.0
     backend: str = AUTO_BACKEND
     dtype_mode: str = "float64"
 
     def __post_init__(self) -> None:
         store_declared_types(self)
         resolve_backend(self.backend)  # raises BackendError for unknown names
-        if self.sparse_tolerance < 0.0:
-            raise ValueError(
-                f"sparse_tolerance must be >= 0, got {self.sparse_tolerance}"
-            )
-        if self.gs_tolerance <= 0.0:
-            raise ValueError(f"gs_tolerance must be > 0, got {self.gs_tolerance}")
-        if self.gs_max_iterations < 1:
-            raise ValueError(
-                f"gs_max_iterations must be >= 1, got {self.gs_max_iterations}"
-            )
+        if self.tolerance < 0.0:
+            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
         if not isinstance(self.criteria, ConvergenceCriteria):
             raise ValueError(
                 f"criteria must be a ConvergenceCriteria, got {self.criteria!r}"
             )
-        if not 0.0 < self.sor_omega < 2.0:
-            raise ValueError(
-                f"sor_omega must satisfy 0 < omega < 2, got {self.sor_omega}"
-            )
+        if not 0.0 < self.omega < 2.0:
+            raise ValueError(f"omega must satisfy 0 < omega < 2, got {self.omega}")
         if self.dtype_mode not in ("float64", "int8"):
             raise ValueError(
                 f"dtype_mode must be 'float64' or 'int8', got {self.dtype_mode!r}"

@@ -1,8 +1,8 @@
 """Problem handlers: every workload of the package behind one registry.
 
-The six primary kinds — ``matvec``, ``matmul``, ``lu``, ``triangular``,
-``gauss_seidel``, ``sparse`` — the five plan-cached iterative kinds —
-``jacobi``, ``sor``, ``cg``, ``refine``, ``power`` — plus the comparison
+The direct kinds — ``matvec``, ``matmul``, ``lu``, ``triangular``,
+``sparse`` — the plan-cached iterative kinds — ``jacobi``, ``sor``,
+``gauss_seidel``, ``cg``, ``refine``, ``power`` — plus the comparison
 baselines the paper cites (``prt``, ``naive_matvec``, ``naive_matmul``,
 ``block_partitioned``) are each wrapped into a
 :class:`~repro.api.registry.ProblemHandler` and registered at import
@@ -14,9 +14,9 @@ Every solve executes through a handler's positional ``execute``:
 :meth:`~repro.api.solver.Solver.derive` turns a typed problem (or the
 string call that builds one) into the operand tuple and execution
 arguments ``execute`` takes, and ``solve_batch`` and graph stages feed
-it the same way.  Primary kinds link to their typed classes through
+it the same way.  Every kind here links to its typed class through
 :func:`repro.graph.problem_types` (see the ``problem_class`` property on
-every handler); the baselines are deliberately string-only.
+every handler).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from ..extensions.sparse import BlockSparseMatVec
 from ..extensions.triangular import SystolicTriangularSolver
 from ..iterative import (
     ConjugateGradientSolver,
-    ConvergenceCriteria,
     IterativeRefinementSolver,
     IterativeResult,
     JacobiSolver,
@@ -47,11 +46,8 @@ from .config import ArraySpec, ExecutionOptions
 from .registry import ProblemHandler, register
 from .solution import FeedbackStats, Solution
 
-__all__ = ["PRIMARY_KINDS", "BASELINE_KINDS", "ITERATIVE_KINDS"]
-
-PRIMARY_KINDS = ("matvec", "matmul", "lu", "triangular", "gauss_seidel", "sparse")
-BASELINE_KINDS = ("prt", "naive_matvec", "naive_matmul", "block_partitioned")
-ITERATIVE_KINDS = ("jacobi", "sor", "cg", "refine", "power")
+#: Imported for its registrations; it exports no names.
+__all__: Tuple[str, ...] = ()
 
 
 def _matrix_shape(value, name: str) -> Tuple[int, int]:
@@ -80,6 +76,20 @@ def _pair_shape(shape, kind: str) -> Tuple[int, int]:
     if len(shape) != 2:
         raise ShapeError(f"{kind} needs shape=(n, m), got {shape}")
     return shape
+
+
+class _SquareHandler(ProblemHandler):
+    """Shapes of the kinds on one square matrix: ``(n,)``."""
+
+    def shapes(self, *, operands=None, shape=None) -> Tuple[int]:
+        if operands is not None:
+            matrix_shape = _matrix_shape(operands[0], "matrix")
+            if matrix_shape[0] != matrix_shape[1]:
+                raise ShapeError(
+                    f"{self.kind} needs a square matrix, got {matrix_shape}"
+                )
+            return (matrix_shape[0],)
+        return _square_side(shape, self.kind)
 
 
 # --------------------------------------------------------------------------- #
@@ -147,7 +157,9 @@ class MatMulHandler(ProblemHandler):
                 )
             return (a_shape[0], a_shape[1], b_shape[1])
         if shape is None:
-            raise ShapeError("matmul needs shape=(n, p, m) or ((n, p), (p, m))")
+            raise ShapeError(
+                f"{self.kind} needs shape=(n, p, m) or ((n, p), (p, m))"
+            )
         shape = tuple(shape)
         if len(shape) == 3:
             return tuple(int(d) for d in shape)
@@ -158,7 +170,7 @@ class MatMulHandler(ProblemHandler):
                     f"cannot multiply shapes {(n, p)} and {(p2, m)}"
                 )
             return (n, p, m)
-        raise ShapeError(f"matmul needs shape=(n, p, m), got {shape}")
+        raise ShapeError(f"{self.kind} needs shape=(n, p, m), got {shape}")
 
     def build(self, spec: ArraySpec, options: ExecutionOptions, shapes):
         n, p, m = shapes
@@ -190,20 +202,10 @@ class MatMulHandler(ProblemHandler):
 # --------------------------------------------------------------------------- #
 # triangular solve
 # --------------------------------------------------------------------------- #
-class TriangularHandler(ProblemHandler):
+class TriangularHandler(_SquareHandler):
     """``T x = b`` by blocks; products on the array, diagonal solves on host."""
 
     kind = "triangular"
-
-    def shapes(self, *, operands=None, shape=None) -> Tuple[int]:
-        if operands is not None:
-            matrix_shape = _matrix_shape(operands[0], "matrix")
-            if matrix_shape[0] != matrix_shape[1]:
-                raise ShapeError(
-                    f"triangular solve needs a square matrix, got {matrix_shape}"
-                )
-            return (matrix_shape[0],)
-        return _square_side(shape, self.kind)
 
     def build(self, spec: ArraySpec, options: ExecutionOptions, shapes):
         return SystolicTriangularSolver(spec.w, backend=options.backend)
@@ -233,18 +235,10 @@ class TriangularHandler(ProblemHandler):
 # --------------------------------------------------------------------------- #
 # LU factorization
 # --------------------------------------------------------------------------- #
-class LUHandler(ProblemHandler):
+class LUHandler(_SquareHandler):
     """Blocked LU ``A = L U``; trailing updates on the hexagonal array."""
 
     kind = "lu"
-
-    def shapes(self, *, operands=None, shape=None) -> Tuple[int]:
-        if operands is not None:
-            matrix_shape = _matrix_shape(operands[0], "matrix")
-            if matrix_shape[0] != matrix_shape[1]:
-                raise ShapeError(f"LU needs a square matrix, got {matrix_shape}")
-            return (matrix_shape[0],)
-        return _square_side(shape, self.kind)
 
     def build(self, spec: ArraySpec, options: ExecutionOptions, shapes):
         return SystolicLU(spec.w, backend=options.backend)
@@ -268,9 +262,9 @@ class LUHandler(ProblemHandler):
 
 
 # --------------------------------------------------------------------------- #
-# iterative solvers (jacobi / sor / cg / refine / power + legacy gauss_seidel)
+# iterative solvers (jacobi / sor / gauss_seidel / cg / refine / power)
 # --------------------------------------------------------------------------- #
-class _IterativeHandler(ProblemHandler):
+class _IterativeHandler(_SquareHandler):
     """Shared adapter for the :mod:`repro.iterative` plan-cached solvers.
 
     The compiled "plan" is the configured solver; its per-sweep products
@@ -278,16 +272,6 @@ class _IterativeHandler(ProblemHandler):
     k-sweep solve keeps hot and repeated same-shape requests through
     :mod:`repro.service` reuse across jobs.
     """
-
-    def shapes(self, *, operands=None, shape=None) -> Tuple[int]:
-        if operands is not None:
-            matrix_shape = _matrix_shape(operands[0], "matrix")
-            if matrix_shape[0] != matrix_shape[1]:
-                raise ShapeError(
-                    f"{self.kind} needs a square matrix, got {matrix_shape}"
-                )
-            return (matrix_shape[0],)
-        return _square_side(shape, self.kind)
 
     def _wrap(self, plan, result: IterativeResult) -> Solution:
         stats = {
@@ -328,14 +312,14 @@ class JacobiHandler(_IterativeHandler):
 
 
 class SORHandler(_IterativeHandler):
-    """``A x = b`` by weighted Gauss-Seidel relaxation (``sor_omega``)."""
+    """``A x = b`` by weighted Gauss-Seidel relaxation (``omega``)."""
 
     kind = "sor"
 
     def build(self, spec: ArraySpec, options: ExecutionOptions, shapes):
         return SORSolver(
             spec.w,
-            omega=options.sor_omega,
+            omega=options.omega,
             criteria=options.criteria,
             backend=options.backend,
         )
@@ -379,50 +363,16 @@ class PowerIterationHandler(_IterativeHandler):
         )
 
 
-class GaussSeidelHandler(_IterativeHandler):
-    """``A x = b`` by the splitting ``(D + L) x_{k+1} = b - U x_k``.
-
-    Kept for the seed API: the legacy ``gs_tolerance`` /
-    ``gs_max_iterations`` options map onto the SOR engine with
-    ``omega = 1`` (and, like the seed, no divergence guard).
-    """
+class GaussSeidelHandler(SORHandler):
+    """The ``sor`` handler under :class:`~repro.graph.GaussSeidel`'s presets."""
 
     kind = "gauss_seidel"
-
-    def build(self, spec: ArraySpec, options: ExecutionOptions, shapes):
-        return SORSolver(
-            spec.w,
-            omega=1.0,
-            criteria=ConvergenceCriteria(
-                atol=options.gs_tolerance,
-                rtol=0.0,
-                max_iter=options.gs_max_iterations,
-                divergence_ratio=float("inf"),
-            ),
-            backend=options.backend,
-        )
-
-    def execute(self, plan, matrix, b, x0=None) -> Solution:
-        result = plan.executor.solve(matrix, b, x0, plans=plan.inner_plans())
-        return Solution(
-            kind=self.kind,
-            w=plan.spec.w,
-            values=result.x,
-            measured_steps=result.array_steps,
-            stats={
-                "iterations": result.iterations,
-                "converged": result.converged,
-                "residual_norm": result.residual_norm,
-            },
-            raw=result,
-            plan_key=plan.key,
-        )
 
 
 # --------------------------------------------------------------------------- #
 # block-sparse matvec
 # --------------------------------------------------------------------------- #
-class SparseHandler(ProblemHandler):
+class SparseHandler(MatVecHandler):
     """``y = A x + b`` skipping zero ``w x w`` blocks of the operand.
 
     The band layout of the sparse transform depends on the operand's
@@ -433,14 +383,9 @@ class SparseHandler(ProblemHandler):
 
     kind = "sparse"
 
-    def shapes(self, *, operands=None, shape=None) -> Tuple[int, int]:
-        if operands is not None:
-            return _matrix_shape(operands[0], "matrix")
-        return _pair_shape(shape, self.kind)
-
     def build(self, spec: ArraySpec, options: ExecutionOptions, shapes):
         return BlockSparseMatVec(
-            spec.w, tolerance=options.sparse_tolerance, backend=options.backend
+            spec.w, tolerance=options.tolerance, backend=options.backend
         )
 
     def execute(self, plan, matrix, x, b=None) -> Solution:
@@ -467,17 +412,12 @@ class SparseHandler(ProblemHandler):
 
 
 # --------------------------------------------------------------------------- #
-# comparison baselines
+# comparison baselines: each keeps the shapes of the kind it stands in for
 # --------------------------------------------------------------------------- #
-class PRTHandler(ProblemHandler):
+class PRTHandler(MatVecHandler):
     """Priester et al. single-block transformation (DBT with n_bar=m_bar=1)."""
 
     kind = "prt"
-
-    def shapes(self, *, operands=None, shape=None) -> Tuple[int, int]:
-        if operands is not None:
-            return _matrix_shape(operands[0], "matrix")
-        return _pair_shape(shape, self.kind)
 
     def build(self, spec: ArraySpec, options: ExecutionOptions, shapes):
         return PRTMatVec(spec.w, backend=options.backend)
@@ -497,82 +437,58 @@ class PRTHandler(ProblemHandler):
         )
 
 
-class _BlockBaselineHandler(ProblemHandler):
-    """Shared adapter for the block-by-block host-accumulation baselines."""
-
-    def _wrap(self, plan, result) -> Solution:
-        return Solution(
-            kind=self.kind,
-            w=plan.spec.w,
-            values=result.result,
-            measured_steps=result.total_steps,
-            measured_utilization=result.utilization,
-            stats={
-                "processing_elements": result.processing_elements,
-                "block_runs": result.block_runs,
-                "external_additions": result.external_additions,
-            },
-            raw=result,
-            plan_key=plan.key,
-        )
+def _block_baseline_solution(plan, result) -> Solution:
+    """Adapt a block-by-block host-accumulation baseline's result."""
+    return Solution(
+        kind=plan.kind,
+        w=plan.spec.w,
+        values=result.result,
+        measured_steps=result.total_steps,
+        measured_utilization=result.utilization,
+        stats={
+            "processing_elements": result.processing_elements,
+            "block_runs": result.block_runs,
+            "external_additions": result.external_additions,
+        },
+        raw=result,
+        plan_key=plan.key,
+    )
 
 
-class NaiveMatVecHandler(_BlockBaselineHandler):
+class NaiveMatVecHandler(MatVecHandler):
     """Block-by-block ``y = A x + b`` on a ``2w - 1`` cell array."""
 
     kind = "naive_matvec"
-
-    def shapes(self, *, operands=None, shape=None) -> Tuple[int, int]:
-        if operands is not None:
-            return _matrix_shape(operands[0], "matrix")
-        return _pair_shape(shape, self.kind)
 
     def build(self, spec: ArraySpec, options: ExecutionOptions, shapes):
         return NaiveBlockMatVec(spec.w, backend=options.backend)
 
     def execute(self, plan, matrix, x, b=None) -> Solution:
-        return self._wrap(plan, plan.executor.solve(matrix, x, b))
+        return _block_baseline_solution(plan, plan.executor.solve(matrix, x, b))
 
 
-class NaiveMatMulHandler(_BlockBaselineHandler):
+class NaiveMatMulHandler(MatMulHandler):
     """Block-by-block ``C = A B + E`` on a ``(2w-1) x (2w-1)`` array."""
 
     kind = "naive_matmul"
-
-    def shapes(self, *, operands=None, shape=None) -> Tuple[int, int, int]:
-        if operands is not None:
-            a_shape = _matrix_shape(operands[0], "A")
-            b_shape = _matrix_shape(operands[1], "B")
-            if a_shape[1] != b_shape[0]:
-                raise ShapeError(f"cannot multiply shapes {a_shape} and {b_shape}")
-            return (a_shape[0], a_shape[1], b_shape[1])
-        shape = tuple(int(d) for d in (shape or ()))
-        if len(shape) != 3:
-            raise ShapeError(f"naive_matmul needs shape=(n, p, m), got {shape}")
-        return shape
 
     def build(self, spec: ArraySpec, options: ExecutionOptions, shapes):
         return NaiveBlockMatMul(spec.w, backend=options.backend)
 
     def execute(self, plan, a, b, e=None) -> Solution:
-        return self._wrap(plan, plan.executor.solve(a, b, e))
+        return _block_baseline_solution(plan, plan.executor.solve(a, b, e))
 
 
-class BlockPartitionedHandler(_BlockBaselineHandler):
+class BlockPartitionedHandler(MatVecHandler):
     """Block-partitioned ``y = A x + b`` on a ``w`` cell array."""
 
     kind = "block_partitioned"
-
-    def shapes(self, *, operands=None, shape=None) -> Tuple[int, int]:
-        if operands is not None:
-            return _matrix_shape(operands[0], "matrix")
-        return _pair_shape(shape, self.kind)
 
     def build(self, spec: ArraySpec, options: ExecutionOptions, shapes):
         return BlockPartitionedMatVec(spec.w, backend=options.backend)
 
     def execute(self, plan, matrix, x, b=None) -> Solution:
-        return self._wrap(plan, plan.executor.solve(matrix, x, b))
+        return _block_baseline_solution(plan, plan.executor.solve(matrix, x, b))
 
 
 for _handler_class in (

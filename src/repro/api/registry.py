@@ -2,13 +2,16 @@
 
 Each problem kind the package can solve is described by a
 :class:`ProblemHandler` and registered under a string key ("matvec",
-"matmul", "lu", "triangular", "gauss_seidel", "sparse", the NN inference
-kinds of :mod:`repro.nn` — "dense", "bias", "relu", "quantize",
-"dequantize" — plus the comparison baselines).  The
+"matmul", "lu", "triangular", "sparse", the iterative kinds, the NN
+inference kinds of :mod:`repro.nn` — "dense", "bias", "relu",
+"quantize", "dequantize" — plus the comparison baselines).  The
 :class:`~repro.api.solver.Solver` façade resolves kinds through this
 registry, so adding a workload is: implement a handler, call
-:func:`register` — no façade changes; unknown-kind did-you-mean
-suggestions and :func:`registered_kinds` pick the new kind up for free.
+:func:`register`, and register its typed problem class
+(:func:`repro.graph.problems.register_problem_type`), which every call
+of the kind derives through — no façade changes; unknown-kind
+did-you-mean suggestions and :func:`registered_kinds` pick the new kind
+up for free.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class ProblemHandler:
 
     @property
     def problem_class(self) -> Optional[type]:
-        """The typed problem class for this kind (``None`` for baselines).
+        """The typed problem class for this kind (``None`` for ``fused``).
 
         The stable ``kind -> problem class`` mapping lives in
         :func:`repro.graph.problem_types`; this property is the per-handler

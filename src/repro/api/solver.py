@@ -12,13 +12,15 @@ representation is a typed problem object from :mod:`repro.graph`::
     second = solver.solve(MatVec(a2, x2, b2))      # cache hit: streams values
 
 The string spelling — ``solver.solve("matvec", a, x, b)`` — builds the
-equivalent typed problem (kinds without a typed class, i.e. the
-comparison baselines and the ``gauss_seidel`` alias, pass their operands
-and keywords through as given).  Either spelling goes through one
-derivation, :meth:`Solver.derive`, which turns the call into its plan
-key, operands and execution arguments; :class:`~repro.service.SolverService`
-routes by the same derivation, so a request runs under the key it was
-routed by.  Multi-stage workloads compose problems into a
+equivalent typed problem, so it takes the typed constructor's keywords:
+execution arguments (``lower=``, ``x0=``) and option keywords, each
+named as the :class:`ExecutionOptions` field it overrides
+(``overlapped=``, ``omega=``, ``tolerance=``, ``criteria=``).  Either
+spelling goes through one derivation, :meth:`Solver.derive`, which
+turns the call into its plan key, operands and execution arguments;
+:meth:`Solver.plan_key` and :class:`~repro.service.SolverService` take
+the same keywords and give the same key, so a request runs under the
+key it was routed by.  Multi-stage workloads compose problems into a
 :class:`~repro.graph.graph.Graph` and run them through
 :class:`~repro.graph.compiler.GraphCompiler` so stages fuse, pair, and
 reuse plans as a pipeline.
@@ -37,7 +39,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from ..errors import PlanStoreError
+from ..errors import PlanStoreError, ProblemKindError
 from ..graph.problems import Problem, problem_types
 from ..instrumentation import LRUCache, counters
 from ..obs.tracing import NULL_SPAN, active_span
@@ -56,6 +58,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..store import PlanStore
 
 __all__ = ["Solver"]
+
+
+def _problem_class(kind: str) -> Type[Problem]:
+    """The typed class behind a string call of ``kind``."""
+    problem_class = problem_types().get(kind)
+    if problem_class is None:
+        get_handler(kind)  # an unknown kind gets the did-you-mean error
+        raise ProblemKindError(
+            f"kind {kind!r} has no typed problem class: its stages are "
+            f"compiler-generated, and no string call can name it"
+        )
+    return problem_class
 
 
 class Solver:
@@ -140,10 +154,9 @@ class Solver:
     def kinds() -> Tuple[str, ...]:
         """All problem kinds the registry can dispatch.
 
-        The stable ``kind -> typed problem class`` mapping behind the
-        primary kinds is :meth:`problem_types`; kinds listed here but
-        absent there (the comparison baselines, the legacy
-        ``gauss_seidel`` alias) only speak the string form.
+        The stable ``kind -> typed problem class`` mapping is
+        :meth:`problem_types`; the one kind listed here but absent there,
+        the graph compiler's ``fused``, has no string spelling.
         """
         return registered_kinds()
 
@@ -179,32 +192,29 @@ class Solver:
         *operands,
         shape=None,
         options: Optional[ExecutionOptions] = None,
-        **option_overrides,
+        **kwargs,
     ) -> PlanKey:
         """The cache/routing key a solve of this problem would use.
 
         Computed without compiling anything: ``(kind, shapes, w, options)``.
         Pass a typed problem object, whose every operand is validated, or
-        a kind string with either an operand set (its shapes are read from
-        the primary operand) or an explicit ``shape=`` spec; keyword
-        arguments of the string form are :class:`ExecutionOptions` field
-        overrides.  A solve derives its key with :meth:`derive`.
+        a kind string with either the operands and keywords of a solve
+        (the key is ``derive(kind, *operands, **kwargs)[0]``) or an
+        explicit ``shape=`` spec.  With ``shape=`` the keywords may be
+        only the kind's option keywords, applied over its presets, so the
+        key is the one a solve of that shape with those keywords runs
+        under.
         """
+        base = options if options is not None else self._options
         if isinstance(kind, Problem):
-            problem = kind
-            problem.require_bare(operands, option_overrides, shape)
-            problem.concrete_operands()  # stage refs get the clear GraphError
-            base = options if options is not None else self._options
-            return problem.plan_key(self._spec.w, base)
-        handler = get_handler(kind)
-        opts = options if options is not None else self._options
-        if option_overrides:
-            opts = opts.merged(**option_overrides)
+            kind.require_bare(operands, kwargs, shape)
+            kind.concrete_operands()  # stage refs get the clear GraphError
+            return kind.plan_key(self._spec.w, base)
         if operands:
-            shapes = handler.shapes(operands=operands)
-        else:
-            shapes = handler.shapes(shape=shape)
-        return make_plan_key(handler.kind, shapes, self._spec.w, opts)
+            return self.derive(kind, *operands, options=options, **kwargs)[0]
+        shapes = get_handler(kind).shapes(shape=shape)
+        resolved = _problem_class(kind).options_under(base, kwargs)
+        return make_plan_key(kind, shapes, self._spec.w, resolved)
 
     def derive(
         self,
@@ -215,33 +225,28 @@ class Solver:
     ) -> Tuple[PlanKey, Tuple, Dict[str, Any]]:
         """One solve call as ``(plan key, operands, execution kwargs)``.
 
-        The one derivation behind :meth:`solve` and
+        The one derivation behind :meth:`solve`, :meth:`plan_key` and
         :meth:`~repro.service.service.SolverService.submit`.  A typed
-        problem, or a kind string that names one (built through
-        :meth:`~repro.graph.problems.Problem.from_call`, so a wrong arity
-        raises here), yields its operands, its execution arguments
-        (``lower=``, ``x0=``, ...) and a key whose options carry its
-        overrides (``overlapped=``, ``omega=``, ``criteria=``, ...).  The
-        string-only kinds (the baselines and ``gauss_seidel``) pass their
-        operands and keywords through as given.  Shapes are read from the
-        primary operand; the other operands are checked when the plan
-        executes.  Executing the operands and kwargs under
+        problem, or the one a kind string builds through
+        :meth:`~repro.graph.problems.Problem.from_call` (so a wrong arity
+        or an unknown keyword raises here), yields its operands, its
+        execution arguments (``lower=``, ``x0=``, ...) and a key whose
+        options carry the kind's presets and its option keywords
+        (``overlapped=``, ``omega=``, ``criteria=``, ...).  Shapes are
+        read from the primary operand; the other operands are checked
+        when the plan executes.  Executing the operands and kwargs under
         ``options=key[3]`` derives ``key`` again.
         """
         if isinstance(kind, Problem):
             kind.require_bare(operands, kwargs)
             problem = kind
         else:
-            problem_class = problem_types().get(kind)
-            if problem_class is None:
-                key = self.plan_key(kind, *operands, options=options)
-                return key, operands, kwargs
-            problem = problem_class.from_call(operands, kwargs, options)
+            problem = _problem_class(kind).from_call(operands, kwargs, options)
         base = options if options is not None else self._options
         operands = problem.concrete_operands()
-        key = self.plan_key(
-            problem.kind, *operands, options=problem.resolved_options(base)
-        )
+        shapes = get_handler(problem.kind).shapes(operands=operands)
+        resolved = problem.resolved_options(base)
+        key = make_plan_key(problem.kind, shapes, self._spec.w, resolved)
         return key, operands, problem.execute_kwargs()
 
     def plan(
@@ -250,18 +255,16 @@ class Solver:
         *,
         shape=None,
         options: Optional[ExecutionOptions] = None,
-        **option_overrides,
+        **overrides,
     ) -> ExecutionPlan:
         """Compile (or fetch from cache) the plan for one problem shape.
 
         ``shape`` is the kind's shape spec — ``(n, m)`` for matvec/sparse,
-        ``(n, p, m)`` for matmul, ``n`` for the square kinds.  Keyword
-        overrides (``overlapped=True``, ...) are merged into the solver's
-        default options.
+        ``(n, p, m)`` for matmul, ``n`` for the square kinds.  Keywords
+        are the kind's option keywords (``overlapped=True``, ...), as for
+        :meth:`plan_key`; every other field goes through ``options=``.
         """
-        key = self.plan_key(
-            kind, shape=shape, options=options, **option_overrides
-        )
+        key = self.plan_key(kind, shape=shape, options=options, **overrides)
         return self.resolve_key(key)[0]
 
     def solve(
@@ -278,7 +281,7 @@ class Solver:
         execution arguments and options overrides.  The string spelling
         ``solve("matvec", a, x, b)`` builds the equivalent typed problem,
         so its keywords are the typed constructor's: execution arguments
-        (``lower=False`` for ``triangular``) and options overrides
+        (``lower=False`` for ``triangular``) and option keywords
         (``overlapped=True``, ``omega=1.5``).  See :meth:`derive`.
         """
         key, operands, kwargs = self.derive(
@@ -299,7 +302,8 @@ class Solver:
 
         ``kind`` is a kind string or a typed problem class
         (``solver.solve_batch(MatVec, [(a, x), (a2, x2)])``).  Entries
-        are keyed by their primary operand and each key's entries run as
+        are keyed by their primary operand's shape, through
+        :meth:`plan_key`'s ``shape=`` form, and each key's entries run as
         one :meth:`execute_many` group, so plain matvec entries execute
         *pairwise overlapped* — the second problem's schedule slots into
         the idle cycles of the first — in about half the sequential array
@@ -310,11 +314,12 @@ class Solver:
         """
         if isinstance(kind, type) and issubclass(kind, Problem):
             kind = kind.kind
-        get_handler(kind)  # an unknown kind fails even with an empty batch
+        handler = get_handler(kind)  # an unknown kind fails even when empty
         entries = [tuple(entry) for entry in batch]
         groups: Dict[PlanKey, List[int]] = {}
         for index, entry in enumerate(entries):
-            key = self.plan_key(kind, *entry, options=options)
+            shape = handler.shapes(operands=entry)
+            key = self.plan_key(kind, shape=shape, options=options)
             groups.setdefault(key, []).append(index)
         results: List[Any] = [None] * len(entries)
         for key, indices in groups.items():
@@ -375,15 +380,18 @@ class Solver:
     def preload(self, key: PlanKey) -> Optional[ExecutionPlan]:
         """Build the plan of a stored ``key`` into this cache; no write-back.
 
-        The warm-start entry point.  Returns ``None``, building nothing,
-        when the key is already cached; raises what a cold build raises.
+        The warm-start entry point.  The key is rebuilt exactly as stored:
+        its shapes are normalized through the kind's handler, and its
+        options, presets included, are kept as they are.  Returns
+        ``None``, building nothing, when the key is already cached;
+        raises what a cold build raises.
         """
         kind, shapes, w, options = key
         if w != self._spec.w:
             raise ValueError(
                 f"cannot preload a w={w} plan into a w={self._spec.w} solver"
             )
-        key = self.plan_key(kind, shape=shapes, options=options)
+        key = make_plan_key(kind, get_handler(kind).shapes(shape=shapes), w, options)
         if key in self._cache:
             return None
         return self._build(key)

@@ -408,13 +408,13 @@ class MatVecPlan(_LazyState):
         instead of across the two halves of one transformed problem: the
         second problem's schedule is shifted by one cycle into the idle
         slots, so the pair finishes in roughly half the sequential time.
-        The recovered values are identical to two plain solves.
+        The recovered values are identical to two plain solves.  Both
+        operand sets are validated before either runs.
         """
+        pair = [self._validate(*operands) for operands in (first, second)]
         sweep = self._sweep
         if sweep is not None:
-            swept = [
-                sweep.sweep(*self._validate(*operands)) for operands in (first, second)
-            ]
+            swept = [sweep.sweep(*operands) for operands in pair]
             metrics = self._built(
                 "_pair_metrics", lambda: LinearRunMetrics(self._w, [sweep, sweep])
             )
@@ -424,7 +424,7 @@ class MatVecPlan(_LazyState):
         else:
             simulation = self._simulation_state()
             run = simulation.array.run_overlapped(
-                [self.build_problem(*first), self.build_problem(*second)]
+                [simulation.problem(*operands) for operands in pair]
             )
             ys = [
                 simulation.template.recover_y(run.y_per_problem[index])

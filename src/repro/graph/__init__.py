@@ -26,9 +26,11 @@ Pieces:
 
 * :mod:`~repro.graph.problems` — the typed problem classes
   (:class:`MatVec`, :class:`MatMul`, :class:`Triangular`, :class:`LU`,
-  :class:`Jacobi`, :class:`SOR`, :class:`CG`, :class:`Refine`,
-  :class:`Power`, :class:`Sparse`), :class:`Ref` stage references, and
-  the stable :func:`problem_types` ``kind -> class`` mapping.
+  :class:`Jacobi`, :class:`SOR`, :class:`GaussSeidel`, :class:`CG`,
+  :class:`Refine`, :class:`Power`, :class:`Sparse`, and the baselines
+  :class:`PRT`, :class:`NaiveMatVec`, :class:`NaiveMatMul` and
+  :class:`BlockPartitioned`), :class:`Ref` stage references, and the
+  stable :func:`problem_types` ``kind -> class`` mapping.
 * :mod:`~repro.graph.graph` — :class:`Graph`: build-time cycle
   rejection, shape inference/checking, and dependency levels.
 * :mod:`~repro.graph.compiler` — :class:`GraphCompiler`: lowering
@@ -56,9 +58,14 @@ from .graph import Graph, as_graph
 from .problems import (
     CG,
     LU,
+    PRT,
+    BlockPartitioned,
+    GaussSeidel,
     Jacobi,
     MatMul,
     MatVec,
+    NaiveMatMul,
+    NaiveMatVec,
     Power,
     Problem,
     Ref,
@@ -78,13 +85,18 @@ from .program import (
 
 __all__ = [
     "Binding",
+    "BlockPartitioned",
     "CG",
+    "GaussSeidel",
     "Graph",
     "GraphCompiler",
     "Jacobi",
     "LU",
     "MatMul",
     "MatVec",
+    "NaiveMatMul",
+    "NaiveMatVec",
+    "PRT",
     "PipelineProgram",
     "PipelineResult",
     "PipelineStage",

@@ -373,7 +373,7 @@ def _fuse_matmul_chains(graph: Graph) -> Tuple[Graph, int]:
         if source in mapping and mapping[source] is not target:
             return False  # stale ref into a node that was rewritten away
         return (
-            isinstance(target, MatMul)
+            type(target) is MatMul  # not a baseline: its stage must run
             and target.e is None
             # A matmul with node-specific options pins how *that* stage
             # executes; the rewrite would erase the stage (and with it
@@ -402,7 +402,7 @@ def _fuse_matmul_chains(graph: Graph) -> Tuple[Graph, int]:
                 mapped_operand(matmul.a),
                 inner,
                 matvec.b,
-                overlapped=matvec.overlapped,
+                **matvec.option_overrides(),
                 options=matvec.options,
                 name=matvec.name,
             )

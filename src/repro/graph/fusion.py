@@ -93,13 +93,15 @@ class Fused(Problem):
 
     kind = "fused"
     produces = "vector"
+    option_keywords = ("dtype_mode",)
 
     def __init__(self, members: Tuple[Problem, ...]):
         head = members[0]
-        super().__init__(options=None, name=members[-1].name)
+        super().__init__(
+            name=members[-1].name, dtype_mode=getattr(head, "dtype_mode", None)
+        )
         self.kinds: Tuple[str, ...] = tuple(member.kind for member in members)
         self.head_operands: Tuple[Any, ...] = tuple(head.operand_values())
-        self.dtype_mode = getattr(head, "dtype_mode", None)
         stage_kwargs: Dict[str, Any] = {}
         for position, member in enumerate(members):
             for key, value in member.execute_kwargs().items():
@@ -123,9 +125,6 @@ class Fused(Problem):
         clone.head_operands = tuple(values[:heads])
         clone.stage_kwargs = dict(zip(self.stage_kwargs, values[heads:]))
         return clone
-
-    def option_overrides(self) -> Dict[str, Any]:
-        return {"dtype_mode": self.dtype_mode}
 
     def spec_and_output(self, shape_of: ShapeOf):
         n, m = self._matrix_shape(shape_of, self.head_operands[0], "matrix")

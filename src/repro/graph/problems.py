@@ -1,21 +1,25 @@
 """Typed problem objects: the canonical request representation.
 
-Each problem kind the solver registry dispatches has (baselines aside) a
-typed counterpart here — :class:`MatVec`, :class:`MatMul`,
-:class:`Triangular`, :class:`LU`, :class:`Jacobi`, :class:`SOR`,
-:class:`CG`, :class:`Refine`, :class:`Power`, :class:`Sparse` — replacing
-the stringly-typed ``solver.solve("matvec", a, x, b)`` call shape.  A
-typed problem carries
+Each problem kind a string call can name has a typed counterpart here —
+:class:`MatVec`, :class:`MatMul`, :class:`Triangular`, :class:`LU`,
+:class:`Jacobi`, :class:`SOR`, :class:`GaussSeidel`, :class:`CG`,
+:class:`Refine`, :class:`Power`, :class:`Sparse` and the comparison
+baselines :class:`PRT`, :class:`NaiveMatVec`, :class:`NaiveMatMul` and
+:class:`BlockPartitioned` — and ``solver.solve("matvec", a, x, b)``
+builds the typed problem before it solves.  A typed problem carries
 
 * its **operand slots** (concrete arrays, or :class:`Ref` references to
   the outputs of other problems, which is what composes problems into
   pipeline graphs),
-* its **options overrides** (``overlapped=``, ``omega=``, ``criteria=``,
-  ``tolerance=`` merge into the solver's :class:`ExecutionOptions`), and
+* its **option keywords** (:attr:`Problem.option_keywords`: each is an
+  :class:`ExecutionOptions` field, spelled as that field —
+  ``overlapped=``, ``omega=``, ``criteria=``, ``tolerance=`` — merged
+  over the kind's :attr:`Problem.presets` into the solver's options),
+  and
 * a **derived plan key** — ``(kind, shapes, w, options)`` — identical to
   the key the string-kind path would compute, so typed requests land on
   the same cached :class:`~repro.api.plan.ExecutionPlan` (and the same
-  :mod:`repro.service` shard) as their legacy spellings.
+  :mod:`repro.service` shard) as their string spellings.
 
 Composition sugar::
 
@@ -51,11 +55,16 @@ from ..errors import GraphError, ShapeError
 from ..iterative.criteria import ConvergenceCriteria
 
 __all__ = [
+    "BlockPartitioned",
     "CG",
+    "GaussSeidel",
     "LU",
     "Jacobi",
     "MatMul",
     "MatVec",
+    "NaiveMatMul",
+    "NaiveMatVec",
+    "PRT",
     "Power",
     "Problem",
     "Ref",
@@ -104,14 +113,23 @@ def _operand(value: Any) -> Any:
     return value
 
 
+def _unexpected_keyword(cls: type, keyword: str) -> TypeError:
+    """The error Python raises for a keyword ``cls(...)`` does not take."""
+    return TypeError(
+        f"{cls.__name__}.__init__() got an unexpected keyword argument "
+        f"{keyword!r}"
+    )
+
+
 class Problem:
     """Base class of the typed problem objects.
 
     Subclasses declare their registry ``kind``, what they ``produce``
     (``"vector"``, ``"matrix"`` or ``"factors"``), their operand slots,
-    and how operand shapes map to the handler's plan-key shape spec.
-    Identity is node identity: two separately constructed problems are
-    two pipeline nodes even when their operands are equal.
+    their option keywords and presets, and how operand shapes map to the
+    handler's plan-key shape spec.  Identity is node identity: two
+    separately constructed problems are two pipeline nodes even when
+    their operands are equal.
     """
 
     kind: ClassVar[str] = ""
@@ -121,6 +139,12 @@ class Problem:
     #: :meth:`execute_kwargs`, one per slot and in their order: what
     #: :meth:`slot_values` reads and :meth:`with_slot_values` replaces.
     slots: ClassVar[Tuple[str, ...]] = ()
+    #: The :class:`ExecutionOptions` fields the constructor takes as
+    #: keywords of the same names; each is stored as an attribute of that
+    #: name, ``None`` when unset.
+    option_keywords: ClassVar[Tuple[str, ...]] = ()
+    #: Options every solve of the kind runs under, beneath its keywords.
+    presets: ClassVar[Mapping[str, Any]] = MappingProxyType({})
 
     #: Binary numpy ops defer to our reflected methods (``A @ problem``).
     __array_ufunc__ = None
@@ -129,11 +153,16 @@ class Problem:
         self,
         options: Optional[ExecutionOptions] = None,
         name: Optional[str] = None,
+        **overrides: Any,
     ):
         if options is not None and not isinstance(options, ExecutionOptions):
             raise TypeError(
                 f"options must be ExecutionOptions or None, got {options!r}"
             )
+        for keyword in self.option_keywords:
+            setattr(self, keyword, overrides.pop(keyword, None))
+        if overrides:
+            raise _unexpected_keyword(type(self), next(iter(overrides)))
         self.options = options
         self.name = name
         #: Pure ordering predecessors added by :meth:`then` — nodes that
@@ -261,22 +290,36 @@ class Problem:
         return clone
 
     def option_overrides(self) -> Dict[str, Any]:
-        """Per-problem :class:`ExecutionOptions` overrides (``None`` = unset)."""
-        return {}
+        """Each of :attr:`option_keywords` with its value (``None`` = unset)."""
+        return {keyword: getattr(self, keyword) for keyword in self.option_keywords}
+
+    @classmethod
+    def options_under(
+        cls, base: ExecutionOptions, overrides: Mapping[str, Any]
+    ) -> ExecutionOptions:
+        """``base`` with this kind's :attr:`presets`, then ``overrides``, merged in.
+
+        ``overrides`` maps option keywords to values, ``None`` meaning
+        unset; a name outside :attr:`option_keywords` raises the
+        ``TypeError`` the constructor would.
+        """
+        merged = dict(cls.presets) if cls.presets else {}  # dict(proxy) is slow
+        for keyword, value in overrides.items():
+            if keyword not in cls.option_keywords:
+                raise _unexpected_keyword(cls, keyword)
+            if value is not None:
+                merged[keyword] = value
+        return base.merged(**merged) if merged else base
 
     def resolved_options(self, base: ExecutionOptions) -> ExecutionOptions:
         """The options a solve of this problem runs under.
 
         The problem's own ``options`` (when set) replaces ``base``
-        wholesale; explicit per-problem overrides are then merged on top.
+        wholesale; the kind's presets, then the keywords this problem
+        was given, are merged on top.
         """
         resolved = self.options if self.options is not None else base
-        overrides = {
-            field: value
-            for field, value in self.option_overrides().items()
-            if value is not None
-        }
-        return resolved.merged(**overrides) if overrides else resolved
+        return self.options_under(resolved, self.option_overrides())
 
     @classmethod
     def from_call(
@@ -285,12 +328,13 @@ class Problem:
         kwargs: Mapping[str, Any],
         options: Optional[ExecutionOptions] = None,
     ) -> "Problem":
-        """Build the typed problem for a legacy string-kind call.
+        """Build the typed problem for a string-kind call.
 
         Constructors deliberately mirror the handlers' positional operand
-        order and keyword execution arguments, so the string shim is one
-        splat; a mismatched call raises ``TypeError`` exactly like the
-        constructor would.  The single-operand *partial* forms some
+        order and keyword execution arguments, and take the kind's option
+        keywords, so a string call is one splat; a mismatched call or an
+        unknown keyword raises ``TypeError`` exactly like the constructor
+        would.  The single-operand *partial* forms some
         constructors accept (``Refine(b)``, for ``then()`` composition)
         are rejected here: for a string-kind call a missing matrix is a
         plain arity mistake and keeps its legacy :class:`ShapeError`
@@ -419,6 +463,7 @@ class MatVec(Problem):
     kind = "matvec"
     produces = "vector"
     slots = ("matrix", "x", "b")
+    option_keywords = ("overlapped",)
 
     def __init__(
         self,
@@ -426,23 +471,19 @@ class MatVec(Problem):
         x: Any,
         b: Any = None,
         *,
-        overlapped: Optional[bool] = None,
         options: Optional[ExecutionOptions] = None,
         name: Optional[str] = None,
+        **overrides: Any,
     ):
-        super().__init__(options=options, name=name)
+        super().__init__(options=options, name=name, **overrides)
         self.matrix = _operand(matrix)
         self.x = _operand(x)
         self.b = _operand(b) if b is not None else None
-        self.overlapped = overlapped
 
     def operand_values(self) -> Tuple[Any, ...]:
         if self.b is None:
             return (self.matrix, self.x)
         return (self.matrix, self.x, self.b)
-
-    def option_overrides(self) -> Dict[str, Any]:
-        return {"overlapped": self.overlapped}
 
     def spec_and_output(self, shape_of: ShapeOf):
         n, m = self._matrix_shape(shape_of, self.matrix, "matrix")
@@ -456,22 +497,28 @@ class Sparse(MatVec):
     """``y = A x + b`` skipping zero ``w x w`` blocks of the operand."""
 
     kind = "sparse"
+    option_keywords = ("tolerance",)
 
-    def __init__(
-        self,
-        matrix: Any,
-        x: Any,
-        b: Any = None,
-        *,
-        tolerance: Optional[float] = None,
-        options: Optional[ExecutionOptions] = None,
-        name: Optional[str] = None,
-    ):
-        super().__init__(matrix, x, b, options=options, name=name)
-        self.tolerance = tolerance
 
-    def option_overrides(self) -> Dict[str, Any]:
-        return {"sparse_tolerance": self.tolerance}
+class PRT(MatVec):
+    """Priester et al.'s single-block transformation (comparison baseline)."""
+
+    kind = "prt"
+    option_keywords = ()
+
+
+class NaiveMatVec(MatVec):
+    """Block-by-block ``y = A x + b`` on a ``2w - 1`` cell array (baseline)."""
+
+    kind = "naive_matvec"
+    option_keywords = ()
+
+
+class BlockPartitioned(MatVec):
+    """Block-partitioned ``y = A x + b`` on a ``w`` cell array (baseline)."""
+
+    kind = "block_partitioned"
+    option_keywords = ()
 
 
 class MatMul(Problem):
@@ -515,6 +562,12 @@ class MatMul(Problem):
                     f"got {e_shape}"
                 )
         return (n, p, m), (n, m)
+
+
+class NaiveMatMul(MatMul):
+    """Block-by-block ``C = A B + E`` on a ``(2w-1) x (2w-1)`` array (baseline)."""
+
+    kind = "naive_matmul"
 
 
 class Triangular(Problem):
@@ -616,6 +669,7 @@ class _SystemProblem(Problem):
 
     produces = "vector"
     slots = ("matrix", "b", "x0")
+    option_keywords = ("criteria",)
 
     def __init__(
         self,
@@ -623,11 +677,11 @@ class _SystemProblem(Problem):
         b: Any = None,
         x0: Any = None,
         *,
-        criteria: Optional[ConvergenceCriteria] = None,
         options: Optional[ExecutionOptions] = None,
         name: Optional[str] = None,
+        **overrides: Any,
     ):
-        super().__init__(options=options, name=name)
+        super().__init__(options=options, name=name, **overrides)
         if b is None:
             matrix, b = None, matrix
         if b is None:
@@ -635,7 +689,6 @@ class _SystemProblem(Problem):
         self.matrix = _operand(matrix) if matrix is not None else None
         self.b = _operand(b)
         self.x0 = _operand(x0) if x0 is not None else None
-        self.criteria = criteria
 
     def operand_values(self) -> Tuple[Any, ...]:
         if self.matrix is None:
@@ -650,9 +703,6 @@ class _SystemProblem(Problem):
         if self.x0 is None:
             return {}
         return {"x0": self.x0}
-
-    def option_overrides(self) -> Dict[str, Any]:
-        return {"criteria": self.criteria}
 
     def spec_and_output(self, shape_of: ShapeOf):
         n, _ = self._square_shape(shape_of, self.operand_values()[0], "matrix")
@@ -672,27 +722,25 @@ class SOR(_SystemProblem):
     """``A x = b`` by weighted Gauss-Seidel relaxation."""
 
     kind = "sor"
+    option_keywords = ("omega", "criteria")
 
-    def __init__(
-        self,
-        matrix: Any = None,
-        b: Any = None,
-        x0: Any = None,
-        *,
-        omega: Optional[float] = None,
-        criteria: Optional[ConvergenceCriteria] = None,
-        options: Optional[ExecutionOptions] = None,
-        name: Optional[str] = None,
-    ):
-        super().__init__(
-            matrix, b, x0, criteria=criteria, options=options, name=name
-        )
-        self.omega = omega
 
-    def option_overrides(self) -> Dict[str, Any]:
-        overrides = super().option_overrides()
-        overrides["sor_omega"] = self.omega
-        return overrides
+class GaussSeidel(_SystemProblem):
+    """``A x = b`` by Gauss-Seidel: SOR at ``omega = 1`` under the seed's rule.
+
+    The seed's stopping rule is an absolute residual of ``1e-10`` within
+    200 sweeps and no divergence guard, so a diverging system reports
+    ``converged=False`` instead of raising.  Pass ``criteria=`` to change
+    it; ``omega`` stays ``1``.
+    """
+
+    kind = "gauss_seidel"
+    presets = MappingProxyType({
+        "omega": 1.0,
+        "criteria": ConvergenceCriteria(
+            atol=1e-10, rtol=0.0, max_iter=200, divergence_ratio=float("inf")
+        ),
+    })
 
 
 class CG(_SystemProblem):
@@ -713,20 +761,20 @@ class Power(Problem):
     kind = "power"
     produces = "vector"
     slots = ("matrix", "x0")
+    option_keywords = ("criteria",)
 
     def __init__(
         self,
         matrix: Any,
         x0: Any = None,
         *,
-        criteria: Optional[ConvergenceCriteria] = None,
         options: Optional[ExecutionOptions] = None,
         name: Optional[str] = None,
+        **overrides: Any,
     ):
-        super().__init__(options=options, name=name)
+        super().__init__(options=options, name=name, **overrides)
         self.matrix = _operand(matrix)
         self.x0 = _operand(x0) if x0 is not None else None
-        self.criteria = criteria
 
     def operand_values(self) -> Tuple[Any, ...]:
         return (self.matrix,)
@@ -735,9 +783,6 @@ class Power(Problem):
         if self.x0 is None:
             return {}
         return {"x0": self.x0}
-
-    def option_overrides(self) -> Dict[str, Any]:
-        return {"criteria": self.criteria}
 
     def spec_and_output(self, shape_of: ShapeOf):
         n, _ = self._square_shape(shape_of, self.matrix, "matrix")
@@ -755,10 +800,15 @@ _PROBLEM_TYPES: Dict[str, Type[Problem]] = {
         LU,
         Jacobi,
         SOR,
+        GaussSeidel,
         CG,
         Refine,
         Power,
         Sparse,
+        PRT,
+        NaiveMatVec,
+        NaiveMatMul,
+        BlockPartitioned,
     )
 }
 
@@ -775,10 +825,10 @@ def problem_types() -> Mapping[str, Type[Problem]]:
     """The stable ``kind -> typed problem class`` mapping (sorted by kind).
 
     Every kind listed here accepts both spellings through
-    :class:`~repro.api.solver.Solver` — ``solve(MatVec(a, x))`` and the
-    legacy ``solve("matvec", a, x)`` shim.  Registry kinds missing from
-    the mapping (the comparison baselines and the legacy ``gauss_seidel``
-    alias) only speak the string form.
+    :class:`~repro.api.solver.Solver` — ``solve(MatVec(a, x))`` and
+    ``solve("matvec", a, x)``, which builds the typed problem.  A string
+    call can name only these kinds; the one registry kind missing here,
+    the compiler-generated ``fused``, has no string spelling.
     """
     return _PROBLEM_TYPES_VIEW
 

@@ -12,8 +12,9 @@ Solvers (and their :class:`~repro.api.solver.Solver` registry kinds):
 
 * :class:`~repro.iterative.jacobi.JacobiSolver` — ``"jacobi"``;
 * :class:`~repro.iterative.sor.SORSolver` — ``"sor"`` (weighted
-  Gauss-Seidel; ``omega=1`` is exactly the seed extension, and the
-  ``gauss_seidel`` kind runs on it);
+  Gauss-Seidel; ``omega=1`` is exactly the seed extension) and
+  ``"gauss_seidel"``, the same kind under the presets ``omega=1`` and the
+  seed's stopping rule;
 * :class:`~repro.iterative.cg.ConjugateGradientSolver` — ``"cg"`` for
   SPD systems;
 * :class:`~repro.iterative.refine.IterativeRefinementSolver` —
@@ -31,9 +32,9 @@ plan-build split; stopping is controlled by one hashable
 The canonical request spellings are the typed problems of
 :mod:`repro.graph` — ``solver.solve(Jacobi(a, b))``,
 ``SOR(a, b, omega=1.4)``, ``CG(a, b, criteria=...)``, ``Refine(a, b)``,
-``Power(a, x0=...)`` — whose ``criteria``/``omega`` overrides merge into
-the options (and hence the plan key) exactly like the
-``ExecutionOptions`` spellings below.  As pipeline stages they compose
+``Power(a, x0=...)``, ``GaussSeidel(a, b, criteria=...)`` — whose
+``criteria``/``omega`` keywords merge into the options (and hence the
+plan key) exactly like the ``ExecutionOptions`` fields of those names.  As pipeline stages they compose
 with every other kind: ``LU(a).then(Refine(b))`` sequences refinement
 after a factorization, and a stage reference as ``x0`` warm-starts one
 method from another's output (``Power(a, x0=SOR(a, b))``).

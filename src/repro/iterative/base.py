@@ -11,7 +11,8 @@ Every solver in this subpackage follows the same contract:
   divergence guard) runs on the host — Jacobi, CG, refinement and power
   recover their residuals in O(n) from the sweep's own array product,
   while SOR keeps the seed Gauss-Seidel dense residual check so the
-  ``gauss_seidel`` kind stays bit-identical to the seed;
+  ``gauss_seidel`` kind (SOR at ``omega = 1``) stays bit-identical to
+  the seed;
 * the loop accounting (sweep counter bumps, the cold/warm plan-build
   split read off the solve's own inner-plan tally) and the
   :class:`~repro.iterative.result.IterativeResult` are handled here,

@@ -30,8 +30,8 @@ _SCALAR_TYPES: Dict[object, type] = {"bool": bool, "int": int, "float": float}
 def store_declared_types(options: Any) -> None:
     """Store every bool/int/float field of a frozen option dataclass as its declared type.
 
-    Equal options must encode to equal plan-key bytes.  ``sor_omega=1``
-    equals ``sor_omega=1.0`` and hashes the same, so a solver caches
+    Equal options must encode to equal plan-key bytes.  ``omega=1``
+    equals ``omega=1.0`` and hashes the same, so a solver caches
     them as one plan, but the canonical key encoding that places a plan
     on a shard and names its stored artifact tells ``1`` from ``1.0``
     (and ``0`` from ``False``, ``-0.0`` from ``0.0``).  Converting each

@@ -15,7 +15,8 @@ execution.
 
 For ``omega == 1.0`` the splitting is computed on the seed Gauss-Seidel
 code path (``b - U x`` with ``np.tril(A)``), keeping the ``gauss_seidel``
-kind bit-identical to the seed.
+kind — this solver under the presets ``omega=1`` and the seed's stopping
+rule — bit-identical to the seed.
 """
 
 from __future__ import annotations

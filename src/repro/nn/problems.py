@@ -45,6 +45,7 @@ class Dense(Problem):
     kind = "dense"
     produces = "vector"
     slots = ("matrix", "x", "x_zero_point")
+    option_keywords = ("dtype_mode",)
 
     def __init__(
         self,
@@ -52,24 +53,20 @@ class Dense(Problem):
         x: Any,
         *,
         x_zero_point: int = 0,
-        dtype_mode: Optional[str] = None,
         options: Optional[ExecutionOptions] = None,
         name: Optional[str] = None,
+        **overrides: Any,
     ):
-        super().__init__(options=options, name=name)
+        super().__init__(options=options, name=name, **overrides)
         self.matrix = _operand(matrix)
         self.x = _operand(x)
         self.x_zero_point = int(x_zero_point)
-        self.dtype_mode = dtype_mode
 
     def operand_values(self) -> Tuple[Any, ...]:
         return (self.matrix, self.x)
 
     def execute_kwargs(self) -> Dict[str, Any]:
         return {"x_zero_point": self.x_zero_point}
-
-    def option_overrides(self) -> Dict[str, Any]:
-        return {"dtype_mode": self.dtype_mode}
 
     def spec_and_output(self, shape_of: ShapeOf):
         n, m = self._matrix_shape(shape_of, self.matrix, "matrix")
@@ -82,24 +79,21 @@ class _ElementwiseProblem(Problem):
 
     produces = "vector"
     slots = ("x",)
+    option_keywords = ("dtype_mode",)
 
     def __init__(
         self,
         x: Any,
         *,
-        dtype_mode: Optional[str] = None,
         options: Optional[ExecutionOptions] = None,
         name: Optional[str] = None,
+        **overrides: Any,
     ):
-        super().__init__(options=options, name=name)
+        super().__init__(options=options, name=name, **overrides)
         self.x = _operand(x)
-        self.dtype_mode = dtype_mode
 
     def operand_values(self) -> Tuple[Any, ...]:
         return (self.x,)
-
-    def option_overrides(self) -> Dict[str, Any]:
-        return {"dtype_mode": self.dtype_mode}
 
     def spec_and_output(self, shape_of: ShapeOf):
         shape = shape_of(self.x, "x")
@@ -124,11 +118,11 @@ class Bias(_ElementwiseProblem):
         x: Any,
         b: Any,
         *,
-        dtype_mode: Optional[str] = None,
         options: Optional[ExecutionOptions] = None,
         name: Optional[str] = None,
+        **overrides: Any,
     ):
-        super().__init__(x, dtype_mode=dtype_mode, options=options, name=name)
+        super().__init__(x, options=options, name=name, **overrides)
         self.b = _operand(b)
 
     def operand_values(self) -> Tuple[Any, ...]:
@@ -167,6 +161,7 @@ class Quantize(_ElementwiseProblem):
 
     kind = "quantize"
     slots = ("x", "scale", "zero_point")
+    option_keywords = ()
 
     def __init__(
         self,
@@ -195,6 +190,7 @@ class Dequantize(_ElementwiseProblem):
 
     kind = "dequantize"
     slots = ("x", "scale", "zero_point")
+    option_keywords = ()
 
     def __init__(
         self,

@@ -317,19 +317,24 @@ class SolverService:
 
     def plan_key(
         self,
-        kind: str,
+        kind: "str | Problem",
         *operands,
         shape=None,
         options: Optional[ExecutionOptions] = None,
+        **kwargs,
     ) -> PlanKey:
         """The routing key a request would use (validates kind and shapes).
 
-        Delegates to a shard solver (all shards share the service's spec
-        and default options) so routing keys can never diverge from the
-        keys the shard caches actually use.
+        Takes what :meth:`submit` takes — a typed problem, or a kind
+        string with its operands and keywords — or a kind string with
+        ``shape=`` and option keywords, as
+        :meth:`~repro.api.solver.Solver.plan_key` does.  Delegates to a
+        shard solver (all shards share the service's spec and default
+        options) so routing keys can never diverge from the keys the
+        shard caches actually use.
         """
         return self._shards[0].solver.plan_key(
-            kind, *operands, shape=shape, options=options
+            kind, *operands, shape=shape, options=options, **kwargs
         )
 
     @property
@@ -371,17 +376,19 @@ class SolverService:
         :meth:`~repro.api.solver.Solver.derive`, so they share plan keys,
         shards and admission batches, and a request is routed by the key
         its shard runs it under.  What fails here, at the call site: an
-        unknown kind, a bad primary-operand shape, and, for a kind with a
-        typed class, a string call of the wrong arity
-        (``submit("matvec", a)`` raises ``TypeError``,
-        ``submit("jacobi", A)`` a :class:`~repro.errors.ShapeError`) or an
-        unknown keyword.  A mismatch among the other operands (a
-        wrong-length ``x``) fails through the future.
+        unknown kind, a bad primary-operand shape, a string call of the
+        wrong arity (``submit("matvec", a)`` raises ``TypeError``,
+        ``submit("jacobi", A)`` a :class:`~repro.errors.ShapeError`) and
+        a keyword the kind's typed constructor does not take
+        (``submit("prt", A, x, bogus=1)`` raises ``TypeError``).  A
+        mismatch among the other operands (a wrong-length ``x``) fails
+        through the future.
 
-        Keywords that override options (``overlapped=True``,
-        ``omega=1.5``, ``tolerance=``, ``criteria=``, ``dtype_mode=``)
-        ride in the routing key, so such a request batches like any
-        same-key request.  Execution arguments (``lower=False``,
+        Option keywords, each named as the
+        :class:`~repro.api.config.ExecutionOptions` field it overrides
+        (``overlapped=True``, ``omega=1.5``, ``tolerance=``,
+        ``criteria=``, ``dtype_mode=``), ride in the routing key, so such
+        a request batches like any same-key request.  Execution arguments (``lower=False``,
         ``x0=...``) ride with the request, which batches with its key's
         other requests too; the worker runs them without re-deriving.
         ``timeout`` is the request's *deadline* budget in seconds: if no

@@ -111,8 +111,8 @@ class StatsColumns:
     latency_p95: Optional[float]
     latency_p99: Optional[float]
     cache: CacheStats
-    #: Total iterative sweeps executed per kind (jacobi/sor/cg/refine/
-    #: power/gauss_seidel); empty when only direct kinds were served.
+    #: Total iterative sweeps executed per kind (jacobi/sor/gauss_seidel/
+    #: cg/refine/power); empty when only direct kinds were served.
     iterations_by_kind: Mapping[str, int]
     #: Whole-pipeline jobs completed.
     graphs: int

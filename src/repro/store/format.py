@@ -48,10 +48,12 @@ MAGIC = b"RPROPLAN"
 #: Bump on any incompatible payload change.  Readers reject every other
 #: version (newer *or* older) — a version skew is a skipped artifact,
 #: never a best-effort parse of bytes written by different code.
-#: Version 8: the payload is the plan key's canonical encoding, so the
-#: version moves only with that encoding, never with plan internals;
-#: versions up to 7 held a pickled plan.
-FORMAT_VERSION = 8
+#: Since version 8 the payload is the plan key's canonical encoding, so
+#: the version moves only with that encoding, never with plan internals;
+#: versions up to 7 held a pickled plan.  Version 9: the options lost
+#: the two Gauss-Seidel fields and renamed two others to ``omega`` and
+#: ``tolerance``, the keywords that override them.
+FORMAT_VERSION = 9
 
 _VERSION_STRUCT = struct.Struct(">I")
 _CHECKSUM_SIZE = 16

@@ -26,9 +26,10 @@ from repro.api import (
     registered_kinds,
 )
 from repro.api.plan import PlanCache
+from repro.backends.vectorized import LinearSweepPlan
 from repro.core.plans import MatVecPlan
 from repro.errors import ProblemKindError, ShapeError
-from repro.graph import Jacobi, MatVec
+from repro.graph import Jacobi, MatVec, NaiveMatVec
 from repro.iterative import ConvergenceCriteria
 from repro.instrumentation import CacheStats, LRUCache, counters
 
@@ -57,34 +58,31 @@ class TestConfig:
         overlapped = options.merged(overlapped=True)
         assert overlapped.overlapped and not options.overlapped
         with pytest.raises(ValueError):
-            ExecutionOptions(gs_max_iterations=0)
-        with pytest.raises(ValueError):
-            ExecutionOptions(sparse_tolerance=-1.0)
+            ExecutionOptions(tolerance=-1.0)
 
     def test_fields_are_stored_as_their_declared_types(self):
         options = ExecutionOptions(
-            record_trace=0, sor_omega=1, sparse_tolerance=-0.0,
-            gs_max_iterations=np.int64(50),
+            record_trace=0, omega=1, tolerance=-0.0,
             criteria=ConvergenceCriteria(rtol=0, max_iter=7.0),
         )
         assert options == ExecutionOptions(
-            record_trace=False, sor_omega=1.0, sparse_tolerance=0.0,
-            gs_max_iterations=50,
+            record_trace=False, omega=1.0, tolerance=0.0,
             criteria=ConvergenceCriteria(rtol=0.0, max_iter=7),
         )
         assert type(options.record_trace) is bool
-        assert type(options.sor_omega) is float
-        assert type(options.gs_max_iterations) is int
-        assert str(options.sparse_tolerance) == "0.0"  # not -0.0
+        assert type(options.omega) is float
+        assert str(options.tolerance) == "0.0"  # not -0.0
         assert type(options.criteria.rtol) is float
         assert type(options.criteria.max_iter) is int
+        capped = ConvergenceCriteria(max_iter=np.int64(50))
+        assert capped == ConvergenceCriteria(max_iter=50)
+        assert type(capped.max_iter) is int
 
     def test_values_a_conversion_would_change_are_rejected(self):
         for bad in (
-            {"gs_max_iterations": 200.5},
             {"record_trace": 2},
             {"overlapped": None},
-            {"sor_omega": "1.0"},
+            {"omega": "1.0"},
         ):
             with pytest.raises(ValueError, match="exactly representable"):
                 ExecutionOptions(**bad)
@@ -95,7 +93,7 @@ class TestConfig:
         # nan != nan, so a plan key holding one never hits the cache:
         # every solve would build (and cache) a fresh plan.
         nan = float("nan")
-        for field in ("sparse_tolerance", "gs_tolerance"):
+        for field in ("tolerance",):
             with pytest.raises(ValueError, match=f"{field} must not be NaN"):
                 ExecutionOptions(**{field: nan})
         for field in ("atol", "rtol"):
@@ -193,8 +191,8 @@ class TestDerive:
         "kind, overrides, field, value",
         [
             ("matvec", {"overlapped": True}, "overlapped", True),
-            ("sor", {"omega": 1.5}, "sor_omega", 1.5),
-            ("sparse", {"tolerance": 0.5}, "sparse_tolerance", 0.5),
+            ("sor", {"omega": 1.5}, "omega", 1.5),
+            ("sparse", {"tolerance": 0.5}, "tolerance", 0.5),
         ],
     )
     def test_constructor_overrides_ride_in_the_key(
@@ -216,10 +214,15 @@ class TestDerive:
         assert typed[2] == string[2] == {"x0": x0}
 
     def test_string_only_kinds_pass_through(self, solver, rng):
+        """The baseline kinds, once string-only, derive like every kind:
+        through their typed classes, which refuse unknown keywords."""
         a, x = rng.normal(size=(6, 5)), rng.normal(size=5)
-        key, operands, kwargs = solver.derive("naive_matvec", a, x, extra=1)
+        key, operands, kwargs = solver.derive("naive_matvec", a, x)
         assert key == solver.plan_key("naive_matvec", shape=(6, 5))
-        assert operands == (a, x) and kwargs == {"extra": 1}
+        assert key == solver.plan_key(NaiveMatVec(a, x))
+        assert operands == (a, x) and kwargs == {}
+        with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+            solver.derive("naive_matvec", a, x, extra=1)
 
     def test_wrong_arity_fails_at_derivation(self, solver, rng):
         a = rng.normal(size=(8, 8))
@@ -497,6 +500,32 @@ class TestSolveBatchEdgeCases:
 
     def test_empty_batch_returns_empty_list(self):
         assert Solver(ArraySpec(w=4)).solve_batch("matvec", []) == []
+
+
+class TestExecuteMany:
+    def test_a_bad_pair_member_sweeps_nothing(self, rng, monkeypatch):
+        """A pair validates both members before it sweeps either."""
+        solver = Solver(ArraySpec(w=4))
+        entries = [
+            ((rng.normal(size=(8, 8)), rng.normal(size=8)), {}) for _ in range(5)
+        ]
+        entries[1] = ((entries[1][0][0], rng.normal(size=7)), {})
+        sweeps = []
+        original = LinearSweepPlan.sweep
+
+        def counted(self, *operands):
+            sweeps.append(operands)
+            return original(self, *operands)
+
+        monkeypatch.setattr(LinearSweepPlan, "sweep", counted)
+        outcomes = solver.execute_many(
+            solver.plan_key("matvec", shape=(8, 8)), entries
+        )
+        assert isinstance(outcomes[1], ShapeError)
+        assert len(sweeps) == 4  # one per good member
+        for index in (0, 2, 3, 4):
+            (a, x), _kwargs = entries[index]
+            assert np.allclose(outcomes[index].values, a @ x)
 
 
 class TestSolverLifetime:

@@ -284,7 +284,9 @@ class TestBackendRegistry:
         solver = Solver(ArraySpec(w=3))  # default options: backend="auto"
         plan = solver.plan("matvec", shape=(6, 6))
         assert plan.executor.backend == "vectorized"
-        traced = solver.plan("matvec", shape=(6, 6), record_trace=True)
+        traced = solver.plan(
+            "matvec", shape=(6, 6), options=ExecutionOptions(record_trace=True)
+        )
         assert traced.executor.backend == "simulate"
 
     def test_trace_still_available_through_auto(self, rng):

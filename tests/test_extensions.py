@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import ArraySpec, ExecutionOptions, Solver
+from repro.api import ArraySpec, Solver
 from repro.errors import ShapeError
 from repro.extensions.lu import SystolicLU
 from repro.extensions.triangular import SystolicTriangularSolver
+from repro.graph import GaussSeidel
 
 
 def lower_triangular(rng, n, dominance=3.0):
@@ -69,17 +70,21 @@ class TestTriangularSolver:
             solver.solve_lower(singular, rng.uniform(size=3))
 
 
-def gauss_seidel(matrix, b, x0=None, **options):
-    """The ``gauss_seidel`` kind's result on a ``w = 3`` solver."""
-    solver = Solver(ArraySpec(3), ExecutionOptions(**options))
-    return solver.solve("gauss_seidel", matrix, b, x0=x0).raw
+def gauss_seidel(matrix, b, x0=None, **criteria):
+    """The ``gauss_seidel`` kind's result on a ``w = 3`` solver.
+
+    Keywords replace fields of the kind's preset stopping rule.
+    """
+    rule = GaussSeidel.presets["criteria"].merged(**criteria)
+    solver = Solver(ArraySpec(3))
+    return solver.solve("gauss_seidel", matrix, b, x0=x0, criteria=rule).raw
 
 
 class TestGaussSeidel:
     def test_converges_on_diagonally_dominant_system(self, rng):
         matrix = diagonally_dominant(rng, 8)
         b = rng.uniform(-1.0, 1.0, size=8)
-        result = gauss_seidel(matrix, b, gs_tolerance=1e-10)
+        result = gauss_seidel(matrix, b, atol=1e-10)
         assert result.converged
         assert np.allclose(matrix @ result.x, b, atol=1e-8)
         assert result.residual_history[-1] <= result.residual_history[0]
@@ -95,7 +100,7 @@ class TestGaussSeidel:
     def test_iteration_cap(self, rng):
         matrix = diagonally_dominant(rng, 6, dominance=1.0)
         b = rng.uniform(size=6)
-        result = gauss_seidel(matrix, b, gs_tolerance=1e-16, gs_max_iterations=2)
+        result = gauss_seidel(matrix, b, atol=1e-16, max_iter=2)
         assert result.iterations == 2
         assert not result.converged
 
@@ -106,10 +111,6 @@ class TestGaussSeidel:
         assert result.array_steps > 0
 
     def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            ExecutionOptions(gs_tolerance=0.0)
-        with pytest.raises(ValueError):
-            ExecutionOptions(gs_max_iterations=0)
         with pytest.raises(ShapeError):
             gauss_seidel(rng.uniform(size=(3, 4)), rng.uniform(size=3))
         with pytest.raises(ShapeError):

@@ -27,11 +27,14 @@ from repro.errors import (
 )
 from repro.graph import (
     LU,
+    PRT,
+    GaussSeidel,
     Graph,
     GraphCompiler,
     Jacobi,
     MatMul,
     MatVec,
+    NaiveMatMul,
     Power,
     Problem,
     Ref,
@@ -79,9 +82,10 @@ class TestProblemTypes:
     def test_handlers_link_back_to_problem_classes(self):
         assert get_handler("matvec").problem_class is MatVec
         assert get_handler("sor").problem_class is SOR
-        # Baselines are deliberately string-only.
-        assert get_handler("prt").problem_class is None
-        assert get_handler("gauss_seidel").problem_class is None
+        assert get_handler("prt").problem_class is PRT
+        assert get_handler("gauss_seidel").problem_class is GaussSeidel
+        # Fused stages are compiler-generated: no class, no string call.
+        assert get_handler("fused").problem_class is None
 
     def test_unknown_kind_suggests_nearest(self, solver, rng):
         with pytest.raises(ProblemKindError, match="did you mean 'matvec'"):
@@ -120,8 +124,8 @@ class TestTypedPlanKeys:
         b = rng.normal(size=8)
         plain = solver.plan_key(SOR(a, b))
         relaxed = solver.plan_key(SOR(a, b, omega=1.5))
-        assert plain[3].sor_omega == 1.0
-        assert relaxed[3].sor_omega == 1.5
+        assert plain[3].omega == 1.0
+        assert relaxed[3].omega == 1.5
         assert plain != relaxed
         criteria = ConvergenceCriteria(atol=1e-3, max_iter=7)
         assert solver.plan_key(Jacobi(a, b, criteria=criteria))[3].criteria == criteria
@@ -477,6 +481,17 @@ class TestGraphCompiler:
         assert program.fused_rewrites == 0
         matmul_stage = [s for s in program.stages if s.kind == "matmul"][0]
         assert matmul_stage.plan.key[3].backend == "simulate"
+
+    def test_fusion_keeps_a_baseline_matmul_stage(self, rng):
+        """A naive_matmul is a baseline to run, not a product to reassociate."""
+        n = 5
+        a, b = (rng.normal(size=(n, n)) for _ in range(2))
+        x = rng.normal(size=n)
+        y = MatVec(NaiveMatMul(a, b), x, name="y")
+        program = GraphCompiler(Solver(ArraySpec(W)), fuse=True).compile(Graph(y))
+        assert program.fused_rewrites == 0
+        assert [stage.kind for stage in program.stages] == ["naive_matmul", "matvec"]
+        assert np.allclose(program.run().output("y"), (a @ b) @ x)
 
     def test_fusion_reaches_matmuls_cloned_by_remapping(self, rng):
         """Regression: a matmul cloned during remapping (its .after edge
@@ -1061,7 +1076,7 @@ class TestStringShim:
         matrix = _spd(rng, 6)
         b = rng.normal(size=6)
         typed = Solver(ArraySpec(W)).solve(SOR(matrix, b, omega=1.3))
-        shimmed = solver.solve("sor", matrix, b, options=ExecutionOptions(sor_omega=1.3))
+        shimmed = solver.solve("sor", matrix, b, options=ExecutionOptions(omega=1.3))
         assert np.array_equal(typed.values, shimmed.values)
 
     def test_solve_batch_accepts_problem_class(self, rng):
@@ -1084,9 +1099,13 @@ class TestStringShim:
             solver.solve("matvec", a)  # missing x: clear arity error
 
     def test_baselines_still_dispatch_without_typed_classes(self, rng):
+        """The baselines, once string-only, dispatch through typed classes."""
         solver = Solver(ArraySpec(W))
         matrix = rng.normal(size=(W, W))
         x = rng.normal(size=W)
         solution = solver.solve("prt", matrix, x)
         assert solution.kind == "prt"
-        assert "prt" not in problem_types()
+        assert problem_types()["prt"] is PRT
+        typed = Solver(ArraySpec(W)).solve(PRT(matrix, x))
+        assert np.array_equal(typed.values, solution.values)
+        assert typed.plan_key == solution.plan_key

@@ -7,7 +7,10 @@ behaviour — across a grid of problem shapes, array sizes and execution
 backends.  Both spellings go through ``Solver.derive`` and must land on
 the same compiled plan, constructor overrides (``overlapped=``,
 ``omega=``, ``tolerance=``, ``criteria=``) spelled as keywords of the
-string call included.
+string call included.  Every door that takes a string call —
+``Solver.plan_key`` with operands or with ``shape=``, ``Solver.derive``
+and ``SolverService.plan_key`` — takes the same keywords and gives the
+same key.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.api import ArraySpec, ExecutionOptions, Solver
+from repro.service import SolverService
 from repro.graph import (
     CG,
     LU,
@@ -27,6 +31,7 @@ from repro.graph import (
     SOR,
     Sparse,
     Triangular,
+    problem_types,
 )
 from repro.iterative import ConvergenceCriteria
 
@@ -128,7 +133,7 @@ class TestTypedStringEquivalence:
         legacy = string_solver.solve(
             "sor", matrix, b,
             options=ExecutionOptions(
-                backend=backend, criteria=CRITERIA, sor_omega=1.4
+                backend=backend, criteria=CRITERIA, omega=1.4
             ),
         )
         assert np.array_equal(typed.values, legacy.values)
@@ -170,7 +175,7 @@ class TestTypedStringEquivalence:
         legacy = string_solver.solve(
             "sparse", matrix, x,
             options=ExecutionOptions(
-                backend=backend, criteria=CRITERIA, sparse_tolerance=1e-9
+                backend=backend, criteria=CRITERIA, tolerance=1e-9
             ),
         )
         assert np.array_equal(typed.values, legacy.values)
@@ -198,3 +203,62 @@ class TestTypedStringEquivalence:
             typed_solver, string_solver, problem,
             problem_type.kind, matrix, vector, **overrides,
         )
+
+
+def _string_call(kind: str, a: np.ndarray, v: np.ndarray):
+    """``kind``'s string-call operands from a square ``a`` and a vector
+    ``v``, with the ``shape=`` spec a plan of those operands takes."""
+    n = len(v)
+    if kind in ("matmul", "naive_matmul"):
+        return (a, a), (n, n, n)
+    if kind in ("lu", "power"):
+        return (a,), n
+    if kind == "relu":
+        return (v,), n
+    if kind == "bias":
+        return (v, v), n
+    if kind in ("quantize", "dequantize"):
+        return (v, 0.5), n
+    if kind in ("matvec", "sparse", "dense", "prt", "naive_matvec", "block_partitioned"):
+        return (a, v), (n, n)
+    return (a, v), n  # triangular and the A x = b kinds
+
+
+#: Every typed kind bare, then each keyword spelling of
+#: ``test_override_spellings`` and one per remaining option keyword.
+_SPELLINGS = [(kind, {}) for kind in problem_types()] + [
+    ("matvec", {"overlapped": True}),
+    ("sor", {"omega": 1.4}),
+    ("sparse", {"tolerance": 1e-9}),
+    ("jacobi", {"criteria": ConvergenceCriteria(atol=1e-9, max_iter=6)}),
+    ("gauss_seidel", {"criteria": ConvergenceCriteria(atol=1e-9, max_iter=6)}),
+    ("dense", {"dtype_mode": "int8"}),
+]
+
+
+class TestOneVocabulary:
+    @pytest.fixture(scope="class")
+    def service(self):
+        with SolverService(ArraySpec(4), n_shards=1) as service:
+            yield service
+
+    @pytest.mark.parametrize(
+        "kind, keywords",
+        _SPELLINGS,
+        ids=[f"{kind}-{'-'.join(keywords) or 'bare'}" for kind, keywords in _SPELLINGS],
+    )
+    def test_every_door_gives_one_key(self, rng, service, kind, keywords):
+        operands, shape = _string_call(kind, _spd(rng, 6), rng.normal(size=6))
+        solver = Solver(ArraySpec(4))
+        key = solver.plan_key(kind, *operands, **keywords)
+        assert key == solver.derive(kind, *operands, **keywords)[0]
+        assert key == service.plan_key(kind, *operands, **keywords)
+        assert key == solver.plan_key(kind, shape=shape, **keywords)
+        assert key == service.plan_key(kind, shape=shape, **keywords)
+
+    def test_shape_form_refuses_a_field_that_is_no_keyword(self):
+        solver = Solver(ArraySpec(4))
+        with pytest.raises(TypeError, match="unexpected keyword argument 'record_trace'"):
+            solver.plan_key("matvec", shape=(6, 6), record_trace=True)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'omega'"):
+            solver.plan("gauss_seidel", shape=6, omega=1.5)

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.report import ExperimentReport
-from repro.api import ArraySpec, ExecutionOptions, Solver
+from repro.api import ArraySpec, Solver
 from repro.baselines.block_partition import BlockPartitionedMatVec
 from repro.baselines.naive_band import NaiveBlockMatVec
 from repro.core.analytic import MatVecModel, matmul_steps, matvec_steps
 from repro.core.plans import MatMulPlan, MatVecPlan, OverlappedMatVecPlan
 from repro.extensions.lu import SystolicLU
+from repro.graph import GaussSeidel
 from repro.matrices.padding import block_count
 
 
@@ -121,9 +122,8 @@ class TestApplicationsOnTopOfThePipelines:
         factorization = lu.factor(matrix)
         assert factorization.residual(matrix) < 1e-8
 
-        gs = Solver(ArraySpec(3), ExecutionOptions(gs_tolerance=1e-11)).solve(
-            "gauss_seidel", matrix, b
-        )
+        rule = GaussSeidel.presets["criteria"].merged(atol=1e-11)
+        gs = Solver(ArraySpec(3)).solve("gauss_seidel", matrix, b, criteria=rule)
         assert gs.stats["converged"]
         direct = np.linalg.solve(matrix, b)
         assert np.allclose(gs.values, direct, atol=1e-8)

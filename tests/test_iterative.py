@@ -9,6 +9,7 @@ import pytest
 
 from repro.api import ArraySpec, ExecutionOptions, Solver
 from repro.errors import ConvergenceError, ShapeError
+from repro.graph import SOR
 from repro.instrumentation import CacheStats, counters
 from repro.iterative import (
     ConjugateGradientSolver,
@@ -278,7 +279,7 @@ class TestRegistryIntegration:
         matrix = spd_dominant(rng, 8)
         b = rng.normal(size=8)
         solver = Solver(ArraySpec(3))
-        relaxed = solver.solve("sor", matrix, b, options=ExecutionOptions(sor_omega=1.3))
+        relaxed = solver.solve("sor", matrix, b, options=ExecutionOptions(omega=1.3))
         plain = solver.solve("sor", matrix, b)
         assert relaxed.plan_key != plain.plan_key  # omega is part of the key
         assert np.allclose(relaxed.values, np.linalg.solve(matrix, b), atol=1e-8)
@@ -302,13 +303,32 @@ class TestRegistryIntegration:
 
     def test_invalid_options_rejected(self):
         with pytest.raises(ValueError):
-            ExecutionOptions(sor_omega=2.0)
+            ExecutionOptions(omega=2.0)
         with pytest.raises(ValueError):
             ExecutionOptions(criteria="tight")  # type: ignore[arg-type]
 
 
+#: The seed's Gauss-Seidel stopping rule, the ``gauss_seidel`` preset.
+SEED_RULE = ConvergenceCriteria(
+    atol=1e-10, rtol=0.0, max_iter=200, divergence_ratio=float("inf")
+)
+
+
 class TestGaussSeidelShim:
     """The ``gauss_seidel`` kind keeps the seed's Gauss-Seidel behaviour."""
+
+    def test_gauss_seidel_is_sor_under_its_presets(self, rng):
+        matrix = spd_dominant(rng, 7)
+        b = rng.normal(size=7)
+        solver = Solver(ArraySpec(3))
+        seidel = solver.solve("gauss_seidel", matrix, b)
+        sor = Solver(ArraySpec(3)).solve(SOR(matrix, b, omega=1.0, criteria=SEED_RULE))
+        assert np.array_equal(seidel.values.view(np.uint64), sor.values.view(np.uint64))
+        assert seidel.stats["iterations"] == sor.stats["iterations"]
+        assert seidel.stats["converged"] and sor.stats["converged"]
+        key = solver.derive("gauss_seidel", matrix, b)[0]
+        assert solver.plan_key("gauss_seidel", shape=7) == key
+        assert key[3].omega == 1.0 and key[3].criteria == SEED_RULE
 
     def test_gauss_seidel_kind_still_served(self, rng):
         matrix = spd_dominant(rng, 6)
@@ -321,12 +341,14 @@ class TestGaussSeidelShim:
         """The kind must never raise on divergence — even to inf."""
         diverging = np.array([[1.0, 10.0], [10.0, 1.0]])
         b = np.ones(2)
-        capped = Solver(ArraySpec(3), ExecutionOptions(gs_max_iterations=300))
+        capped = SEED_RULE.merged(max_iter=300)
         # The residual legitimately overflows to inf on the way to the
         # iteration cap; that arithmetic noise is the point of the test.
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
-            result = capped.solve("gauss_seidel", diverging, b)
+            result = Solver(ArraySpec(3)).solve(
+                "gauss_seidel", diverging, b, criteria=capped
+            )
             assert not result.stats["converged"]
             assert result.stats["iterations"] == 300
             solution = Solver(ArraySpec(3)).solve("gauss_seidel", diverging, b)

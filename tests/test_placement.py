@@ -48,9 +48,9 @@ _SHAPE_SPELLINGS = {
 #: Option values, grouped: values in one group compare equal, so a
 #: Solver caches them as one plan and placement must encode them alike.
 _OPTION_SPELLINGS = {
-    "sor_omega": ((1, 1.0), (1.5,)),
+    "omega": ((1, 1.0), (1.5,)),
     "record_trace": ((0, False), (True, 1)),
-    "sparse_tolerance": ((-0.0, 0.0), (1e-12,)),
+    "tolerance": ((-0.0, 0.0), (1e-12,)),
     "criteria": (
         (
             ConvergenceCriteria(),
@@ -213,9 +213,9 @@ class TestStableHash:
         built: the constructor, ``merged()`` and the key decoder give
         equal options one hash, and so one plan-cache entry."""
         criteria = ConvergenceCriteria(atol=1e-9, max_iter=7)
-        built = ExecutionOptions(sor_omega=1.5, criteria=criteria)
+        built = ExecutionOptions(omega=1.5, criteria=criteria)
         merged = ExecutionOptions().merged(
-            sor_omega=1.5, criteria=ConvergenceCriteria().merged(
+            omega=1.5, criteria=ConvergenceCriteria().merged(
                 atol=1e-9, max_iter=7
             ),
         )
@@ -306,14 +306,14 @@ class TestPlacementTable:
 
 class TestPlacementMemo:
     @settings(max_examples=150, deadline=None)
-    @example(pair=_respelled("matvec", sor_omega=(1, 1.0)))
+    @example(pair=_respelled("matvec", omega=(1, 1.0)))
     @example(pair=_respelled("jacobi", record_trace=(0, False)))
-    @example(pair=_respelled("matvec", sparse_tolerance=(-0.0, 0.0)))
+    @example(pair=_respelled("matvec", tolerance=(-0.0, 0.0)))
     @example(pair=_respelled(
         "jacobi",
         criteria=(ConvergenceCriteria(rtol=0), ConvergenceCriteria(rtol=0.0)),
     ))
-    @example(pair=_respelled("__graph__", sor_omega=(1, 1.0)))
+    @example(pair=_respelled("__graph__", omega=(1, 1.0)))
     @given(pair=_key_pairs())
     def test_equal_solver_keys_encode_equally_and_route_by_hash(self, pair):
         """The memo's soundness condition: solver-built keys that compare
@@ -422,21 +422,21 @@ class TestServiceRouting:
     @pytest.mark.parametrize(
         "left, right",
         [
-            (ExecutionOptions(sor_omega=1), ExecutionOptions()),
+            (ExecutionOptions(omega=1), ExecutionOptions()),
             (
                 ExecutionOptions(record_trace=0),
                 ExecutionOptions(record_trace=False),
             ),
             (
-                ExecutionOptions(sparse_tolerance=-0.0),
-                ExecutionOptions(sparse_tolerance=0.0),
+                ExecutionOptions(tolerance=-0.0),
+                ExecutionOptions(tolerance=0.0),
             ),
             (
                 ExecutionOptions(criteria=ConvergenceCriteria(rtol=0)),
                 ExecutionOptions(criteria=ConvergenceCriteria(rtol=0.0)),
             ),
         ],
-        ids=["sor_omega", "record_trace", "sparse_tolerance", "rtol"],
+        ids=["omega", "record_trace", "tolerance", "rtol"],
     )
     def test_equal_options_route_to_one_shard_and_build_one_plan(
         self, rng, left, right

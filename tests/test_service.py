@@ -247,6 +247,14 @@ class TestSolverService:
                 service.submit("sor", matrix, rng.normal(size=8), omgea=1.5)
         assert service.stats().submitted == 0
 
+    def test_a_baseline_refuses_an_unknown_keyword_at_submit(self, rng):
+        matrix, x = rng.normal(size=(W, W)), rng.normal(size=W)
+        with SolverService(ArraySpec(W), n_shards=1) as service:
+            with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+                service.submit("prt", matrix, x, bogus=1)
+            assert service.stats().submitted == 0
+            assert service.shards[0].solver.cache_stats.size == 0  # nothing built
+
     def test_a_served_request_is_derived_once(self, rng, monkeypatch):
         calls = {"derive": 0, "solve": 0, "solve_batch": 0}
 

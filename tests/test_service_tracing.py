@@ -349,6 +349,11 @@ class TestFailurePathsCloseTheirSpans:
         monkeypatch.setattr(ProgramSegment, "execute", boom)
         tracer = Tracer()
         with SolverService(ArraySpec(W), n_shards=2, tracer=tracer) as service:
+            # Level 0 on shard 0, the later levels on shard 1: a segment
+            # starts at level 1 whatever shards the keys hash to.
+            keys = pipeline.plan_keys(W, ExecutionOptions())
+            for name, shard in (("product", 0), ("projected", 1), ("refined", 1)):
+                service.placement.assign(keys[pipeline.names.index(name)], shard)
             future = service.submit_graph(pipeline)
             with pytest.raises(RuntimeError, match="segment exploded"):
                 future.result(timeout=5.0)

@@ -279,6 +279,31 @@ class TestWarmStart:
         finally:
             service.close()
 
+    def test_a_stored_gauss_seidel_key_keeps_its_criteria(self, tmp_path):
+        """A warm start builds a stored key as stored: the kind's preset
+        stopping rule is not applied over the one the key holds."""
+        rng = np.random.default_rng(15)
+        a = rng.normal(size=(6, 6))
+        matrix = a + np.diag(np.abs(a).sum(axis=1) + 1.0)
+        b = rng.normal(size=6)
+        rule = ConvergenceCriteria(
+            atol=1e-12, rtol=0.0, max_iter=60, divergence_ratio=float("inf")
+        )
+        writer = Solver(ArraySpec(W), store=PlanStore(tmp_path))
+        written = writer.solve("gauss_seidel", matrix, b, criteria=rule)
+        assert written.plan_key[3].criteria == rule
+        service = SolverService(W, n_shards=2, store=PlanStore(tmp_path, readonly=True))
+        try:
+            before = counters.snapshot()
+            replayed = service.submit(
+                "gauss_seidel", matrix, b, criteria=rule
+            ).result(30.0)
+            assert counters.delta(before).plan_builds == 0
+        finally:
+            service.close()
+        assert replayed.plan_key == written.plan_key
+        assert np.array_equal(replayed.values, written.values)
+
     def test_construction_writes_nothing(self, tmp_path):
         """A warm start reads keys and builds plans; it writes no key back,
         even to a writable store."""
@@ -441,9 +466,9 @@ HOSTILE_PAYLOADS = {
     ),
     "refused_omega": (
         lambda: _options_bytes().replace(
-            b"s9:sor_omegaf1.0;", b"s9:sor_omegaf2.0;"
+            b"s5:omegaf1.0;", b"s5:omegaf2.0;"
         ),
-        "sor_omega must satisfy",
+        "omega must satisfy",
     ),
     "unknown_backend": (
         lambda: _options_bytes().replace(
