@@ -32,6 +32,7 @@ from ..instrumentation import CacheStats, LRUCache, counters
 from ..matrices.dense import as_matrix
 from ..obs.tracing import NULL_SPAN, active_span
 from .config import ArraySpec, ExecutionOptions
+from .solution import Solution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; the solver imports this module
     from ..core.matmul import MatMulSolution
@@ -191,35 +192,44 @@ class ExecutionPlan:
             return NULL_SPAN
         return parent.child(name, category="plan", kind=self._kind)
 
-    def execute(self, *operands, **kwargs):
-        """Stream one operand set through the plan; returns a Solution."""
+    def execute(self, *operands, **kwargs) -> Solution:
+        """Stream one operand set through the plan; returns its Solution.
+
+        The handler's :class:`~repro.api.solution.Solution` (for mat-vec
+        and mat-mul, the one object the core plan returned), with
+        ``plan_key`` set to this plan's key.
+        """
         counters.bump("plan_executions")
         with self._span("plan.execute"):
-            return self._handler.execute(self, *operands, **kwargs)
+            solution = self._handler.execute(self, *operands, **kwargs)
+        solution.plan_key = self._key
+        return solution
 
-    def execute_pair(self, first: Tuple, second: Tuple):
+    def execute_pair(
+        self, first: Tuple, second: Tuple
+    ) -> "Tuple[MatVecSolution, MatVecSolution]":
         """Run two independent same-plan problems on one shared array run.
 
         Only valid when :attr:`supports_pairing` is true.  Each operand
-        set is ``(matrix, x)`` or ``(matrix, x, b)``.  Returns the two
-        wrapped :class:`~repro.api.solution.Solution` objects, marked
-        ``stats["paired"]`` and with the paper's single-problem step and
-        utilization predictions dropped (the closed forms do not cover two
-        interleaved requests sharing one run).  Counted once it has run:
-        a pair that raises reruns as two counted single executions.
+        set is ``(matrix, x)`` or ``(matrix, x, b)``.  Returns the core
+        plan's two :class:`~repro.core.matvec.MatVecSolution` objects,
+        each marked in place: ``stats["paired"]``, ``plan_key``, and the
+        paper's single-problem step and utilization predictions set to
+        ``None`` (the closed forms do not cover two interleaved requests
+        sharing one run; ``raw.model`` still holds them).  Counted once
+        it has run: a pair that raises reruns as two counted single
+        executions.
         """
         first, second = _matvec_triple(first), _matvec_triple(second)
         with self._span("plan.execute_pair"):
-            legacy_a, legacy_b = self._executor.execute_pair(first, second)
+            pair = self._executor.execute_pair(first, second)
         counters.bump("plan_executions", 2)
-        solutions = []
-        for legacy in (legacy_a, legacy_b):
-            solution = self._handler.wrap(self, legacy)
+        for solution in pair:
             solution.stats["paired"] = True
             solution.predicted_steps = None
             solution.predicted_utilization = None
-            solutions.append(solution)
-        return solutions[0], solutions[1]
+            solution.plan_key = self._key
+        return pair
 
     def describe(self) -> str:
         text = (

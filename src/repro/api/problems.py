@@ -7,8 +7,12 @@ baselines the paper cites (``prt``, ``naive_matvec``, ``naive_matmul``,
 ``block_partitioned``) are each wrapped into a
 :class:`~repro.api.registry.ProblemHandler` and registered at import
 time.  Handlers normalize shapes for the plan-cache key, compile the
-kind's executor, and adapt the kind-specific result into the common
-:class:`~repro.api.solution.Solution` protocol.
+kind's executor, and return a :class:`~repro.api.solution.Solution`.  A
+mat-vec or mat-mul executor already returns one (its ``raw`` is itself),
+so those handlers return it unchanged; the blocked, iterative, sparse and
+baseline handlers build one around their kind's result, kept in ``raw``.
+:class:`~repro.api.plan.ExecutionPlan` sets every solution's
+``plan_key``.
 
 Every solve executes through a handler's positional ``execute``:
 :meth:`~repro.api.solver.Solver.derive` turns a typed problem (or the
@@ -43,7 +47,7 @@ from ..iterative import (
 )
 from ..matrices.dense import as_matrix
 from .config import ArraySpec, ExecutionOptions
-from .registry import ProblemHandler, register
+from .registry import ProblemHandler, _pair_shape, register
 from .solution import FeedbackStats, Solution
 
 #: Imported for its registrations; it exports no names.
@@ -66,16 +70,6 @@ def _square_side(shape, kind: str) -> Tuple[int]:
     if len(shape) == 2 and shape[0] == shape[1]:
         return (shape[0],)
     raise ShapeError(f"{kind} needs a square problem, got shape {shape}")
-
-
-def _pair_shape(shape, kind: str) -> Tuple[int, int]:
-    """Normalize ``shape=(n, m)`` into a 2-tuple of ints."""
-    if shape is None:
-        raise ShapeError(f"{kind} needs shape=(n, m) (or an operand matrix)")
-    shape = tuple(int(d) for d in shape)
-    if len(shape) != 2:
-        raise ShapeError(f"{kind} needs shape=(n, m), got {shape}")
-    return shape
 
 
 class _SquareHandler(ProblemHandler):
@@ -119,24 +113,8 @@ class MatVecHandler(ProblemHandler):
             backend=options.backend,
         )
 
-    def wrap(self, plan, legacy) -> Solution:
-        """Adapt a :class:`~repro.core.matvec.MatVecSolution`."""
-        return Solution(
-            kind=self.kind,
-            w=plan.spec.w,
-            values=legacy.y,
-            measured_steps=legacy.measured_steps,
-            predicted_steps=legacy.predicted_steps,
-            measured_utilization=legacy.measured_utilization,
-            predicted_utilization=legacy.predicted_utilization,
-            feedback=legacy.feedback,
-            stats={"overlapped": legacy.overlapped},
-            raw=legacy,
-            plan_key=plan.key,
-        )
-
     def execute(self, plan, matrix, x, b=None) -> Solution:
-        return self.wrap(plan, plan.executor.execute(matrix, x, b))
+        return plan.executor.execute(matrix, x, b)
 
 
 # --------------------------------------------------------------------------- #
@@ -180,23 +158,8 @@ class MatMulHandler(ProblemHandler):
             backend=options.backend,
         )
 
-    def wrap(self, plan, legacy) -> Solution:
-        """Adapt a :class:`~repro.core.matmul.MatMulSolution`."""
-        return Solution(
-            kind=self.kind,
-            w=plan.spec.w,
-            values=legacy.c,
-            measured_steps=legacy.measured_steps,
-            predicted_steps=legacy.predicted_steps,
-            measured_utilization=legacy.measured_utilization,
-            predicted_utilization=legacy.predicted_utilization,
-            feedback=legacy.feedback,
-            raw=legacy,
-            plan_key=plan.key,
-        )
-
     def execute(self, plan, a, b, e=None) -> Solution:
-        return self.wrap(plan, plan.executor.execute(a, b, e))
+        return plan.executor.execute(a, b, e)
 
 
 # --------------------------------------------------------------------------- #
@@ -228,7 +191,6 @@ class TriangularHandler(_SquareHandler):
                 "lower": lower,
             },
             raw=result,
-            plan_key=plan.key,
         )
 
 
@@ -257,7 +219,6 @@ class LUHandler(_SquareHandler):
                 "residual_norm": result.residual(matrix),
             },
             raw=result,
-            plan_key=plan.key,
         )
 
 
@@ -291,7 +252,6 @@ class _IterativeHandler(_SquareHandler):
             measured_steps=result.array_steps,
             stats=stats,
             raw=result,
-            plan_key=plan.key,
         )
 
     def execute(self, plan, matrix, b, x0=None) -> Solution:
@@ -407,7 +367,6 @@ class SparseHandler(MatVecHandler):
                 "separators": result.transform.separator_count,
             },
             raw=result,
-            plan_key=plan.key,
         )
 
 
@@ -433,7 +392,6 @@ class PRTHandler(MatVecHandler):
             feedback=FeedbackStats.from_delays(result.run.feedback_delays()),
             stats={"array_size": plan.executor.array_size},
             raw=result,
-            plan_key=plan.key,
         )
 
 
@@ -451,7 +409,6 @@ def _block_baseline_solution(plan, result) -> Solution:
             "external_additions": result.external_additions,
         },
         raw=result,
-        plan_key=plan.key,
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import difflib
 from typing import Dict, Optional, Tuple
 
-from ..errors import ProblemKindError
+from ..errors import ProblemKindError, ShapeError
 from .config import ArraySpec, ExecutionOptions
 from .solution import Solution
 
@@ -37,11 +37,16 @@ class ProblemHandler:
     ``build(...)``
         Compile the plan executor for one ``(spec, options, shapes)``.
     ``execute(...)``
-        Stream one operand set through a compiled plan and wrap the
-        kind-specific result into the common :class:`Solution` protocol.
-        Its positional operands and keyword arguments are what a typed
-        problem's ``operand_values()`` and ``execute_kwargs()`` return,
-        and what :meth:`~repro.api.solver.Solver.derive` hands on.
+        Stream one operand set through a compiled plan and return its
+        :class:`Solution`.  The array kinds' executors already return one
+        (a :class:`~repro.core.matvec.MatVecSolution` or
+        :class:`~repro.core.matmul.MatMulSolution`), so their handlers
+        return it as is; the other kinds build one around their result,
+        kept in ``raw``.  The :class:`~repro.api.plan.ExecutionPlan` that
+        calls ``execute`` sets ``plan_key``.  Its positional operands and
+        keyword arguments are what a typed problem's ``operand_values()``
+        and ``execute_kwargs()`` return, and what
+        :meth:`~repro.api.solver.Solver.derive` hands on.
     """
 
     kind: str = ""
@@ -71,6 +76,16 @@ class ProblemHandler:
         from ..graph.problems import problem_types
 
         return problem_types().get(self.kind)
+
+
+def _pair_shape(shape, kind: str) -> Tuple[int, int]:
+    """Normalize ``shape=(n, m)`` into a 2-tuple of ints."""
+    if shape is None:
+        raise ShapeError(f"{kind} needs shape=(n, m) (or an operand matrix)")
+    shape = tuple(int(d) for d in shape)
+    if len(shape) != 2:
+        raise ShapeError(f"{kind} needs shape=(n, m), got {shape}")
+    return shape
 
 
 _REGISTRY: Dict[str, ProblemHandler] = {}

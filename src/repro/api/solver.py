@@ -200,10 +200,11 @@ class Solver:
         Pass a typed problem object, whose every operand is validated, or
         a kind string with either the operands and keywords of a solve
         (the key is ``derive(kind, *operands, **kwargs)[0]``) or an
-        explicit ``shape=`` spec.  With ``shape=`` the keywords may be
-        only the kind's option keywords, applied over its presets, so the
-        key is the one a solve of that shape with those keywords runs
-        under.
+        explicit ``shape=`` spec, not both: operands with ``shape=`` raise
+        ``TypeError``, as a typed problem with ``shape=`` does.  With
+        ``shape=`` the keywords may be only the kind's option keywords,
+        applied over its presets, so the key is the one a solve of that
+        shape with those keywords runs under.
         """
         base = options if options is not None else self._options
         if isinstance(kind, Problem):
@@ -211,6 +212,10 @@ class Solver:
             kind.concrete_operands()  # stage refs get the clear GraphError
             return kind.plan_key(self._spec.w, base)
         if operands:
+            if shape is not None:
+                raise TypeError(
+                    "plan_key takes either operands or shape=, not both"
+                )
             return self.derive(kind, *operands, options=options, **kwargs)[0]
         shapes = get_handler(kind).shapes(shape=shape)
         resolved = _problem_class(kind).options_under(base, kwargs)

@@ -1,8 +1,10 @@
 """End-to-end size-independent matrix-matrix multiplication (Section 3).
 
-:class:`MatMulSolution` is the result type shared by the plan/execute
-engines in :mod:`repro.core.plans` and the unified :mod:`repro.api`
-façade.  The pipeline itself lives in
+:class:`MatMulSolution` is the result of every mat-mul plan in
+:mod:`repro.core.plans` and, being an api
+:class:`~repro.api.solution.Solution`, the object a
+:class:`repro.api.Solver` returns for a ``matmul`` solve: one object per
+solve, whose ``raw`` is itself.  The pipeline itself lives in
 :class:`~repro.core.plans.MatMulPlan`:
 
 1. build the transformed operand bands ``A~`` and ``B~`` (structure once
@@ -23,11 +25,11 @@ façade.  The pipeline itself lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
+from ..api.solution import Solution
 from ..systolic.hex_array import HexRunResult
 from ..systolic.metrics import FeedbackStats, regular_delay_threshold
 from .analytic import MatMulModel
@@ -40,21 +42,42 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; plans imports this module
 __all__ = ["MatMulSolution"]
 
 
-@dataclass
-class MatMulSolution:
+class MatMulSolution(Solution):
     """Result of one size-independent matrix-matrix execution.
 
-    ``feedback`` digests the run's feedback delays, regular/irregular
-    split included: the vectorized engine computes it once per plan,
-    ``simulate`` measures it on every run.  ``plan`` is the plan that ran.
+    The measured steps (the ``C`` stream's span, the paper's ``T``
+    convention) and utilization are read from ``run`` and the paper's
+    closed forms from ``model``, once, at construction.  ``feedback``
+    digests the run's feedback delays, regular/irregular split included:
+    the vectorized engine computes it once per plan, ``simulate``
+    measures it on every run.  ``plan`` is the plan that ran.
     """
 
-    c: np.ndarray
-    w: int
-    run: HexRunResult
-    model: MatMulModel
-    feedback: FeedbackStats
-    plan: "MatMulPlan"
+    def __init__(
+        self,
+        c: np.ndarray,
+        w: int,
+        run: HexRunResult,
+        model: MatMulModel,
+        feedback: FeedbackStats,
+        plan: "MatMulPlan",
+    ):
+        super().__init__(
+            "matmul", w, c, run.c_stream_cycles, model.steps,
+            run.report.utilization, model.utilization, feedback,
+        )
+        self.run = run
+        self.model = model
+        self.plan = plan
+
+    @property
+    def raw(self) -> "MatMulSolution":
+        """The solution itself: it is its own kind-specific result."""
+        return self
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.values
 
     @property
     def operands(self) -> MatMulOperands:
@@ -69,23 +92,6 @@ class MatMulSolution:
     def placement(self) -> PartialResultMap:
         """The plan's partial-result placement, built like :attr:`operands`."""
         return self.plan.placement
-
-    @property
-    def measured_steps(self) -> int:
-        """Steps spanned by the C stream, the paper's ``T`` convention."""
-        return self.run.c_stream_cycles
-
-    @property
-    def predicted_steps(self) -> int:
-        return self.model.steps
-
-    @property
-    def measured_utilization(self) -> float:
-        return self.run.report.utilization
-
-    @property
-    def predicted_utilization(self) -> float:
-        return self.model.utilization
 
     @property
     def feedback_delays(self) -> Dict[Tuple[int, int], int]:
@@ -111,18 +117,3 @@ class MatMulSolution:
             regular_delays=regular,
             irregular=irregular,
         )
-
-    def summary(self) -> str:
-        """Short paper-vs-measured report used by the examples."""
-        classification = self.feedback_classification()
-        lines = [
-            f"size-independent mat-mul on a {self.w}x{self.w} hexagonal array",
-            f"  steps:       measured {self.measured_steps}, paper formula {self.predicted_steps}",
-            f"  utilization: measured {self.measured_utilization:.4f}, "
-            f"paper formula {self.predicted_utilization:.4f}",
-            f"  feedback:    {classification.regular_count} regular values "
-            f"(delay <= {classification.regular_threshold}), "
-            f"{classification.irregular_count} irregular values "
-            f"(max delay {classification.max_irregular_delay})",
-        ]
-        return "\n".join(lines)

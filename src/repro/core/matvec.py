@@ -1,8 +1,10 @@
 """End-to-end size-independent matrix-vector multiplication (Section 2).
 
-:class:`MatVecSolution` is the result type shared by the plan/execute
-engines in :mod:`repro.core.plans` and the unified :mod:`repro.api`
-façade.  The pipeline itself lives in
+:class:`MatVecSolution` is the result of every mat-vec plan in
+:mod:`repro.core.plans` and, being an api
+:class:`~repro.api.solution.Solution`, the object a
+:class:`repro.api.Solver` returns for a ``matvec`` solve: one object per
+solve, whose ``raw`` is itself.  The pipeline itself lives in
 :class:`~repro.core.plans.MatVecPlan` (and
 :class:`~repro.core.plans.OverlappedMatVecPlan` for the split-and-overlap
 execution); :class:`repro.api.Solver` caches those plans by shape.
@@ -10,11 +12,11 @@ execution); :class:`repro.api.Solver` caches those plans by shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
+from ..api.solution import Solution
 from ..systolic.linear_array import LinearRunResult
 from ..systolic.metrics import FeedbackStats
 from ..systolic.trace import DataFlowTrace
@@ -27,22 +29,44 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; plans imports this module
 __all__ = ["MatVecSolution"]
 
 
-@dataclass
-class MatVecSolution:
+class MatVecSolution(Solution):
     """Result of one size-independent matrix-vector execution.
 
+    The measured steps and utilization are read from ``run`` and the
+    paper's closed forms from ``model``, once, at construction.
     ``feedback`` digests the run's feedback traffic: the vectorized engine
     computes it once per plan, ``simulate`` measures it on every run.
     ``plans`` are the plans that ran, one per transformed problem.
     """
 
-    y: np.ndarray
-    w: int
-    overlapped: bool
-    run: LinearRunResult
-    model: MatVecModel
-    feedback: FeedbackStats
-    plans: Sequence["MatVecPlan"]
+    def __init__(
+        self,
+        y: np.ndarray,
+        w: int,
+        overlapped: bool,
+        run: LinearRunResult,
+        model: MatVecModel,
+        feedback: FeedbackStats,
+        plans: Sequence["MatVecPlan"],
+    ):
+        super().__init__(
+            "matvec", w, y, run.total_cycles, model.steps,
+            run.report.utilization, model.utilization, feedback,
+            {"overlapped": overlapped},
+        )
+        self.overlapped = overlapped
+        self.run = run
+        self.model = model
+        self.plans = plans
+
+    @property
+    def raw(self) -> "MatVecSolution":
+        """The solution itself: it is its own kind-specific result."""
+        return self
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.values
 
     @property
     def transforms(self) -> List[DBTByRowsTransform]:
@@ -54,48 +78,9 @@ class MatVecSolution:
         return [plan.transform for plan in self.plans]
 
     @property
-    def measured_steps(self) -> int:
-        return self.run.total_cycles
-
-    @property
-    def predicted_steps(self) -> int:
-        return self.model.steps
-
-    @property
-    def measured_utilization(self) -> float:
-        return self.run.report.utilization
-
-    @property
-    def predicted_utilization(self) -> float:
-        return self.model.utilization
-
-    @property
     def feedback_delays(self) -> List[int]:
         return self.run.feedback_delays()
 
     @property
     def trace(self) -> Optional[DataFlowTrace]:
         return self.run.trace
-
-    def summary(self) -> str:
-        """Short paper-vs-measured report used by the examples."""
-        lines = [
-            f"size-independent mat-vec on a {self.w}-cell linear array"
-            + (" (overlapped)" if self.overlapped else ""),
-            f"  steps:       measured {self.measured_steps}, paper formula {self.predicted_steps}",
-            f"  utilization: measured {self.measured_utilization:.4f}, "
-            f"paper formula {self.predicted_utilization:.4f}",
-        ]
-        feedback = self.feedback
-        if feedback.count:
-            lo, hi = feedback.min_delay, feedback.max_delay
-            if lo == hi:
-                delay_text = f"every delay = {lo} cycles" + (
-                    " (= w)" if lo == self.w else ""
-                )
-            else:
-                delay_text = f"delays {lo}..{hi} cycles (min..max)"
-            lines.append(
-                f"  feedback:    {feedback.count} values fed back, {delay_text}"
-            )
-        return "\n".join(lines)

@@ -117,6 +117,32 @@ class _LazyState:
         return value
 
 
+def _validate_matvec(
+    shape: Tuple[int, int],
+    matrix: np.ndarray,
+    x: np.ndarray,
+    b: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """One mat-vec operand set as arrays, checked against a plan's shape."""
+    matrix = as_matrix(matrix, "matrix")
+    if matrix.shape != shape:
+        raise ShapeError(
+            f"plan was built for shape {shape}, got matrix of shape {matrix.shape}"
+        )
+    x = as_vector(x, "x")
+    if x.shape[0] != shape[1]:
+        raise ShapeError(
+            f"x has length {x.shape[0]} but the matrix has {shape[1]} columns"
+        )
+    if b is not None:
+        b = as_vector(b, "b")
+        if b.shape[0] != shape[0]:
+            raise ShapeError(
+                f"b has length {b.shape[0]} but the matrix has {shape[0]} rows"
+            )
+    return matrix, x, b
+
+
 class _BandGather:
     """Vectorized refill of one band's value-bearing positions.
 
@@ -323,28 +349,6 @@ class MatVecPlan(_LazyState):
         return self._sweep
 
     # -- value streaming ------------------------------------------------------------
-    def _validate(
-        self, matrix: np.ndarray, x: np.ndarray, b: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        matrix = as_matrix(matrix, "matrix")
-        if matrix.shape != (self._n, self._m):
-            raise ShapeError(
-                f"plan was built for shape {(self._n, self._m)}, "
-                f"got matrix of shape {matrix.shape}"
-            )
-        x = as_vector(x, "x")
-        if x.shape[0] != matrix.shape[1]:
-            raise ShapeError(
-                f"x has length {x.shape[0]} but the matrix has {matrix.shape[1]} columns"
-            )
-        if b is not None:
-            b = as_vector(b, "b")
-            if b.shape[0] != matrix.shape[0]:
-                raise ShapeError(
-                    f"b has length {b.shape[0]} but the matrix has {matrix.shape[0]} rows"
-                )
-        return matrix, x, b
-
     def build_problem(
         self,
         matrix: np.ndarray,
@@ -352,7 +356,9 @@ class MatVecPlan(_LazyState):
         b: Optional[np.ndarray] = None,
     ) -> LinearProblem:
         """Stream one operand set into a ready-to-run :class:`LinearProblem`."""
-        return self._simulation_state().problem(*self._validate(matrix, x, b))
+        return self._simulation_state().problem(
+            *_validate_matvec((self._n, self._m), matrix, x, b)
+        )
 
     def wrap_sweep(
         self, band_outputs: np.ndarray, y_padded: np.ndarray
@@ -382,7 +388,7 @@ class MatVecPlan(_LazyState):
         b: Optional[np.ndarray] = None,
     ) -> MatVecSolution:
         """Solve ``y = A x + b`` through the prebuilt plan."""
-        matrix, x, b = self._validate(matrix, x, b)
+        matrix, x, b = _validate_matvec((self._n, self._m), matrix, x, b)
         if self._sweep is not None:
             return self.wrap_sweep(*self._sweep.sweep(matrix, x, b))
         simulation = self._simulation_state()
@@ -411,7 +417,8 @@ class MatVecPlan(_LazyState):
         The recovered values are identical to two plain solves.  Both
         operand sets are validated before either runs.
         """
-        pair = [self._validate(*operands) for operands in (first, second)]
+        shape = (self._n, self._m)
+        pair = [_validate_matvec(shape, *operands) for operands in (first, second)]
         sweep = self._sweep
         if sweep is not None:
             swept = [sweep.sweep(*operands) for operands in pair]
@@ -510,23 +517,7 @@ class OverlappedMatVecPlan:
         x: np.ndarray,
         b: Optional[np.ndarray] = None,
     ) -> MatVecSolution:
-        matrix = as_matrix(matrix, "matrix")
-        if matrix.shape != (self._n, self._m):
-            raise ShapeError(
-                f"plan was built for shape {(self._n, self._m)}, "
-                f"got matrix of shape {matrix.shape}"
-            )
-        x = as_vector(x, "x")
-        if x.shape[0] != self._m:
-            raise ShapeError(
-                f"x has length {x.shape[0]} but the matrix has {self._m} columns"
-            )
-        if b is not None:
-            b = as_vector(b, "b")
-            if b.shape[0] != self._n:
-                raise ShapeError(
-                    f"b has length {b.shape[0]} but the matrix has {self._n} rows"
-                )
+        matrix, x, b = _validate_matvec((self._n, self._m), matrix, x, b)
         top_rows = self._partition.first_rows
         halves = (
             (self._top, matrix[:top_rows, :], None if b is None else b[:top_rows]),

@@ -296,6 +296,8 @@ class FusedHandler(ProblemHandler):
     def execute(self, plan, *operands, **kwargs) -> Solution:
         legacy, values = plan.executor.execute(*operands, **kwargs)
         kinds = plan.executor.kinds
+        # A Solution of its own, not the head's: its values are the last
+        # epilogue's output, and raw keeps the head's solution.
         return Solution(
             kind=self.kind,
             w=plan.spec.w,
@@ -311,7 +313,6 @@ class FusedHandler(ProblemHandler):
                 "dtype_mode": plan.executor.dtype_mode,
             },
             raw=legacy,
-            plan_key=plan.key,
         )
 
 

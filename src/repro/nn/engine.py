@@ -21,7 +21,6 @@ compiler additionally collapses whole head→epilogue chains into single
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Tuple
 
 import numpy as np
@@ -118,13 +117,14 @@ class DensePlan:
                 return self._inner.wrap_sweep(
                     *sweep.int_sweep(matrix, x_shifted, None)
                 )
-            legacy = self._inner.execute(
+            solution = self._inner.execute(
                 matrix.astype(float), x_shifted.astype(float), None
             )
             # Exact: int8-range products summed over m stay integers below
             # 2^53, so the float simulation is already the int32
             # accumulator's value.
-            return dataclasses.replace(legacy, y=legacy.y.astype(np.int32))
+            solution.values = solution.values.astype(np.int32)
+            return solution
         matrix = np.asarray(matrix, dtype=float)
         x_shifted = np.asarray(x, dtype=float) - float(zero_point)
         return self._inner.execute(matrix, x_shifted, None)

@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from ..api.config import ArraySpec, ExecutionOptions
-from ..api.registry import ProblemHandler, register
+from ..api.registry import ProblemHandler, _pair_shape, register
 from ..api.solution import Solution
 from ..errors import ShapeError
 from .engine import DensePlan, ElementwisePlan
@@ -26,18 +26,11 @@ NN_KINDS = ("dense", "bias", "relu", "quantize", "dequantize")
 
 
 def _matrix_shape(value, name: str) -> Tuple[int, int]:
+    # np.shape, not the api reader's as_matrix: that converts to float64,
+    # a copy of every int8 weight matrix at the door.
     shape = tuple(int(d) for d in np.shape(value))
     if len(shape) != 2:
         raise ShapeError(f"{name} must be a matrix, got shape {shape}")
-    return shape
-
-
-def _pair_shape(shape, kind: str) -> Tuple[int, int]:
-    if shape is None:
-        raise ShapeError(f"{kind} needs shape=(n, m) (or an operand matrix)")
-    shape = tuple(int(d) for d in shape)
-    if len(shape) != 2:
-        raise ShapeError(f"{kind} needs shape=(n, m), got {shape}")
     return shape
 
 
@@ -71,25 +64,11 @@ class DenseHandler(ProblemHandler):
             dtype_mode=options.dtype_mode,
         )
 
-    def wrap(self, plan, legacy) -> Solution:
-        return Solution(
-            kind=self.kind,
-            w=plan.spec.w,
-            values=legacy.y,
-            measured_steps=legacy.measured_steps,
-            predicted_steps=legacy.predicted_steps,
-            measured_utilization=legacy.measured_utilization,
-            predicted_utilization=legacy.predicted_utilization,
-            feedback=legacy.feedback,
-            stats={"dtype_mode": plan.executor.dtype_mode},
-            raw=legacy,
-            plan_key=plan.key,
-        )
-
     def execute(self, plan, matrix, x, x_zero_point: int = 0) -> Solution:
-        return self.wrap(
-            plan, plan.executor.execute(matrix, x, x_zero_point=x_zero_point)
-        )
+        solution = plan.executor.execute(matrix, x, x_zero_point=x_zero_point)
+        solution.kind = self.kind
+        solution.stats = {"dtype_mode": plan.executor.dtype_mode}
+        return solution
 
 
 class _ElementwiseHandler(ProblemHandler):
@@ -124,7 +103,6 @@ class _ElementwiseHandler(ProblemHandler):
                 "dtype_mode": plan.executor.dtype_mode,
             },
             raw=values,
-            plan_key=plan.key,
         )
 
 

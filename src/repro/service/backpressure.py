@@ -36,12 +36,14 @@ shard finishes one segment of a graph job, the next wave's segments
 enter their target shards through
 :meth:`BoundedRequestQueue.put_handoff` — never blocking (the dispatching
 worker thread must not stall) and never shedding (a mid-pipeline segment
-carries upstream work that would be lost), but bounded by
-``handoff_capacity`` so a stalled shard surfaces
-:class:`~repro.errors.ServiceOverloadedError` instead of queueing without
-limit.  Consumers drain handoffs before admissions — in-flight pipelines
-complete before new work is admitted, which is what keeps the pipeline
-moving and bounds the handoff lane in practice.
+carries upstream work that would be lost), but bounded at
+``4 * maxsize`` parked segments (:attr:`BoundedRequestQueue.handoff_capacity`)
+so a stalled shard surfaces :class:`~repro.errors.ServiceOverloadedError`
+instead of queueing without limit: the dispatching worker fails that
+graph, and the shard counts a rejected handoff.  Consumers drain handoffs
+before admissions — in-flight pipelines complete before new work is
+admitted, which is what keeps the pipeline moving and bounds the handoff
+lane in practice.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ class BoundedRequestQueue:
         self,
         maxsize: int,
         policy: str = "block",
-        handoff_capacity: Optional[int] = None,
         depth_gauge: Optional[Gauge] = None,
         handoff_gauge: Optional[Gauge] = None,
     ):
@@ -84,16 +85,9 @@ class BoundedRequestQueue:
             raise ValueError(
                 f"unknown backpressure policy {policy!r}; one of: {known}"
             )
-        if handoff_capacity is not None and handoff_capacity < 1:
-            raise ValueError(
-                f"handoff_capacity must be >= 1, got {handoff_capacity}"
-            )
         self._maxsize = int(maxsize)
         self._policy = policy
-        self._handoff_capacity = (
-            4 * self._maxsize if handoff_capacity is None
-            else int(handoff_capacity)
-        )
+        self._handoff_capacity = 4 * self._maxsize
         self._items: Deque[SolveRequest] = deque()
         self._handoffs: Deque[SolveRequest] = deque()
         self._cond = threading.Condition()
@@ -121,6 +115,7 @@ class BoundedRequestQueue:
 
     @property
     def handoff_capacity(self) -> int:
+        """Parked segments the handoff lane holds: ``4 * maxsize``."""
         return self._handoff_capacity
 
     @property

@@ -721,3 +721,109 @@ class TestSolutionProtocol:
         report = ExperimentReport.from_solution(solution)
         assert report.all_match
         assert len(report.rows) == 2
+
+
+class TestOneObjectPerSolve:
+    """An array solve builds one result object: the one its plan returns."""
+
+    @staticmethod
+    def _record(monkeypatch, plan_class, method: str = "execute"):
+        """Patch ``plan_class.<method>`` to keep what every call returns."""
+        returned = []
+        original = getattr(plan_class, method)
+
+        def recording(self, *args, **kwargs):
+            result = original(self, *args, **kwargs)
+            returned.append(result)
+            return result
+
+        monkeypatch.setattr(plan_class, method, recording)
+        return returned
+
+    @pytest.mark.parametrize("backend", ["simulate", "vectorized"])
+    def test_matvec_and_matmul_return_the_core_solution(
+        self, rng, monkeypatch, backend
+    ):
+        from repro.core.matmul import MatMulSolution
+        from repro.core.matvec import MatVecSolution
+        from repro.core.plans import MatMulPlan
+        from repro.graph import MatMul
+
+        solver = Solver(ArraySpec(3), ExecutionOptions(backend=backend))
+        a = rng.normal(size=(7, 5))
+        cases = [
+            (MatVecPlan, MatVec(a, rng.normal(size=5)), MatVecSolution),
+            (MatMulPlan, MatMul(a, rng.normal(size=(5, 4))), MatMulSolution),
+        ]
+        for plan_class, problem, solution_type in cases:
+            returned = self._record(monkeypatch, plan_class)
+            solution = solver.solve(problem)
+            assert len(returned) == 1 and solution is returned[0]
+            assert solution.raw is solution
+            assert type(solution.raw) is solution_type
+            assert solution.kind == problem.kind
+            assert solution.plan_key == solver.plan_key(problem)
+
+    @pytest.mark.parametrize("backend", ["simulate", "vectorized"])
+    @pytest.mark.parametrize("dtype_mode", ["float64", "int8"])
+    def test_dense_returns_the_dense_plan_solution(
+        self, rng, monkeypatch, backend, dtype_mode
+    ):
+        from repro.core.matvec import MatVecSolution
+        from repro.nn import Dense
+        from repro.nn.engine import DensePlan
+
+        returned = self._record(monkeypatch, DensePlan)
+        solver = Solver(ArraySpec(3), ExecutionOptions(backend=backend))
+        matrix = rng.integers(-127, 128, size=(6, 5)).astype(np.int8)
+        x = rng.integers(-127, 128, size=5).astype(np.int8)
+        if dtype_mode == "float64":
+            matrix, x = matrix.astype(float), x.astype(float)
+        problem = Dense(matrix, x, x_zero_point=3, dtype_mode=dtype_mode)
+        solution = solver.solve(problem)
+        assert len(returned) == 1 and solution is returned[0]
+        assert solution.raw is solution
+        assert type(solution.raw) is MatVecSolution
+        assert solution.kind == "dense"
+        assert solution.stats == {"dtype_mode": dtype_mode}
+        assert solution.plan_key == solver.plan_key(problem)
+        expected = matrix.astype(np.int64) @ (x.astype(np.int64) - 3)
+        assert np.array_equal(solution.values, expected)
+        if dtype_mode == "int8":
+            assert solution.values.dtype == np.int32
+
+    def test_paired_members_are_marked_in_place(self, rng, monkeypatch):
+        returned = self._record(monkeypatch, MatVecPlan, "execute_pair")
+        solver = Solver(ArraySpec(3))
+        a = rng.normal(size=(7, 5))
+        first, second = solver.solve_batch(
+            "matvec", [(a, rng.normal(size=5)), (a, rng.normal(size=5))]
+        )
+        assert returned == [(first, second)]
+        key = solver.plan_key("matvec", shape=(7, 5))
+        for member in (first, second):
+            assert member.raw is member
+            assert member.stats == {"overlapped": True, "paired": True}
+            assert member.predicted_steps is None
+            assert member.predicted_utilization is None
+            assert member.raw.predicted_steps is None
+            assert member.raw.model.steps > 0
+            assert member.plan_key == key
+
+    def test_fused_stage_raw_is_its_head_solution(self, rng, monkeypatch):
+        from repro import Graph, GraphCompiler
+        from repro.nn import Bias, Dense, Relu
+        from repro.nn.engine import DensePlan
+
+        returned = self._record(monkeypatch, DensePlan)
+        graph = Graph(Relu(Bias(
+            Dense(rng.normal(size=(6, 5)), rng.normal(size=5)),
+            rng.normal(size=6),
+        )))
+        solver = Solver(ArraySpec(3))
+        result = GraphCompiler(solver, fuse=True).run(graph)
+        (fused,) = result.solutions
+        assert fused.kind == "fused"
+        assert len(returned) == 1 and fused.raw is returned[0]
+        assert fused.raw is not fused
+        assert fused.plan_key is not None

@@ -262,3 +262,13 @@ class TestOneVocabulary:
             solver.plan_key("matvec", shape=(6, 6), record_trace=True)
         with pytest.raises(TypeError, match="unexpected keyword argument 'omega'"):
             solver.plan("gauss_seidel", shape=6, omega=1.5)
+
+    def test_operands_and_shape_together_raise_at_both_doors(self, service):
+        a, x = np.ones((6, 5)), np.ones(5)
+        solver = Solver(ArraySpec(4))
+        for door in (solver, service):
+            with pytest.raises(TypeError, match="not both"):
+                door.plan_key("matvec", a, x, shape=(2, 2))
+            with pytest.raises(TypeError, match="carry their own operands"):
+                door.plan_key(MatVec(a, x), shape=(6, 5))
+            assert door.plan_key("matvec", a, x)[1] == (6, 5)

@@ -490,6 +490,62 @@ class TestGraphBackpressure:
         assert stats.rejected >= 1
         assert stats.graphs == 2  # the admitted jobs both completed
 
+    def test_full_handoff_lane_fails_the_next_graph_only(
+        self, rng, monkeypatch
+    ):
+        """Shard 1 holds one level-1 segment in flight and its handoff
+        lane parks 4 * queue_depth more: the next graph's handoff is
+        refused, that graph alone fails with ServiceOverloadedError, and
+        every parked graph completes once the shard moves again."""
+        gate, held = threading.Event(), threading.Event()
+        original = ProgramSegment.execute
+
+        def gated(self, outputs, solutions, latencies):
+            if self.shard == 1:
+                held.set()
+                gate.wait(timeout=30)
+            return original(self, outputs, solutions, latencies)
+
+        monkeypatch.setattr(ProgramSegment, "execute", gated)
+        depth = 2
+        graphs = _two_level_graphs(rng, 4 * depth + 2)
+        tracer = Tracer()
+        service = SolverService(
+            ArraySpec(W), n_shards=2, queue_depth=depth, max_batch_size=1,
+            tracer=tracer,
+        )
+        lane = service.shards[1].queue
+        try:
+            _pin_levels(service, graphs[0])
+            futures = [service.submit_graph(graphs[0])]
+            assert held.wait(timeout=5.0)
+            futures += [service.submit_graph(graph) for graph in graphs[1:-1]]
+            deadline = time.monotonic() + 5.0
+            while lane.handoff_depth < 4 * depth:
+                assert time.monotonic() < deadline, "the lane never filled"
+                time.sleep(0.002)
+            assert lane.handoff_capacity == 4 * depth
+            refused = service.submit_graph(graphs[-1])
+            with pytest.raises(ServiceOverloadedError, match="handoff lane full"):
+                refused.result(timeout=5.0)
+            assert service.stats().handoffs_rejected == 1
+        finally:
+            gate.set()
+        reference = GraphCompiler(Solver(ArraySpec(W)))
+        for graph, future in zip(graphs, futures):
+            values = future.result(timeout=5.0).values
+            expected = reference.run(graph).values
+            assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+        service.close()
+        _assert_nothing_leaked(service, tracer)
+        stats = service.stats()
+        assert stats.handoffs_rejected == 1
+        assert stats.failed == 1 and stats.completed == len(futures)
+        assert stats.submitted == (
+            stats.completed + stats.failed + stats.shed + stats.expired
+            + stats.rejected + stats.rate_limited
+        )
+
 
 def _two_level_graphs(rng, count: int):
     """Chains ``MatVec(m2, MatVec(m1, x))`` whose levels have distinct plan
