@@ -15,7 +15,11 @@ all others.  The engines here exploit that:
   sum, whose every ``w``-th column is a band-row output (the values the
   simulator's feedback registers carry).  Because each row folds its
   terms in exactly the simulator's cell order, the results are
-  bit-identical, signed zeros included.
+  bit-identical, signed zeros included.  A large sweep keeps rows ``2q``
+  and ``2q + 1`` in the real and imaginary parts of one complex128
+  accumulator row: a complex add is two independent IEEE float adds, so
+  one prefix sum runs two rows' folds side by side, each in its own
+  order.
 
 * **Hexagonal array (DBT mat-mul).**  Every result-band position
   accumulates its products in increasing inner-index order, and the
@@ -37,11 +41,12 @@ Only the order in which each row or element folds is fixed; how the
 operands move is free.  So each plan picks its body once, at build, by
 its accumulator size against :data:`_SMALL_BODY_ELEMENTS`: a small plan
 gathers or stacks its whole sweep through precomputed index tables in a
-few NumPy calls, a large one streams lane by lane or step by step and
-holds no table that grows with the problem.  The rows and elements whose
-fold meets a NaN are redone in scalar arithmetic under the simulator's
-NaN rule (:func:`~repro.systolic.cell.mac`): which of two NaN operands a
-vector loop returns is not fixed.
+few NumPy calls, a large one streams row group by row group (rows
+paired) or step by step and holds no table that grows with the problem.
+The rows and elements whose fold meets a NaN are redone in scalar
+arithmetic under the simulator's NaN rule
+(:func:`~repro.systolic.cell.mac`): which of two NaN operands a vector
+loop returns is not fixed.
 
 Timing and utilization are not simulated either: the step counts, MAC
 counts, feedback delays and register peaks are computed from the same
@@ -60,6 +65,7 @@ request ``backend="simulate"`` for those.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -99,8 +105,9 @@ __all__ = [
 #: stack.  Below it a sweep is a few whole-array NumPy calls through
 #: gather tables the plan holds; above it the lane and step-major bodies
 #: run, which hold no table that grows with the problem and stream a
-#: large problem's products with less memory traffic.  Each plan compares
-#: once, at build.
+#: large problem's products with less memory traffic (the lane body packs
+#: two float64 rows into each complex128 row, so its accumulator holds
+#: the same bytes).  Each plan compares once, at build.
 _SMALL_BODY_ELEMENTS = 1 << 14
 
 
@@ -137,19 +144,34 @@ def _has_nan(values: np.ndarray) -> bool:
     return bool(square != square)
 
 
-def _rotated_products(a3: np.ndarray, x_pad: np.ndarray, out: np.ndarray) -> None:
-    """Write row ``r``'s products, rotated left by ``r mod w``, into ``out``.
+def _rotated_products(
+    a_pad: np.ndarray, x_pad: np.ndarray, w: int, out: np.ndarray
+) -> None:
+    """Write padded row ``r``'s products, rotated left by ``r mod w``, into
+    ``out[r // k, :, r % k]``.
 
-    ``a3`` and ``out`` are ``(N_bar, w, M_pad)`` views.  Rows with equal
-    ``r mod w`` share a lane, so the rotation is two slice products per
-    lane straight into place: no gather, no intermediate product array.
+    ``out`` is a ``(ceil(N_pad / k), M_pad, k)`` view: ``k = 1`` is one
+    row per row, ``k = 2`` packs rows ``2q`` and ``2q + 1`` side by side.
+    Rows with equal ``r mod w`` and ``r mod k`` form one strided group,
+    every ``lcm(w, k)``-th row, so the rotation is one or two slice
+    products per group straight into place: no gather, no intermediate
+    product array.
     """
-    w, m_pad = a3.shape[1], a3.shape[2]
-    np.multiply(a3[:, 0], x_pad, out=out[:, 0])
-    for lane in range(1, w):
-        split = m_pad - lane
-        np.multiply(a3[:, lane, lane:], x_pad[lane:], out=out[:, lane, :split])
-        np.multiply(a3[:, lane, :lane], x_pad[:lane], out=out[:, lane, split:])
+    k = out.shape[2]
+    period = math.lcm(w, k)
+    n_pad, m_pad = a_pad.shape
+    for first in range(min(period, n_pad)):
+        last = first + (n_pad - 1 - first) // period * period  # the group's last row
+        rows = slice(first // k, last // k + 1, period // k)
+        part, shift = first % k, first % w
+        split = m_pad - shift
+        np.multiply(
+            a_pad[first::period, shift:], x_pad[shift:], out=out[rows, :split, part]
+        )
+        if shift:
+            np.multiply(
+                a_pad[first::period, :shift], x_pad[:shift], out=out[rows, split:, part]
+            )
 
 
 def linear_total_cycles(w: int, band_rows: int, offset: int = 0) -> int:
@@ -178,9 +200,13 @@ class LinearSweepPlan:
       products in that cyclic order) and a flat band-output index, so a
       sweep is one multiply, one ``take``, the prefix sum and one
       ``take`` — few NumPy calls, which is what a small sweep costs;
-    * above it, the *lane* body: rows with equal ``i mod w`` share a
-      lane of the ``(N_bar, w, M_pad)`` view, so that order is ``w``
-      strided slice pairs, not a gather table, and the plan holds only
+    * above it, the *lane* body: padded rows ``2q`` and ``2q + 1`` are
+      the real and imaginary parts of row ``q`` of a complex128
+      ``(ceil(N_pad / 2), M_pad + 1)`` accumulator, so one prefix sum
+      folds two rows at once.  Rows with equal ``i mod w`` and ``i mod
+      2`` form one strided group (every ``w``-th row for even ``w``,
+      every ``2w``-th for odd), so the rotation is one or two slice
+      products per group, not a gather table, and the plan holds only
       geometry — nothing that grows with the problem.
 
     Both bodies fold the same products in the same order.
@@ -269,42 +295,50 @@ class LinearSweepPlan:
 
         The products land *already rotated* in columns ``1..M_pad`` of an
         accumulator whose column 0 holds ``b`` (or +0.0): gathered
-        through the rotation index, or written lane by lane
-        (:func:`_rotated_products`).  ``np.add.accumulate`` is a
+        through the rotation index, or written row group by row group
+        (:func:`_rotated_products`) into the lane body's complex
+        accumulator, rows ``2q`` and ``2q + 1`` in the real and
+        imaginary parts of its row ``q`` (at odd ``N_pad`` the last
+        imaginary part is +0.0 throughout).  ``np.add.accumulate`` is a
         sequential accumulate — each output is the previous output plus
-        the next input, never a pairwise tree — so one in-place prefix
-        sum along the contiguous axis is the simulator's per-row fold
-        ``((b + p_0) + p_1) + ...`` verbatim, and column ``(j + 1) w`` is
-        exactly the pass-``j`` partial snapshot.  Rows that end NaN are
-        redone under the simulator's NaN rule (:meth:`_refold_nans`).
+        the next input, never a pairwise tree — and a complex add is one
+        IEEE add per part, so one in-place prefix sum along the
+        contiguous axis is every row's simulator fold ``((b + p_0) + p_1)
+        + ...`` verbatim, and column ``(j + 1) w`` is exactly the
+        pass-``j`` partial snapshot.  A NaN in one part never reaches the
+        other.  Rows that end NaN are redone under the simulator's NaN
+        rule (:meth:`_refold_nans`).
 
         Returns ``(band_outputs, y_padded)``: the per-band-row outputs (one
         partial snapshot per pass, ordered exactly like the simulator's
         ``y_per_problem`` entries) and the final padded result vector.
         """
-        w, n_bar, n_pad, m_pad = self._w, self._n_bar, self._n_pad, self._m_pad
+        w, m_bar = self._w, self._m_bar
+        n_pad, m_pad = self._n_pad, self._m_pad
         a_pad = _padded(matrix, (n_pad, m_pad))
         x_pad = _padded(x, (m_pad,))
-        seeds = 0.0 if b is None else _padded(b, (n_pad,))
         rotation = self._rotation
         if rotation is not None:
             size = n_pad * m_pad
             products = np.empty(size + n_pad)
             np.multiply(a_pad, x_pad, out=products[:size].reshape(n_pad, m_pad))
-            products[size:] = seeds
+            products[size:] = 0.0 if b is None else _padded(b, (n_pad,))
             acc = products.take(rotation)
             np.add.accumulate(acc, axis=1, out=acc)
             band_outputs = acc.take(self._band_index)
+            y = acc[:, -1].copy()
         else:
-            acc = np.empty((n_pad, m_pad + 1))
-            acc[:, 0] = seeds
-            _rotated_products(
-                a_pad.reshape(n_bar, w, m_pad), x_pad,
-                acc.reshape(n_bar, w, m_pad + 1)[:, :, 1:],
-            )
-            np.add.accumulate(acc, axis=1, out=acc)
-            band_outputs = self._band_order(acc[:, w::w])
-        y = acc[:, -1].copy()
+            half = (n_pad + 1) // 2
+            packed = np.empty((half, m_pad + 1), dtype=np.complex128)
+            parts = packed.view(np.float64).reshape(half, m_pad + 1, 2)
+            parts[:, 0] = 0.0 if b is None else _padded(b, (2 * half,)).reshape(half, 2)
+            if n_pad % 2:
+                parts[-1, 1:, 1] = 0.0  # the unpaired row: every add reads a value
+            _rotated_products(a_pad, x_pad, w, parts[:, 1:])
+            np.add.accumulate(packed, axis=1, out=packed)
+            snapshots = parts[:, w::w].transpose(0, 2, 1).reshape(2 * half, m_bar)
+            band_outputs = self._band_order(snapshots[:n_pad])
+            y = parts[:, -1].flatten()[:n_pad]
         if _has_nan(y):
             self._refold_nans(a_pad, x_pad, b, y, band_outputs)
         return band_outputs, y
@@ -353,11 +387,14 @@ class LinearSweepPlan:
         from one elementwise product, one blocked reduction and one small
         row-wise prefix sum — the same integers the simulator's cells
         accumulate.  The products are rotated by the plan's body, as in
-        :meth:`sweep`.  Operands must be integer arrays (the caller
-        quantizes and zero-point-shifts); the whole datapath runs in
-        int32, the accumulator width of the quantized hardware.  The caller
-        guarantees operands and true accumulators fit int32 — int8-range
-        operands stay exact up to ~2^16 columns.
+        :meth:`sweep`, but unpaired: a blocked reduction has no chain of
+        dependent adds for pairing to halve.  The prefix sum writes
+        straight into the simulator's band-row order.  Operands must be
+        integer arrays (the caller quantizes and zero-point-shifts); the
+        whole datapath runs in int32, the accumulator width of the
+        quantized hardware.  The caller guarantees operands and true
+        accumulators fit int32 — int8-range operands stay exact up to
+        ~2^16 columns.
         """
         for name, operand in (("matrix", matrix), ("x", x), ("b", b)):
             if operand is not None and not np.issubdtype(
@@ -383,19 +420,19 @@ class LinearSweepPlan:
             rotated = products.take(rotation)[:, 1:]
         else:
             rotated = np.empty((n_pad, m_pad), dtype=np.int32)
-            _rotated_products(
-                a_pad.reshape(n_bar, w, m_pad), x_pad, rotated.reshape(n_bar, w, m_pad)
-            )
-        # After the rotation pass j of every row is the contiguous column
-        # block [j w, (j+1) w): one blocked einsum reduce plus a small
-        # prefix sum reproduces every snapshot.
-        pass_sums = np.einsum(
-            "rjt->rj", rotated.reshape(n_pad, m_bar, w), dtype=np.int32
-        )
-        partials = np.cumsum(pass_sums, axis=1, dtype=np.int32)
+            _rotated_products(a_pad, x_pad, w, rotated.reshape(n_pad, m_pad, 1))
+        # After the rotation pass j of row i w + s is the contiguous column
+        # block [j w, (j+1) w): one blocked einsum reduce gives its sum,
+        # sums[i, s, j].
+        sums = np.einsum("rjt->rj", rotated.reshape(n_pad, m_bar, w))
+        sums = sums.reshape(n_bar, w, m_bar)
         if b is not None:
-            partials += _padded(b, (n_pad,), np.int32)[:, None]
-        return self._band_order(partials), partials[:, -1].copy()
+            sums[:, :, 0] += _padded(b, (n_pad,), np.int32).reshape(n_bar, w)
+        # The simulator's band-row order is block row, pass, lane.
+        band_outputs = np.empty(n_pad * m_bar, dtype=np.int32)
+        snapshots = band_outputs.reshape(n_bar, m_bar, w).transpose(0, 2, 1)
+        np.add.accumulate(sums, axis=2, out=snapshots)
+        return band_outputs, snapshots[:, :, -1].flatten()
 
 
 class LinearRunMetrics:

@@ -97,6 +97,9 @@ class DensePlan:
     def execute(
         self, matrix: np.ndarray, x: np.ndarray, x_zero_point: int = 0
     ) -> MatVecSolution:
+        """The layer's solution, marked ``kind="dense"`` with its
+        ``dtype_mode`` in ``stats`` on every path, so a fused stage's head
+        reads as the layer solved alone."""
         zero_point = int(x_zero_point)
         if self._dtype_mode == "int8":
             matrix = _require_integer("matrix", matrix)
@@ -114,20 +117,24 @@ class DensePlan:
             x_shifted = x.astype(np.int32) - np.int32(zero_point)
             sweep = self._inner.sweep_plan
             if sweep is not None:
-                return self._inner.wrap_sweep(
+                solution = self._inner.wrap_sweep(
                     *sweep.int_sweep(matrix, x_shifted, None)
                 )
-            solution = self._inner.execute(
-                matrix.astype(float), x_shifted.astype(float), None
-            )
-            # Exact: int8-range products summed over m stay integers below
-            # 2^53, so the float simulation is already the int32
-            # accumulator's value.
-            solution.values = solution.values.astype(np.int32)
-            return solution
-        matrix = np.asarray(matrix, dtype=float)
-        x_shifted = np.asarray(x, dtype=float) - float(zero_point)
-        return self._inner.execute(matrix, x_shifted, None)
+            else:
+                solution = self._inner.execute(
+                    matrix.astype(float), x_shifted.astype(float), None
+                )
+                # Exact: int8-range products summed over m stay integers
+                # below 2^53, so the float simulation is already the int32
+                # accumulator's value.
+                solution.values = solution.values.astype(np.int32)
+        else:
+            matrix = np.asarray(matrix, dtype=float)
+            x_shifted = np.asarray(x, dtype=float) - float(zero_point)
+            solution = self._inner.execute(matrix, x_shifted, None)
+        solution.kind = "dense"
+        solution.stats = {"dtype_mode": self._dtype_mode}
+        return solution
 
 
 class ElementwisePlan:

@@ -65,10 +65,7 @@ class DenseHandler(ProblemHandler):
         )
 
     def execute(self, plan, matrix, x, x_zero_point: int = 0) -> Solution:
-        solution = plan.executor.execute(matrix, x, x_zero_point=x_zero_point)
-        solution.kind = self.kind
-        solution.stats = {"dtype_mode": plan.executor.dtype_mode}
-        return solution
+        return plan.executor.execute(matrix, x, x_zero_point=x_zero_point)
 
 
 class _ElementwiseHandler(ProblemHandler):

@@ -827,3 +827,35 @@ class TestOneObjectPerSolve:
         assert len(returned) == 1 and fused.raw is returned[0]
         assert fused.raw is not fused
         assert fused.plan_key is not None
+
+    @pytest.mark.parametrize("backend", ["simulate", "vectorized"])
+    @pytest.mark.parametrize("dtype_mode", ["float64", "int8"])
+    def test_a_dense_head_reads_dense_fused_and_alone(self, rng, backend, dtype_mode):
+        """``DensePlan.execute`` marks its own solution, so a layer reads
+        ``dense`` whether solved alone or as a fused stage's head (the
+        float64 path, the int8 sweep and the int8 simulate path)."""
+        from repro import Graph, GraphCompiler
+        from repro.nn import Bias, Dense, Dequantize
+        from repro.nn.engine import DensePlan
+
+        matrix = rng.integers(-127, 128, size=(6, 5)).astype(np.int8)
+        x = rng.integers(-127, 128, size=5).astype(np.int8)
+        if dtype_mode == "float64":
+            matrix, x = matrix.astype(float), x.astype(float)
+        expected = {"dtype_mode": dtype_mode}
+        plan = DensePlan(6, 5, 3, backend=backend, dtype_mode=dtype_mode)
+        alone = plan.execute(matrix, x, x_zero_point=3)
+        assert (alone.kind, alone.stats) == ("dense", expected)
+        solver = Solver(ArraySpec(3), ExecutionOptions(backend=backend))
+        layer = Dense(matrix, x, x_zero_point=3, dtype_mode=dtype_mode)
+        tail = (
+            Bias(layer, rng.normal(size=6)) if dtype_mode == "float64"
+            else Dequantize(layer, 0.5, 0)
+        )
+        solutions = GraphCompiler(solver).run(Graph(tail)).solutions
+        assert [stage.kind for stage in solutions] == (
+            ["fused"] if backend == "vectorized" else ["dense", tail.kind]
+        )
+        head = solutions[0].raw  # the fused stage's head, or the layer's own
+        assert (head.kind, head.stats) == ("dense", expected)
+        assert np.array_equal(head.values, alone.values)

@@ -18,6 +18,7 @@ padded inner range, cyclically from a start below ``w``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import sys
 import threading
@@ -109,6 +110,18 @@ def _nan_signs(rng):
     return a, x, b
 
 
+def _clean_partners(rng):
+    """NaN, +Inf, -Inf and -0.0 each in one row beside a clean one, with
+    finite ``x`` and ``b``: the large body folds rows ``2q`` and ``2q + 1``
+    in one complex accumulator, so a poisoned row must leave its
+    partner's bits alone.  Rows 0 and 6 are even, rows 3 and 5 odd; at
+    odd ``N_pad`` (w = 1, 3) the last padded row has no partner."""
+    a, x, b = rng.normal(size=(7, 8)), rng.normal(size=8), rng.normal(size=7)
+    a[0, 2], a[3, 5], a[5, 1] = np.nan, np.inf, -np.inf
+    a[6], b[6] = np.copysign(0.0, -x), -0.0  # each real column's product is -0.0
+    return a, x, b
+
+
 #: Mat-vec operands the fast sweep must treat exactly like the simulator:
 #: layouts it might be tempted to use without a copy, non-finite values,
 #: signed zeros, shapes at or below the array size, integer dtypes.
@@ -126,6 +139,7 @@ HOSTILE = {
     ),
     "nan_inf": _non_finite,
     "nan_signs": _nan_signs,
+    "clean_partners": _clean_partners,
     "signed_zero": _signed_zeros,
     "signed_zero_no_b": lambda rng: _signed_zeros(rng)[:2],
     "w_ge_n": lambda rng: (
@@ -482,6 +496,25 @@ def _linear_sweep(n: int, m: int, w: int) -> LinearSweepPlan:
 
 
 _SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, NEGATIVE_NAN])
+SIGNALING_NAN_BITS = 0x7FF0000000000001
+SIGNALING_NAN = np.array([SIGNALING_NAN_BITS], dtype=np.uint64).view(np.float64)[0]
+
+
+@contextlib.contextmanager
+def _signaling_nan_blocks():
+    """Free one block of every size below 1 KiB filled with signaling NaNs.
+
+    NumPy keeps freed small blocks for reuse, so arrays allocated inside
+    start out holding them, and an add that reads an element nothing
+    wrote sets the invalid flag.  The blocks are zeroed on exit.
+    """
+    for size in range(1, 128):
+        np.full(size, SIGNALING_NAN)
+    try:
+        yield
+    finally:
+        for size in range(1, 128):
+            np.zeros(size)
 
 
 def _hostile(rng, shape, share: float, nans: bool):
@@ -627,6 +660,28 @@ class TestBodyBound:
             ]
         ]
         assert bodies == ["lane", "lane", "step-major"]
+
+    @pytest.mark.parametrize("w, n", [(1, 7), (1, 8), (3, 7), (3, 4), (8, 5)])
+    def test_lane_sweep_of_finite_operands_raises_no_flag(self, w, n):
+        """Finite operands set no floating-point flag on the large body at
+        odd ``N_pad`` (w = 1, 3: the unpaired half of the last row pair)
+        or even, though the memory it allocates holds signaling NaNs."""
+        with _bound(0):
+            lane = _linear_sweep(n, 5, w)
+        assert lane.body == "lane"
+        n_pad, m_pad = block_count(n, w) * w, block_count(5, w) * w
+        accumulator = (n_pad + 1) // 2 * (m_pad + 1) * 2  # float64 elements
+        rng = np.random.default_rng(n * w)
+        a, x, b = rng.normal(size=(n, 5)), rng.normal(size=5), rng.normal(size=n)
+        for seeds in (b, None):
+            with _signaling_nan_blocks(), np.errstate(all="raise"):
+                # The check means something only if a block of the
+                # accumulator's size comes back holding signaling NaNs.
+                probe = np.empty(accumulator)
+                if not np.all(probe.view(np.uint64) == SIGNALING_NAN_BITS):
+                    pytest.skip("NumPy handed back no freed block of the accumulator's size")
+                del probe
+                lane.sweep(a, x, seeds)
 
     def test_small_plan_holds_only_its_two_indices(self):
         """A gather plan's tables are its rotation index (at most the
